@@ -62,9 +62,10 @@ class CharacterTable:
             if not (ident.is_rational() and ident.as_rational() == c.degree > 0):
                 raise ValidationError(f"row {i}: identity value does not match degree")
         sizes = self.class_sizes
+        conj = [tuple(v.conjugate() for v in c.values) for c in self.chars]
         for i in range(r):
             for j in range(i, r):
-                got = inner_product(self, self.chars[i].values, self.chars[j].values)
+                got = _inner_with_conjugate(self, self.chars[i].values, conj[j])
                 want = 1 if i == j else 0
                 if got != want:
                     raise ValidationError(
@@ -73,8 +74,8 @@ class CharacterTable:
         for i in range(r):
             for j in range(i, r):
                 total = CycValue.zero(self.level)
-                for c in self.chars:
-                    total = total + c.values[i] * c.values[j].conjugate()
+                for c, cc in zip(self.chars, conj):
+                    total = total + c.values[i] * cc[j]
                 want = Rat(n, sizes[i]) if i == j else Rat(0)
                 if total != want:
                     raise ValidationError(
@@ -87,9 +88,13 @@ class CharacterTable:
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:
     """(1/|G|) sum_g a(g) conj(b(g)) for class functions given per class."""
+    return _inner_with_conjugate(table, a, [y.conjugate() for y in b])
+
+
+def _inner_with_conjugate(table: CharacterTable, a, conj_b) -> CycValue:
     total = CycValue.zero(table.level)
-    for size, x, y in zip(table.class_sizes, a, b):
-        total = total + x * y.conjugate() * size
+    for size, x, y in zip(table.class_sizes, a, conj_b):
+        total = total + x * y * size
     return total * Rat(1, table.group.order)
 
 
@@ -206,7 +211,6 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
 
     # split F_p^r into common eigenspaces of all class-sum matrices
     subspaces = [[[1 if c == j else 0 for c in range(r)] for j in range(r)]]
-    subspaces = [subspaces[0]]
     for i in range(1, r):
         if all(len(s) == 1 for s in subspaces):
             break
@@ -289,7 +293,7 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
             o = len(power_class[j])
             zo = pow(z, e // o, p)
             inv_o = pow(o % p, p - 2, p)
-            coeffs = [Rat(0)] * e
+            coeffs = [0] * e
             for i in range(o):
                 c = 0
                 zoi = pow(zo, (o - i) % o, p)  # zo^{-i}
@@ -421,7 +425,7 @@ def galois_orbits(table: CharacterTable):
     """Partition of the irreducibles into Galois orbits, trivial orbit first."""
     e = table.level
     r = len(table.chars)
-    by_values = {tuple(v.sort_key() for v in c.values): i for i, c in enumerate(table.chars)}
+    by_values = {tuple((v.num, v.den) for v in c.values): i for i, c in enumerate(table.chars)}
     assigned = [False] * r
     orbits = []
     for i in range(r):
@@ -429,7 +433,7 @@ def galois_orbits(table: CharacterTable):
             continue
         members = set()
         for k in unit_group(e):
-            img = tuple(v.galois(k).sort_key() for v in table.chars[i].values)
+            img = tuple((w.num, w.den) for w in (v.galois(k) for v in table.chars[i].values))
             j = by_values.get(img)
             if j is None:
                 raise ValidationError("table is not closed under the Galois action")

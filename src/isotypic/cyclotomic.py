@@ -1,21 +1,30 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_e).
+"""Exact arithmetic in cyclotomic fields Q(zeta_e), and the integer kernel
+it shares with the declared number fields of ``numberfield``.
 
-Values are stored in the power basis {zeta^0, ..., zeta^(phi(e)-1)} after
-reduction modulo the e-th cyclotomic polynomial, with Fraction coefficients.
-The Galois group of Q(zeta_e)/Q is identified with the units of Z/e acting by
-zeta -> zeta^k; subfields are represented implicitly by their stabilizer
-inside that unit group.
+An element is a tuple of integer numerators over one positive common
+denominator, normalized by their gcd, so every value has exactly one form
+(Cohen, GTM 138, section 4.2).  In Q(zeta_e) the numerators are coordinates
+in the power basis {zeta^0, ..., zeta^(phi(e)-1)}.  Phi_e is monic with
+integer coefficients, so every zeta^i mod Phi_e is an integer vector; these
+rows are built once per level, on first use, and a product, a Galois image
+or a change of level is a convolution or an index map followed by a fold
+through them.  The Galois group of Q(zeta_e)/Q is identified with the units
+of Z/e acting by zeta -> zeta^k; subfields are represented implicitly by
+their stabilizer inside that unit group.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
-from .errors import ValidationError
+from .errors import BoundExceededError, ValidationError
 
 Rat = Fraction
+
+DEFAULT_LEVEL_BOUND = 1000
+"""Largest level e whose reduction table (O(e * phi(e)) entries) is built."""
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficient lists, low degree first)
@@ -26,16 +35,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Rat(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
 
 
 def poly_sub(a, b):
@@ -85,21 +84,6 @@ def poly_mod(a, b):
     return poly_divmod(a, b)[1]
 
 
-def poly_eval(p, x):
-    acc = x * 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def poly_compose_mod(p, q, modulus):
-    """p(q(t)) reduced mod modulus."""
-    acc = []
-    for c in reversed(p):
-        acc = poly_mod(poly_add(poly_mul(acc, q), [Rat(c)] if c else []), modulus)
-    return acc
-
-
 def poly_ext_gcd(a, b):
     """(g, s, t) with s*a + t*b = g, g monic unless zero."""
     r0, r1 = list(a), list(b)
@@ -118,6 +102,20 @@ def poly_ext_gcd(a, b):
     return r0, s0, t0
 
 
+def _exact_quotient(a, b):
+    """a / b for integer polynomials, b monic and dividing a."""
+    a = list(a)
+    n = len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + n]
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] -= c * bj
+    assert not any(a)
+    return q
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     count = 0
@@ -127,17 +125,28 @@ def euler_phi(n: int) -> int:
     return count
 
 
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int):
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first."""
     if n < 1:
         raise ValidationError("cyclotomic level must be positive")
     # x^n - 1 divided by the product of cyclotomic polynomials of proper divisors
-    num = [Rat(-1)] + [Rat(0)] * (n - 1) + [Rat(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            num = _exact_quotient(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
@@ -148,44 +157,245 @@ def unit_group(e: int):
 
 
 # ---------------------------------------------------------------------------
+# integer kernel: numerators over one common denominator
+# ---------------------------------------------------------------------------
+#
+# A value is (num, den): a tuple of ints and an int den > 0 with
+# gcd(den, *num) == 1.  A reduction table ``rows`` holds, for each power
+# t^i, the sparse integer vector ((j, c), ...) of D * (t^i mod p), where D is
+# the table's common denominator (1 for cyclotomic fields).
+
+
+def _normal(num, den):
+    """(num, den) divided by their gcd, as (tuple, int)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple([x // g for x in num]), den // g
+    return tuple(num), den
+
+
+def _integral(coeffs):
+    """Integer numerators over one positive common denominator."""
+    coeffs = list(coeffs)
+    if all(type(c) is int for c in coeffs):
+        return coeffs, 1
+    coeffs = [Rat(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _sum(an, ad, bn, bd):
+    if ad == bd:
+        return _normal([x + y for x, y in zip(an, bn)], ad)
+    return _normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+
+
+def _difference(an, ad, bn, bd):
+    if ad == bd:
+        return _normal([x - y for x, y in zip(an, bn)], ad)
+    return _normal([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
+
+
+def _rational(q):
+    return q if isinstance(q, (int, Rat)) else Rat(q)
+
+
+def _scaled(num, den, q):
+    """num/den times a rational q."""
+    if type(q) is int:
+        return _normal([q * x for x in num], den)
+    q = _rational(q)
+    n = q.numerator
+    return _normal([n * x for x in num], den * q.denominator)
+
+
+def _shifted(num, den, q):
+    """num/den plus a rational q on the constant coordinate."""
+    if type(q) is int:
+        return (num[0] + q * den,) + num[1:], den
+    q = _rational(q)
+    d = q.denominator
+    return _normal([num[0] * d + q.numerator * den] + [x * d for x in num[1:]], den * d)
+
+
+def _convolve(a, b):
+    """Coefficients of the product of two integer polynomials."""
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                out[i + j] += x * y
+    return out
+
+
+def _fold(vec, rows, width, scale=1):
+    """Reduce vec (len >= width) through the table rows; scale is its denominator."""
+    out = vec[:width] if scale == 1 else [scale * c for c in vec[:width]]
+    for i in range(width, len(vec)):
+        c = vec[i]
+        if c:
+            for j, r in rows[i]:
+                out[j] += c * r
+    return out
+
+
+def _combine(vec, rows, width):
+    """sum_i vec[i] * rows[i]: an integer linear map given by sparse rows."""
+    out = [0] * width
+    for i, c in enumerate(vec):
+        if c:
+            for j, r in rows[i]:
+                out[j] += c * r
+    return out
+
+
+class _Exact:
+    """Shared storage and read-only views of the integer kernel."""
+
+    __slots__ = ("num", "den")
+
+    @property
+    def coeffs(self):
+        """Coordinates as a tuple of Fractions."""
+        den = self.den
+        return tuple([Rat(x, den) for x in self.num])
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def is_rational(self) -> bool:
+        return not any(self.num[1:])
+
+    def _equals_rational(self, q) -> bool:
+        # normalized: a rational value n/d has num[0] = n and den = d in lowest terms
+        if type(q) is int:
+            return self.den == 1 and self.num[0] == q and self.is_rational()
+        return (self.num[0] == q.numerator and self.den == q.denominator
+                and self.is_rational())
+
+    def _rational_hash(self):
+        return hash(Rat(self.num[0], self.den))
+
+
+# ---------------------------------------------------------------------------
+# reduction tables of Q(zeta_e)
+# ---------------------------------------------------------------------------
+
+
+class _Level:
+    """Reduction data of Q(zeta_e), built once per level on first use.
+
+    rows[i] is zeta^i mod Phi_e for i < max(e, 2 phi(e) - 1), which covers
+    products, Galois images and values lifted from a divisor level.  The
+    index maps of each Galois action and each lift are built on first use.
+    """
+
+    __slots__ = ("level", "phi", "rows", "galois_rows", "lift_rows",
+                 "trace_weights", "trace_den")
+
+    def __init__(self, e: int):
+        if e > DEFAULT_LEVEL_BOUND:
+            raise BoundExceededError(
+                f"cyclotomic level {e} exceeds the level bound {DEFAULT_LEVEL_BOUND}"
+            )
+        phi = euler_phi(e)
+        low = cyclotomic_polynomial(e)[:phi]
+        rows = [((i, 1),) for i in range(phi)]
+        cur = [0] * phi
+        cur[-1] = 1
+        for _ in range(phi, max(e, 2 * phi - 1)):
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [c - top * p for c, p in zip(cur, low)]
+            rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        self.level = e
+        self.phi = phi
+        self.rows = rows
+        self.galois_rows = {}
+        self.lift_rows = {}
+        # Tr(zeta^i) / phi(e) = mu(d) / phi(d) with d = e / gcd(i, e)
+        orders = [e // gcd(i, e) for i in range(phi)]
+        self.trace_den = lcm(*(euler_phi(d) for d in orders))
+        self.trace_weights = tuple(
+            _mobius(d) * (self.trace_den // euler_phi(d)) for d in orders
+        )
+
+    def galois_map(self, k: int):
+        rows = self.galois_rows.get(k)
+        if rows is None:
+            e = self.level
+            rows = self.galois_rows[k] = [self.rows[i * k % e] for i in range(self.phi)]
+        return rows
+
+    def lift_map(self, level: int):
+        rows = self.lift_rows.get(level)
+        if rows is None:
+            step = self.level // level
+            rows = self.lift_rows[level] = [
+                self.rows[i * step] for i in range(euler_phi(level))
+            ]
+        return rows
+
+
+_LEVELS: dict[int, _Level] = {}
+
+
+def _level(e: int) -> _Level:
+    lv = _LEVELS.get(e)
+    if lv is None:
+        lv = _LEVELS[e] = _Level(e)
+    return lv
+
+
+# ---------------------------------------------------------------------------
 # cyclotomic field elements
 # ---------------------------------------------------------------------------
 
 
-class CycValue:
+class CycValue(_Exact):
     """Element of Q(zeta_e) in reduced power-basis form."""
 
-    __slots__ = ("level", "coeffs")
+    __slots__ = ("level",)
 
     def __init__(self, level: int, coeffs):
+        num, den = _integral(coeffs)
         phi = euler_phi(level)
-        coeffs = [Rat(c) for c in coeffs]
-        if len(coeffs) > phi:
-            modulus = list(cyclotomic_polynomial(level))
-            coeffs = poly_mod(coeffs, modulus)
-        coeffs += [Rat(0)] * (phi - len(coeffs))
+        if len(num) > phi:
+            rows = _level(level).rows
+            if len(num) > level:  # zeta^level = 1
+                wrapped = [0] * level
+                for i, c in enumerate(num):
+                    wrapped[i % level] += c
+                num = wrapped
+            num = _fold(num, rows, phi)
+        else:
+            num += [0] * (phi - len(num))
         self.level = level
-        self.coeffs = tuple(coeffs[:phi])
+        self.num, self.den = _normal(num, den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_rational(q, level: int = 1) -> "CycValue":
-        return CycValue(level, [Rat(q)])
+        q = Rat(q)
+        return _cyc(level, (q.numerator,) + (0,) * (euler_phi(level) - 1), q.denominator)
 
     @staticmethod
     def root_of_unity(level: int, power: int = 1) -> "CycValue":
         """zeta_level ** power."""
         power %= level
-        return CycValue(level, [Rat(0)] * power + [Rat(1)])
+        return CycValue(level, [0] * power + [1])
 
     @staticmethod
     def zero(level: int = 1) -> "CycValue":
-        return CycValue(level, [])
+        return _cyc(level, (0,) * euler_phi(level), 1)
 
     @staticmethod
     def one(level: int = 1) -> "CycValue":
-        return CycValue(level, [Rat(1)])
+        return _cyc(level, (1,) + (0,) * (euler_phi(level) - 1), 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -197,23 +407,14 @@ class CycValue:
             raise ValidationError(
                 f"cannot promote level {self.level} to non-multiple {new_level}"
             )
-        step = new_level // self.level
-        out = [Rat(0)] * (max(len(self.coeffs), 1) * step)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] += c
-        return CycValue(new_level, out)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        lv = _level(new_level)
+        num = _combine(self.num, lv.lift_map(self.level), lv.phi)
+        return _cyc(new_level, *_normal(num, self.den))
 
     def as_rational(self) -> Rat:
         if not self.is_rational():
             raise ValidationError(f"value {self!r} is not rational")
-        return self.coeffs[0] if self.coeffs else Rat(0)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return Rat(self.num[0], self.den)
 
     def galois(self, k: int) -> "CycValue":
         """Image under the automorphism zeta -> zeta^k, gcd(k, level) = 1."""
@@ -221,11 +422,8 @@ class CycValue:
         k %= e if e > 1 else 1
         if e > 1 and gcd(k, e) != 1:
             raise ValidationError(f"{k} is not a unit mod {e}")
-        out = [Rat(0)] * e
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * k) % e] += c
-        return CycValue(e, out)
+        lv = _level(e)
+        return _cyc(e, *_normal(_combine(self.num, lv.galois_map(k), lv.phi), self.den))
 
     def conjugate(self) -> "CycValue":
         return self.galois(-1)
@@ -242,36 +440,49 @@ class CycValue:
         return a.to_level(lev), b.to_level(lev)
 
     def __add__(self, other):
+        if not isinstance(other, CycValue):
+            return _cyc(self.level, *_shifted(self.num, self.den, other))
         a, b = CycValue._common(self, other)
-        return CycValue(a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _cyc(a.level, *_sum(a.num, a.den, b.num, b.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycValue(self.level, [-c for c in self.coeffs])
+        return _cyc(self.level, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycValue) else CycValue.from_rational(-Rat(other)))
+        if not isinstance(other, CycValue):
+            return _cyc(self.level, *_shifted(self.num, self.den, -_rational(other)))
+        a, b = CycValue._common(self, other)
+        return _cyc(a.level, *_difference(a.num, a.den, b.num, b.den))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, CycValue):
+            return _cyc(self.level, *_scaled(self.num, self.den, other))
         a, b = CycValue._common(self, other)
-        return CycValue(a.level, poly_mul(list(a.coeffs), list(b.coeffs)))
+        lv = _level(a.level)
+        num = _fold(_convolve(a.num, b.num), lv.rows, lv.phi)
+        return _cyc(a.level, *_normal(num, a.den * b.den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycValue":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        modulus = list(cyclotomic_polynomial(self.level))
+        if self.is_rational():
+            return CycValue.from_rational(1 / self.as_rational(), self.level)
+        modulus = [Rat(c) for c in cyclotomic_polynomial(self.level)]
         g, s, _ = poly_ext_gcd(list(self.coeffs), modulus)
         if len(g) != 1:
             raise ValidationError("non-invertible cyclotomic value")  # pragma: no cover
         return CycValue(self.level, [c / g[0] for c in s])
 
     def __truediv__(self, other):
+        if not isinstance(other, CycValue):
+            return self * (1 / Rat(other))
         a, b = CycValue._common(self, other)
         return a * b.inverse()
 
@@ -292,22 +503,36 @@ class CycValue:
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
-            return self.is_rational() and self.as_rational() == other
+            return self._equals_rational(other)
         if not isinstance(other, CycValue):
             return NotImplemented
         a, b = CycValue._common(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # Tr(v) / phi(e) does not depend on the level and is q for a rational q
         if self.is_rational():
-            return hash(self.as_rational())
-        return hash((self.level, self.coeffs))
+            return self._rational_hash()
+        lv = _level(self.level)
+        trace = sum(x * w for x, w in zip(self.num, lv.trace_weights))
+        return hash(Rat(trace, self.den * lv.trace_den))
 
     def sort_key(self):
         return self.coeffs
 
     def __repr__(self):
         return f"CycValue({self.level}, {render_cyc(self)!r})"
+
+
+_new = object.__new__
+
+
+def _cyc(level, num, den) -> CycValue:
+    v = _new(CycValue)
+    v.level = level
+    v.num = num
+    v.den = den
+    return v
 
 
 def render_cyc(v: CycValue) -> str:

@@ -111,11 +111,6 @@ def sqrt_minus5_cyclotomic(level: int = 40) -> CycValue:
     return (w + w ** 9 - w ** 13 - w ** 17).to_level(level)
 
 
-def order80_embedding(nf: NumField, level: int = 40) -> CycEmbedding:
-    k, _ = order80_k_and_l(nf)
-    return CycEmbedding(nf, sqrt_minus5_cyclotomic(level), k)
-
-
 def order80_rep(group: FiniteGroup, table: CharacterTable,
                 nf: NumField | None = None) -> MatrixRep:
     """The degree-4 representation with character value +sqrt(-5) at x."""

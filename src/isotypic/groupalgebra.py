@@ -44,9 +44,6 @@ class RationalDomain:
     def from_rational(self, q):
         return Rat(q)
 
-    def galois_indices(self):
-        return (0,)
-
     def apply_galois(self, index, value):
         return value
 

@@ -45,13 +45,6 @@ class Echelon:
         return True
 
 
-def rank_of(vectors, zero, one) -> int:
-    ech = Echelon(zero, one)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
-
 def solve_in_span(basis, target, zero, one):
     """Coefficients expressing target in the given (independent) basis, or None.
 

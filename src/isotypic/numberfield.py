@@ -11,16 +11,26 @@ complete decision procedure at the small degrees used here.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .cyclotomic import (
     CycValue,
-    poly_add,
-    poly_compose_mod,
+    _combine,
+    _convolve,
+    _difference,
+    _Exact,
+    _fold,
+    _integral,
+    _new,
+    _normal,
+    _rational,
+    _scaled,
+    _shifted,
+    _sum,
     poly_divmod,
     poly_ext_gcd,
     poly_mod,
-    poly_mul,
     poly_trim,
 )
 from .errors import ValidationError
@@ -103,31 +113,42 @@ def is_irreducible(poly) -> bool:
         for divs in divisor_lists:
             stack = [tup + (d,) for tup in stack for d in divs]
         for values in stack:
-            cand = _lagrange(xs, values)
+            cand = _integer_interpolant(xs, values)
             if cand is None or len(cand) - 1 < 1:
                 continue
-            if any(c.denominator != 1 for c in cand):
-                continue
-            q, r = poly_divmod(poly, cand)
+            q, r = poly_divmod(poly, [Rat(c) for c in cand])
             if not r and len(q) - 1 >= 1:
                 return False
     return True
 
 
-def _lagrange(xs, ys):
+def _integer_interpolant(xs, ys):
+    """Integer coefficients of the polynomial through the points, or None.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers, so the first one that is not rules the candidate out.
+    """
     n = len(xs)
-    acc = []
-    for i in range(n):
-        num = [Rat(1)]
-        den = Rat(1)
-        for j in range(n):
-            if j == i:
-                continue
-            num = poly_mul(num, [Rat(-xs[j]), Rat(1)])
-            den *= Rat(xs[i] - xs[j])
-        term = [c * Rat(ys[i]) / den for c in num]
-        acc = poly_add(acc, term)
-    return poly_trim(acc)
+    diffs = list(ys)
+    newton = [diffs[0]]
+    for level in range(1, n):
+        for i in range(n - level):
+            num, den = diffs[i + 1] - diffs[i], xs[i + level] - xs[i]
+            if num % den:
+                return None
+            diffs[i] = num // den
+        newton.append(diffs[0])
+    # c0 + (x - x0)(c1 + (x - x1)(c2 + ...)), expanded from the inside out
+    acc = [newton[-1]]
+    for k in range(n - 2, -1, -1):
+        nxt = [0] + acc
+        for i, c in enumerate(acc):
+            nxt[i] -= xs[k] * c
+        nxt[0] += newton[k]
+        acc = nxt
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +190,11 @@ class NumField:
         if len(set(autos)) != len(autos):
             raise ValidationError("L/Q not Galois as declared: repeated automorphism")
         for img in autos:
-            if poly_compose_mod(list(minpoly), list(img), list(minpoly)):
+            image = NumFieldValue(self, img)
+            acc = self.zero()
+            for c in reversed(minpoly):
+                acc = acc * image + c
+            if not acc.is_zero():
                 raise ValidationError(
                     "L/Q not Galois as declared: image is not a root of the minimal polynomial"
                 )
@@ -185,13 +210,14 @@ class NumField:
 
         # composition table; also certifies closure under composition.
         # _comp[i][j] = "apply sigma_i first, then sigma_j"; its image
-        # polynomial is F_i(F_j(t)) since sigma(v) = v(F_sigma(t)) mod p.
+        # polynomial is F_i(F_j(t)) = sigma_j(F_i) since sigma(v) = v(F_sigma(t)) mod p.
         self._comp = []
         index = {img: i for i, img in enumerate(self.automorphisms)}
-        for i, a in enumerate(self.automorphisms):
+        for a in self.automorphisms:
+            value = NumFieldValue(self, a)
             row = []
-            for j, b in enumerate(self.automorphisms):
-                img = tuple(poly_compose_mod(list(a), list(b), list(minpoly)))
+            for j in range(len(self.automorphisms)):
+                img = tuple(poly_trim(list(self.apply_auto(j, value).coeffs)))
                 if img not in index:
                     raise ValidationError(
                         "L/Q not Galois as declared: automorphisms not closed under composition"
@@ -211,34 +237,63 @@ class NumField:
                     raise ValidationError("subfield fixers are not closed under composition")
         self.subfield_fixers = fixers
 
+    # -- integer tables, built on first use ------------------------------------
+
+    @cached_property
+    def _power_rows(self):
+        """(rows, D): rows[k] is D * (t^k mod p) for k < 2 deg - 1."""
+        deg = self.degree
+        low, low_den = _integral(self.minpoly[:deg])
+        powers = [(tuple(int(j == k) for j in range(deg)), 1) for k in range(deg)]
+        for _ in range(deg, 2 * deg - 1):
+            # t * t^(k-1), with t^deg = -low / low_den
+            num, den = powers[-1]
+            top = num[-1]
+            shifted = (0,) + num[:-1]
+            powers.append(
+                _normal([low_den * x - top * y for x, y in zip(shifted, low)], den * low_den)
+            )
+        return _common_rows(powers)
+
+    @cached_property
+    def _auto_maps(self):
+        """Per automorphism (rows, D): rows[j] is D * sigma(t^j) mod p."""
+        maps = []
+        for img in self.automorphisms:
+            image = NumFieldValue(self, img)
+            powers = [self.one()]
+            for _ in range(self.degree - 1):
+                powers.append(powers[-1] * image)
+            maps.append(_common_rows([(v.num, v.den) for v in powers]))
+        return tuple(maps)
+
     # -- element constructors ----------------------------------------------
 
     def value(self, coeffs) -> "NumFieldValue":
         return NumFieldValue(self, coeffs)
 
     def zero(self) -> "NumFieldValue":
-        return NumFieldValue(self, [])
+        return _nfv(self, (0,) * self.degree, 1)
 
     def one(self) -> "NumFieldValue":
-        return NumFieldValue(self, [Rat(1)])
+        return _nfv(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self) -> "NumFieldValue":
         if self.degree == 1:
             return NumFieldValue(self, [-self.minpoly[0]])
-        return NumFieldValue(self, [Rat(0), Rat(1)])
+        return _nfv(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def from_rational(self, q) -> "NumFieldValue":
-        return NumFieldValue(self, [Rat(q)])
+        q = Rat(q)
+        return _nfv(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     # -- Galois action -------------------------------------------------------
 
     def apply_auto(self, index: int, v: "NumFieldValue") -> "NumFieldValue":
         if v.field is not self:
             raise ValidationError("value belongs to a different field")
-        img = list(self.automorphisms[index])
-        return NumFieldValue(
-            self, poly_compose_mod(list(v.coeffs), img, list(self.minpoly))
-        )
+        rows, den = self._auto_maps[index]
+        return _nfv(self, *_normal(_combine(v.num, rows, self.degree), v.den * den))
 
     def compose(self, i: int, j: int) -> int:
         """Index of the composite map "apply sigma_i first, then sigma_j"."""
@@ -275,63 +330,75 @@ class NumField:
         return f"NumField(deg {self.degree}, {len(self.automorphisms)} autos)"
 
 
-class NumFieldValue:
+def _common_rows(values):
+    """Sparse integer rows of (num, den) vectors over their common denominator."""
+    den = lcm(*(d for _, d in values))
+    rows = [tuple((j, x * (den // d)) for j, x in enumerate(num) if x) for num, d in values]
+    return rows, den
+
+
+class NumFieldValue(_Exact):
     """Element of a NumField: polynomial in t of degree < [L:Q]."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field",)
 
     def __init__(self, field: NumField, coeffs):
-        coeffs = [Rat(c) for c in coeffs]
-        if len(coeffs) > field.degree:
-            coeffs = poly_mod(coeffs, list(field.minpoly))
-        coeffs += [Rat(0)] * (field.degree - len(coeffs))
+        coeffs = list(coeffs)
+        if len(coeffs) > field.degree:  # rare: products fold through _power_rows
+            coeffs = poly_mod([Rat(c) for c in coeffs], list(field.minpoly))
+        num, den = _integral(coeffs)
+        num += [0] * (field.degree - len(num))
         self.field = field
-        self.coeffs = tuple(coeffs[: field.degree])
+        self.num, self.den = _normal(num, den)
 
     def _coerce(self, other) -> "NumFieldValue":
         if isinstance(other, NumFieldValue):
             if other.field is not self.field and other.field != self.field:
                 raise ValidationError("mixing values from different number fields")
             return other
-        return NumFieldValue(self.field, [Rat(other)])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.field.from_rational(other)
 
     def as_rational(self) -> Rat:
         if not self.is_rational():
             raise ValidationError("number field value is not rational")
-        return self.coeffs[0] if self.coeffs else Rat(0)
+        return Rat(self.num[0], self.den)
 
     def __add__(self, other):
+        if not isinstance(other, NumFieldValue):
+            return _nfv(self.field, *_shifted(self.num, self.den, other))
         other = self._coerce(other)
-        return NumFieldValue(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _nfv(self.field, *_sum(self.num, self.den, other.num, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumFieldValue(self.field, [-c for c in self.coeffs])
+        return _nfv(self.field, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if not isinstance(other, NumFieldValue):
+            return _nfv(self.field, *_shifted(self.num, self.den, -_rational(other)))
+        other = self._coerce(other)
+        return _nfv(self.field, *_difference(self.num, self.den, other.num, other.den))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, NumFieldValue):
+            return _nfv(self.field, *_scaled(self.num, self.den, other))
         other = self._coerce(other)
-        return NumFieldValue(
-            self.field, poly_mul(list(self.coeffs), list(other.coeffs))
-        )
+        field = self.field
+        rows, scale = field._power_rows
+        num = _fold(_convolve(self.num, other.num), rows, field.degree, scale)
+        return _nfv(field, *_normal(num, self.den * other.den * scale))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "NumFieldValue":
         if self.is_zero():
             raise ZeroDivisionError("division by zero in number field")
+        if self.is_rational():
+            return self.field.from_rational(1 / self.as_rational())
         g, s, _ = poly_ext_gcd(list(self.coeffs), list(self.field.minpoly))
         if len(g) != 1:
             raise ValidationError("not a field: zero divisor encountered")
@@ -357,16 +424,27 @@ class NumFieldValue:
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
-            return self.is_rational() and self.as_rational() == other
+            return self._equals_rational(other)
         if not isinstance(other, NumFieldValue):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return (self.num == other.num and self.den == other.den
+                and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.field.minpoly, self.coeffs))
+        if self.is_rational():
+            return self._rational_hash()
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"NF({render_nf(self)})"
+
+
+def _nfv(field, num, den) -> NumFieldValue:
+    v = _new(NumFieldValue)
+    v.field = field
+    v.num = num
+    v.den = den
+    return v
 
 
 def render_nf(v: NumFieldValue) -> str:

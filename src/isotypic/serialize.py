@@ -35,14 +35,6 @@ def dumps(obj) -> str:
 # -- scalars -----------------------------------------------------------------
 
 
-def rat_to_json(q) -> str:
-    return str(Rat(q))
-
-
-def rat_from_json(s) -> Rat:
-    return Rat(s)
-
-
 def cyc_to_json(v: CycValue) -> dict:
     return {"level": v.level, "coeffs": [str(c) for c in v.coeffs]}
 
@@ -93,10 +85,6 @@ def group_from_spec(d) -> FiniteGroup:
     if kind == "permutations":
         return from_permutations([list(p) for p in d[kind]])
     return from_cayley_table([list(r) for r in d[kind]])
-
-
-def group_to_export(group: FiniteGroup) -> dict:
-    return group.export()
 
 
 # -- character tables -------------------------------------------------------------

@@ -183,3 +183,37 @@ def test_render_forms():
     z4 = CycValue.root_of_unity(4)
     assert render_cyc(z4 * 2 + 1) == "1+2*z4"
     assert render_cyc(CycValue.from_rational(F(-3, 2), 4)) == "-3/2"
+
+
+def test_hash_agrees_with_equality_across_levels():
+    a = CycValue.root_of_unity(3)
+    b = a.to_level(6)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    v = random_value(random.Random(19), 12)
+    assert len({v, v.to_level(24), v.to_level(60)}) == 1
+    assert hash(CycValue.from_rational(F(3, 4), 20)) == hash(F(3, 4))
+    assert len({CycValue.from_rational(5, 12), 5}) == 1
+
+
+def test_level_bound_raises_before_building_a_table(monkeypatch):
+    from isotypic import BoundExceededError, cyclotomic
+
+    monkeypatch.setattr(cyclotomic, "DEFAULT_LEVEL_BOUND", 50)
+    monkeypatch.setattr(cyclotomic, "_LEVELS", {})
+    z = CycValue.root_of_unity(60)
+    with pytest.raises(BoundExceededError, match="level bound 50"):
+        z * z
+    assert 60 not in cyclotomic._LEVELS
+    assert CycValue.root_of_unity(12) ** 12 == 1
+
+
+def test_level_bound_exits_4_from_the_cli(monkeypatch, capsys):
+    from isotypic import cyclotomic
+    from isotypic.cli import main
+
+    monkeypatch.setattr(cyclotomic, "DEFAULT_LEVEL_BOUND", 6)
+    monkeypatch.setattr(cyclotomic, "_LEVELS", {})
+    assert main(["chartable", "--group", "bundled:group_s4.json"]) == 4
+    assert "cyclotomic level 12 exceeds the level bound 6" in capsys.readouterr().err

@@ -1,0 +1,41 @@
+"""Byte-identical ``--format json`` output of the bundled CLI invocations.
+
+The files under ``tests/golden/`` were written by the Fraction-polynomial
+scalar implementation that the integer kernel replaced; any change in a
+printed value, an ordering or a verdict shows up here as a byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from isotypic.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+G80 = "bundled:group_order80.json"
+
+CASES = {
+    f"{cmd}_{name}": [cmd, "--group", f"bundled:group_{name}.json"]
+    for name in ("order24", "order80", "q8", "s3", "s4")
+    for cmd in ("chartable", "full-report", "group-info")
+}
+CASES.update({
+    "idempotents-central_order80":
+        ["idempotents", "central", "--group", G80, "--irrep", "11-12"],
+    "idempotents-subgroup_order80":
+        ["idempotents", "subgroup", "--group", G80, "--irrep", "11-12", "--H", "x*y^2"],
+    "decompose-prym_order80":
+        ["decompose", "prym", "--group", G80, "--H", "1", "--N", "x,y",
+         "--assert-schur", "11-12=2"],
+    "verify_manifest_order24": ["verify", "bundled:manifest_order24.json"],
+})
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(name, capsys):
+    assert main(CASES[name] + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()

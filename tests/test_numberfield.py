@@ -131,3 +131,30 @@ def test_embedding_validates_conjugate():
     kc = sqrt_minus5_cyclotomic(40)
     with pytest.raises(ValidationError, match="not a conjugate"):
         CycEmbedding(L, kc, l)  # sqrt(-2) is not a square root of -5
+
+
+def test_rational_value_hash_agrees_with_equality():
+    L = order80_field()
+    three = L.from_rational(3)
+    assert three == 3
+    assert hash(three) == hash(3)
+    assert len({L.from_rational(F(-2, 5)), F(-2, 5)}) == 1
+    t = L.gen()
+    assert hash(t * t - 8) == hash(L.value([-8, 0, 1]))
+
+
+def test_irreducibility_of_products_and_cyclotomic_polynomials():
+    from isotypic import cyclotomic_polynomial
+
+    rng = random.Random(23)
+    for _ in range(30):
+        f = [rng.randint(-4, 4) for _ in range(rng.randint(2, 3))] + [1]
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [1]
+        product = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                product[i + j] += a * b
+        assert not is_irreducible(product)
+    for n in (5, 7, 8, 9, 12, 15, 16):
+        assert is_irreducible(cyclotomic_polynomial(n))
+    assert is_irreducible([F(1, 16), 0, F(-5, 2), 0, 1])

@@ -1,0 +1,148 @@
+"""Differential tests of the integer scalar kernel against the Fraction
+reference in ``fraction_reference.py``, on seeded random values."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import fraction_reference as ref
+from isotypic import (
+    CycValue,
+    NumField,
+    compute_character_table,
+    from_permutations,
+    galois_orbits,
+)
+from isotypic import cyclotomic, numberfield
+from isotypic.cyclotomic import euler_phi, unit_group
+from isotypic.fixtures import order80_field
+
+
+def _coeff(rng):
+    r = rng.random()
+    if r < 0.3:
+        return 0
+    if r < 0.7:
+        return rng.randint(-9, 9)
+    return F(rng.randint(-9, 9), rng.randint(1, 12))
+
+
+def _coeffs(rng, n):
+    return [_coeff(rng) for _ in range(n)]
+
+
+def _same(new, old):
+    assert all(type(c) is F for c in new.coeffs)
+    assert new.coeffs == old.coeffs
+    if isinstance(new, CycValue):
+        assert new.level == old.level
+        assert new.sort_key() == old.sort_key()
+
+
+def _cyc_pair(level, coeffs):
+    return CycValue(level, coeffs), ref.CycValue(level, coeffs)
+
+
+@pytest.mark.parametrize("level", range(1, 121))
+def test_cyclotomic_kernel_matches_reference(level):
+    rng = random.Random(level)
+    phi = euler_phi(level)
+    divisors = [d for d in range(1, level + 1) if level % d == 0]
+    for _ in range(2):
+        # lengths beyond phi and beyond the level exercise the reduction
+        a, ra = _cyc_pair(level, _coeffs(rng, rng.choice((phi, rng.randint(0, 2 * level + 1)))))
+        b, rb = _cyc_pair(level, _coeffs(rng, rng.randint(0, phi)))
+        d = rng.choice(divisors)
+        c, rc = _cyc_pair(d, _coeffs(rng, euler_phi(d)))
+        q = _coeff(rng)
+        k = rng.choice(unit_group(level))
+        _same(a, ra)
+        _same(a + b, ra + rb)
+        _same(a - b, ra - rb)
+        _same(-a, -ra)
+        _same(a * b, ra * rb)
+        _same(a * c, ra * rc)
+        _same(c - a, rc - ra)
+        _same(a + q, ra + q)
+        _same(a - q, ra - q)
+        _same(a * q, ra * q)
+        _same(a.galois(k), ra.galois(k))
+        _same(a.conjugate(), ra.conjugate())
+        _same(a.to_level(2 * level), ra.to_level(2 * level))
+        _same(c.to_level(level), rc.to_level(level))
+        if phi <= 16 and not a.is_zero():
+            _same(a.inverse(), ra.inverse())
+        assert (a == b) == (ra == rb)
+        assert (a == c) == (ra == rc)
+        assert (a == q) == (ra == q)
+        assert (c.to_level(level) == c) and (rc.to_level(level) == rc)
+        assert (a * b - b * a) == 0
+    # Euclid over Q blows up on dense values of high degree: invert a binomial
+    sparse = [0] * level
+    sparse[0] = rng.randint(1, 5)
+    sparse[rng.randrange(level)] += rng.choice((-1, 1, F(1, 2)))
+    s, rs = _cyc_pair(level, sparse)
+    if not s.is_zero():
+        _same(s.inverse(), rs.inverse())
+
+
+def _fields():
+    return {
+        "order80": order80_field(),
+        # t = (sqrt 2 + sqrt 3) / 2: a minimal polynomial with non-integral coefficients
+        "nonintegral": NumField(
+            [F(1, 16), 0, F(-5, 2), 0, 1],
+            [[0, 1], [0, -1], [0, 10, 0, -4], [0, -10, 0, 4]],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["order80", "nonintegral"])
+def test_number_field_kernel_matches_reference(name):
+    nf = _fields()[name]
+    rng = random.Random(name)
+    deg = nf.degree
+
+    def pair(coeffs):
+        return nf.value(coeffs), ref.NumFieldValue(nf.minpoly, nf.automorphisms, coeffs)
+
+    for _ in range(40):
+        a, ra = pair(_coeffs(rng, rng.randint(0, 2 * deg + 2)))
+        b, rb = pair(_coeffs(rng, rng.randint(0, deg)))
+        q = _coeff(rng)
+        _same(a, ra)
+        _same(a + b, ra + rb)
+        _same(a - b, ra - rb)
+        _same(-a, -ra)
+        _same(a * b, ra * rb)
+        _same(a + q, ra + q)
+        _same(a - q, ra - q)
+        _same(a * q, ra * q)
+        for i in range(len(nf.automorphisms)):
+            _same(nf.apply_auto(i, a), ra.apply_auto(i))
+        if not a.is_zero():
+            _same(a.inverse(), ra.inverse())
+        assert (a == b) == (ra == rb)
+        assert (a == q) == (ra == q)
+        assert (a * b - b * a) == 0
+
+
+def test_hot_paths_never_call_poly_divmod(monkeypatch):
+    nf = order80_field()  # the field's own consistency checks may divide
+    calls = []
+    original = cyclotomic.poly_divmod
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(cyclotomic, "poly_divmod", counting)
+    monkeypatch.setattr(numberfield, "poly_divmod", counting)
+    monkeypatch.setattr(cyclotomic, "_LEVELS", {})  # rebuild the level tables too
+    s5 = from_permutations([[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    assert len(galois_orbits(compute_character_table(s5))) == 7
+    assert calls == []
+    a = nf.value([1, 2, F(1, 3), -1])
+    assert nf.apply_auto(2, a * nf.gen()) != 0
+    assert calls == []
