@@ -48,11 +48,16 @@ Rat = Fraction
 
 def _load_json(path: str):
     if path.startswith("bundled:"):
-        name = path.split(":", 1)[1]
-        ref = resources.files("isotypic.data").joinpath(name)
-        return json.loads(ref.read_text())
-    with open(path) as fh:
-        return json.load(fh)
+        text = resources.files("isotypic.data").joinpath(path.split(":", 1)[1]).read_text()
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{path} is not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
+        ) from None
 
 
 def _load_group(args):

@@ -251,6 +251,36 @@ def _combine(vec, rows, width):
     return out
 
 
+def _power(value, k: int, one):
+    """value ** k by square and multiply; a negative k inverts first."""
+    if k < 0:
+        value, k = value.inverse(), -k
+    result = one
+    while k:
+        if k & 1:
+            result = result * value
+        value = value * value
+        k >>= 1
+    return result
+
+
+def _render_terms(coeffs, gen: str) -> str:
+    """Human form of sum_i coeffs[i] * gen^i, e.g. "1/2-3*t+t^2"."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mon = "1" if i == 0 else (gen if i == 1 else f"{gen}^{i}")
+        if c == 1 and i > 0:
+            term = mon
+        elif c == -1 and i > 0:
+            term = "-" + mon
+        else:
+            term = str(c) if i == 0 else f"{c}*{mon}"
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts) or "0"
+
+
 class _Exact:
     """Shared storage and read-only views of the integer kernel."""
 
@@ -490,16 +520,7 @@ class CycValue(_Exact):
         return CycValue.from_rational(other).to_level(self.level) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = CycValue.one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, CycValue.one(self.level))
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
@@ -537,24 +558,7 @@ def _cyc(level, num, den) -> CycValue:
 
 def render_cyc(v: CycValue) -> str:
     """Human form: integer/rational combination of powers of z<level>."""
-    if v.is_rational():
-        return str(v.as_rational())
-    parts = []
-    for i, c in enumerate(v.coeffs):
-        if c == 0:
-            continue
-        mon = "1" if i == 0 else (f"z{v.level}" if i == 1 else f"z{v.level}^{i}")
-        if c == 1 and i > 0:
-            term = mon
-        elif c == -1 and i > 0:
-            term = "-" + mon
-        else:
-            term = str(c) if i == 0 else f"{c}*{mon}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) or "0"
+    return _render_terms(v.coeffs, f"z{v.level}")
 
 
 # ---------------------------------------------------------------------------

@@ -339,22 +339,49 @@ class AlgebraElement:
         return f"AlgebraElement({len(self.coeffs)} terms over {self.domain!r})"
 
 
+def _trace_dim(e: AlgebraElement) -> int:
+    """dim F[G]e = |G|*e(1) for an idempotent e.
+
+    x -> x*e projects F[G] onto F[G]e, and its trace in the group basis is
+    |G| times the coefficient of the identity.  Callers check e*e == e
+    exactly first.
+    """
+    d = e.coefficient(0) * e.group.order
+    d = d if isinstance(d, (int, Rat)) else d.as_rational()
+    if d.denominator != 1:  # pragma: no cover - the trace of a projection is its rank
+        raise InvariantError(f"trace of an idempotent is not an integer: {d}")
+    return int(d)
+
+
 def ideal_dim(a: AlgebraElement) -> int:
-    """Dimension over the coefficient field of the left ideal F[G]*a."""
-    ech = Echelon(a.domain.zero(), a.domain.one())
-    for vec in a.left_translates():
+    """Dimension over the coefficient field of the left ideal F[G]*a.
+
+    An idempotent (checked exactly) gets the closed form |G|*a(1); any
+    other element the rank of its left translates.
+    """
+    if a.is_idempotent():
+        return _trace_dim(a)
+    return len(ideal_basis(a))
+
+
+def _echelon(domain, vectors) -> Echelon:
+    """Echelon of the vectors, inserted in order."""
+    ech = Echelon(domain.zero(), domain.one())
+    for vec in vectors:
         ech.add(vec)
-    return ech.rank
+    return ech
 
 
 def ideal_basis(a: AlgebraElement):
-    """First linearly independent left translates of a, as elements."""
+    """First linearly independent left translates of a, as elements.
+
+    Its length is the rank fallback of ideal_dim for non-idempotents.
+    """
     ech = Echelon(a.domain.zero(), a.domain.one())
     basis = []
-    for g in range(a.group.order):
-        elem = AlgebraElement.basis(a.group, g, a.domain) * a
-        if ech.add(elem.dense()):
-            basis.append(elem)
+    for vec in a.left_translates():
+        if ech.add(vec):
+            basis.append(AlgebraElement(a.group, a.domain, dict(enumerate(vec))))
     return basis
 
 
@@ -417,7 +444,9 @@ class MatrixRep:
     BFS words; multiplicativity is validated against every (element,
     generator) pair, which by induction over words certifies the full
     multiplication table.  Traces are checked against the linked character
-    through the declared embedding of character values into L.
+    through the declared embedding of character values into L.  The rep is
+    immutable after __init__, so the diagonal suite of
+    ``diagonal_idempotents`` runs once and its result is stored on it.
     """
 
     def __init__(self, group: FiniteGroup, nf: NumField, gen_matrices,
@@ -430,6 +459,7 @@ class MatrixRep:
         char = table.chars[char_index]
         self.degree = char.degree
         self.embedding = embedding if embedding is not None else CycEmbedding(nf, None, None)
+        self._diagonal = None  # (ells, e_V) once validated
 
         if group.labels is None:
             raise ValidationError("matrix representations need a group with generator words")
@@ -529,31 +559,26 @@ def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
     return AlgebraElement(group, dom, coeffs)
 
 
-def diagonal_idempotents(rep: MatrixRep, validate: bool = True):
-    """All ell_j, with the idempotent/orthogonality/sum/primitivity suite."""
-    ells = [diagonal_idempotent(rep, j) for j in range(rep.degree)]
-    if validate:
+def _validated_diagonal(rep: MatrixRep):
+    """(ells, e_V) of rep, checked by the diagonal suite on first use only."""
+    if rep._diagonal is None:
+        ells = tuple(diagonal_idempotent(rep, j) for j in range(rep.degree))
         ev = central_idempotent_over_field(rep)
-        total = AlgebraElement.zero(rep.group, FieldDomain(rep.field))
-        for j, ell in enumerate(ells):
-            if not ell.is_idempotent():
-                raise ValidationError(f"representation inconsistent with character: ell_{j+1} not idempotent")
-            total = total + ell
-        for i in range(len(ells)):
-            for j in range(i + 1, len(ells)):
-                if not ells[i].is_orthogonal_to(ells[j]):
-                    raise ValidationError(
-                        f"representation inconsistent with character: ell_{i+1}, ell_{j+1} not orthogonal"
-                    )
-        if total != ev:
-            raise ValidationError("representation inconsistent with character: sum of ell_j is not e")
-        for j, ell in enumerate(ells):
-            d = ideal_dim(ell)
-            if d != rep.degree:
-                raise ValidationError(
-                    f"representation inconsistent with character: ideal dim of ell_{j+1} is {d}"
-                )
-    return ells
+        _check_idempotent_family(ells, ev, rep.degree, "ell", ValidationError,
+                                 "representation inconsistent with character: ")
+        rep._diagonal = (ells, ev)
+    return rep._diagonal
+
+
+def diagonal_idempotents(rep: MatrixRep):
+    """All ell_j, with the idempotent/orthogonality/sum/primitivity suite.
+
+    Primitivity is dim L[G]ell_j = |G|*ell_j(1) = n, read off after the exact
+    idempotency check.  The suite runs the first time a rep is asked; later
+    calls, and validate_schur_from_rep and construct_primitive_system on the
+    same rep, reuse the stored result.
+    """
+    return list(_validated_diagonal(rep)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -566,39 +591,21 @@ def orbit_module_check(element: AlgebraElement) -> dict:
 
     Computes M = sum of the left ideals generated by the Gal(L/K)-translates
     of the element; reports whether the stabilizer of the ideal is trivial,
-    whether the sum is direct, and the dimension of M.
+    whether the sum is direct, and the dimension of M.  Only the element's
+    own left translates are echelonized: tau(g*a) = g*tau(a), and tau keeps
+    the zero tests and first-nonzero pivots of Echelon, so the reduced basis
+    of the ideal of tau(a) is tau applied to that of a.
     """
     if element.domain.kind != "numberfield":
         raise ValidationError("orbit analysis needs an element over a declared field")
-    nf = element.domain.field
-    fixers = nf.subfield_fixers
-    bases = []
-    for h in fixers:
-        img = element.apply_galois(h)
-        ech = Echelon(element.domain.zero(), element.domain.one())
-        for vec in img.left_translates():
-            ech.add(vec)
-        bases.append(ech.rows)
-    base_dim = len(bases[0])
-
-    stab_trivial = True
-    for rows in bases[1:]:
-        ech = Echelon(element.domain.zero(), element.domain.one())
-        for v in bases[0]:
-            ech.add(list(v))
-        grew = False
-        for v in rows:
-            if ech.add(list(v)):
-                grew = True
-        if not grew:
-            stab_trivial = False
-
-    ech = Echelon(element.domain.zero(), element.domain.one())
-    for rows in bases:
-        for v in rows:
-            ech.add(list(v))
-    total = ech.rank
-    direct = total == sum(len(rows) for rows in bases)
+    dom, nf = element.domain, element.domain.field
+    rows = _echelon(dom, element.left_translates()).rows
+    bases = [[[nf.apply_auto(h, c) for c in row] for row in rows] for h in nf.subfield_fixers]
+    base_dim = len(rows)
+    # tau_h moves the ideal iff its rows enlarge the span of the first block
+    stab_trivial = all([_echelon(dom, bases[0] + b).rank > base_dim for b in bases[1:]])
+    total = _echelon(dom, [v for b in bases for v in b]).rank
+    direct = total == base_dim * len(bases)
     return {"stabilizer_trivial": stab_trivial, "direct": direct, "dim": total,
             "block_dim": base_dim}
 
@@ -655,11 +662,11 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
             f"declared field degree {len(nf.automorphisms)} does not equal "
             f"[L:K]*[K:Q] = {m}*{orbit.field_degree}"
         )
+    valid_ells, e_central = _validated_diagonal(rep)
     if ells is None:
-        ells = diagonal_idempotents(rep)
+        ells = valid_ells
     dom = FieldDomain(nf)
     zero, one = dom.zero(), dom.one()
-    e_central = central_idempotent_over_field(rep)
 
     span = Echelon(zero, one)
     selected = []
@@ -751,74 +758,49 @@ def system_grid_checks(system: IdempotentSystem):
     return checks
 
 
+def _check_idempotent_family(elems, target, want_dim, name, error, prefix=""):
+    """Raise error unless elems are orthogonal idempotents summing to target,
+    each with a left ideal of dimension want_dim (read off as |G|*e(1))."""
+    for s, e in enumerate(elems):
+        if not e.is_idempotent():
+            raise error(f"{prefix}{name}_{s+1} is not idempotent")
+    for s in range(len(elems)):
+        for t in range(s + 1, len(elems)):
+            if not elems[s].is_orthogonal_to(elems[t]):
+                raise error(f"{prefix}{name}_{s+1} and {name}_{t+1} are not orthogonal")
+    if sum(elems, AlgebraElement.zero(target.group, target.domain)) != target:
+        raise error(f"{prefix}the {name} elements do not sum to the central idempotent")
+    for s, e in enumerate(elems):
+        d = _trace_dim(e)
+        if d != want_dim:
+            raise error(f"{prefix}{name}_{s+1} is not primitive: ideal dim {d} != {want_dim}")
+
+
 def symmetrize_to_subfield(system: IdempotentSystem):
     """k_s = sum over Gal(L/K) of tau(u_s^1): primitive idempotents in K[G]."""
-    fixers = system.nf.subfield_fixers
-    m = len(fixers)
-    n = system.blocks * m
-    ks = []
-    for s in range(system.blocks):
-        k = AlgebraElement.zero(system.group, system.u_grid[0][0].domain)
-        for hi in range(m):
-            k = k + system.u_grid[s][hi]
-        ks.append(k)
+    ks = [sum(row[1:], row[0]) for row in system.u_grid]
     for s, k in enumerate(ks):
-        for h in fixers:
-            if not k.fixed_by_galois(h):
-                raise InvariantError(f"k_{s+1} is not fixed by Gal(L/K)")
-        if not k.is_idempotent():
-            raise InvariantError(f"k_{s+1} is not idempotent")
-    for s in range(len(ks)):
-        for t in range(s + 1, len(ks)):
-            if not ks[s].is_orthogonal_to(ks[t]):
-                raise InvariantError(f"k_{s+1} and k_{t+1} are not orthogonal")
-    total = AlgebraElement.zero(system.group, system.u_grid[0][0].domain)
-    for k in ks:
-        total = total + k
-    if total != system.e_central:
-        raise InvariantError("k elements do not sum to the central idempotent")
-    for s, k in enumerate(ks):
-        d = ideal_dim(k)
-        if d != m * n:
-            raise InvariantError(
-                f"k_{s+1} is not primitive in K[G]: ideal dimension {d} != {m*n}"
-            )
+        if not all(k.fixed_by_galois(h) for h in system.nf.subfield_fixers):
+            raise InvariantError(f"k_{s+1} is not fixed by Gal(L/K)")
+    n = system.blocks * system.schur_m
+    _check_idempotent_family(ks, system.e_central, system.schur_m * n, "k", InvariantError)
     system.k_elements = tuple(ks)
     return list(ks)
 
 
 def symmetrize_to_rational(system: IdempotentSystem):
     """f_s = sum over Gal(L/Q) of sigma(u_s^1): primitive idempotents in Q[G]."""
-    n = system.blocks * system.schur_m
+    autos = range(len(system.nf.automorphisms))
     fs = []
-    for s in range(system.blocks):
-        u1 = system.u_grid[s][0]
-        f = AlgebraElement.zero(system.group, u1.domain)
-        for idx in range(len(system.nf.automorphisms)):
-            f = f + u1.apply_galois(idx)
+    for s, row in enumerate(system.u_grid):
+        zero = AlgebraElement.zero(system.group, row[0].domain)
+        f = sum((row[0].apply_galois(i) for i in autos), zero)
         if not f.is_rational():
             raise InvariantError(f"f_{s+1} has irrational coefficients")
         fs.append(f.to_domain(RATIONALS))
-    for s, f in enumerate(fs):
-        if not f.is_idempotent():
-            raise InvariantError(f"f_{s+1} is not idempotent")
-    for s in range(len(fs)):
-        for t in range(s + 1, len(fs)):
-            if not fs[s].is_orthogonal_to(fs[t]):
-                raise InvariantError(f"f_{s+1} and f_{t+1} are not orthogonal")
-    total = AlgebraElement.zero(system.group, RATIONALS)
-    for f in fs:
-        total = total + f
-    if total != system.e_rational:
-        raise InvariantError("f elements do not sum to the rational central idempotent")
-    field_degree = len(system.nf.automorphisms) // system.schur_m
-    want = system.schur_m * n * field_degree
-    for s, f in enumerate(fs):
-        d = ideal_dim(f)
-        if d != want:
-            raise InvariantError(
-                f"f_{s+1} is not primitive in Q[G]: ideal dimension {d} != {want}"
-            )
+    # m * n * [K:Q] with n = blocks * m and [K:Q] = [L:Q] / m
+    want = system.blocks * system.schur_m * len(autos)
+    _check_idempotent_family(fs, system.e_rational, want, "f", InvariantError)
     system.f_elements = tuple(fs)
     return list(fs)
 
@@ -828,6 +810,7 @@ def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
 
     Checks the orbit analysis of every diagonal idempotent and the
     divisibility of every subgroup multiplicity by m; returns m on success.
+    The diagonal suite itself runs only if the rep has not passed it yet.
     """
     m = len(rep.field.subfield_fixers)
     ells = diagonal_idempotents(rep)

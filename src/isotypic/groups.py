@@ -537,6 +537,8 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     if ngens == 0:
         return FiniteGroup([[0]], labels=[()], generators=())
     relators = [list(w) for w in relators]
+    if any(type(x) is not int or not 0 < abs(x) <= ngens for w in relators for x in w):
+        raise ValidationError(f"relator letters must be integers +-1..+-{ngens}")
     if not any(w for w in relators):
         raise BoundExceededError("group too large or infinite")
     perms = _coset_enumeration(ngens, relators, ceiling=10 * bound)

@@ -24,7 +24,9 @@ from .cyclotomic import (
     _integral,
     _new,
     _normal,
+    _power,
     _rational,
+    _render_terms,
     _scaled,
     _shifted,
     _sum,
@@ -411,16 +413,7 @@ class NumFieldValue(_Exact):
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
@@ -448,22 +441,8 @@ def _nfv(field, num, den) -> NumFieldValue:
 
 
 def render_nf(v: NumFieldValue) -> str:
-    parts = []
-    for i, c in enumerate(v.coeffs):
-        if c == 0:
-            continue
-        mon = "1" if i == 0 else ("t" if i == 1 else f"t^{i}")
-        if c == 1 and i > 0:
-            term = mon
-        elif c == -1 and i > 0:
-            term = "-" + mon
-        else:
-            term = str(c) if i == 0 else f"{c}*{mon}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts) or "0"
+    """Human form: rational combination of powers of the generator t."""
+    return _render_terms(v.coeffs, "t")
 
 
 RATIONAL_FIELD = NumField([Rat(0), Rat(1)], [[Rat(0)]], (0,), name="Q")

@@ -71,20 +71,30 @@ def field_from_json(d) -> NumField:
 
 def group_from_spec(d) -> FiniteGroup:
     """One of {"presentation": ...}, {"permutations": ...}, {"cayley": ...}."""
-    keys = [k for k in ("presentation", "permutations", "cayley") if k in d]
+    keys = [k for k in ("presentation", "permutations", "cayley")
+            if isinstance(d, dict) and k in d]
     if len(keys) != 1:
         raise ValidationError(
             "group specification must contain exactly one of "
             "presentation/permutations/cayley"
         )
     kind = keys[0]
+    try:
+        if kind == "presentation":
+            p = d[kind]
+            args = (int(p["generators"]), [list(w) for w in p["relators"]])
+            bound = int(p.get("bound", 10000))
+        else:
+            rows = [list(r) for r in d[kind]]
+    except KeyError as exc:
+        raise ValidationError(f"{kind} group specification lacks the key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {kind} group specification: {exc}") from None
+    if kind != "presentation" and any(type(x) is not int for r in rows for x in r):
+        raise ValidationError(f"{kind} group specification entries must be integers")
     if kind == "presentation":
-        p = d[kind]
-        return from_presentation(int(p["generators"]), [list(w) for w in p["relators"]],
-                                 bound=int(p.get("bound", 10000)))
-    if kind == "permutations":
-        return from_permutations([list(p) for p in d[kind]])
-    return from_cayley_table([list(r) for r in d[kind]])
+        return from_presentation(*args, bound=bound)
+    return from_permutations(rows) if kind == "permutations" else from_cayley_table(rows)
 
 
 # -- character tables -------------------------------------------------------------

@@ -67,6 +67,8 @@ def parse_subgroup(group: FiniteGroup, spec) -> tuple[int, ...]:
 
 class ManifestRunner:
     def __init__(self, manifest: dict):
+        if not isinstance(manifest, dict) or "group" not in manifest:
+            raise ValidationError("a manifest is a JSON object with a \"group\" specification")
         self.manifest = manifest
         self.group = group_from_spec(manifest["group"])
         self.field = field_from_json(manifest["field"]) if "field" in manifest else None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,52 @@ def test_cli_broken_table_exit_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group-info", "--group", str(path))
     assert code == 2
     assert "error" in err
+
+
+MALFORMED_GROUPS = {
+    "not-json": "{not json",
+    "missing-relators": '{"presentation": {"generators": 1}}',
+    "list-generators": '{"presentation": {"generators": ["x"], "relators": []}}',
+    "letter-out-of-range": '{"presentation": {"generators": 1, "relators": [[2]]}}',
+    "not-an-object": "[1, 2]",
+    "permutations-not-a-list": '{"permutations": 5}',
+    "permutation-entry-string": '{"permutations": [[0, "a"]]}',
+    "cayley-entry-string": '{"cayley": [[0, "a"], ["a", 0]]}',
+}
+MALFORMED_MANIFESTS = {
+    "not-json": "{not json",
+    "no-group": '{"checks": []}',
+    "missing-relators": '{"group": {"presentation": {"generators": 1}}, "checks": []}',
+}
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "isotypic.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command,text", [
+    *[("group-info", t) for t in MALFORMED_GROUPS.values()],
+    *[("verify", t) for t in MALFORMED_MANIFESTS.values()],
+], ids=[*(f"group-info-{k}" for k in MALFORMED_GROUPS),
+        *(f"verify-{k}" for k in MALFORMED_MANIFESTS)])
+def test_cli_malformed_input_exit_2(tmp_path, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["group-info", "--group", str(path)] if command == "group-info" else ["verify", str(path)]
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_cli_json_error_names_file_and_position(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"cayley":\n  [[0], oops]}')
+    code, _, err = run_cli(capsys, "group-info", "--group", str(path))
+    assert code == 2
+    assert str(path) in err and "line 2, column 9" in err
 
 
 def test_cli_bound_exit_4(capsys, tmp_path):

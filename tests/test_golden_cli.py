@@ -1,8 +1,10 @@
 """Byte-identical ``--format json`` output of the bundled CLI invocations.
 
 The files under ``tests/golden/`` were written by the Fraction-polynomial
-scalar implementation that the integer kernel replaced; any change in a
-printed value, an ordering or a verdict shows up here as a byte difference.
+scalar implementation that the integer kernel replaced, and
+``idempotents-primitive_order80`` by the per-ideal Echelon layer that the
+trace formula replaced; any change in a printed value, an ordering or a
+verdict shows up here as a byte difference.
 """
 
 from pathlib import Path
@@ -27,6 +29,8 @@ CASES.update({
     "decompose-prym_order80":
         ["decompose", "prym", "--group", G80, "--H", "1", "--N", "x,y",
          "--assert-schur", "11-12=2"],
+    "idempotents-primitive_order80":
+        ["idempotents", "primitive", "--group", G80, "--rep", "bundled:rep_order80.json"],
     "verify_manifest_order24": ["verify", "bundled:manifest_order24.json"],
 })
 

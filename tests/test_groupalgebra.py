@@ -15,8 +15,10 @@ from isotypic import (
     central_idempotent,
     central_idempotent_over_field,
     construct_primitive_system,
+    diagonal_idempotent,
     diagonal_idempotents,
     galois_orbits,
+    ideal_basis,
     ideal_dim,
     invariant_idempotent,
     orbit_module_check,
@@ -27,6 +29,8 @@ from isotypic import (
     validate_schur_from_rep,
 )
 from isotypic import fixtures as fx
+from isotypic import groupalgebra as ga
+from isotypic.linalg import Echelon
 
 
 def s3_standard_rep(small_groups, small_tables):
@@ -236,6 +240,57 @@ def test_transcribed_ideal_dims(g80):
     assert ideal_dim(f1) == 16  # m * n * [K:Q] = 2*4*2
 
 
+def test_trace_formula_matches_echelon_rank(small_groups, small_tables, g80, field80):
+    S3 = small_groups["S3"]
+    t = small_tables["S3"]
+    std = next(o for o in galois_orbits(t) if o.degree == 2)
+    rep = s3_standard_rep(small_groups, small_tables)
+    s3_system = construct_primitive_system(rep, std)
+    q8_two = next(i for i, c in enumerate(small_tables["Q8"].chars) if c.degree == 2)
+    idempotents = [
+        AlgebraElement.one(S3),
+        central_idempotent(t, std.char_indices[0]),                # e_V over Q(zeta_3)
+        central_idempotent(small_tables["Q8"], q8_two),            # e_V over Q(zeta_4)
+        fx.order80_element(g80, field80, "l1"),
+        fx.order80_element(g80, field80, "k1"),
+        fx.order80_element(g80, field80, "f1"),
+        fx.order80_element(g80, field80, "f1").to_domain(RATIONALS),
+        fx.order80_pHeW(g80),                                       # f_H
+        invariant_idempotent(t, std, S3.subgroup_generated([S3.generators[0]]).members),
+    ] + symmetrize_to_rational(s3_system)                          # the S3 f_s
+    for e in idempotents:
+        assert e.is_idempotent()
+        assert ga._trace_dim(e) == len(ideal_basis(e)) == ideal_dim(e)
+
+
+def test_ideal_dim_of_non_idempotent_uses_echelon(small_groups, small_tables, monkeypatch):
+    calls = []
+    real = ga.ideal_basis
+    monkeypatch.setattr(ga, "ideal_basis", lambda a: calls.append(a) or real(a))
+    S3 = small_groups["S3"]
+    rep = s3_standard_rep(small_groups, small_tables)
+    twice_ev = central_idempotent_over_field(rep) * 2
+    one_plus_g = AlgebraElement.one(S3) + AlgebraElement.basis(S3, S3.generators[0])
+    assert not twice_ev.is_idempotent() and not one_plus_g.is_idempotent()
+    assert ga.ideal_dim(twice_ev) == 4
+    assert ga.ideal_dim(one_plus_g) == 3      # (1 + g)/2 projects onto |G|/2 dimensions
+    assert calls == [twice_ev, one_plus_g]
+    assert ga.ideal_dim(AlgebraElement.zero(S3)) == 0
+
+
+def test_ideal_basis_is_first_independent_translates(small_groups):
+    S4 = small_groups["S4"]
+    rng = random.Random(7)
+    a = AlgebraElement(S4, RATIONALS, {rng.randrange(24): F(rng.randint(-3, 3)) for _ in range(6)})
+    ech = Echelon(F(0), F(1))
+    want = []
+    for g in range(S4.order):
+        elem = AlgebraElement.basis(S4, g) * a
+        if ech.add(elem.dense()):
+            want.append(elem)
+    assert ideal_basis(a) == want
+
+
 # -- diagonal idempotents and the primitive system ------------------------------------------
 
 
@@ -268,7 +323,7 @@ def test_wrong_matrices_rejected(small_groups, small_tables):
 
 def test_transcribed_l1_equals_rep_diagonal(g80, rep80, field80):
     l1 = fx.order80_element(g80, field80, "l1")
-    assert l1 == diagonal_idempotents(rep80, validate=False)[0]
+    assert l1 == diagonal_idempotent(rep80, 0)
 
 
 def test_orbit_module_check_worked_example(rep80):
@@ -284,6 +339,66 @@ def test_orbit_module_check_m_one(small_groups, small_tables):
     verdict = orbit_module_check(ells[0])
     assert verdict == {"stabilizer_trivial": True, "direct": True,
                        "dim": 2, "block_dim": 2}
+
+
+def _orbit_module_reference(element):
+    """orbit_module_check with one Echelon pass per Galois translate."""
+    fixers = element.domain.field.subfield_fixers
+    zero, one = element.domain.zero(), element.domain.one()
+    bases = []
+    for h in fixers:
+        ech = Echelon(zero, one)
+        for vec in element.apply_galois(h).left_translates():
+            ech.add(vec)
+        bases.append(ech.rows)
+    stab_trivial = True
+    for rows in bases[1:]:
+        ech = Echelon(zero, one)
+        for v in bases[0]:
+            ech.add(list(v))
+        if not any([ech.add(list(v)) for v in rows]):
+            stab_trivial = False
+    ech = Echelon(zero, one)
+    for rows in bases:
+        for v in rows:
+            ech.add(list(v))
+    return bases, {"stabilizer_trivial": stab_trivial,
+                   "direct": ech.rank == sum(len(rows) for rows in bases),
+                   "dim": ech.rank, "block_dim": len(bases[0])}
+
+
+def test_orbit_module_check_matches_per_translate_reference(rep80, small_groups, small_tables,
+                                                            monkeypatch):
+    l1 = diagonal_idempotents(rep80)[0]
+    q8_ell = diagonal_idempotents(q8_rep(small_groups, small_tables))[0]
+    for element in (l1, l1.apply_galois(1), q8_ell):
+        bases, want = _orbit_module_reference(element)
+        # the transported rows are the rows of each translate's own Echelon pass
+        transported = [[[element.domain.field.apply_auto(h, c) for c in row] for row in bases[0]]
+                       for h in element.domain.field.subfield_fixers]
+        assert transported == bases
+        passes = []
+        real = AlgebraElement.left_translates
+        monkeypatch.setattr(AlgebraElement, "left_translates",
+                            lambda self: passes.append(self) or real(self))
+        assert orbit_module_check(element) == want
+        monkeypatch.undo()
+        assert passes == [element]   # one set of |G| translates, whatever m is
+
+
+def test_diagonal_suite_runs_once_per_rep(small_groups, small_tables, monkeypatch):
+    calls = []
+    real = ga.central_idempotent_over_field
+    monkeypatch.setattr(ga, "central_idempotent_over_field",
+                        lambda rep: calls.append(rep) or real(rep))
+    rep = q8_rep(small_groups, small_tables)
+    orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
+    m = validate_schur_from_rep(rep, orbit)
+    system = construct_primitive_system(rep, assert_schur(orbit, m))
+    assert calls == [rep]
+    assert diagonal_idempotents(rep) == list(system.ells)
+    assert system.e_central == real(rep)
+    assert calls == [rep]
 
 
 def test_galois_translate_generates_same_module(rep80, field80):
