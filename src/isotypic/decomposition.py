@@ -20,7 +20,6 @@ from .characters import (
     rho_decomposition,
 )
 from .errors import ValidationError
-from .groups import Subgroup
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,8 @@ class JacobianDecomposer:
             return "1"
         if s.order == self.group.order:
             return "G"
-        gens = self._subgroup_generators(s)
+        gens = self.group._greedy_generators(s.members)
         return "<" + ",".join(self.group.label_of(g) for g in gens) + ">"
-
-    def _subgroup_generators(self, s: Subgroup):
-        gens = []
-        reached = {0}
-        for e in s.members:
-            if e in reached:
-                continue
-            gens.append(e)
-            reached = set(self.group._closure_of(gens))
-            if len(reached) == s.order:
-                break
-        return gens
 
     def _factor(self, orbit_idx: int, exponent: int, provenance: str) -> Factor:
         orbit = self.orbits[orbit_idx]

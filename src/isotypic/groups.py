@@ -4,6 +4,18 @@ Elements are integers 0..order-1 with the identity at 0.  Ingestion paths:
 presentations (coset enumeration), permutation generators, or a raw Cayley
 table.  Element numbering is always breadth-first over generator words with
 generators in input order, so every downstream computation is reproducible.
+
+The subgroup layer works on bitmasks: a subset of the group is the Python
+int with bit g set for each member g.  Closures are built by Dimino's coset
+method (Butler, *Fundamental Algorithms for Permutation Groups*, 1991): a
+subgroup in progress keeps a short generating tuple, and <H, g> is the
+union of the right cosets H*r that the generators reach.  The lattice grows
+by cyclic extensions of class representatives (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005), trying one g per right
+coset H*g.  Conjugates are compared as masks: for sets of one size, the
+sorted member tuple of A is lexicographically below that of B exactly when
+the lowest set bit of A ^ B lies in A.  DEFAULT_LATTICE_BOUND bounds the
+group order and DEFAULT_SUBGROUP_CLASS_BOUND the number of classes.
 """
 
 from __future__ import annotations
@@ -15,8 +27,29 @@ from .errors import BoundExceededError, ValidationError
 
 DEFAULT_ENUMERATION_BOUND = 10000
 DEFAULT_LATTICE_BOUND = 2000
+# C2^6 has 2825 subgroups, C2^7 29212 and C2^8 417199
+DEFAULT_SUBGROUP_CLASS_BOUND = 5000
 
 _GEN_NAMES = ("x", "y", "z", "w", "v", "u")
+
+
+_TRIVIAL = ((0,), 1, ())  # (members, mask, gens) of the trivial subgroup
+
+
+def _lex_least(conjugates):
+    """The first (a, mask) pair whose mask has the least sorted member tuple.
+
+    For two sets of one size, the sorted tuple of A is below that of B
+    exactly when the lowest set bit of A ^ B lies in A: below that bit the
+    two agree, and there A has a member where B has a larger one.
+    """
+    conjugates = iter(conjugates)
+    best_a, best = next(conjugates)
+    for a, m in conjugates:
+        d = m ^ best
+        if d & -d & m:
+            best_a, best = a, m
+    return best_a, best
 
 
 def generator_name(i: int) -> str:
@@ -74,9 +107,10 @@ class FiniteGroup:
             if inv[a] is None:
                 raise ValidationError(f"not a group table: element {a} has no inverse")
         self._inv = tuple(inv)
+        self._bit = tuple(1 << g for g in range(n))
 
         if generators is None:
-            generators = self._greedy_generators()
+            generators = self._greedy_generators(range(1, n))
         self.generators = tuple(generators)
 
         if validate == "full":
@@ -102,20 +136,9 @@ class FiniteGroup:
         self._class_of = None
         self._subgroup_classes = None
         self._fusion = None
+        self._first_conjugators = {}
 
     # -- construction helpers ------------------------------------------------
-
-    def _greedy_generators(self):
-        gens = []
-        reached = {0}
-        for e in range(1, self.order):
-            if e in reached:
-                continue
-            gens.append(e)
-            reached = set(self._closure_of(gens))
-            if len(reached) == self.order:
-                break
-        return gens
 
     def _check_associativity_light(self):
         # Light's test: associativity on a generating set implies it everywhere
@@ -240,24 +263,56 @@ class FiniteGroup:
         return self._class_of[g]
 
     # -- subgroups ---------------------------------------------------------------
+    #
+    # A subgroup in progress is a triple (members, mask, gens): the sorted
+    # member tuple, the Python int with bit m set for each member m, and a
+    # tuple of generators.
 
-    def _closure_of(self, gens):
-        seen = {0}
-        out = [0]
-        queue = [0]
-        gens = [g for g in gens]
-        while queue:
-            a = queue.pop()
-            for g in gens:
-                b = self._mul[a][g]
-                if b not in seen:
-                    seen.add(b)
-                    out.append(b)
-                    queue.append(b)
-        return sorted(seen)
+    def _extend(self, sub, g):
+        """<H, g> for sub = (members, mask, gens) of H, by Dimino's closure.
+
+        <H, g> is the union of right cosets H*r.  Each coset representative
+        r is multiplied by gens + (g,); a product outside the mask starts a
+        new coset.  That is about |<H, g>| * len(gens) table lookups, not
+        |<H, g>| * |H| as when all members generate.
+        """
+        members, mask, gens = sub
+        mul, bit = self._mul, self._bit
+        gens = gens + (g,)
+        elems = list(members)
+        reps = [0]
+        for r in reps:
+            row = mul[r]
+            for s in gens:
+                x = row[s]
+                if not bit[x] & mask:
+                    coset = [mul[h][x] for h in members]
+                    elems += coset
+                    mask |= sum(bit[y] for y in coset)
+                    reps.append(x)
+        return tuple(sorted(elems)), mask, gens
+
+    def _closure_of(self, elems):
+        """The (members, mask, gens) triple of <elems>, extended one element at a time."""
+        sub = _TRIVIAL
+        for g in elems:
+            if not self._bit[g] & sub[1]:
+                sub = self._extend(sub, g)
+        return sub
+
+    def _greedy_generators(self, elems):
+        """The elements of elems outside the span of those before them."""
+        return self._closure_of(elems)[2]
+
+    def _conjugate_masks(self, members):
+        """Yield (a, mask of a * members * a^-1) for a = 0, 1, ..., |G| - 1."""
+        mul, inv, bit = self._mul, self._inv, self._bit
+        for a in range(self.order):
+            row, ai = mul[a], inv[a]
+            yield a, sum(bit[mul[row[m]][ai]] for m in members)
 
     def subgroup_generated(self, elems) -> Subgroup:
-        members = tuple(self._closure_of(list(elems)))
+        members = self._closure_of(elems)[0]
         return Subgroup(members, canonical=members == self.canonical_form(members))
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -267,45 +322,60 @@ class FiniteGroup:
         return tuple(sorted(self.conjugate(m, by) for m in members))
 
     def canonical_form(self, members) -> tuple[int, ...]:
-        """Lexicographically least sorted member tuple among all conjugates."""
+        """Lexicographically least sorted member tuple among all conjugates.
+
+        The conjugates are compared as masks by the lowest-bit rule of
+        ``_lex_least``; only the winner is turned back into a tuple.
+        """
         members = tuple(sorted(members))
-        best = members
-        for a in range(1, self.order):
-            cand = self.conjugate_subgroup(members, a)
-            if cand < best:
-                best = cand
-        return best
+        a, _ = _lex_least(self._conjugate_masks(members))
+        return self.conjugate_subgroup(members, a)
 
     def subgroup_classes(self, bound: int = DEFAULT_LATTICE_BOUND):
-        """One canonical representative per conjugacy class of subgroups."""
+        """One canonical representative per conjugacy class of subgroups.
+
+        Breadth-first over cyclic extensions <H, g> of the representatives
+        found so far, each built by ``_extend``.  Since <H, h*g> = <H, g>,
+        one g per right coset H*g is tried.  A new subgroup's |G| conjugate
+        masks all go into the seen set, and the lexicographically least one
+        is kept as in ``canonical_form``, with its generators conjugated
+        along.
+        More than DEFAULT_SUBGROUP_CLASS_BOUND classes raise
+        BoundExceededError.
+        """
         if self._subgroup_classes is not None:
             return self._subgroup_classes
         if self.order > bound:
             raise BoundExceededError(
                 f"subgroup lattice bound exceeded: |G| = {self.order} > {bound}"
             )
-        trivial = (0,)
-        seen = {frozenset(trivial)}
-        classes = [trivial]
-        queue = [trivial]
-        while queue:
-            base = queue.pop(0)
-            base_set = set(base)
-            for g in range(1, self.order):
-                if g in base_set:
+        class_bound = DEFAULT_SUBGROUP_CLASS_BOUND
+        mul, bit = self._mul, self._bit
+        everything = (1 << self.order) - 1
+        seen = {_TRIVIAL[1]}
+        queue = [_TRIVIAL]
+        for base in queue:
+            members, mask = base[0], base[1]
+            rest = everything ^ mask
+            while rest:
+                g = (rest & -rest).bit_length() - 1
+                rest ^= sum(bit[mul[h][g]] for h in members)
+                sub = self._extend(base, g)
+                if sub[1] in seen:
                     continue
-                closure = tuple(self._closure_of(list(base) + [g]))
-                if frozenset(closure) in seen:
-                    continue
-                conjugates = {closure}
-                for a in range(1, self.order):
-                    conjugates.add(self.conjugate_subgroup(closure, a))
-                canonical = min(conjugates)
-                for c in conjugates:
-                    seen.add(frozenset(c))
-                classes.append(canonical)
-                queue.append(canonical)
-        classes.sort(key=lambda m: (len(m), m))
+                conjugates = list(self._conjugate_masks(sub[0]))
+                seen.update(m for _, m in conjugates)
+                a, least = _lex_least(conjugates)
+                queue.append((
+                    self.conjugate_subgroup(sub[0], a),
+                    least,
+                    tuple(self.conjugate(s, a) for s in sub[2]),
+                ))
+                if len(queue) > class_bound:
+                    raise BoundExceededError(
+                        f"subgroup class bound exceeded: {len(queue)} classes > {class_bound}"
+                    )
+        classes = sorted((sub[0] for sub in queue), key=lambda m: (len(m), m))
         self._subgroup_classes = tuple(Subgroup(m, canonical=True) for m in classes)
         return self._subgroup_classes
 
@@ -318,10 +388,21 @@ class FiniteGroup:
         raise ValidationError("subgroup not found in lattice (is it really a subgroup?)")
 
     def conjugator_into(self, inner, outer) -> int | None:
-        """Element a with a * inner * a^-1 contained in outer, or None."""
-        outer_set = set(outer)
-        for a in range(self.order):
-            if all(self.conjugate(m, a) in outer_set for m in inner):
+        """Least element a with a * inner * a^-1 contained in outer, or None.
+
+        Per inner tuple, its distinct conjugate masks are cached in order of
+        the least a giving each, so a query is one mask AND per conjugate.
+        """
+        inner = tuple(inner)
+        firsts = self._first_conjugators.get(inner)
+        if firsts is None:
+            least_a = {}
+            for a, m in self._conjugate_masks(set(inner)):
+                least_a.setdefault(m, a)
+            firsts = self._first_conjugators[inner] = tuple(least_a.items())
+        outer_mask = sum(self._bit[m] for m in set(outer))
+        for m, a in firsts:
+            if m & outer_mask == m:
                 return a
         return None
 

@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .characters import Character, CharacterTable
@@ -30,6 +31,18 @@ Rat = Fraction
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@contextmanager
+def parsing(what: str):
+    """Turn a missing key or an ill-typed value met while reading ``what``
+    from JSON into a ValidationError that names it."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what} lacks the key {exc}") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from None
 
 
 # -- scalars -----------------------------------------------------------------
@@ -59,6 +72,8 @@ def field_to_json(nf: NumField) -> dict:
 
 
 def field_from_json(d) -> NumField:
+    if not isinstance(d, dict):
+        raise ValidationError(f"a field descriptor is an object with a minpoly, not {d!r}")
     return NumField(
         [Rat(c) for c in d["minpoly"]],
         [[Rat(c) for c in img] for img in d["automorphisms"]],
@@ -79,17 +94,13 @@ def group_from_spec(d) -> FiniteGroup:
             "presentation/permutations/cayley"
         )
     kind = keys[0]
-    try:
+    with parsing(f"{kind} group specification"):
         if kind == "presentation":
             p = d[kind]
             args = (int(p["generators"]), [list(w) for w in p["relators"]])
             bound = int(p.get("bound", 10000))
         else:
             rows = [list(r) for r in d[kind]]
-    except KeyError as exc:
-        raise ValidationError(f"{kind} group specification lacks the key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed {kind} group specification: {exc}") from None
     if kind != "presentation" and any(type(x) is not int for r in rows for x in r):
         raise ValidationError(f"{kind} group specification entries must be integers")
     if kind == "presentation":
@@ -112,27 +123,28 @@ def table_to_json(table: CharacterTable) -> dict:
 
 
 def table_from_json(group: FiniteGroup, d) -> CharacterTable:
-    level = int(d["level"])
-    if level != group.exponent:
-        raise ValidationError(
-            f"table level {level} does not match the group exponent {group.exponent}"
-        )
-    classes = group.conjugacy_classes()
-    if len(d["classes"]) != len(classes):
-        raise ValidationError("table class count does not match the group")
-    for entry, cls in zip(d["classes"], classes):
-        if int(entry["representative"]) != cls.representative or int(entry["size"]) != len(cls.members):
+    with parsing("character table"):
+        level = int(d["level"])
+        if level != group.exponent:
             raise ValidationError(
-                f"table class data {entry} does not match the group's class "
-                f"(rep {cls.representative}, size {len(cls.members)})"
+                f"table level {level} does not match the group exponent {group.exponent}"
             )
-    chars = []
-    for row in d["chars"]:
-        values = tuple(cyc_from_json(v).to_level(level) for v in row)
-        deg = values[0]
-        if not deg.is_rational() or Rat(deg.as_rational()).denominator != 1:
-            raise ValidationError("character degree is not an integer")
-        chars.append(Character(values, int(deg.as_rational())))
+        classes = group.conjugacy_classes()
+        if len(d["classes"]) != len(classes):
+            raise ValidationError("table class count does not match the group")
+        for entry, cls in zip(d["classes"], classes):
+            if int(entry["representative"]) != cls.representative or int(entry["size"]) != len(cls.members):
+                raise ValidationError(
+                    f"table class data {entry} does not match the group's class "
+                    f"(rep {cls.representative}, size {len(cls.members)})"
+                )
+        chars = []
+        for row in d["chars"]:
+            values = tuple(cyc_from_json(v).to_level(level) for v in row)
+            deg = values[0]
+            if not deg.is_rational() or Rat(deg.as_rational()).denominator != 1:
+                raise ValidationError("character degree is not an integer")
+            chars.append(Character(values, int(deg.as_rational())))
     return CharacterTable(group, chars)  # validates orthogonality
 
 
@@ -178,18 +190,19 @@ def element_to_json(el: AlgebraElement) -> dict:
 
 
 def element_from_json(group: FiniteGroup, d, field_cache: dict | None = None) -> AlgebraElement:
-    dom = domain_from_json(d["field"], field_cache)
-    out = {}
-    for g, c in d["coeffs"]:
-        g = int(g)
-        if not 0 <= g < group.order:
-            raise ValidationError(f"element index {g} out of range")
-        if dom.kind == "Q":
-            out[g] = Rat(c)
-        elif dom.kind == "cyclotomic":
-            out[g] = cyc_from_json(c)
-        else:
-            out[g] = dom.field.value([Rat(x) for x in c])
+    with parsing("algebra element"):
+        dom = domain_from_json(d["field"], field_cache)
+        out = {}
+        for g, c in d["coeffs"]:
+            g = int(g)
+            if not 0 <= g < group.order:
+                raise ValidationError(f"element index {g} out of range")
+            if dom.kind == "Q":
+                out[g] = Rat(c)
+            elif dom.kind == "cyclotomic":
+                out[g] = cyc_from_json(c)
+            else:
+                out[g] = dom.field.value([Rat(x) for x in c])
     return AlgebraElement(group, dom, out)
 
 
@@ -214,25 +227,26 @@ def rep_to_json(rep: MatrixRep) -> dict:
 
 
 def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:
-    nf = field_from_json(d["field"])
-    values = [cyc_from_json(v).to_level(table.level) for v in d["character_values"]]
-    char_index = None
-    for i, ch in enumerate(table.chars):
-        if list(ch.values) == values:
-            char_index = i
-            break
-    if char_index is None:
-        raise ValidationError("character values in the file match no row of the table")
-    if "embedding" in d:
-        emb = CycEmbedding(
-            nf,
-            cyc_from_json(d["embedding"]["generator"]),
-            nf.value([Rat(c) for c in d["embedding"]["image"]]),
-        )
-    else:
-        emb = CycEmbedding(nf, None, None)
-    gens = [
-        [[nf.value([Rat(c) for c in x]) for x in row] for row in mat]
-        for mat in d["generators"]
-    ]
+    with parsing("representation"):
+        nf = field_from_json(d["field"])
+        values = [cyc_from_json(v).to_level(table.level) for v in d["character_values"]]
+        char_index = None
+        for i, ch in enumerate(table.chars):
+            if list(ch.values) == values:
+                char_index = i
+                break
+        if char_index is None:
+            raise ValidationError("character values in the file match no row of the table")
+        if "embedding" in d:
+            emb = CycEmbedding(
+                nf,
+                cyc_from_json(d["embedding"]["generator"]),
+                nf.value([Rat(c) for c in d["embedding"]["image"]]),
+            )
+        else:
+            emb = CycEmbedding(nf, None, None)
+        gens = [
+            [[nf.value([Rat(c) for c in x]) for x in row] for row in mat]
+            for mat in d["generators"]
+        ]
     return MatrixRep(group, nf, gens, table, char_index, emb)

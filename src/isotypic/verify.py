@@ -15,7 +15,7 @@ from .characters import compute_character_table, galois_orbits, rho_decompositio
 from .errors import ValidationError
 from .groupalgebra import AlgebraElement, RATIONALS, ideal_dim
 from .groups import FiniteGroup, generator_name
-from .serialize import element_from_json, field_from_json, group_from_spec
+from .serialize import element_from_json, field_from_json, group_from_spec, parsing
 
 Rat = Fraction
 
@@ -74,14 +74,15 @@ class ManifestRunner:
         self.field = field_from_json(manifest["field"]) if "field" in manifest else None
         self._elements = {}
         self._field_cache = {}
-        for name, spec in manifest.get("elements", {}).items():
-            if "derive" in spec:
-                continue
-            if spec.get("field") == "L":  # reference to the manifest-level field
-                spec = dict(spec, field=manifest["field"])
-            self._elements[name] = element_from_json(self.group, spec, self._field_cache)
-        pending = {name: spec["derive"] for name, spec in
-                   manifest.get("elements", {}).items() if "derive" in spec}
+        with parsing("manifest elements"):
+            for name, spec in manifest.get("elements", {}).items():
+                if "derive" in spec:
+                    continue
+                if spec.get("field") == "L":  # reference to the manifest-level field
+                    spec = dict(spec, field=manifest["field"])
+                self._elements[name] = element_from_json(self.group, spec, self._field_cache)
+            pending = {name: spec["derive"] for name, spec in
+                       manifest.get("elements", {}).items() if "derive" in spec}
         while pending:
             progressed = False
             for name in sorted(pending):
@@ -116,6 +117,8 @@ class ManifestRunner:
             if expr not in self._elements:
                 raise ValidationError(f"unknown element {expr!r} in manifest expression")
             return self._elements[expr]
+        if not isinstance(expr, dict):
+            raise ValidationError(f"manifest expression {expr!r} is neither a name nor an object")
         op = expr.get("op")
         if op == "add":
             args = [self.eval_expr(a) for a in expr["args"]]
@@ -155,6 +158,13 @@ class ManifestRunner:
         return [x - y for x, y in zip(a, b)]
 
     def run_check(self, check: dict) -> tuple[str, bool]:
+        if not isinstance(check, dict):
+            raise ValidationError(f"a manifest check is a JSON object, not {check!r}")
+        name = check.get("label", check.get("check"))
+        with parsing("manifest check" if name is None else f"manifest check {name!r}"):
+            return self._evaluate(check)
+
+    def _evaluate(self, check: dict) -> tuple[str, bool]:
         kind = check["check"]
         label = check.get("label", kind)
         if kind == "idempotent":

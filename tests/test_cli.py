@@ -189,6 +189,42 @@ def test_cli_malformed_input_exit_2(tmp_path, command, text):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+S3_SPEC = {"permutations": [[1, 0, 2], [1, 2, 0]]}
+MALFORMED_DOCUMENTS = {
+    # name: (command, document, key or text the message must name)
+    "check-without-of": ("verify", {"group": S3_SPEC, "checks": [{"check": "idempotent"}]},
+                         "'of'"),
+    "check-without-check": ("verify", {"group": S3_SPEC, "checks": [{"of": "e"}]},
+                            "'check'"),
+    "element-without-field": ("verify", {"group": S3_SPEC, "elements": {"e": {"coeffs": 5}},
+                                         "checks": []}, "'field'"),
+    "element-not-an-object": ("verify", {"group": S3_SPEC, "elements": {"e": 5}, "checks": []},
+                              "manifest elements"),
+    "element-field-L-without-field": ("verify", {"group": S3_SPEC, "elements": {
+        "e": {"field": "L", "coeffs": []}}, "checks": []}, "'field'"),
+    "rep-field-not-an-object": ("primitive", {"field": "L"}, "field descriptor"),
+    "table-without-classes": ("chartable", {"level": 6}, "'classes'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_DOCUMENTS)
+def test_cli_malformed_document_exit_2(tmp_path, name):
+    command, document, named = MALFORMED_DOCUMENTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    gpath = tmp_path / "s3.json"
+    gpath.write_text(json.dumps(S3_SPEC))
+    argv = {
+        "verify": ["verify", str(path)],
+        "primitive": ["idempotents", "primitive", "--group", str(gpath), "--rep", str(path)],
+        "chartable": ["chartable", "--group", str(gpath), "--table", str(path)],
+    }[command]
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
 def test_cli_json_error_names_file_and_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"cayley":\n  [[0], oops]}')

@@ -1,0 +1,127 @@
+"""Differential tests of the bitmask subgroup lattice against the tuple-and-set
+reference in ``lattice_reference.py``, on seeded relabellings of the groups."""
+
+import random
+
+import pytest
+
+import lattice_reference as ref
+from isotypic import groups
+from isotypic.errors import BoundExceededError
+from isotypic.fixtures import order24_group, order80_group
+from isotypic.groups import FiniteGroup, from_permutations, from_presentation
+
+
+def symmetric(n):
+    return [[(i + 1) % n for i in range(n)], [1, 0] + list(range(2, n))]
+
+
+def dihedral(n):
+    return [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]]
+
+
+def elementary_abelian2(n):
+    return [[j ^ 1 if j // 2 == i else j for j in range(2 * n)] for i in range(n)]
+
+
+def direct_product(a, b):
+    na, nb = len(a[0]), len(b[0])
+    return ([list(p) + list(range(na, na + nb)) for p in a]
+            + [list(range(na)) + [na + x for x in p] for p in b])
+
+
+def gl2_3():
+    """GL(2,3) acting on the eight non-zero vectors of F_3^2."""
+    pts = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+    index = {p: i for i, p in enumerate(pts)}
+
+    def act(m):
+        return [index[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
+                for a, b in pts]
+
+    return [act([[1, 1], [0, 1]]), act([[0, 1], [2, 0]]), act([[2, 0], [0, 1]])]
+
+
+GROUPS = {
+    "S3": lambda: from_permutations(symmetric(3)),
+    "S4": lambda: from_permutations(symmetric(4)),
+    "Q8": lambda: from_presentation(2, [[1] * 4, [1, 1, -2, -2], [-2, 1, 2, 1]]),
+    "C2^4": lambda: from_permutations(elementary_abelian2(4)),
+    "D4xS3": lambda: from_permutations(direct_product(dihedral(4), symmetric(3))),
+    "GL23": lambda: from_permutations(gl2_3()),
+    "S5": lambda: from_permutations(symmetric(5)),
+    "D60": lambda: from_permutations(dihedral(60)),
+    "order24": order24_group,
+    "order80": order80_group,
+}
+
+
+def relabelled(group, rng):
+    """The same group with its non-identity elements renumbered at random."""
+    sigma = [0] + rng.sample(range(1, group.order), group.order - 1)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            table[sigma[a]][sigma[b]] = sigma[group.mul(a, b)]
+    return FiniteGroup(table)
+
+
+def distinct_conjugates(group, members):
+    return sorted({group.conjugate_subgroup(members, a) for a in range(group.order)})
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_lattice_matches_reference(name):
+    rng = random.Random(name)
+    group = relabelled(GROUPS[name](), rng)
+    classes = tuple(s.members for s in group.subgroup_classes())
+    assert classes == ref.subgroup_classes(group)
+    assert all(s.canonical for s in group.subgroup_classes())
+
+    for members in classes:
+        for conj in distinct_conjugates(group, members):
+            assert group.canonical_form(conj) == ref.canonical_form(group, conj) == members
+    for inner in classes:
+        for outer in classes:
+            assert group.conjugator_into(inner, outer) == ref.conjugator_into(group, inner, outer)
+
+    for members in classes:
+        conj = rng.choice(distinct_conjugates(group, members))
+        elems = rng.sample(conj, min(len(conj), rng.randint(1, 3)))
+        sub = group.subgroup_generated(elems)
+        assert (sub.members, sub.canonical) == ref.subgroup_generated(group, elems)
+        assert group.subgroup_generated(group._greedy_generators(conj)).members == conj
+
+
+def test_elementary_abelian_32_classes_match_reference():
+    group = relabelled(from_permutations(elementary_abelian2(5)), random.Random(5))
+    classes = tuple(s.members for s in group.subgroup_classes())
+    assert len(classes) == 374
+    assert classes == ref.subgroup_classes(group)
+
+
+def test_greedy_generators_match_reference_closure():
+    group = relabelled(from_permutations(symmetric(4)), random.Random(4))
+    assert tuple(ref.closure_of(group, group.generators)) == tuple(range(24))
+    for s in group.subgroup_classes():
+        gens = group._greedy_generators(s.members)
+        # each generator lies outside the span of the ones before it
+        for k, g in enumerate(gens):
+            assert g not in ref.closure_of(group, gens[:k])
+        assert tuple(ref.closure_of(group, gens)) == s.members
+
+
+def test_subgroup_class_bound(monkeypatch):
+    group = from_permutations(elementary_abelian2(4))
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CLASS_BOUND", 66)
+    with pytest.raises(BoundExceededError, match="67 classes > 66"):
+        group.subgroup_classes()
+    monkeypatch.setattr(groups, "DEFAULT_SUBGROUP_CLASS_BOUND", 67)
+    assert len(group.subgroup_classes()) == 67
+
+
+def test_lattice_order_bound_fires_before_any_work():
+    group = from_permutations(symmetric(4))
+    group._conjugate_masks = None  # any lattice work would call it
+    with pytest.raises(BoundExceededError, match="24 > 23"):
+        group.subgroup_classes(bound=23)
