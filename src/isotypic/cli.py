@@ -99,7 +99,10 @@ def _parse_schur_assertions(pairs):
         if "=" not in pair:
             raise ValidationError(f"--assert-schur needs IRREP=m, got {pair!r}")
         spec, m = pair.rsplit("=", 1)
-        out[_parse_irrep_spec(spec)] = int(m)
+        try:
+            out[_parse_irrep_spec(spec)] = int(m)
+        except ValueError:
+            raise ValidationError(f"--assert-schur needs an integer m, got {pair!r}") from None
     return out
 
 
@@ -161,6 +164,8 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_idempotents(args) -> int:
+    if args.which != "primitive" and args.irrep is None:
+        raise ValidationError(f"{args.which} idempotents need --irrep SELECTOR")
     group = _load_group(args)
     table = _load_table(group, args)
     orbits = galois_orbits(table)
@@ -266,6 +271,10 @@ def _factor_json(dec, f):
 
 
 def cmd_decompose(args) -> int:
+    if args.subject != "jacobian" and args.subgroup is None:
+        raise ValidationError(f"decompose {args.subject} needs --H WORDS")
+    if args.subject == "prym" and args.outer is None:
+        raise ValidationError("decompose prym needs --N WORDS")
     group = _load_group(args)
     table = _load_table(group, args)
     dec = _decomposer(args, group, table)

@@ -11,6 +11,12 @@ or a change of level is a convolution or an index map followed by a fold
 through them.  The Galois group of Q(zeta_e)/Q is identified with the units
 of Z/e acting by zeta -> zeta^k; subfields are represented implicitly by
 their stabilizer inside that unit group.
+
+Both kinds of field are Galois and every automorphism is known, so an
+inverse has a closed form: a^-1 = c / N(a) with c the product of the images
+sigma(a), sigma != 1, and N(a) = a * c, which is rational (Cohen, GTM 138,
+chapter 4).  ``_inverse`` computes it for both classes with products and
+Galois images only, and checks exactly that N(a) is a nonzero rational.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import BoundExceededError, ValidationError
+from .errors import BoundExceededError, InvariantError, ValidationError
 
 Rat = Fraction
 
@@ -35,29 +41,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Rat(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return poly_trim(out)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Rat(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return poly_trim(out)
 
 
 def poly_divmod(a, b):
@@ -82,24 +65,6 @@ def poly_divmod(a, b):
 
 def poly_mod(a, b):
     return poly_divmod(a, b)[1]
-
-
-def poly_ext_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic unless zero."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Rat(1)], []
-    t0, t1 = [], [Rat(1)]
-    while poly_trim(r1):
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        s0 = [c / lead for c in s0]
-        t0 = [c / lead for c in t0]
-    return r0, s0, t0
 
 
 def _exact_quotient(a, b):
@@ -264,6 +229,26 @@ def _power(value, k: int, one):
     return result
 
 
+def _inverse(value, images, one):
+    """1 / value as c / N(value), where c is the product of the images of
+    value under every automorphism but the identity of its Galois field.
+
+    value * c is the norm N(value), a rational number, so no polynomial
+    division is needed; that it is a nonzero rational is checked exactly.
+    """
+    if value.is_zero():
+        raise ZeroDivisionError(f"division by zero: {value!r}")
+    if value.is_rational():
+        return one * (1 / value.as_rational())
+    c = one
+    for image in images:
+        c = c * image
+    n = value * c
+    if n.is_zero() or not n.is_rational():
+        raise InvariantError(f"norm of {value!r} is not a nonzero rational")
+    return c * (1 / n.as_rational())
+
+
 def _render_terms(coeffs, gen: str) -> str:
     """Human form of sum_i coeffs[i] * gen^i, e.g. "1/2-3*t+t^2"."""
     parts = []
@@ -297,6 +282,11 @@ class _Exact:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
+
+    def as_rational(self) -> Rat:
+        if not self.is_rational():
+            raise ValidationError(f"value {self!r} is not rational")
+        return Rat(self.num[0], self.den)
 
     def _equals_rational(self, q) -> bool:
         # normalized: a rational value n/d has num[0] = n and den = d in lowest terms
@@ -441,11 +431,6 @@ class CycValue(_Exact):
         num = _combine(self.num, lv.lift_map(self.level), lv.phi)
         return _cyc(new_level, *_normal(num, self.den))
 
-    def as_rational(self) -> Rat:
-        if not self.is_rational():
-            raise ValidationError(f"value {self!r} is not rational")
-        return Rat(self.num[0], self.den)
-
     def galois(self, k: int) -> "CycValue":
         """Image under the automorphism zeta -> zeta^k, gcd(k, level) = 1."""
         e = self.level
@@ -500,15 +485,8 @@ class CycValue(_Exact):
     __rmul__ = __mul__
 
     def inverse(self) -> "CycValue":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in cyclotomic field")
-        if self.is_rational():
-            return CycValue.from_rational(1 / self.as_rational(), self.level)
-        modulus = [Rat(c) for c in cyclotomic_polynomial(self.level)]
-        g, s, _ = poly_ext_gcd(list(self.coeffs), modulus)
-        if len(g) != 1:
-            raise ValidationError("non-invertible cyclotomic value")  # pragma: no cover
-        return CycValue(self.level, [c / g[0] for c in s])
+        return _inverse(self, (self.galois(k) for k in unit_group(self.level)[1:]),
+                        CycValue.one(self.level))
 
     def __truediv__(self, other):
         if not isinstance(other, CycValue):

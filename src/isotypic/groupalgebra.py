@@ -2,9 +2,8 @@
 pipeline.
 
 Elements of F[G] carry a coefficient domain tag: the rationals, a cyclotomic
-field (optionally annotated with the stabilizer of a character field K), or
-a declared Galois number field L.  On top of the arithmetic this module
-builds the central idempotents attached to complex and rational
+field, or a declared Galois number field L.  On top of the arithmetic this
+module builds the central idempotents attached to complex and rational
 irreducibles, the subgroup-invariant idempotents p_H and f_H = p_H e_W, the
 diagonal idempotents of a matrix representation, and the construction that
 turns them into primitive idempotent systems over L, K and Q by Galois
@@ -18,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .characters import CharacterTable, RationalIrrep, fixed_dim
-from .cyclotomic import CycValue, char_field_stabilizer, trace_to_rational
+from .cyclotomic import CycValue, _Exact, trace_to_rational
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
 from .linalg import Echelon, solve_in_span
@@ -60,9 +59,8 @@ class RationalDomain:
 class CyclotomicDomain:
     kind = "cyclotomic"
 
-    def __init__(self, level: int, stabilizer=None):
+    def __init__(self, level: int):
         self.level = level
-        self.stabilizer = tuple(stabilizer) if stabilizer is not None else None
 
     def zero(self):
         return CycValue.zero(self.level)
@@ -132,18 +130,32 @@ def _join_domains(a, b):
     )
 
 
-def _coerce_scalar(domain, value):
-    if isinstance(value, (int, Rat)):
-        return domain.from_rational(value)
-    if domain.kind == "cyclotomic":
-        if isinstance(value, CycValue):
-            return value.to_level(domain.level) if value.level != domain.level else value
-    if domain.kind == "numberfield" and isinstance(value, NumFieldValue):
-        if value.field == domain.field:
-            return value
-    if domain.kind == "Q" and isinstance(value, CycValue) and value.is_rational():
-        return value.as_rational()
-    raise ValidationError(f"cannot coerce {value!r} into {domain!r}")
+def _coerce(domain, c, embedding=None):
+    """The scalar c as a coefficient of domain.
+
+    A rational goes anywhere.  A cyclotomic value goes to Q if it is
+    rational, to a level its own level divides, or into a number field
+    through a declared embedding.  A number-field value goes to Q if it is
+    rational, or stays in its own field.  Anything else is rejected.
+    """
+    if isinstance(c, Rat):
+        return domain.from_rational(c)
+    if isinstance(c, CycValue):
+        if domain.kind == "Q":
+            return c.as_rational()
+        if domain.kind == "cyclotomic":
+            return c.to_level(domain.level)
+        if embedding is None:
+            raise ValidationError(
+                "embedding required to move cyclotomic coefficients into a number field"
+            )
+        return embedding.embed(c)
+    if isinstance(c, NumFieldValue):
+        if domain.kind == "Q":
+            return c.as_rational()
+        if domain.kind == "numberfield" and c.field == domain.field:
+            return c
+    raise ValidationError(f"cannot coerce {c!r} into {domain!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +191,9 @@ class AlgebraElement:
     def to_domain(self, domain, embedding: CycEmbedding | None = None):
         if domain == self.domain:
             return self
-        out = {}
-        for g, c in self.coeffs.items():
-            if isinstance(c, Rat):
-                out[g] = domain.from_rational(c)
-            elif isinstance(c, CycValue):
-                if domain.kind == "Q":
-                    out[g] = c.as_rational()
-                elif domain.kind == "cyclotomic":
-                    out[g] = c.to_level(domain.level)
-                elif embedding is not None:
-                    out[g] = embedding.embed(c)
-                else:
-                    raise ValidationError(
-                        "embedding required to move cyclotomic coefficients into a number field"
-                    )
-            elif isinstance(c, NumFieldValue):
-                if domain.kind == "Q":
-                    out[g] = c.as_rational()
-                else:
-                    raise ValidationError("cannot leave a number field implicitly")
-            else:  # pragma: no cover
-                raise ValidationError(f"unknown scalar {c!r}")
-        return AlgebraElement(self.group, domain, out)
+        return AlgebraElement(self.group, domain, {
+            g: _coerce(domain, c, embedding) for g, c in self.coeffs.items()
+        })
 
     # -- ring operations ---------------------------------------------------------
 
@@ -246,7 +238,7 @@ class AlgebraElement:
                     else:
                         out[idx] = prod
             return AlgebraElement(a.group, a.domain, out)
-        scalar = _coerce_scalar(self.domain, other) if not isinstance(other, (int, Rat)) else other
+        scalar = other if isinstance(other, (int, Rat)) else _coerce(self.domain, other)
         return AlgebraElement(
             self.group, self.domain, {g: c * scalar for g, c in self.coeffs.items()}
         )
@@ -292,15 +284,8 @@ class AlgebraElement:
         return True
 
     def is_rational(self) -> bool:
-        for c in self.coeffs.values():
-            if isinstance(c, Rat):
-                continue
-            if isinstance(c, CycValue) and c.is_rational():
-                continue
-            if isinstance(c, NumFieldValue) and c.is_rational():
-                continue
-            return False
-        return True
+        return all(isinstance(c, Rat) or isinstance(c, _Exact) and c.is_rational()
+                   for c in self.coeffs.values())
 
     def apply_galois(self, index):
         """Coefficient-wise Galois action; index is a unit mod level for
@@ -393,13 +378,11 @@ def ideal_basis(a: AlgebraElement):
 def central_idempotent(table: CharacterTable, char_index: int) -> AlgebraElement:
     """e attached to one complex irreducible: (dim/|G|) sum chi(g^-1) g.
 
-    Lives over the cyclotomic field at the group exponent; the domain is
-    annotated with the stabilizer of the character field K.
+    Lives over the cyclotomic field Q(zeta_e), e the group exponent.
     """
     group = table.group
     char = table.chars[char_index]
-    stab = char_field_stabilizer(list(char.values), level=table.level)
-    dom = CyclotomicDomain(table.level, stab)
+    dom = CyclotomicDomain(table.level)
     scale = Rat(char.degree, group.order)
     coeffs = {}
     for g in range(group.order):

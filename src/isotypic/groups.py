@@ -573,7 +573,7 @@ def _coset_enumeration(ngens, relators, ceiling):
     return perms
 
 
-def _group_from_generator_perms(perms, gen_names_count=None):
+def _group_from_generator_perms(perms):
     """Build the multiplication table from permutations acting as right
     multiplication by the generators, numbering elements by BFS words."""
     if not perms:
@@ -616,7 +616,7 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     if ngens < 0:
         raise ValidationError("generator count must be non-negative")
     if ngens == 0:
-        return FiniteGroup([[0]], labels=[()], generators=())
+        return _group_from_generator_perms([])
     relators = [list(w) for w in relators]
     if any(type(x) is not int or not 0 < abs(x) <= ngens for w in relators for x in w):
         raise ValidationError(f"relator letters must be integers +-1..+-{ngens}")
@@ -630,40 +630,27 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
 
 def from_permutations(perms, bound=DEFAULT_ENUMERATION_BOUND):
     """Group generated by permutations on 0..n-1 (right-to-left words)."""
-    perms = [list(p) for p in perms]
-    if not perms:
-        return FiniteGroup([[0]], labels=[()], generators=())
-    npts = len(perms[0])
-    for p in perms:
+    gens = [tuple(p) for p in perms]
+    npts = len(gens[0]) if gens else 0
+    for p in gens:
         if sorted(p) != list(range(npts)):
             raise ValidationError("input is not a bijection on {0..n-1}")
-
-    def compose(p, q):  # word pq acts as "p then q"
-        return tuple(q[p[i]] for i in range(npts))
-
+    # BFS over the elements (order grows while it is walked);
+    # regular[gi][i] is the index of order[i] followed by gens[gi]
     identity = tuple(range(npts))
-    gens = [tuple(p) for p in perms]
     order = [identity]
     index = {identity: 0}
-    words = {identity: ()}
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        head += 1
+    regular = [[] for _ in gens]
+    for cur in order:
         for gi, g in enumerate(gens):
-            nxt = compose(cur, g)
+            nxt = tuple([g[x] for x in cur])
             if nxt not in index:
                 if len(order) >= bound:
                     raise BoundExceededError("group too large or infinite")
                 index[nxt] = len(order)
                 order.append(nxt)
-                words[nxt] = words[cur] + (gi,)
-
-    n = len(order)
-    mul = [[index[compose(a, b)] for b in order] for a in order]
-    labels = [words[p] for p in order]
-    generators = [index[g] for g in gens]
-    return FiniteGroup(mul, labels=labels, generators=generators)
+            regular[gi].append(index[nxt])
+    return _group_from_generator_perms(regular)
 
 
 def from_cayley_table(table):

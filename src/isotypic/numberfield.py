@@ -5,7 +5,10 @@ The toolkit never searches for splitting fields: L is always user supplied,
 together with the images of t under every automorphism and the subset of
 automorphisms whose fixed field is the distinguished subfield K.
 Irreducibility of p is certified by Kronecker factorization, which is a
-complete decision procedure at the small degrees used here.
+complete decision procedure at the small degrees used here.  Values share
+the integer kernel of ``cyclotomic``, including its inverse: the product of
+the images of a value under the declared automorphisms other than the
+identity, divided by the value's norm.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .cyclotomic import (
     _Exact,
     _fold,
     _integral,
+    _inverse,
     _new,
     _normal,
     _power,
@@ -31,7 +35,6 @@ from .cyclotomic import (
     _shifted,
     _sum,
     poly_divmod,
-    poly_ext_gcd,
     poly_mod,
     poly_trim,
 )
@@ -360,11 +363,6 @@ class NumFieldValue(_Exact):
             return other
         return self.field.from_rational(other)
 
-    def as_rational(self) -> Rat:
-        if not self.is_rational():
-            raise ValidationError("number field value is not rational")
-        return Rat(self.num[0], self.den)
-
     def __add__(self, other):
         if not isinstance(other, NumFieldValue):
             return _nfv(self.field, *_shifted(self.num, self.den, other))
@@ -397,14 +395,9 @@ class NumFieldValue(_Exact):
     __rmul__ = __mul__
 
     def inverse(self) -> "NumFieldValue":
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in number field")
-        if self.is_rational():
-            return self.field.from_rational(1 / self.as_rational())
-        g, s, _ = poly_ext_gcd(list(self.coeffs), list(self.field.minpoly))
-        if len(g) != 1:
-            raise ValidationError("not a field: zero divisor encountered")
-        return NumFieldValue(self.field, [c / g[0] for c in s])
+        field = self.field
+        return _inverse(self, (field.apply_auto(i, self) for i in range(1, field.degree)),
+                        field.one())
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()

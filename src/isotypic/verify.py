@@ -28,14 +28,9 @@ def parse_word(group: FiniteGroup, text: str) -> int:
     text = text.strip()
     if text in ("", "1"):
         return 0
-    letters = []
+    g = 0
     for factor in text.split("*"):
-        factor = factor.strip()
-        if "^" in factor:
-            name, exp = factor.split("^", 1)
-            exp = int(exp)
-        else:
-            name, exp = factor, 1
+        name, caret, exp = factor.partition("^")
         name = name.strip()
         idx = None
         for i in range(len(group.generators)):
@@ -44,12 +39,12 @@ def parse_word(group: FiniteGroup, text: str) -> int:
                 break
         if idx is None:
             raise ValidationError(f"unknown generator name {name!r}")
-        letter = idx + 1
-        if exp < 0:
-            letters.extend([-letter] * (-exp))
-        else:
-            letters.extend([letter] * exp)
-    return group.evaluate_word(letters)
+        try:
+            exp = int(exp) if caret else 1
+        except ValueError:
+            raise ValidationError(f"bad exponent {exp!r} in the word {text!r}") from None
+        g = group.mul(g, group.power(group.generators[idx], exp))
+    return g
 
 
 def parse_subgroup(group: FiniteGroup, spec) -> tuple[int, ...]:

@@ -225,6 +225,45 @@ def test_cli_malformed_document_exit_2(tmp_path, name):
     assert named in proc.stderr
 
 
+BAD_ARGUMENTS = {
+    # name: (command words, options, text the message must name)
+    "schur-m-not-an-integer": (["decompose", "jacobian"], ["--assert-schur", "2=x"], "2=x"),
+    "exponent-not-an-integer": (["decompose", "intermediate"], ["--H", "x^a"], "exponent 'a'"),
+    "exponent-missing": (["decompose", "intermediate"], ["--H", "y*x^"], "exponent ''"),
+    "exponent-in-float-form": (["decompose", "intermediate"], ["--H", "x^1e9"], "exponent '1e9'"),
+    "intermediate-without-H": (["decompose", "intermediate"], [], "--H"),
+    "prym-without-H": (["decompose", "prym"], ["--N", "x"], "--H"),
+    "prym-without-N": (["decompose", "prym"], ["--H", "x"], "--N"),
+    "central-without-irrep": (["idempotents", "central"], [], "--irrep"),
+    "subgroup-without-irrep": (["idempotents", "subgroup"], ["--H", "x"], "--irrep"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_cli_bad_arguments_exit_2(name):
+    words, options, named = BAD_ARGUMENTS[name]
+    proc = run_cli_process(*words, "--group", "bundled:group_s4.json", *options)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert named in proc.stderr
+
+
+def test_word_exponents_are_powers(g80, capsys):
+    x, y = g80.generators
+    huge = 99999999999999999999
+    assert parse_word(g80, f"x^{huge}") == g80.power(x, huge % g80.elem_orders[x])
+    assert parse_word(g80, "y^-1000000001*x^3") == g80.mul(g80.power(y, -1000000001),
+                                                          g80.power(x, 3))
+    assert parse_word(g80, " x ^ 2 * y ") == g80.evaluate_word([1, 1, 2])
+    s4 = "bundled:group_s4.json"
+    g = group_from_spec(_load_bundled("group_s4.json"))
+    order = g.elem_orders[g.generators[0]]
+    huge_run = run_cli(capsys, "decompose", "intermediate", "--group", s4, "--H", f"x^{huge}")
+    small_run = run_cli(capsys, "decompose", "intermediate", "--group", s4,
+                        "--H", f"x^{huge % order}")
+    assert huge_run[0] == 0 and huge_run == small_run
+
+
 def test_cli_json_error_names_file_and_position(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"cayley":\n  [[0], oops]}')

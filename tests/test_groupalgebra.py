@@ -464,3 +464,82 @@ def test_incompatible_fields_need_embedding(g80, small_groups):
     z = AlgebraElement(g80, CyclotomicDomain(4), {0: CycValue.root_of_unity(4)})
     with pytest.raises(ValidationError, match="embedding"):
         a * z
+
+
+def test_coefficient_coercion_table(g80, field80, rep80):
+    from isotypic import CycValue
+    from isotypic.groupalgebra import CyclotomicDomain, FieldDomain
+
+    L, E = field80, ValidationError
+    other = NumField([-2, 0, 1], [[0, 1], [0, -1]])
+    i4, z8 = CycValue.root_of_unity(4), CycValue.root_of_unity(8)
+    Q, C4, C8, FL = RATIONALS, CyclotomicDomain(4), CyclotomicDomain(8), FieldDomain(L)
+    table = [  # scalar, {target domain: expected coefficient or E}
+        (F(1, 2), {Q: F(1, 2), C4: F(1, 2), C8: F(1, 2), FL: F(1, 2)}),
+        (CycValue.from_rational(3, 4), {Q: F(3), C4: F(3), C8: F(3), FL: E}),
+        (i4, {Q: E, C4: i4, C8: i4, FL: E}),
+        (z8, {Q: E, C4: E, C8: z8, FL: E}),
+        (L.from_rational(5), {Q: F(5), C4: E, C8: E, FL: F(5)}),
+        (L.gen(), {Q: E, C4: E, C8: E, FL: L.gen()}),
+        (other.from_rational(5), {Q: F(5), C4: E, C8: E, FL: E}),
+        (other.gen(), {Q: E, C4: E, C8: E, FL: E}),
+        (0.5, {Q: E, C4: E, C8: E, FL: E}),
+        ("x", {Q: E, C4: E, C8: E, FL: E}),
+    ]
+
+    def source(c):
+        if isinstance(c, CycValue):
+            return CyclotomicDomain(c.level)
+        return FieldDomain(c.field) if hasattr(c, "field") else Q
+
+    def in_domain(v, domain):
+        if domain is Q:
+            return type(v) is F
+        if domain is FL:
+            return v.field is L
+        return isinstance(v, CycValue) and v.level == domain.level
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except ValidationError:
+            return E
+
+    def scaled(domain, c):
+        product = AlgebraElement.one(g80, domain) * c
+        assert product.domain == domain
+        return product.coefficient(0)
+
+    def moved(domain, c):
+        return AlgebraElement(g80, source(c), {1: c}).to_domain(domain).coefficient(1)
+
+    for c, row in table:
+        for domain, want in row.items():
+            results = [attempt(ga._coerce, domain, c), attempt(scaled, domain, c)]
+            if source(c) != domain:  # to_domain returns an element already in domain
+                results.append(attempt(moved, domain, c))
+            for got in results:
+                if want is E:
+                    assert got is E, (c, domain)
+                else:
+                    assert got is not E and got == want and in_domain(got, domain), (c, domain)
+
+    # an int multiplies in every domain; a float or a string is rejected
+    for domain in (Q, C4, FL):
+        assert (AlgebraElement.one(g80, domain) * 3).coefficient(0) == 3
+    # cyclotomic values reach L only through a declared embedding
+    emb = rep80.embedding
+    assert ga._coerce(FL, emb.generator, emb) == emb.image
+    assert ga._coerce(FL, CycValue.from_rational(7, 40), emb) == 7
+    el = AlgebraElement(g80, CyclotomicDomain(40), {1: emb.generator, 2: F(1, 3)})
+    moved = el.to_domain(FL, emb)
+    assert moved.domain == FL and moved.coeffs == {1: emb.image, 2: L.from_rational(F(1, 3))}
+    with pytest.raises(ValidationError, match="outside the declared embedded subfield"):
+        ga._coerce(FL, CycValue.root_of_unity(40), emb)
+    with pytest.raises(ValidationError, match="embedding required"):
+        el.to_domain(FL)
+    # rationality looks at every coefficient kind
+    assert AlgebraElement(g80, C4, {1: CycValue.from_rational(2, 4), 2: F(1, 2)}).is_rational()
+    assert not AlgebraElement(g80, C4, {1: i4}).is_rational()
+    assert AlgebraElement(g80, FL, {1: L.from_rational(2)}).is_rational()
+    assert not AlgebraElement(g80, FL, {1: L.gen()}).is_rational()

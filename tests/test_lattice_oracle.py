@@ -6,7 +6,9 @@ import random
 import pytest
 
 import lattice_reference as ref
+import permutation_reference
 from isotypic import groups
+from isotypic import ValidationError
 from isotypic.errors import BoundExceededError
 from isotypic.fixtures import order24_group, order80_group
 from isotypic.groups import FiniteGroup, from_permutations, from_presentation
@@ -125,3 +127,60 @@ def test_lattice_order_bound_fires_before_any_work():
     group._conjugate_masks = None  # any lattice work would call it
     with pytest.raises(BoundExceededError, match="24 > 23"):
         group.subgroup_classes(bound=23)
+
+
+# permutation ingestion against the |G|^2 compositions of permutation_reference.py
+
+PERMUTATIONS = {
+    "S3": symmetric(3),
+    "S4": symmetric(4),
+    "S5": symmetric(5),
+    "S6": symmetric(6),
+    "D48": dihedral(48),
+    "D60": dihedral(60),
+    "C2^4": elementary_abelian2(4),
+    "D4xS3": direct_product(dihedral(4), symmetric(3)),
+    "GL23": gl2_3(),
+}
+
+
+def relabelled_points(perms, rng):
+    """The same generators on shuffled points, shuffled, with the product of
+    two of them appended, so that inverting every generator is no longer an
+    automorphism of the generating tuple."""
+    tau = rng.sample(range(len(perms[0])), len(perms[0]))
+    out = []
+    for p in perms:
+        q = [0] * len(p)
+        for i, x in enumerate(p):
+            q[tau[i]] = tau[x]
+        out.append(q)
+    rng.shuffle(out)
+    a, b = rng.choice(out), rng.choice(out)
+    return out + [[b[x] for x in a]]
+
+
+def same_group(a, b):
+    return (a._mul, a.labels, a.generators) == (b._mul, b.labels, b.generators)
+
+
+@pytest.mark.parametrize("name", PERMUTATIONS)
+def test_permutation_ingestion_matches_reference(name):
+    rng = random.Random(name)
+    for perms in (PERMUTATIONS[name], relabelled_points(PERMUTATIONS[name], rng)):
+        assert same_group(from_permutations(perms), permutation_reference.from_permutations(perms))
+
+
+def test_permutation_ingestion_bound_and_edge_cases():
+    for perms in (symmetric(4), relabelled_points(dihedral(12), random.Random(12))):
+        order = len(permutation_reference.from_permutations(perms).elements())
+        for build in (from_permutations, permutation_reference.from_permutations):
+            with pytest.raises(BoundExceededError):
+                build(perms, bound=order - 1)
+            assert same_group(build(perms, bound=order), from_permutations(perms))
+    for perms in ([], [[0, 1, 2]], [[]], [[1, 0], [1, 0]]):
+        assert same_group(from_permutations(perms), permutation_reference.from_permutations(perms))
+    for bad in ([[0, 0, 1]], [[1, 0], [0, 1, 2]]):
+        for build in (from_permutations, permutation_reference.from_permutations):
+            with pytest.raises(ValidationError, match="bijection"):
+                build(bad)

@@ -16,6 +16,7 @@ from isotypic import (
 )
 from isotypic import cyclotomic, numberfield
 from isotypic.cyclotomic import euler_phi, unit_group
+from isotypic.errors import InvariantError
 from isotypic.fixtures import order80_field
 
 
@@ -146,3 +147,35 @@ def test_hot_paths_never_call_poly_divmod(monkeypatch):
     a = nf.value([1, 2, F(1, 3), -1])
     assert nf.apply_auto(2, a * nf.gen()) != 0
     assert calls == []
+
+
+@pytest.mark.parametrize("level", range(1, 121))
+def test_cyclotomic_inverse_of_dense_values(level):
+    # every coordinate nonzero; beyond phi = 16 the reference Euclid is too slow
+    rng = random.Random(-level)
+    phi = euler_phi(level)
+    a = CycValue(level, [rng.choice((-2, -1, 1, 2)) for _ in range(phi - 1)] + [F(1, 3)])
+    assert a * a.inverse() == 1
+    q = CycValue.from_rational(F(-3, 7), level)
+    assert q.inverse() == F(-7, 3) and q.inverse().level == level
+
+
+@pytest.mark.parametrize("name", ["order80", "nonintegral"])
+def test_number_field_inverse_of_random_values(name):
+    nf = _fields()[name]
+    rng = random.Random(name)
+    for _ in range(40):
+        a = nf.value(_coeffs(rng, nf.degree))
+        if not a.is_zero():
+            assert a * a.inverse() == 1
+            assert a / a == 1 and (1 / a) * a == 1
+    with pytest.raises(ZeroDivisionError):
+        nf.zero().inverse()
+
+
+def test_inverse_checks_the_norm_is_rational():
+    # with one conjugate of zeta_5 left out, the product is not the norm
+    z = CycValue.root_of_unity(5)
+    with pytest.raises(InvariantError, match="norm"):
+        cyclotomic._inverse(z, [z.galois(2), z.galois(3)], CycValue.one(5))
+    assert cyclotomic._inverse(z, [z.galois(k) for k in (2, 3, 4)], CycValue.one(5)) == z ** 4
