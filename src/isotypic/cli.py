@@ -458,6 +458,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option in ("lattice_bound", "max_intersection_arity"):
+            value = getattr(args, option, 0)
+            if value < 0:
+                flag = "--" + option.replace("_", "-")
+                raise ValidationError(f"{flag} must not be negative, got {value}")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,8 +4,11 @@ explicit automorphisms, with exact quotient-ring arithmetic.
 The toolkit never searches for splitting fields: L is always user supplied,
 together with the images of t under every automorphism and the subset of
 automorphisms whose fixed field is the distinguished subfield K.
-Irreducibility of p is certified by Kronecker factorization, which is a
-complete decision procedure at the small degrees used here.  Values share
+Irreducibility of p is certified by Kronecker's method, a complete decision
+procedure, run in integers: each candidate factor interpolated through
+divisors of p's values must divide the leading coefficient and the value at
+one more point before it is trial-divided exactly in Z[t], so Fraction
+polynomial division never runs.  Values share
 the integer kernel of ``cyclotomic``, including its inverse: the product of
 the images of a value under the declared automorphisms other than the
 identity, divided by the value's norm.
@@ -79,9 +82,7 @@ def _interp_points(ipoly, count):
     x = 0
     while len(pts) < count:
         for cand in ([x] if x == 0 else [x, -x]):
-            val = 0
-            for c in reversed(ipoly):
-                val = val * cand + c
+            val = _evaluate(ipoly, cand)
             if val == 0:
                 return None, cand  # rational root found
             pts.append((cand, val))
@@ -92,7 +93,14 @@ def _interp_points(ipoly, count):
 
 
 def is_irreducible(poly) -> bool:
-    """Exact irreducibility test over Q via Kronecker interpolation."""
+    """Exact irreducibility test over Q via Kronecker interpolation.
+
+    A factor of degree k of the primitive integer polynomial P may be taken
+    primitive and integral (Gauss's lemma), so its values at k + 1 integer
+    nodes divide those of P and determine it.  Each interpolated candidate q
+    must also satisfy lead(q) | lead(P) and q(x0) | P(x0) at one more point
+    x0; only then is it trial-divided, exactly in integers.
+    """
     poly = [Rat(c) for c in poly]
     poly_trim(poly)
     deg = len(poly) - 1
@@ -101,10 +109,12 @@ def is_irreducible(poly) -> bool:
     if deg == 1:
         return True
     ipoly = _to_primitive_int(poly)
+    lead = ipoly[-1]
     for k in range(1, deg // 2 + 1):
-        pts, root = _interp_points(ipoly, k + 1)
+        pts, root = _interp_points(ipoly, k + 2)
         if pts is None:
             return False
+        (x0, y0), pts = pts[-1], pts[:-1]
         xs = [p[0] for p in pts]
         divisor_lists = []
         for idx, (_, val) in enumerate(pts):
@@ -119,12 +129,35 @@ def is_irreducible(poly) -> bool:
             stack = [tup + (d,) for tup in stack for d in divs]
         for values in stack:
             cand = _integer_interpolant(xs, values)
-            if cand is None or len(cand) - 1 < 1:
+            if cand is None or len(cand) - 1 < 1 or lead % cand[-1]:
                 continue
-            q, r = poly_divmod(poly, [Rat(c) for c in cand])
-            if not r and len(q) - 1 >= 1:
+            at_x0 = _evaluate(cand, x0)
+            if at_x0 == 0 or y0 % at_x0:
+                continue
+            if _divides(cand, ipoly):
                 return False
     return True
+
+
+def _evaluate(ipoly, x: int) -> int:
+    val = 0
+    for c in reversed(ipoly):
+        val = val * x + c
+    return val
+
+
+def _divides(q, p) -> bool:
+    """Whether the integer polynomial q divides p in Z[x]."""
+    p = list(p)
+    n, lead = len(q) - 1, q[-1]
+    for i in range(len(p) - 1 - n, -1, -1):
+        c, rest = divmod(p[i + n], lead)
+        if rest:
+            return False
+        if c:
+            for j, qj in enumerate(q):
+                p[i + j] -= c * qj
+    return not any(p)
 
 
 def _integer_interpolant(xs, ys):

@@ -159,13 +159,18 @@ def domain_to_json(domain) -> object:
     return field_to_json(domain.field)
 
 
+def field_key(d) -> str:
+    """The key of a field descriptor in a ``field_cache``."""
+    return json.dumps(d, sort_keys=True)
+
+
 def domain_from_json(d, field_cache: dict | None = None):
     if d == "Q":
         return RATIONALS
     if isinstance(d, dict) and "cyclotomic" in d:
         return CyclotomicDomain(int(d["cyclotomic"]))
     if isinstance(d, dict) and "minpoly" in d:
-        key = json.dumps(d, sort_keys=True)
+        key = field_key(d)
         if field_cache is not None and key in field_cache:
             return FieldDomain(field_cache[key])
         nf = field_from_json(d)
@@ -237,6 +242,12 @@ def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:
                 break
         if char_index is None:
             raise ValidationError("character values in the file match no row of the table")
+        degree = table.chars[char_index].degree
+        if "degree" in d and int(d["degree"]) != degree:
+            raise ValidationError(
+                f"representation key 'degree' is {d['degree']}, but the matched "
+                f"character has degree {degree}"
+            )
         if "embedding" in d:
             emb = CycEmbedding(
                 nf,

@@ -15,7 +15,7 @@ from .characters import compute_character_table, galois_orbits, rho_decompositio
 from .errors import ValidationError
 from .groupalgebra import AlgebraElement, RATIONALS, ideal_dim
 from .groups import FiniteGroup, generator_name
-from .serialize import element_from_json, field_from_json, group_from_spec, parsing
+from .serialize import element_from_json, field_from_json, field_key, group_from_spec, parsing
 
 Rat = Fraction
 
@@ -68,7 +68,9 @@ class ManifestRunner:
         self.group = group_from_spec(manifest["group"])
         self.field = field_from_json(manifest["field"]) if "field" in manifest else None
         self._elements = {}
-        self._field_cache = {}
+        # elements with "field": "L" reuse the certified manifest field
+        self._field_cache = {} if self.field is None else {
+            field_key(manifest["field"]): self.field}
         with parsing("manifest elements"):
             for name, spec in manifest.get("elements", {}).items():
                 if "derive" in spec:

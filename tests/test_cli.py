@@ -109,6 +109,36 @@ def test_bundled_manifests_pass():
     assert results and all(ok for _, ok in results)
 
 
+def test_manifest_field_is_certified_once(monkeypatch):
+    from isotypic import numberfield
+
+    calls = []
+    original = numberfield.is_irreducible
+
+    def counting(poly):
+        calls.append(poly)
+        return original(poly)
+
+    monkeypatch.setattr(numberfield, "is_irreducible", counting)
+    manifest = _load_bundled("manifest_order80.json")
+    assert sum(spec.get("field") == "L" for spec in manifest["elements"].values()) > 1
+    runner = ManifestRunner(manifest)
+    assert len(calls) == 1
+    assert all(el.domain.field is runner.field for el in runner._elements.values()
+               if el.domain.kind == "numberfield")
+
+
+def test_rep_degree_must_match_the_character(capsys, tmp_path):
+    rep = _load_bundled("rep_order80.json")
+    rep["degree"] = 2
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    code, _, err = run_cli(capsys, "idempotents", "primitive", "--group",
+                           "bundled:group_order80.json", "--rep", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "'degree'" in err
+
+
 def test_manifest_detects_corruption():
     blob = _load_bundled("manifest_order24.json")
     coeffs = blob["elements"]["eW"]["coeffs"]
@@ -236,6 +266,9 @@ BAD_ARGUMENTS = {
     "prym-without-N": (["decompose", "prym"], ["--H", "x"], "--N"),
     "central-without-irrep": (["idempotents", "central"], [], "--irrep"),
     "subgroup-without-irrep": (["idempotents", "subgroup"], ["--H", "x"], "--irrep"),
+    "negative-lattice-bound": (["group-info"], ["--lattice-bound", "-1"], "--lattice-bound"),
+    "negative-intersection-arity": (["full-report"], ["--max-intersection-arity", "-1"],
+                                    "--max-intersection-arity"),
 }
 
 

@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` were written by the Fraction-polynomial
 scalar implementation that the integer kernel replaced, and
 ``idempotents-primitive_order80`` by the per-ideal Echelon layer that the
-trace formula replaced; any change in a printed value, an ordering or a
+trace formula replaced, and ``verify_manifest_order80`` by the
+coefficient-by-coefficient product loop that the packed product replaced; any change in a printed value, an ordering or a
 verdict shows up here as a byte difference.
 """
 
@@ -32,6 +33,7 @@ CASES.update({
     "idempotents-primitive_order80":
         ["idempotents", "primitive", "--group", G80, "--rep", "bundled:rep_order80.json"],
     "verify_manifest_order24": ["verify", "bundled:manifest_order24.json"],
+    "verify_manifest_order80": ["verify", "bundled:manifest_order80.json"],
 })
 
 

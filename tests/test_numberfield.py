@@ -158,3 +158,58 @@ def test_irreducibility_of_products_and_cyclotomic_polynomials():
     for n in (5, 7, 8, 9, 12, 15, 16):
         assert is_irreducible(cyclotomic_polynomial(n))
     assert is_irreducible([F(1, 16), 0, F(-5, 2), 0, 1])
+
+
+def _poly_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_poly(rng, degree, rational=False):
+    bound = 6 if degree < 5 else 3  # keeps the reference's enumeration short
+
+    def coeff():
+        c = rng.randint(-bound, bound)
+        return F(c, rng.randint(1, 5)) if rational else c
+
+    lead = 0
+    while lead == 0:
+        lead = coeff()
+    return [coeff() for _ in range(degree)] + [lead]
+
+
+def _irreducibility_cases():
+    """Seeded polynomials of degree 2-6 and a few named ones."""
+    from isotypic import cyclotomic_polynomial
+
+    rng = random.Random(6)
+    cases = [
+        list(cyclotomic_polynomial(14)),
+        [144, 0, -16, 0, 1],                   # the order-80 field
+        [4, 0, 0, 0, 1],                       # (t^2+2t+2)(t^2-2t+2), no rational root
+        [1, 0, 0, 0, 1],
+        [F(1, 16), 0, F(-5, 2), 0, 1],
+        [F(3, 2), 0, 0, -2],                   # non-monic, negative lead
+        [6, 0, 0, 0, 0, 0, 4],                 # 2(2t^6 + 3)
+    ]
+    for _ in range(150):
+        cases.append(_random_poly(rng, rng.randint(2, 6), rational=rng.random() < 0.3))
+    for _ in range(150):
+        da = rng.randint(1, 3)
+        db = rng.randint(max(1, 2 - da), 6 - da)
+        f = _poly_product(_random_poly(rng, da), _random_poly(rng, db))
+        scale = F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 7))
+        cases.append([c * scale for c in f])
+    return cases
+
+
+def test_irreducibility_matches_fraction_reference():
+    from irreducibility_reference import reference_is_irreducible
+
+    cases = _irreducibility_cases()
+    verdicts = [is_irreducible(p) for p in cases]
+    assert verdicts == [reference_is_irreducible(p) for p in cases]
+    assert 50 < sum(verdicts) < len(cases) - 150  # both kinds, every product reducible
