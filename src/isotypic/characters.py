@@ -10,6 +10,7 @@ every computed or loaded table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -31,13 +32,12 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(self, group: FiniteGroup, chars, validate: bool = True):
+    def __init__(self, group: FiniteGroup, chars):
         self.group = group
         self.level = group.exponent
         self.classes = group.conjugacy_classes()
         self.chars = tuple(chars)
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def class_sizes(self):
@@ -99,12 +99,12 @@ def _inner_with_conjugate(table: CharacterTable, a, conj_b) -> CycValue:
 
 
 def fixed_dim(table: CharacterTable, char: Character, members) -> int:
-    """dim of the subspace of the representation fixed by the subgroup,
-    computed as the average of character values over the subgroup."""
-    group = table.group
+    """dim of the subspace of the representation fixed by the subgroup H:
+    (1/|H|) sum_k c_k chi(g_k), with c_k = |H meet C_k| counted in integers."""
+    counts = Counter(map(table.group.class_index, members))
     total = CycValue.zero(table.level)
-    for h in members:
-        total = total + char.values[group.class_index(h)]
+    for k, c in counts.items():  # a class met once costs no product
+        total = total + (char.values[k] if c == 1 else char.values[k] * c)
     total = total * Rat(1, len(members))
     if not total.is_rational():
         raise InvariantError("invalid character/subgroup data: fixed dimension not rational")

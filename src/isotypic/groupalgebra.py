@@ -9,6 +9,11 @@ diagonal idempotents of a matrix representation, and the construction that
 turns them into primitive idempotent systems over L, K and Q by Galois
 symmetrization.
 
+The central idempotents are class functions: e_V = (n/|G|) sum chi(g^-1) g,
+e_W with Tr_{K/Q} chi in place of chi, and e_V over L with chi embedded in
+L.  One builder takes one value per conjugacy class, scales it once and
+spreads it over the class, so chi is traced or embedded r times, not |G|.
+
 A product of two elements runs one packed kernel for every domain, by
 Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).  Each
 operand is brought to integer numerator vectors over one common
@@ -314,6 +319,14 @@ class AlgebraElement:
                 return False
         return True
 
+    def is_bi_invariant(self, members) -> bool:
+        """Whether h*self == self == self*h for every h in members."""
+        for h in members:
+            b = AlgebraElement.basis(self.group, h, self.domain)
+            if b * self != self or self * b != self:
+                return False
+        return True
+
     def is_rational(self) -> bool:
         return all(isinstance(c, Rat) or isinstance(c, _Exact) and c.is_rational()
                    for c in self.coeffs.values())
@@ -474,32 +487,33 @@ def ideal_basis(a: AlgebraElement):
 # ---------------------------------------------------------------------------
 
 
+def _class_function_element(group: FiniteGroup, domain, values, scale) -> AlgebraElement:
+    """scale * sum_g phi(g^-1) g for the class function phi with one value per class.
+
+    Each class's value is scaled once and spread over the elements whose
+    inverses lie in that class.
+    """
+    scaled = [v * scale for v in values]
+    return AlgebraElement(group, domain, {
+        g: scaled[group.class_index(group.inv(g))] for g in range(group.order)})
+
+
 def central_idempotent(table: CharacterTable, char_index: int) -> AlgebraElement:
     """e attached to one complex irreducible: (dim/|G|) sum chi(g^-1) g.
 
     Lives over the cyclotomic field Q(zeta_e), e the group exponent.
     """
-    group = table.group
     char = table.chars[char_index]
-    dom = CyclotomicDomain(table.level)
-    scale = Rat(char.degree, group.order)
-    coeffs = {}
-    for g in range(group.order):
-        v = char.values[group.class_index(group.inv(g))]
-        coeffs[g] = v * scale
-    return AlgebraElement(group, dom, coeffs)
+    return _class_function_element(table.group, CyclotomicDomain(table.level), char.values,
+                                   Rat(char.degree, table.group.order))
 
 
 def rational_central_idempotent(table: CharacterTable, orbit: RationalIrrep) -> AlgebraElement:
     """e attached to a rational irreducible: (dim/|G|) sum Tr_{K/Q}(chi(g^-1)) g."""
-    group = table.group
     char = table.chars[orbit.char_indices[0]]
-    scale = Rat(char.degree, group.order)
-    coeffs = {}
-    for g in range(group.order):
-        v = char.values[group.class_index(group.inv(g))]
-        coeffs[g] = trace_to_rational(v, orbit.stabilizer) * scale
-    return AlgebraElement(group, RATIONALS, coeffs)
+    traces = [trace_to_rational(v, orbit.stabilizer) for v in char.values]
+    return _class_function_element(table.group, RATIONALS, traces,
+                                   Rat(char.degree, table.group.order))
 
 
 def averaging_idempotent(group: FiniteGroup, members) -> AlgebraElement:
@@ -522,13 +536,15 @@ def invariant_idempotent(table: CharacterTable, orbit: RationalIrrep, members) -
 class MatrixRep:
     """Irreducible matrix representation over a declared Galois field L.
 
-    Generator images are extended to all elements along the group's stored
-    BFS words; multiplicativity is validated against every (element,
-    generator) pair, which by induction over words certifies the full
-    multiplication table.  Traces are checked against the linked character
-    through the declared embedding of character values into L.  The rep is
-    immutable after __init__, so the diagonal suite of
-    ``diagonal_idempotents`` runs once and its result is stored on it.
+    Generator images are extended to all elements in one pass over the
+    (element, generator) pairs: the group's elements are numbered
+    breadth-first, so the first pair reaching an element defines its matrix
+    and every other pair is checked against it, which certifies the full
+    multiplication table.  Traces are checked at every element against the
+    linked character, embedded into L once per class as ``char_values``
+    through the declared embedding.  The rep is immutable after __init__,
+    so the diagonal suite of ``diagonal_idempotents`` runs once and its
+    result is stored on it.
     """
 
     def __init__(self, group: FiniteGroup, nf: NumField, gen_matrices,
@@ -558,39 +574,34 @@ class MatrixRep:
         ident = tuple(
             tuple(nf.one() if i == j else nf.zero() for j in range(n)) for i in range(n)
         )
-        matrices = [None] * group.order
-        matrices[0] = ident
-        order_of = sorted(range(group.order), key=lambda g: len(group.labels[g]))
-        for g in order_of:
-            if matrices[g] is not None:
-                continue
-            word = group.labels[g]
-            prefix = word[:-1]
-            prev = group.evaluate_word([w + 1 for w in prefix])
-            if matrices[prev] is None:  # pragma: no cover
-                raise InvariantError("group words are not prefix closed")
-            matrices[g] = _mat_mul(matrices[prev], self.gen_matrices[word[-1]])
-        self.matrices = tuple(matrices)
-
-        # multiplicativity on (element, generator) pairs certifies the table
+        # multiplicativity at every (element, generator) pair certifies the table
+        matrices = [ident] + [None] * (group.order - 1)
         for a in range(group.order):
+            if matrices[a] is None:
+                raise InvariantError("group elements are not numbered breadth-first")
             for gi, gelem in enumerate(group.generators):
-                prod = _mat_mul(self.matrices[a], self.gen_matrices[gi])
-                if prod != self.matrices[group.mul(a, gelem)]:
+                b = group.mul(a, gelem)
+                prod = _mat_mul(matrices[a], self.gen_matrices[gi])
+                if matrices[b] is None:
+                    matrices[b] = prod
+                elif prod != matrices[b]:
                     raise ValidationError(
                         f"representation inconsistent with character: "
                         f"multiplicativity fails at element {a}, generator {gi}"
                     )
+        self.matrices = tuple(matrices)
 
-        for g in range(group.order):
-            tr = nf.zero()
-            for i in range(n):
-                tr = tr + self.matrices[g][i][i]
-            want = self.embedding.embed(char.values[group.class_index(g)])
-            if tr != want:
+        # the character embedded into L once per class, checked at every element
+        values = [None] * len(char.values)
+        for g, mat in enumerate(self.matrices):
+            k = group.class_index(g)
+            if values[k] is None:
+                values[k] = self.embedding.embed(char.values[k])
+            if sum((mat[i][i] for i in range(n)), nf.zero()) != values[k]:
                 raise ValidationError(
                     f"representation inconsistent with character: trace mismatch at element {g}"
                 )
+        self.char_values = tuple(values)
 
     def _entry(self, x):
         if isinstance(x, NumFieldValue):
@@ -619,15 +630,8 @@ def _mat_mul(a, b):
 
 def central_idempotent_over_field(rep: MatrixRep) -> AlgebraElement:
     """e_V with coefficients embedded into the representation's field."""
-    group = rep.group
-    char = rep.table.chars[rep.char_index]
-    dom = FieldDomain(rep.field)
-    scale = Rat(rep.degree, group.order)
-    coeffs = {}
-    for g in range(group.order):
-        v = rep.embedding.embed(char.values[group.class_index(group.inv(g))])
-        coeffs[g] = v * scale
-    return AlgebraElement(group, dom, coeffs)
+    return _class_function_element(rep.group, FieldDomain(rep.field), rep.char_values,
+                                   Rat(rep.degree, rep.group.order))
 
 
 def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:

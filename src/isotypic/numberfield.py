@@ -37,7 +37,6 @@ from .cyclotomic import (
     _scaled,
     _shifted,
     _sum,
-    poly_divmod,
     poly_mod,
     poly_trim,
 )
@@ -515,14 +514,18 @@ class CycEmbedding:
             vectors.append(list(nxt.coeffs))
         self.powers = powers
         self._vectors = vectors
+        # image^0, ..., image^d: the images of the power basis, then of g^d
+        images = [field.one()]
+        for _ in powers:
+            images.append(images[-1] * image)
+        self._images = images[:-1]
         # minimal polynomial of g: express g^d in lower powers
         top = powers[-1] * generator
         coords = solve_in_span(vectors, list(top.coeffs), zero, one)
-        minpoly = [-c for c in coords] + [one]
         # validate: minpoly(image) == 0 in L
-        acc = field.zero()
-        for c in reversed(minpoly):
-            acc = acc * image + field.from_rational(c)
+        acc = images[-1]
+        for c, p in zip(coords, images):
+            acc = acc - p * c
         if not acc.is_zero():
             raise ValidationError(
                 "declared embedding is inconsistent: image is not a conjugate of the generator"
@@ -540,14 +543,7 @@ class CycEmbedding:
         if coords is None:
             raise ValidationError("value lies outside the declared embedded subfield")
         acc = self.field.zero()
-        for c, p in zip(coords, _power_list(self.image, len(coords))):
+        for c, p in zip(coords, self._images):
             if c:
                 acc = acc + p * c
         return acc
-
-
-def _power_list(x: NumFieldValue, n: int):
-    out = [x.field.one()]
-    for _ in range(n - 1):
-        out.append(out[-1] * x)
-    return out

@@ -193,13 +193,7 @@ class ManifestRunner:
             return (f"{label}: {check['of']} is central", self.eval_expr(check["of"]).is_central())
         if kind == "bi_invariant":
             el = self.eval_expr(check["of"])
-            members = parse_subgroup(self.group, check["subgroup"])
-            ok = True
-            for h in members:
-                b = AlgebraElement.basis(self.group, h, el.domain)
-                if b * el != el or el * b != el:
-                    ok = False
-                    break
+            ok = el.is_bi_invariant(parse_subgroup(self.group, check["subgroup"]))
             return (f"{label}: {check['of']} is two-sided invariant", ok)
         if kind == "ideal_dim":
             el = self.eval_expr(check["of"])

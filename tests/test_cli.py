@@ -438,3 +438,23 @@ def test_cli_byte_identical_reruns(capsys, tmp_path):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+LATTICE_BOUND_COMMANDS = {
+    "group-info": ["group-info"],
+    "chartable": ["chartable"],
+    "idempotents": ["idempotents", "central", "--irrep", "2"],
+    "decompose": ["decompose", "jacobian"],
+    "classify": ["classify", "--irrep", "1"],
+    "full-report": ["full-report"],
+}
+
+
+@pytest.mark.parametrize("bound,code", [(10, 4), (24, 0)])
+@pytest.mark.parametrize("name", LATTICE_BOUND_COMMANDS)
+def test_cli_lattice_bound_applies_to_every_command(name, bound, code):
+    proc = run_cli_process(*LATTICE_BOUND_COMMANDS[name], "--group", "bundled:group_s4.json",
+                           "--lattice-bound", str(bound))
+    assert proc.returncode == code, proc.stderr
+    if code == 4:
+        assert "subgroup lattice bound exceeded: |G| = 24 > 10" in proc.stderr
