@@ -38,6 +38,7 @@ from .characters import (
     fixed_dim,
     galois_orbits,
     inner_product,
+    orbit_index,
     rational_character,
     rho_decomposition,
     schur_divisor_bound,

@@ -101,11 +101,14 @@ def _inner_with_conjugate(table: CharacterTable, a, conj_b) -> CycValue:
 def fixed_dim(table: CharacterTable, char: Character, members) -> int:
     """dim of the subspace of the representation fixed by the subgroup H:
     (1/|H|) sum_k c_k chi(g_k), with c_k = |H meet C_k| counted in integers."""
-    counts = Counter(map(table.group.class_index, members))
+    return _fixed_dim(table, char, Counter(map(table.group.class_index, members)), len(members))
+
+
+def _fixed_dim(table: CharacterTable, char: Character, counts, order: int) -> int:
     total = CycValue.zero(table.level)
     for k, c in counts.items():  # a class met once costs no product
         total = total + (char.values[k] if c == 1 else char.values[k] * c)
-    total = total * Rat(1, len(members))
+    total = total * Rat(1, order)
     if not total.is_rational():
         raise InvariantError("invalid character/subgroup data: fixed dimension not rational")
     q = total.as_rational()
@@ -486,6 +489,19 @@ def assert_schur(orbit: RationalIrrep, m: int, evidence: str = "user assertion")
     return replace(orbit, schur=SchurStatus(kind, m, orbit.schur.divisor_bound, evidence))
 
 
+def orbit_index(orbits, selector) -> int:
+    """Position of the orbit named by a selector of 1-based character indices:
+    a single index names the orbit containing it, several must be one orbit."""
+    key = (selector,) if isinstance(selector, int) else tuple(selector)
+    want = tuple(sorted(i - 1 for i in key))
+    for i, o in enumerate(orbits):
+        if o.char_indices == want or (len(want) == 1 and want[0] in o.char_indices):
+            return i
+    raise ValidationError(
+        f"no rational irreducible matches selector {'-'.join(map(str, key))}"
+    )
+
+
 def rational_character(table: CharacterTable, orbit: RationalIrrep):
     """Rational-valued class function of the orbit: m * Tr_{K/Q}(chi).
 
@@ -516,11 +532,12 @@ class RhoDecomposition:
 def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecomposition:
     """Decompose rho_H over the rational irreducibles: a_j = <rho_H, V_j> / m_j."""
     members = tuple(sorted(members))
+    counts = Counter(map(table.group.class_index, members))  # c_k, once for all orbits
     dims = []
     mults = []
     conditional = False
     for orbit in orbits:
-        d = fixed_dim(table, table.chars[orbit.char_indices[0]], members)
+        d = _fixed_dim(table, table.chars[orbit.char_indices[0]], counts, len(members))
         m = orbit.multiplier
         if d % m != 0:
             raise InvariantError(

@@ -15,8 +15,10 @@ from fractions import Fraction
 from importlib import resources
 
 from .characters import (
+    assert_schur,
     compute_character_table,
     galois_orbits,
+    orbit_index,
 )
 from .cyclotomic import render_cyc
 from .decomposition import JacobianDecomposer
@@ -41,7 +43,6 @@ from .serialize import (
     table_to_json,
 )
 from .verify import ManifestRunner, parse_subgroup
-from .characters import assert_schur
 
 Rat = Fraction
 
@@ -97,24 +98,17 @@ def _parse_irrep_spec(spec: str):
 
 
 def _parse_schur_assertions(pairs):
-    out = {}
+    """(selector, m) per --assert-schur, in the order given."""
+    out = []
     for pair in pairs or []:
         if "=" not in pair:
             raise ValidationError(f"--assert-schur needs IRREP=m, got {pair!r}")
         spec, m = pair.rsplit("=", 1)
         try:
-            out[_parse_irrep_spec(spec)] = int(m)
+            out.append((_parse_irrep_spec(spec), int(m)))
         except ValueError:
             raise ValidationError(f"--assert-schur needs an integer m, got {pair!r}") from None
     return out
-
-
-def _orbit_of(orbits, spec_tuple):
-    want = tuple(sorted(i - 1 for i in spec_tuple))
-    for i, o in enumerate(orbits):
-        if o.char_indices == want or (len(want) == 1 and want[0] in o.char_indices):
-            return i
-    raise ValidationError(f"no rational irreducible matches selector {spec_tuple}")
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -177,9 +171,7 @@ def cmd_idempotents(args) -> int:
     lines = []
 
     if args.which == "central":
-        spec = _parse_irrep_spec(args.irrep)
-        oi = _orbit_of(orbits, spec)
-        orbit = orbits[oi]
+        orbit = orbits[orbit_index(orbits, _parse_irrep_spec(args.irrep))]
         ew = rational_central_idempotent(table, orbit)
         transcript.append(("rational central element is idempotent", ew.is_idempotent()))
         transcript.append(("rational central element is central", ew.is_central()))
@@ -194,9 +186,7 @@ def cmd_idempotents(args) -> int:
             lines.append("  " + render_element(group, ev))
 
     elif args.which == "subgroup":
-        spec = _parse_irrep_spec(args.irrep)
-        oi = _orbit_of(orbits, spec)
-        orbit = orbits[oi]
+        orbit = orbits[orbit_index(orbits, _parse_irrep_spec(args.irrep))]
         if not args.subgroup:
             raise ValidationError("subgroup idempotents need --H WORDS")
         members = parse_subgroup(group, args.subgroup)
@@ -213,12 +203,8 @@ def cmd_idempotents(args) -> int:
         if not args.rep:
             raise ValidationError("primitive idempotents need --rep FILE")
         rep = rep_from_json(group, table, _load_json(args.rep))
-        oi = None
-        for i, o in enumerate(orbits):
-            if rep.char_index in o.char_indices:
-                oi = i
-        m = validate_schur_from_rep(rep, orbits[oi])
-        orbit = assert_schur(orbits[oi], m, "validated representation")
+        orbit = orbits[orbit_index(orbits, rep.char_index + 1)]
+        orbit = assert_schur(orbit, validate_schur_from_rep(rep, orbit), "validated representation")
         system = construct_primitive_system(rep, orbit)
         ks = symmetrize_to_subfield(system)
         fs = symmetrize_to_rational(system)
@@ -248,14 +234,8 @@ def cmd_idempotents(args) -> int:
     return 0
 
 
-def _decomposer(args, group, table):
-    assertions = _parse_schur_assertions(args.assert_schur)
-    orbits = galois_orbits(table)
-    mapped = {}
-    for spec, m in assertions.items():
-        oi = _orbit_of(orbits, spec)
-        mapped[tuple(i + 1 for i in orbits[oi].char_indices)] = m
-    return JacobianDecomposer(table, orbits=orbits, schur_assertions=mapped)
+def _decomposer(args, table):
+    return JacobianDecomposer(table, schur_assertions=_parse_schur_assertions(args.assert_schur))
 
 
 def _factor_json(dec, f):
@@ -274,7 +254,7 @@ def cmd_decompose(args) -> int:
         raise ValidationError("decompose prym needs --N WORDS")
     group = _load_group(args)
     table = _load_table(group, args)
-    dec = _decomposer(args, group, table)
+    dec = _decomposer(args, table)
     if args.subject == "jacobian":
         report = dec.decompose_jacobian()
     elif args.subject == "intermediate":
@@ -327,10 +307,8 @@ def describe_verdict(dec, v) -> str:
 def cmd_classify(args) -> int:
     group = _load_group(args)
     table = _load_table(group, args)
-    dec = _decomposer(args, group, table)
-    oi = _orbit_of(dec.orbits, _parse_irrep_spec(args.irrep))
-    if oi == 0:
-        raise ValidationError("the trivial factor is the quotient Jacobian itself")
+    dec = _decomposer(args, table)
+    oi = dec.orbit_index_of(_parse_irrep_spec(args.irrep))
     v = dec.classify_factor(oi, max_arity=args.max_intersection_arity)
     _emit(args, [f"{dec.orbits[oi].label()}: {v.kind}", "  " + describe_verdict(dec, v)],
           {"irrep": dec.orbits[oi].label(), "verdict": _verdict_json(dec, v)})
@@ -340,7 +318,7 @@ def cmd_classify(args) -> int:
 def cmd_full_report(args) -> int:
     group = _load_group(args)
     table = _load_table(group, args)
-    dec = _decomposer(args, group, table)
+    dec = _decomposer(args, table)
     jac, verdicts = dec.full_report(max_arity=args.max_intersection_arity)
     lines = [f"isotypical decomposition for the group of order {group.order}:"]
     pieces = ["JW_G"]

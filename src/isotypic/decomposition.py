@@ -1,12 +1,14 @@
 """Symbolic isotypical decomposition of Jacobians with a group action.
 
 Everything here works at the multiplicity level: a "variety" is a label and
-a factor is (rational irreducible, exponent).  The decomposer caches the
-multiplicity vector of rho_H for every subgroup class and answers the
+a factor is (rational irreducible, exponent).  The decomposer computes the
+multiplicity vector a(H) of rho_H once per subgroup class and answers the
 decomposition of the full Jacobian, of intermediate quotients, and of Pryms
 of intermediate covers, plus the lattice searches that recognize each
 isotypical factor as a Prym, an intersection of Pryms, or an orthogonal
-complement inside a Prym.
+complement inside a Prym.  The classes are indexed by their vectors, so the
+Prym partners N of H for an orbit W are looked up as the classes with
+a(N) = a(H) - e_W and only their containment is tested.
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ from .characters import (
     CharacterTable,
     assert_schur,
     galois_orbits,
+    orbit_index,
     rho_decomposition,
 )
-from .errors import ValidationError
+from .errors import BoundExceededError, ValidationError
+
+# Partial tuples one find_intersection_realizations call may visit; at arity
+# 4 the largest search on the tested and benchmarked groups (C2^5) visits 1585.
+INTERSECTION_SEARCH_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,43 +77,35 @@ class RealizabilityVerdict:
 
 
 class JacobianDecomposer:
-    """Cached multiplicity engine for one group action."""
+    """Cached multiplicity engine for one group action.
+
+    schur_assertions maps character selectors (see orbit_index) to asserted
+    Schur indices, as a dict or as (selector, m) pairs applied in order.
+    """
 
     def __init__(self, table: CharacterTable, orbits=None, schur_assertions=None):
         self.table = table
         self.group = table.group
-        orbits = tuple(orbits) if orbits is not None else galois_orbits(table)
-        if schur_assertions:
-            updated = list(orbits)
-            for key, m in schur_assertions.items():
-                idx = self._orbit_index_by_key(updated, key)
-                updated[idx] = assert_schur(updated[idx], m)
-            orbits = tuple(updated)
-        self.orbits = orbits
+        orbits = list(orbits if orbits is not None else galois_orbits(table))
+        if isinstance(schur_assertions, dict):
+            schur_assertions = schur_assertions.items()
+        for key, m in schur_assertions or ():
+            idx = orbit_index(orbits, key)
+            orbits[idx] = assert_schur(orbits[idx], m)
+        self.orbits = tuple(orbits)
         self.subgroups = self.group.subgroup_classes()
         self.rho = tuple(
             rho_decomposition(table, self.orbits, s.members) for s in self.subgroups
         )
+        self._classes_with_vector = {}
+        for i, rd in enumerate(self.rho):
+            self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
         self._containment = {}
 
     # -- helpers ---------------------------------------------------------------
 
-    @staticmethod
-    def _orbit_index_by_key(orbits, key):
-        """Resolve an orbit from a 1-based character index or an index tuple."""
-        if isinstance(key, int):
-            for i, o in enumerate(orbits):
-                if key - 1 in o.char_indices:
-                    return i
-            raise ValidationError(f"no orbit contains character V{key}")
-        key = tuple(sorted(k - 1 for k in key))
-        for i, o in enumerate(orbits):
-            if o.char_indices == key:
-                return i
-        raise ValidationError(f"no orbit with characters {key}")
-
     def orbit_index_of(self, key) -> int:
-        return self._orbit_index_by_key(self.orbits, key)
+        return orbit_index(self.orbits, key)
 
     def subgroup_class_of(self, members) -> int:
         return self.group.find_class_of_subgroup(members)
@@ -168,10 +167,10 @@ class JacobianDecomposer:
 
     def decompose_intermediate(self, members) -> DecompositionReport:
         """JW_H ~ JW_G x prod B_j^(dim V_j^H / m_j)."""
-        rd = rho_decomposition(self.table, self.orbits, members)
+        a = self.mult_vector(self.subgroup_class_of(members))
         factors = [self._factor(0, 1, "JW_G")]
         for i in range(1, len(self.orbits)):
-            factors.append(self._factor(i, rd.multiplicities[i], "dim V^H/m"))
+            factors.append(self._factor(i, a[i], "dim V^H/m"))
         return DecompositionReport("JW_H", tuple(factors))
 
     def decompose_prym(self, inner_members, outer_members) -> DecompositionReport:
@@ -210,31 +209,46 @@ class JacobianDecomposer:
         """
         w = orbit_index
         out = []
-        r = len(self.orbits)
         for ih in range(len(self.subgroups)):
             a = self.mult_vector(ih)
             if a[w] == 0:
                 continue
-            for io in range(len(self.subgroups)):
-                if io == ih:
-                    continue
-                b = self.mult_vector(io)
-                ok = all((a[j] - b[j] == (1 if j == w else 0)) for j in range(r))
-                if not ok:
-                    continue
+            partner = a[:w] + (a[w] - 1,) + a[w + 1:]
+            for io in self._classes_with_vector.get(partner, ()):
                 conj = self.conjugator(ih, io)
-                if conj is None:
-                    continue
-                out.append(PrymWitness(ih, io, conj))
+                if conj is not None:
+                    out.append(PrymWitness(ih, io, conj))
         out.sort(key=lambda p: self._pair_sort_key(p.inner, p.outer))
         return out
 
     def find_intersection_realizations(self, orbit_index: int, max_arity: int = 4):
         """Tuples (H, [N_1..N_k]): each rho_H - rho_{N_k} contains W exactly
-        once and the residues are pairwise disjoint, k from 2 to max_arity."""
+        once and the residues are pairwise disjoint, k from 2 to max_arity.
+
+        More than INTERSECTION_SEARCH_BOUND partial tuples raise
+        BoundExceededError."""
         w = orbit_index
-        r = len(self.orbits)
         out = []
+        visited = 0
+
+        def extend(ih, cands, start, chosen, union):
+            nonlocal visited
+            visited += 1
+            if visited > INTERSECTION_SEARCH_BOUND:
+                raise BoundExceededError(
+                    f"intersection search for orbit {w} visited {visited} partial tuples"
+                    f" > {INTERSECTION_SEARCH_BOUND}"
+                )
+            if len(chosen) >= 2:
+                out.append(IntersectionWitness(
+                    ih, tuple(c[0] for c in chosen), tuple(c[1] for c in chosen)
+                ))
+            if len(chosen) >= max_arity:
+                return
+            for idx in range(start, len(cands)):
+                if not cands[idx][2] & union:
+                    extend(ih, cands, idx + 1, chosen + [cands[idx]], union | cands[idx][2])
+
         for ih in range(len(self.subgroups)):
             a = self.mult_vector(ih)
             if a[w] == 0:
@@ -246,17 +260,14 @@ class JacobianDecomposer:
                 conj = self.conjugator(ih, io)
                 if conj is None:
                     continue
-                b = self.mult_vector(io)
-                diff = [a[j] - b[j] for j in range(r)]
-                if any(d < 0 for d in diff):
+                diff = [x - y for x, y in zip(a, self.mult_vector(io))]
+                if any(d < 0 for d in diff) or diff[w] != 1:
                     continue
-                if diff[w] != 1:
-                    continue
-                residue = tuple(d if j != w else 0 for j, d in enumerate(diff))
+                # the orbits other than W where rho_H - rho_N is non-zero
+                residue = sum(1 << j for j, d in enumerate(diff) if d and j != w)
                 cands.append((io, conj, residue))
             cands.sort(key=lambda c: (-self.subgroups[c[0]].order, c[0]))
-            for arity in range(2, max_arity + 1):
-                out.extend(self._disjoint_tuples(ih, cands, arity, w))
+            extend(ih, cands, 0, [], 0)
         # ties between abstractly symmetric witnesses (subgroup classes swapped
         # by an outer automorphism) are broken by the inner subgroup whose
         # multiplicity vector is lexicographically greatest
@@ -269,28 +280,6 @@ class JacobianDecomposer:
             t.outers,
         ))
         return out
-
-    def _disjoint_tuples(self, ih, cands, arity, w):
-        found = []
-
-        def disjoint(u, v):
-            return all(min(x, y) == 0 for x, y in zip(u, v))
-
-        def extend(start, chosen):
-            if len(chosen) == arity:
-                found.append(IntersectionWitness(
-                    ih,
-                    tuple(c[0] for c in chosen),
-                    tuple(c[1] for c in chosen),
-                ))
-                return
-            for idx in range(start, len(cands)):
-                cand = cands[idx]
-                if all(disjoint(cand[2], prev[2]) for prev in chosen):
-                    extend(idx + 1, chosen + [cand])
-
-        extend(0, [])
-        return found
 
     def find_containments(self, orbit_index: int):
         """(H, N, multiplicity): W appears in rho_H, vanishes in rho_N, H <= N."""
@@ -340,6 +329,9 @@ class JacobianDecomposer:
         """First matching realization: Prym pair, then intersection, then the
         complement fallback (which always exists via the trivial subgroup)."""
         w = orbit_index
+        if not 0 < w < len(self.orbits):
+            raise ValidationError("the trivial factor is the quotient Jacobian itself" if w == 0
+                                  else f"orbit index {w} is outside 1..{len(self.orbits) - 1}")
         pairs = self.find_prym_realizations(w)
         if pairs:
             return RealizabilityVerdict(w, "prym", pairs[0])

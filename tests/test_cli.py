@@ -269,6 +269,9 @@ BAD_ARGUMENTS = {
     "negative-lattice-bound": (["group-info"], ["--lattice-bound", "-1"], "--lattice-bound"),
     "negative-intersection-arity": (["full-report"], ["--max-intersection-arity", "-1"],
                                     "--max-intersection-arity"),
+    "irrep-not-an-orbit": (["classify"], ["--irrep", "99"], "selector 99"),
+    "schur-selector-not-an-orbit": (["decompose", "jacobian"], ["--assert-schur", "2-3=1"],
+                                    "selector 2-3"),
 }
 
 
@@ -388,6 +391,18 @@ def test_cli_decompose_and_classify(capsys, tmp_path):
                            "--irrep", "11-12", "--assert-schur", "11-12=2")
     assert code == 0
     assert "intersection" in out
+
+
+def test_cli_every_schur_assertion_is_checked_in_order(capsys):
+    g80 = "bundled:group_order80.json"
+    code, _, err = run_cli(capsys, "decompose", "jacobian", "--group", g80,
+                           "--assert-schur", "11=3", "--assert-schur", "11-12=2")
+    assert code == 2 and "asserted Schur index 3" in err
+    code, out, _ = run_cli(capsys, "decompose", "jacobian", "--group", g80, "--format", "json",
+                           "--assert-schur", "11-12=2", "--assert-schur", "12=1")
+    assert code == 0
+    assert {"irrep": "(V11 + V12)", "schur": "exact", "exponent": 4,
+            "conditional": False} in json.loads(out)["factors"]
 
 
 def test_cli_full_report_order80(capsys, tmp_path):

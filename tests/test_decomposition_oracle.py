@@ -1,0 +1,148 @@
+"""The decomposer's multiplicity table, Prym lookup, intersection search and
+intermediate decompositions checked against the recomputing code in
+``decomposition_reference.py``, on the groups and on seeded relabellings."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from decomposition_reference import (
+    reference_decompose_intermediate,
+    reference_find_intersection_realizations,
+    reference_find_prym_realizations,
+    reference_rho_decomposition,
+)
+from isotypic import (
+    BoundExceededError,
+    InvariantError,
+    JacobianDecomposer,
+    SchurStatus,
+    ValidationError,
+    compute_character_table,
+    from_permutations,
+    galois_orbits,
+    orbit_index,
+    rho_decomposition,
+)
+from isotypic import decomposition
+from isotypic.cli import main
+from test_lattice_oracle import GROUPS as LATTICE_GROUPS
+from test_lattice_oracle import elementary_abelian2, relabelled
+
+GROUPS = {name: LATTICE_GROUPS[name]
+          for name in ("S3", "S4", "Q8", "order24", "order80", "C2^4", "D4xS3", "S5")}
+GROUPS["C2^5"] = lambda: from_permutations(elementary_abelian2(5))
+CASES = [(name, m2, relabel) for name in GROUPS for m2 in ((False, True) if name == "order80"
+                                                            else (False,))
+         for relabel in (False, True)]
+
+
+def _quad(orbits):
+    """Selector of the order-80 quadratic orbit whose Schur index is 2."""
+    (orbit,) = [o for o in orbits if o.degree == 4 and len(o.char_indices) == 2]
+    return tuple(i + 1 for i in orbit.char_indices)
+
+
+@pytest.mark.parametrize("name,m2,relabel", CASES)
+def test_decomposer_matches_reference(name, m2, relabel):
+    rng = random.Random(name)
+    group = GROUPS[name]()
+    if relabel:
+        group = relabelled(group, rng)
+    table = compute_character_table(group)
+    orbits = galois_orbits(table)
+    dec = JacobianDecomposer(table, orbits=orbits,
+                             schur_assertions={_quad(orbits): 2} if m2 else None)
+    vectors = []
+    for sub, rd in zip(dec.subgroups, dec.rho):
+        assert rd == reference_rho_decomposition(table, dec.orbits, sub.members)
+        vectors.append(rd.multiplicities)
+    for w in range(len(dec.orbits)):
+        assert dec.find_prym_realizations(w) == \
+            reference_find_prym_realizations(dec, vectors, w)
+    # the reference intersection search takes about 0.7 s per orbit of C2^5,
+    # whose non-trivial orbits are all swapped by automorphisms of the group
+    for w in range(3) if name == "C2^5" else range(len(dec.orbits)):
+        for arity in (0, 2, 4):
+            assert dec.find_intersection_realizations(w, max_arity=arity) == \
+                reference_find_intersection_realizations(dec, vectors, w, max_arity=arity)
+    for sub in dec.subgroups:
+        conjugates = {group.conjugate_subgroup(sub.members, a) for a in range(group.order)}
+        others = sorted(conjugates - {sub.members})
+        for members in [sub.members] + others[:1]:
+            assert dec.decompose_intermediate(members) == \
+                reference_decompose_intermediate(dec, members)
+
+
+def _outcome(rho, *args):
+    try:
+        return rho(*args)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def test_forced_schur_index_error_matches_reference(t80, orbits80, quad80):
+    bad = replace(quad80, schur=SchurStatus("asserted", 4, 2, "forced"))
+    bad_orbits = tuple(bad if o is quad80 else o for o in orbits80)
+    outcomes = [_outcome(reference_rho_decomposition, t80, bad_orbits, sub.members)
+                for sub in t80.group.subgroup_classes()]
+    assert outcomes == [_outcome(rho_decomposition, t80, bad_orbits, sub.members)
+                        for sub in t80.group.subgroup_classes()]
+    first = next(o for o in outcomes if isinstance(o, str))
+    assert "not divisible by m = 4" in first
+    with pytest.raises(InvariantError) as init:
+        JacobianDecomposer(t80, orbits=bad_orbits)
+    assert str(init.value) == first
+
+
+def test_init_counts_classes_once_per_subgroup(monkeypatch):
+    group = from_permutations(elementary_abelian2(4))
+    table = compute_character_table(group)
+    orbits = galois_orbits(table)
+    calls = []
+    lookup = group.class_index
+    monkeypatch.setattr(group, "class_index", lambda g: calls.append(g) or lookup(g))
+    dec = JacobianDecomposer(table, orbits=orbits)
+    assert len(calls) <= sum(s.order for s in dec.subgroups)
+
+
+def test_intermediate_of_a_non_subgroup_is_a_validation_error(dec24, dec80):
+    for dec in (dec24, dec80):
+        with pytest.raises(ValidationError, match="subgroup not found in lattice"):
+            dec.decompose_intermediate((0, 1))
+
+
+def test_classify_rejects_orbit_indices_out_of_range(dec24):
+    last = len(dec24.orbits) - 1
+    assert dec24.classify_factor(last).kind in ("prym", "intersection", "complement")
+    with pytest.raises(ValidationError, match="quotient Jacobian itself"):
+        dec24.classify_factor(0)
+    for bad in (-1, last + 1):
+        with pytest.raises(ValidationError, match=f"outside 1..{last}"):
+            dec24.classify_factor(bad)
+
+
+def test_orbit_index_selectors(orbits80):
+    quad = _quad(orbits80)
+    wq = orbit_index(orbits80, quad)
+    assert orbit_index(orbits80, quad[0]) == orbit_index(orbits80, quad[1]) == wq
+    assert orbit_index(orbits80, (quad[1],)) == orbit_index(orbits80, tuple(reversed(quad))) == wq
+    single = next(i for i, o in enumerate(orbits80) if len(o.char_indices) == 1)
+    other = orbits80[single].char_indices[0] + 1
+    for bad, named in [(99, "99"), (0, "0"), ((quad[0], other), f"{quad[0]}-{other}"),
+                       ((quad[0], quad[0]), f"{quad[0]}-{quad[0]}"), ((), "$")]:
+        with pytest.raises(ValidationError, match=f"matches selector {named}"):
+            orbit_index(orbits80, bad)
+
+
+def test_intersection_search_bound(monkeypatch, dec80, capsys):
+    w = dec80.orbit_index_of(_quad(dec80.orbits))
+    assert dec80.find_intersection_realizations(w)
+    monkeypatch.setattr(decomposition, "INTERSECTION_SEARCH_BOUND", 5)
+    with pytest.raises(BoundExceededError, match="visited 6 partial tuples > 5"):
+        dec80.find_intersection_realizations(w)
+    assert main(["classify", "--group", "bundled:group_order80.json", "--irrep",
+                 "-".join(map(str, _quad(dec80.orbits))), "--assert-schur",
+                 "11-12=2"]) == 4
+    assert "partial tuples > 5" in capsys.readouterr().err
