@@ -1,11 +1,24 @@
 """Exact character tables and rational irreducibles.
 
-The table is computed by the classical modular method: class-sum structure
-constants are split into common eigenspaces over a prime p = 1 (mod e) with
-p > 2*sqrt(|G|), then character values are lifted to Q(zeta_e) by discrete
-Fourier inversion on the power map.  Everything downstream of the lift is
-exact cyclotomic arithmetic; both orthogonality relations are verified on
-every computed or loaded table.
+The table is computed by the modular method of Dixon (Numer. Math. 10,
+1967) as revised by Schneider (J. Symbolic Comput. 9, 1990): the class-sum
+structure constants act on F_p^r for a prime p = 1 (mod e) with
+p > 2*sqrt(|G|), and F_p^r is split into their common eigenspaces.  Each
+restricted action is brought to upper Hessenberg form mod p once; its
+characteristic polynomial is read off, its roots are found by Horner
+evaluation at the p points of F_p, and nullspaces are taken at those roots
+only.  Character values are lifted to Q(zeta_e) by discrete Fourier
+inversion on the power map, once per rational class: chi(g^k) =
+sigma_k(chi(g)) for gcd(k, o(g)) = 1 gives the other classes.
+
+Both orthogonality relations are checked, pair by pair, as exact equalities
+on every computed or loaded table.  Each inner product is one sum of
+Kronecker-packed bigint products (the slot width rules out overflow),
+unpacked and folded through the level's reduction rows once per pair.
+
+Galois orbits come from the generators of (Z/e)^x alone: each permutes the
+rows, found again by their values, and every unit's permutation, each
+orbit and each member's stabilizer follow by integer composition.
 """
 
 from __future__ import annotations
@@ -13,13 +26,20 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .cyclotomic import CycValue, char_field_stabilizer, trace_to_rational, unit_group
-from .errors import InvariantError, ValidationError
+from .cyclotomic import (
+    CycValue, _combine, _level, _pack, _unpacker, trace_to_rational, unit_group,
+)
+from .errors import BoundExceededError, InvariantError, ValidationError
 from .groups import FiniteGroup
 
 Rat = Fraction
+
+CLASS_COUNT_BOUND = 500
+"""Most conjugacy classes a character table is computed for: the split and
+the validation grow as the cube of the class count."""
 
 
 @dataclass(frozen=True)
@@ -61,29 +81,61 @@ class CharacterTable:
             ident = c.values[0]
             if not (ident.is_rational() and ident.as_rational() == c.degree > 0):
                 raise ValidationError(f"row {i}: identity value does not match degree")
-        sizes = self.class_sizes
-        conj = [tuple(v.conjugate() for v in c.values) for c in self.chars]
-        for i in range(r):
-            for j in range(i, r):
-                got = _inner_with_conjugate(self, self.chars[i].values, conj[j])
-                want = 1 if i == j else 0
-                if got != want:
-                    raise ValidationError(
-                        f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
-                    )
-        for i in range(r):
-            for j in range(i, r):
-                total = CycValue.zero(self.level)
-                for c, cc in zip(self.chars, conj):
-                    total = total + c.values[i] * cc[j]
-                want = Rat(n, sizes[i]) if i == j else Rat(0)
-                if total != want:
-                    raise ValidationError(
-                        f"column orthogonality fails for classes ({i},{j})"
-                    )
+        _check_orthogonality(self)
 
     def __repr__(self):
         return f"CharacterTable({self.group!r}, {len(self.chars)} irreducibles)"
+
+
+def _check_orthogonality(table: CharacterTable):
+    """Both orthogonality relations, pair by pair, as exact equalities.
+
+    Every value becomes its integer numerators over the table's common
+    denominator D, packed into one int (``cyclotomic._pack``), and so does
+    its complex conjugate.  Each inner product is then one sum of bigint
+    products, unpacked and folded through the level's rows once per pair.
+    A slot sums at most phi(e) products per class, weighted by the class
+    sizes, which add up to |G| (rows), or once per character, r <= |G|
+    times (columns); so 2^(B-1) > |G| * phi(e) * max|x| * max|conj x|
+    rules out overflow.
+    """
+    n = table.group.order
+    sizes = table.class_sizes
+    level = lcm(table.level, *(v.level for c in table.chars for v in c.values))
+    lv = _level(level)
+    phi = lv.phi
+    conj_rows = lv.galois_map(max(level - 1, 1))  # zeta -> zeta^-1
+    values = [[v.to_level(level) for v in c.values] for c in table.chars]
+    den = lcm(*(v.den for row in values for v in row))
+    nums = [[[x * (den // v.den) for x in v.num] for v in row] for row in values]
+    conjs = [[_combine(v, conj_rows, phi) for v in row] for row in nums]
+    top = max(abs(x) for row in nums for v in row for x in v)
+    top_conj = max(abs(x) for row in conjs for v in row for x in v)
+    bits = (n * phi * top * top_conj).bit_length() + 1
+    packed = [[_pack(v, bits) for v in row] for row in nums]
+    packed_conj = [[_pack(v, bits) for v in row] for row in conjs]
+    unpack = _unpacker(bits, 2 * phi - 1, lv.rows, phi)
+    scale = den * den
+    zero = [0] * (phi - 1)
+
+    r = len(packed)
+    weighted = [list(map(mul, sizes, row)) for row in packed_conj]
+    for i in range(r):
+        for j in range(i, r):
+            num = unpack(sum(map(mul, packed[i], weighted[j])))
+            if num[0] != (n * scale if i == j else 0) or num[1:] != zero:
+                conj = [v.conjugate() for v in table.chars[j].values]
+                got = _inner_with_conjugate(table, table.chars[i].values, conj)
+                raise ValidationError(
+                    f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
+                )
+    columns = list(zip(*packed))
+    columns_conj = list(zip(*packed_conj))
+    for i in range(r):
+        for j in range(i, r):
+            num = unpack(sum(map(mul, columns[i], columns_conj[j])))
+            if num[0] * sizes[i] != (n * scale if i == j else 0) or num[1:] != zero:
+                raise ValidationError(f"column orthogonality fails for classes ({i},{j})")
 
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:
@@ -190,10 +242,69 @@ def _nullspace_mod(matrix, p):
     return basis
 
 
+def _charpoly_mod(mat, p):
+    """det(x - mat) over F_p, constant term first: mat is brought to upper
+    Hessenberg form H by similarity, then p_m = (x - H[m][m]) p_(m-1) -
+    sum_(i<m) H[i][m] H[i+1][i]...H[m][m-1] p_(i-1) (Cohen, GTM 138, 2.2.9)."""
+    n = len(mat)
+    h = [list(row) for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        inv = pow(h[m][m - 1], p - 2, p)
+        hm = h[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if u:
+                # row i -= u * row m, then column m += u * column i
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], hm)]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        prev = polys[m]
+        new = [0] + prev
+        c = h[m][m]
+        for k, a in enumerate(prev):
+            new[k] -= c * a
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            coef = h[i][m] * t % p
+            if coef:
+                for k, a in enumerate(polys[i]):
+                    new[k] -= coef * a
+        polys.append([x % p for x in new])
+    return polys[n]
+
+
+def _roots_mod(poly, p):
+    """The roots in F_p of a polynomial (constant term first), in increasing
+    order, by Horner evaluation at every point."""
+    coeffs = poly[::-1]
+    roots = []
+    for lam in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = acc * lam + c
+        if acc % p == 0:
+            roots.append(lam)
+    return roots
+
+
 def compute_character_table(group: FiniteGroup) -> CharacterTable:
     """Exact irreducible character table, rows sorted by (degree, values)."""
     classes = group.conjugacy_classes()
     r = len(classes)
+    if r > CLASS_COUNT_BOUND:
+        raise BoundExceededError(
+            f"{r} conjugacy classes exceed the class-count bound {CLASS_COUNT_BOUND}"
+        )
     n = group.order
     e = group.exponent
     p = _dixon_prime(n, e)
@@ -224,25 +335,18 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
                 new_spaces.append(basis)
                 continue
             d = len(basis)
-            images = []
-            for vec in basis:
-                img = [sum(mat[k][j] * vec[j] for j in range(r)) % p for k in range(r)]
-                images.append(img)
+            images = [[sum(map(mul, row, vec)) % p for row in mat] for vec in basis]
             # restricted action: images[a] = sum_b action[a][b] basis[b], so
             # coordinate vectors transform by the transpose of action
             action = _solve_action(basis, images, p)
             act_t = [[action[b][a] for b in range(d)] for a in range(d)]
             found = 0
-            for lam in range(p):
-                if found >= d:
-                    break
+            for lam in _roots_mod(_charpoly_mod(act_t, p), p):
                 shifted = [
                     [(act_t[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                     for a in range(d)
                 ]
                 null = _nullspace_mod(shifted, p)
-                if not null:
-                    continue
                 sub = []
                 for coefs in null:
                     vec = [0] * r
@@ -267,15 +371,14 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
         g = reps[j]
         o = group.elem_orders[g]
         power_class.append([group.class_index(group.power(g, k)) for k in range(o)])
+    lifts, images = _lift_plan(power_class, z, e, p)
 
     chars = []
     for basis in subspaces:
         v = basis[0]
         j0 = next(j for j in range(r) if v[j] % p)
-        omegas = []
-        for i in range(r):
-            num = sum(mats[i][j0][j] * v[j] for j in range(r)) % p
-            omegas.append((num * pow(v[j0], p - 2, p)) % p)
+        inv_v = pow(v[j0], p - 2, p)
+        omegas = [sum(map(mul, mats[i][j0], v)) * inv_v % p for i in range(r)]
         # chi(g_i)/chi(1) = omega_i / |C_i|
         ratio = [
             (omegas[i] * pow(sizes[i] % p, p - 2, p)) % p for i in range(r)
@@ -291,27 +394,53 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
             raise InvariantError("splitting failure")  # pragma: no cover
         vals_mod = [(deg * ratio[i]) % p for i in range(r)]
 
-        values = []
-        for j in range(r):
-            o = len(power_class[j])
-            zo = pow(z, e // o, p)
-            inv_o = pow(o % p, p - 2, p)
+        # the multiplicity of zeta_o^i as an eigenvalue of g is
+        # (1/o) sum_k chi(g^k) zeta_o^(-ik), lifted from F_p
+        lifted = []
+        for step, inv_o, weights in lifts:
             coeffs = [0] * e
-            for i in range(o):
-                c = 0
-                zoi = pow(zo, (o - i) % o, p)  # zo^{-i}
-                acc = 1
-                for k in range(o):
-                    c = (c + vals_mod[power_class[j][k]] * acc) % p
-                    acc = (acc * zoi) % p
-                c = (c * inv_o) % p
+            for i, row in enumerate(weights):
+                c = sum([vals_mod[cls] * w for cls, w in row]) * inv_o % p
                 if c:
-                    coeffs[(i * (e // o)) % e] += c
-            values.append(CycValue(e, coeffs))
+                    coeffs[i * step] += c
+            lifted.append(CycValue(e, coeffs))
+        values = [lifted[a] if u == 1 else lifted[a].galois(u) for a, u in images]
         chars.append(Character(tuple(values), deg))
 
     chars.sort(key=Character.sort_key)
     return CharacterTable(group, chars)
+
+
+def _lift_plan(power_class, z, e, p):
+    """How to lift character values from F_p, one rational class at a time.
+
+    Returns (lifts, images).  A lift (e/o, 1/o mod p, weights) serves one
+    class rep g of order o: weights[i] lists (class, sum of zeta_o^(-ik)
+    over the k with g^k in that class), so the inverse Fourier transform of
+    the power map costs one short sum per i.  images[j] = (lift, u) gives
+    chi(g_j) = sigma_u(chi(g)) for g^k in class j, gcd(k, o) = 1 and u a
+    unit mod e with u = k (mod o).
+    """
+    lifts = []
+    images = [None] * len(power_class)
+    for j, powers in enumerate(power_class):
+        if images[j] is not None:
+            continue
+        o = len(powers)
+        for k in range(o):
+            if gcd(k, o) == 1 and images[powers[k]] is None:
+                u = next(u for u in range(k or o, e + o, o) if gcd(u, e) == 1)
+                images[powers[k]] = (len(lifts), u)
+        zo_inv = pow(z, (e // o) * (o - 1), p)
+        zp = [pow(zo_inv, m, p) for m in range(o)]
+        weights = []
+        for i in range(o):
+            row = {}
+            for k, cls in enumerate(powers):
+                row[cls] = (row.get(cls, 0) + zp[i * k % o]) % p
+            weights.append([(cls, w) for cls, w in row.items() if w])
+        lifts.append((e // o, pow(o % p, p - 2, p), weights))
+    return lifts, images
 
 
 def _solve_action(basis, images, p):
@@ -424,36 +553,62 @@ def schur_divisor_bound(table: CharacterTable, char_index: int) -> int:
     return g
 
 
+def _galois_permutations(table: CharacterTable):
+    """{k: the permutation of the rows by sigma_k} for every unit k of Z/e.
+
+    sigma_k is applied to the values only for the units k, in increasing
+    order, that the earlier ones do not generate, each image row found
+    again through its values; every other unit's permutation is composed
+    from theirs.
+    """
+    e = table.level
+    by_values = {tuple((v.num, v.den) for v in c.values): i for i, c in enumerate(table.chars)}
+    perms = {1: tuple(range(len(table.chars)))}
+    for k in unit_group(e):
+        if k in perms:
+            continue
+        perm = []
+        for c in table.chars:
+            j = by_values.get(tuple((w.num, w.den) for w in (v.galois(k) for v in c.values)))
+            if j is None:
+                raise ValidationError("table is not closed under the Galois action")
+            perm.append(j)
+        reached = list(perms.items())
+        for a, perm_a in reached:  # grows: the closure of the group so far and k
+            b = a * k % e
+            if b not in perms:
+                perms[b] = tuple([perm[i] for i in perm_a])
+                reached.append((b, perms[b]))
+    return perms
+
+
 def galois_orbits(table: CharacterTable):
-    """Partition of the irreducibles into Galois orbits, trivial orbit first."""
+    """Partition of the irreducibles into Galois orbits, trivial orbit first.
+
+    A member's stabilizer is the set of units whose row permutation fixes
+    it: the rows are pairwise distinct (``validate``), so sigma_k fixes the
+    member's values exactly when it fixes the row.
+    """
     e = table.level
     r = len(table.chars)
-    by_values = {tuple((v.num, v.den) for v in c.values): i for i, c in enumerate(table.chars)}
+    units = unit_group(e)
+    perms = _galois_permutations(table)
+    perm_of = [perms[k] for k in units]
+    stabilizers = [tuple(k for k, perm in zip(units, perm_of) if perm[i] == i)
+                   for i in range(r)]
     assigned = [False] * r
-    orbits = []
+    result = []
     for i in range(r):
         if assigned[i]:
             continue
-        members = set()
-        for k in unit_group(e):
-            img = tuple((w.num, w.den) for w in (v.galois(k) for v in table.chars[i].values))
-            j = by_values.get(img)
-            if j is None:
-                raise ValidationError("table is not closed under the Galois action")
-            members.add(j)
-        members = tuple(sorted(members))
+        members = tuple(sorted({perm[i] for perm in perm_of}))
         for j in members:
             assigned[j] = True
-        orbits.append(members)
-
-    units = len(unit_group(e))
-    result = []
-    for members in orbits:
-        stab = char_field_stabilizer(list(table.chars[members[0]].values), level=e)
+        stab = stabilizers[members[0]]
         for j in members[1:]:
-            if char_field_stabilizer(list(table.chars[j].values), level=e) != stab:
+            if stabilizers[j] != stab:
                 raise InvariantError("orbit members do not share a character field")
-        field_degree = units // len(stab)
+        field_degree = len(units) // len(stab)
         if field_degree != len(members):
             raise InvariantError("orbit size does not match the character field degree")
         degrees = {table.chars[j].degree for j in members}

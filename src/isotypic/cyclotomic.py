@@ -206,6 +206,32 @@ def _fold(vec, rows, width, scale=1):
     return out
 
 
+def _pack(vec, bits: int) -> int:
+    """sum_i vec[i] * 2^(bits*i): the vector in bits-wide signed slots."""
+    packed = 0
+    for x in reversed(vec):
+        packed = (packed << bits) + x
+    return packed
+
+
+def _unpacker(bits: int, slots: int, rows, width: int, scale=1):
+    """Reader of a packed sum of `slots` signed slots, each below 2^(bits-1)
+    in absolute value: it returns the slots folded through rows (Kronecker
+    substitution, read back)."""
+    half, mask, end = 1 << (bits - 1), (1 << bits) - 1, bits * slots
+    # a bias of 2^(bits-1) in every slot makes each slot a nonnegative field
+    bias = half * (((1 << end) - 1) // mask)
+
+    def unpack(total):
+        total += bias
+        if total >> end:  # pragma: no cover - the caller's slot width rules it out
+            raise InvariantError("packed sum overflowed its slots")
+        return _fold([(total >> s & mask) - half for s in range(0, end, bits)],
+                     rows, width, scale)
+
+    return unpack
+
+
 def _combine(vec, rows, width):
     """sum_i vec[i] * rows[i]: an integer linear map given by sparse rows."""
     out = [0] * width

@@ -128,12 +128,6 @@ class JacobianDecomposer:
     def mult_vector(self, sub_idx: int):
         return self.rho[sub_idx].multiplicities
 
-    def trivial_class(self) -> int:
-        return self.subgroup_class_of((0,))
-
-    def whole_class(self) -> int:
-        return self.subgroup_class_of(tuple(range(self.group.order)))
-
     def subgroup_name(self, idx: int) -> str:
         s = self.subgroups[idx]
         if s.order == 1:

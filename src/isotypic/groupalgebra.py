@@ -35,7 +35,9 @@ from functools import partial
 from math import gcd, lcm
 
 from .characters import CharacterTable, RationalIrrep, fixed_dim
-from .cyclotomic import CycValue, _cyc, _Exact, _fold, _level, _normal, trace_to_rational
+from .cyclotomic import (
+    CycValue, _cyc, _Exact, _level, _normal, _pack, _unpacker, trace_to_rational,
+)
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
 from .linalg import Echelon, solve_in_span
@@ -383,14 +385,6 @@ def _numerators(domain, coeffs):
                  for g, num, d in parts]
 
 
-def _pack(vec, bits: int) -> int:
-    """sum_i vec[i] * 2^(bits*i): the vector in bits-wide signed slots."""
-    packed = 0
-    for x in reversed(vec):
-        packed = (packed << bits) + x
-    return packed
-
-
 def _packed_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """a*b for two elements over one domain, by Kronecker substitution.
 
@@ -419,18 +413,11 @@ def _packed_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                 sums[k] += x * y
             else:
                 sums[k] = x * y
-    # a bias of 2^(bits-1) in every slot makes each slot a nonnegative field
-    slots = 2 * width - 1
-    half, mask, end = 1 << (bits - 1), (1 << bits) - 1, bits * slots
-    bias = half * (((1 << end) - 1) // mask)
+    unpack = _unpacker(bits, 2 * width - 1, rows, width, scale)
     den = den_a * den_b * scale
     coeffs = {}
     for k, total in sums.items():
-        total += bias
-        if total >> end:  # pragma: no cover - the slot width rules it out
-            raise InvariantError("packed group-algebra product overflowed its slots")
-        num = _fold([(total >> s & mask) - half for s in range(0, end, bits)],
-                    rows, width, scale)
+        num = unpack(total)
         if any(num):
             coeffs[k] = build(*_normal(num, den))
     return _element(a.group, domain, coeffs)

@@ -332,26 +332,6 @@ class NumField:
         rows, den = self._auto_maps[index]
         return _nfv(self, *_normal(_combine(v.num, rows, self.degree), v.den * den))
 
-    def compose(self, i: int, j: int) -> int:
-        """Index of the composite map "apply sigma_i first, then sigma_j"."""
-        return self._comp[i][j]
-
-    def coset_reps_mod_fixers(self):
-        """Deterministic transversal of the left cosets sigma * Gal(L/K).
-
-        Left cosets act consistently on elements fixed by the subfield
-        fixers, which is what relative traces down to Q need.
-        """
-        seen = set()
-        reps = []
-        for i in range(len(self.automorphisms)):
-            if i in seen:
-                continue
-            reps.append(i)
-            for f in self.subfield_fixers:
-                seen.add(self._comp[f][i])  # sigma_i composed after a fixer
-        return tuple(reps)
-
     def __eq__(self, other):
         return (
             isinstance(other, NumField)

@@ -211,7 +211,7 @@ def test_criterion_07_decomposition_report(g80, t80, dec80):
         "H7": [[1, 1, 1, 2, 2], [1, 2]], "H8": [[1, 2]], "H9": [[1, 2, 2]],
         "H10": [[1, 2, 2], [1] * 10],
     }
-    cls = {"G": dec80.whole_class()}
+    cls = {"G": dec80.subgroup_class_of(tuple(range(g80.order)))}
     for name, gens in words.items():
         sub = g80.subgroup_generated([g80.evaluate_word(w) for w in gens])
         cls[name] = dec80.subgroup_class_of(sub.members)

@@ -1,0 +1,156 @@
+"""The characteristic-polynomial split, the packed orthogonality check and
+the permutation-based Galois orbits checked against the code they replaced
+(``character_table_reference.py``), on the groups and on seeded
+relabellings; and the class-count bound."""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from character_table_reference import (
+    ReferenceCharacterTable,
+    reference_compute_character_table,
+    reference_galois_orbits,
+)
+from isotypic import (
+    BoundExceededError,
+    ValidationError,
+    compute_character_table,
+    from_permutations,
+    galois_orbits,
+)
+from isotypic import characters
+from isotypic.characters import Character
+from isotypic.cli import main
+from isotypic.serialize import cyc_from_json, table_from_json, table_to_json
+from test_lattice_oracle import dihedral, gl2_3, relabelled, symmetric
+
+
+def semidirect(p, q):
+    """C_p x| C_q on Z/p: x -> x + 1 and x -> a x with a of order q mod p."""
+    a = next(a for a in range(2, p) if pow(a, q, p) == 1)
+    return [[(i + 1) % p for i in range(p)], [(a * i) % p for i in range(p)]]
+
+
+def dicyclic(n):
+    """Dic_n = <x, y : x^2n, y^2 = x^n, y^-1 x y = x^-1>, acting on itself."""
+    m = 2 * n
+    x = [((a + 1) % m) if b == 0 else ((a - 1) % m) + m for b in (0, 1) for a in range(m)]
+    y = [a + m if b == 0 else (a + n) % m for b in (0, 1) for a in range(m)]
+    return [x, y]
+
+
+GROUPS = {
+    "S3": lambda: symmetric(3),
+    "S4": lambda: symmetric(4),
+    "S5": lambda: symmetric(5),
+    "GL23": gl2_3,
+    # dihedral groups named by their order, as in the chartable-sweep workload
+    "D48": lambda: dihedral(24),
+    "D60": lambda: dihedral(30),
+    "C11x5": lambda: semidirect(11, 5),
+    **{f"Dic{n}": (lambda n=n: dicyclic(n)) for n in (2, 3, 5, 7)},
+}
+CASES = [(name, relabel) for name in GROUPS for relabel in (0, 1, 2)]
+
+
+def _group(name, relabel):
+    group = from_permutations(GROUPS[name]())
+    rng = random.Random(f"{name}/{relabel}")
+    return relabelled(group, rng) if relabel else group
+
+
+@pytest.mark.parametrize("name,relabel", CASES)
+def test_table_and_orbits_match_reference(name, relabel):
+    group = _group(name, relabel)
+    table = compute_character_table(group)
+    ref = reference_compute_character_table(group)
+    assert [(c.degree, c.values) for c in table.chars] == \
+        [(c.degree, c.values) for c in ref.chars]
+    # equal orbits have equal members, stabilizers, degrees and Schur data
+    assert galois_orbits(table) == reference_galois_orbits(ref)
+
+
+def _conjugated(mat, i, j, c, p):
+    """E mat E^-1 over F_p for E = 1 + c e_ij, i != j."""
+    out = [list(row) for row in mat]
+    out[i] = [(a + c * b) % p for a, b in zip(out[i], out[j])]   # E * mat
+    for row in out:                                              # ... * E^-1
+        row[j] = (row[j] - c * row[i]) % p
+    return out
+
+
+def test_charpoly_roots_are_the_eigenvalues():
+    p = 13
+    mat = [[2, 1, 0, 7], [0, 2, 3, 0], [0, 0, 5, 1], [0, 0, 0, 0]]
+    for i, j, c in ((3, 0, 4), (2, 1, 6), (1, 3, 9), (3, 1, 2)):
+        mat = _conjugated(mat, i, j, c, p)
+    assert any(mat[i][j] for i in range(2, 4) for j in range(i - 1))  # not Hessenberg
+    poly = characters._charpoly_mod(mat, p)
+    # (x - 2)^2 (x - 5) x
+    assert poly == [0, (-20) % p, 24 % p, (-9) % p, 1]
+    assert characters._roots_mod(poly, p) == [0, 2, 5]
+
+
+# -- the packed validation against the reference, on damaged tables -----------------
+
+
+def _load_chars(group, blob):
+    """The rows of a table document, read as ``table_from_json`` reads them."""
+    chars = []
+    for row in blob["chars"]:
+        values = tuple(cyc_from_json(v).to_level(blob["level"]) for v in row)
+        chars.append(Character(values, int(values[0].as_rational())))
+    return chars
+
+
+def _damaged(blob, how):
+    blob = json.loads(json.dumps(blob))
+    rows = blob["chars"]
+    if how == "perturbed":
+        rows[3][2]["coeffs"][0] = str(int(rows[3][2]["coeffs"][0]) + 1)
+    elif how == "swapped":
+        # two classes of different sizes, so both relations can see it
+        sizes = [c["size"] for c in blob["classes"]]
+        a = next(i for i in range(1, len(sizes)) if sizes[i] != sizes[1])
+        for row in rows:
+            row[1], row[a] = row[a], row[1]
+    else:
+        rows[4][3]["coeffs"][0] = str(Fraction(rows[4][3]["coeffs"][0]) + Fraction(1, 2))
+    return blob
+
+
+@pytest.mark.parametrize("name", ["GL23", "D48", "C11x5"])
+@pytest.mark.parametrize("how", ["perturbed", "swapped", "fractional"])
+def test_damaged_table_fails_like_the_reference(name, how, tmp_path):
+    group = from_permutations(GROUPS[name]())
+    blob = _damaged(table_to_json(compute_character_table(group)), how)
+    chars = _load_chars(group, blob)
+    with pytest.raises(ValidationError) as ref:
+        ReferenceCharacterTable(group, chars)
+    with pytest.raises(ValidationError) as got:
+        table_from_json(group, blob)
+    assert str(got.value) == str(ref.value)
+    assert "orthogonality fails for" in str(got.value)
+
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps({"permutations": GROUPS[name]()}))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(blob))
+    assert main(["chartable", "--group", str(group_path), "--table", str(table_path)]) == 2
+
+
+# -- the class-count bound -------------------------------------------------------------
+
+
+def test_class_count_bound(monkeypatch, capsys):
+    group = from_permutations(symmetric(4))
+    monkeypatch.setattr(characters, "CLASS_COUNT_BOUND", 4)
+    with pytest.raises(BoundExceededError, match="5 conjugacy classes exceed the class-count bound 4"):
+        compute_character_table(group)
+    assert main(["chartable", "--group", "bundled:group_s4.json"]) == 4
+    assert "class-count bound 4" in capsys.readouterr().err
+    monkeypatch.setattr(characters, "CLASS_COUNT_BOUND", 5)
+    assert len(compute_character_table(group).chars) == 5

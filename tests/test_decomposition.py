@@ -17,7 +17,7 @@ def worked_example_subgroup_classes(g80, dec):
         "H7": [[1, 1, 1, 2, 2], [1, 2]], "H8": [[1, 2]], "H9": [[1, 2, 2]],
         "H10": [[1, 2, 2], [1] * 10],
     }
-    out = {"G": dec.whole_class()}
+    out = {"G": dec.subgroup_class_of(tuple(range(g80.order)))}
     for name, gens in words.items():
         sub = g80.subgroup_generated([g80.evaluate_word(w) for w in gens])
         out[name] = dec.subgroup_class_of(sub.members)
@@ -177,8 +177,8 @@ def test_containments(dec80, dec24, g80):
     qi = next(i for i, o in enumerate(dec80.orbits)
               if o.degree == 4 and len(o.char_indices) == 2)
     conts = dec80.find_containments(qi)
-    triv = dec80.trivial_class()
-    whole = dec80.whole_class()
+    triv = dec80.subgroup_class_of((0,))
+    whole = dec80.subgroup_class_of(tuple(range(g80.order)))
     n_over_m = dec80.orbits[qi].degree // dec80.orbits[qi].multiplier
     assert (triv, whole, n_over_m) in conts
     x10_class = dec80.subgroup_class_of(
@@ -188,7 +188,7 @@ def test_containments(dec80, dec24, g80):
     w24 = next(i for i, o in enumerate(dec24.orbits)
                if o.degree == 2 and len(o.char_indices) == 1)
     inners = {c[0] for c in dec24.find_containments(w24)}
-    assert inners == {dec24.trivial_class()}
+    assert inners == {dec24.subgroup_class_of((0,))}
 
 
 def test_prym_isogenies_trigonal(small_tables):

@@ -4,6 +4,7 @@ intermediate decompositions checked against the recomputing code in
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -146,3 +147,27 @@ def test_intersection_search_bound(monkeypatch, dec80, capsys):
                  "-".join(map(str, _quad(dec80.orbits))), "--assert-schur",
                  "11-12=2"]) == 4
     assert "partial tuples > 5" in capsys.readouterr().err
+
+
+def _arity3_decomposer():
+    """A decomposer state, built by hand, whose orbit 1 has an arity-3
+    intersection witness: H (class 0) lies in N1, N2, N3 (classes 1-3),
+    each rho_H - rho_N is W plus one other orbit, and the three residues
+    are pairwise disjoint."""
+    dec = object.__new__(JacobianDecomposer)
+    vectors = [(1, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0)]
+    dec.subgroups = [SimpleNamespace(order=1 if i == 0 else 2) for i in range(4)]
+    dec.rho = [SimpleNamespace(multiplicities=v) for v in vectors]
+    dec._containment = {(i, j): (0 if i == 0 and j else None)
+                        for i in range(4) for j in range(4)}
+    return dec
+
+
+def test_intersection_search_stops_at_max_arity():
+    dec = _arity3_decomposer()
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    found = dec.find_intersection_realizations(1, max_arity=3)
+    assert [(t.inner, t.outers) for t in found] == [(0, p) for p in pairs] + [(0, (1, 2, 3))]
+    assert all(t.conjugators == (0,) * len(t.outers) for t in found)
+    cut = dec.find_intersection_realizations(1, max_arity=2)
+    assert [(t.inner, t.outers) for t in cut] == [(0, p) for p in pairs]

@@ -443,7 +443,16 @@ def test_galois_product_rule_for_k_elements(small_groups, small_tables):
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     system = construct_primitive_system(rep, assert_schur(orbit, 2))
     ks = symmetrize_to_subfield(system)
-    reps_ = system.nf.coset_reps_mod_fixers()
+    nf = system.nf
+    # a transversal of the cosets sigma * Gal(L/K), found through the
+    # images of the generator
+    image = {tuple(nf.apply_auto(i, nf.gen()).coeffs): i for i in range(len(nf.automorphisms))}
+    reps_, seen = [], set()
+    for i in range(len(nf.automorphisms)):
+        if i not in seen:
+            reps_.append(i)
+            seen.update(image[tuple(nf.apply_auto(i, nf.apply_auto(f, nf.gen())).coeffs)]
+                        for f in nf.subfield_fixers)
     for i, ri in enumerate(reps_):
         for j, rj in enumerate(reps_):
             for s, k_s in enumerate(ks):
