@@ -7,9 +7,10 @@ p > 2*sqrt(|G|), and F_p^r is split into their common eigenspaces.  Each
 restricted action is brought to upper Hessenberg form mod p once; its
 characteristic polynomial is read off, its roots are found by Horner
 evaluation at the p points of F_p, and nullspaces are taken at those roots
-only.  Character values are lifted to Q(zeta_e) by discrete Fourier
-inversion on the power map, once per rational class: chi(g^k) =
-sigma_k(chi(g)) for gcd(k, o(g)) = 1 gives the other classes.
+only.  One F_p elimination with unit-vector tails gives both the restricted
+action and those nullspaces.  Character values are lifted to Q(zeta_e) by
+discrete Fourier inversion on the power map, once per rational class:
+chi(g^k) = sigma_k(chi(g)) for gcd(k, o(g)) = 1 gives the other classes.
 
 Both orthogonality relations are checked, pair by pair, as exact equalities
 on every computed or loaded table.  Each inner product is one sum of
@@ -211,35 +212,39 @@ def _primitive_root(p: int) -> int:
     raise InvariantError("no primitive root found")  # pragma: no cover
 
 
-def _nullspace_mod(matrix, p):
-    """Row basis of the right nullspace of matrix over F_p."""
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if rows[r][col] % p), None)
+def _eliminate_mod(vectors, p):
+    """Gaussian elimination over F_p with unit-vector tails (Cohen, GTM 138, 2.3).
+
+    Vector k, with the k-th unit vector appended, is reduced against the
+    pivot-normalized rows kept so far, and kept as a row if its head does
+    not vanish.  Returns one entry per vector: None for a kept vector, else
+    the reduced tail t, with sum_i t[i] vectors[i] = 0.  These tails are a
+    basis of the vanishing combinations of the vectors.
+    """
+    width, count = len(vectors[0]), len(vectors)
+    rows, pivots, tails = [], [], []
+    for k, vec in enumerate(vectors):
+        vec = [x % p for x in vec] + [0] * count
+        vec[width + k] = 1
+        for row, piv in zip(rows, pivots):
+            c = vec[piv]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+        piv = next((j for j in range(width) if vec[j]), None)
         if piv is None:
+            tails.append(vec[width:])
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] % p:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-rows[r][fc]) % p
-        basis.append(vec)
-    return basis
+        inv = pow(vec[piv], p - 2, p)
+        rows.append([x * inv % p for x in vec])
+        pivots.append(piv)
+        tails.append(None)
+    return tails
+
+
+def _nullspace_mod(matrix, p):
+    """Basis of the right nullspace of matrix over F_p: the vanishing
+    combinations of its columns."""
+    return [t for t in _eliminate_mod(list(zip(*matrix)), p) if t is not None]
 
 
 def _charpoly_mod(mat, p):
@@ -444,42 +449,15 @@ def _lift_plan(power_class, z, e, p):
 
 
 def _solve_action(basis, images, p):
-    """Matrix of the restricted action: images[a] = sum_b action[a][b] basis[b]."""
+    """Matrix of the restricted action: images[a] = sum_b action[a][b] basis[b].
+
+    The basis must be independent and every image must lie in its span."""
     d = len(basis)
-    r = len(basis[0])
-    # gaussian elimination with combo tracking over F_p
-    rows = []
-    pivots = []
-    combos = []
-    for idx, vec in enumerate(basis):
-        vec = list(vec)
-        combo = [0] * d
-        combo[idx] = 1
-        for row, piv, rc in zip(rows, pivots, combos):
-            c = vec[piv] % p
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-                combo = [(a - c * b) % p for a, b in zip(combo, rc)]
-        piv = next((j for j in range(r) if vec[j] % p), None)
-        if piv is None:
-            raise InvariantError("splitting failure")  # pragma: no cover
-        inv = pow(vec[piv], p - 2, p)
-        rows.append([(x * inv) % p for x in vec])
-        combos.append([(x * inv) % p for x in combo])
-        pivots.append(piv)
-    action = []
-    for img in images:
-        vec = list(img)
-        combo = [0] * d
-        for row, piv, rc in zip(rows, pivots, combos):
-            c = vec[piv] % p
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-                combo = [(a - c * b) % p for a, b in zip(combo, rc)]
-        if any(x % p for x in vec):
-            raise InvariantError("splitting failure")  # pragma: no cover
-        action.append([(-x) % p for x in combo])
-    return action
+    tails = _eliminate_mod(basis + images, p)
+    if any(t is not None for t in tails[:d]) or any(t is None for t in tails[d:]):
+        raise InvariantError("splitting failure")  # pragma: no cover
+    # the tail of image a is e_(d+a) - sum_b action[a][b] e_b
+    return [[-x % p for x in t[:d]] for t in tails[d:]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ of intermediate covers, plus the lattice searches that recognize each
 isotypical factor as a Prym, an intersection of Pryms, or an orthogonal
 complement inside a Prym.  The classes are indexed by their vectors, so the
 Prym partners N of H for an orbit W are looked up as the classes with
-a(N) = a(H) - e_W and only their containment is tested.
+a(N) = a(H) - e_W and only their containment is tested.  The other searches
+read, per inner class H, the list of larger classes that contain a
+conjugate of H, built on first use.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ class JacobianDecomposer:
         for i, rd in enumerate(self.rho):
             self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
         self._containment = {}
+        self._overgroups = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -121,6 +124,17 @@ class JacobianDecomposer:
             else:
                 self._containment[key] = self.group.conjugator_into(inner, outer)
         return self._containment[key]
+
+    def overgroups(self, inner_idx: int):
+        """(N, conjugator) for every class N of larger order than H that
+        contains a conjugate of H, in class order; built on first use."""
+        if inner_idx not in self._overgroups:
+            order = self.subgroups[inner_idx].order
+            self._overgroups[inner_idx] = tuple(
+                (io, conj) for io, s in enumerate(self.subgroups)
+                if s.order > order and (conj := self.conjugator(inner_idx, io)) is not None
+            )
+        return self._overgroups[inner_idx]
 
     def contains(self, inner_idx: int, outer_idx: int) -> bool:
         return self.conjugator(inner_idx, outer_idx) is not None
@@ -248,12 +262,7 @@ class JacobianDecomposer:
             if a[w] == 0:
                 continue
             cands = []
-            for io in range(len(self.subgroups)):
-                if io == ih:
-                    continue
-                conj = self.conjugator(ih, io)
-                if conj is None:
-                    continue
+            for io, conj in self.overgroups(ih):
                 diff = [x - y for x, y in zip(a, self.mult_vector(io))]
                 if any(d < 0 for d in diff) or diff[w] != 1:
                     continue
@@ -283,13 +292,9 @@ class JacobianDecomposer:
             mult = self.mult_vector(ih)[w]
             if mult == 0:
                 continue
-            for io in range(len(self.subgroups)):
-                if self.mult_vector(io)[w] != 0:
-                    continue
-                conj = self.conjugator(ih, io)
-                if conj is None:
-                    continue
-                out.append((ih, io, mult))
+            for io, _ in self.overgroups(ih):
+                if self.mult_vector(io)[w] == 0:
+                    out.append((ih, io, mult))
         out.sort(key=lambda t: self._pair_sort_key(t[0], t[1]))
         return out
 
@@ -297,16 +302,9 @@ class JacobianDecomposer:
         """Distinct containment pairs with identical rho differences."""
         diffs = {}
         for ih in range(len(self.subgroups)):
-            for io in range(len(self.subgroups)):
-                if ih == io:
-                    continue
-                if self.subgroups[ih].order >= self.subgroups[io].order:
-                    continue
-                if not self.contains(ih, io):
-                    continue
-                a = self.mult_vector(ih)
-                b = self.mult_vector(io)
-                diff = tuple(x - y for x, y in zip(a, b))
+            a = self.mult_vector(ih)
+            for io, _ in self.overgroups(ih):
+                diff = tuple(x - y for x, y in zip(a, self.mult_vector(io)))
                 diffs.setdefault(diff, []).append((ih, io))
         out = []
         for diff in sorted(diffs):

@@ -33,6 +33,7 @@ from .errors import ValidationError
 from .groups import FiniteGroup, from_permutations, from_presentation
 from .groupalgebra import AlgebraElement, FieldDomain, MatrixRep, RATIONALS
 from .numberfield import CycEmbedding, NumField
+from .serialize import group_from_spec
 
 Rat = Fraction
 
@@ -44,26 +45,22 @@ Rat = Fraction
 
 def order80_group() -> FiniteGroup:
     """<x, y : x^20, y^8, x^10 y^4, y^-1 x y x^-3>, order 80."""
-    return from_presentation(
-        2, [[1] * 20, [2] * 8, [1] * 10 + [2] * 4, [-2, 1, 2, -1, -1, -1]]
-    )
+    return group_from_spec(presentation_spec("order80"))
 
 
 def order24_group() -> FiniteGroup:
     """<x, y, z : x^4, y^4, z^3, y^-1 x y x, z^-1 x z y^-1, z^-1 y z (xy)^-1>."""
-    return from_presentation(
-        3, [[1] * 4, [2] * 4, [3] * 3, [-2, 1, 2, 1], [-3, 1, 3, -2], [-3, 2, 3, -2, -1]]
-    )
+    return group_from_spec(presentation_spec("order24"))
 
 
 def corpus() -> dict[str, FiniteGroup]:
     """Small groups used by the randomized property suites."""
     return {
-        "S3": from_permutations([[1, 0, 2], [1, 2, 0]]),
+        "S3": group_from_spec(presentation_spec("S3")),
         "D4": from_presentation(2, [[1] * 4, [2] * 2, [2, 1, 2, 1]]),
-        "Q8": from_presentation(2, [[1] * 4, [1, 1, -2, -2], [-2, 1, 2, 1]]),
+        "Q8": group_from_spec(presentation_spec("Q8")),
         "A4": from_permutations([[1, 0, 3, 2], [1, 2, 0, 3]]),
-        "S4": from_permutations([[1, 0, 2, 3], [1, 2, 3, 0]]),
+        "S4": group_from_spec(presentation_spec("S4")),
         "SL23": order24_group(),
     }
 

@@ -40,7 +40,7 @@ from .cyclotomic import (
 )
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
-from .linalg import Echelon, solve_in_span
+from .linalg import CoordinateSpan, Echelon
 from .numberfield import CycEmbedding, NumField, NumFieldValue, _nfv
 
 Rat = Fraction
@@ -741,11 +741,11 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     dom = FieldDomain(nf)
     zero, one = dom.zero(), dom.one()
 
-    span = Echelon(zero, one)
+    span = CoordinateSpan(zero, one)
     selected = []
     block_bases = []  # [s][h] -> list of basis elements of J_s^h
     for j, ell in enumerate(ells):
-        if span.contains(ell.dense()):
+        if span.coordinates(ell.dense()) is not None:
             continue
         base = ideal_basis(ell)
         if len(base) != n:
@@ -764,11 +764,8 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     if span.rank != n * n:
         raise InvariantError("basis assembly failed: span does not fill the simple block")
 
-    flat = []
-    for per_tau in block_bases:
-        for tau_base in per_tau:
-            flat.extend(tau_base)
-    coords = solve_in_span([b.dense() for b in flat], e_central.dense(), zero, one)
+    # the n^2 basis vectors were all accepted, so coordinates follow their order
+    coords = span.coordinates(e_central.dense())
     if coords is None:
         raise InvariantError("basis assembly failed: central idempotent not expressible")
 

@@ -615,6 +615,8 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     """Group defined by generators and relators (signed 1-based letters)."""
     if ngens < 0:
         raise ValidationError("generator count must be non-negative")
+    if bound < 1:
+        raise ValidationError(f"enumeration bound must be at least 1, not {bound}")
     if ngens == 0:
         return _group_from_generator_perms([])
     relators = [list(w) for w in relators]

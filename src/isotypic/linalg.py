@@ -2,6 +2,12 @@
 
 Scalars must support +, -, *, /, and ==.  Pivoting is first-nonzero only,
 so every result is deterministic for a fixed insertion order.
+
+Echelon keeps the pivot-normalized rows of a span and answers rank and
+membership.  CoordinateSpan also reads coordinates off the same echelon
+form by the augmented-matrix method (Cohen, GTM 138, 2.3): the k-th
+accepted vector is echelonized with the k-th unit vector appended, so the
+tail of a residual is minus the coordinates of what its head removed.
 """
 
 from __future__ import annotations
@@ -45,44 +51,37 @@ class Echelon:
         return True
 
 
-def solve_in_span(basis, target, zero, one):
-    """Coefficients expressing target in the given (independent) basis, or None.
+class CoordinateSpan:
+    """Span of independent vectors that also gives coordinates in them.
 
-    Returns None when the target is outside the span; raises ValueError when
-    the supplied basis is linearly dependent.
+    The k-th accepted vector is stored with a unit tail of length k + 1, so
+    every stored row is its head written as a combination of the accepted
+    vectors, and heads keep the pivots that Echelon would give them.
     """
-    n = len(basis)
-    rows = []       # pivot-normalized reductions of the basis vectors
-    pivots = []
-    combos = []     # each stored row as a combination of the original basis
 
-    def reduce(vec, combo):
-        vec = list(vec)
-        for row, piv, rc in zip(rows, pivots, combos):
-            c = vec[piv]
-            if c != zero:
-                for j, rj in enumerate(row):
-                    if rj != zero:
-                        vec[j] = vec[j] - c * rj
-                for j, rj in enumerate(rc):
-                    if rj != zero:
-                        combo[j] = combo[j] - c * rj
-        return vec
+    def __init__(self, zero, one):
+        self.ech = Echelon(zero, one)
 
-    for i, vec in enumerate(basis):
-        combo = [zero] * n
-        combo[i] = one
-        red = reduce(vec, combo)
-        piv = next((j for j, c in enumerate(red) if c != zero), None)
-        if piv is None:
-            raise ValueError("dependent basis in solve_in_span")
-        inv = one / red[piv]
-        rows.append([c * inv for c in red])
-        pivots.append(piv)
-        combos.append([c * inv for c in combo])
+    @property
+    def rank(self) -> int:
+        return self.ech.rank
 
-    combo = [zero] * n
-    red = reduce(target, combo)
-    if any(c != zero for c in red):
-        return None
-    return [zero - c for c in combo]
+    def add(self, vec) -> bool:
+        """Accept a vector outside the span (True); reject one inside it."""
+        ech = self.ech
+        # the unit tail always raises the rank; a pivot in the tail means
+        # the head reduced to zero
+        ech.add(list(vec) + [ech.zero] * ech.rank + [ech.one])
+        if ech.pivot_cols[-1] < len(vec):
+            return True
+        ech.rows.pop()
+        ech.pivot_cols.pop()
+        return False
+
+    def coordinates(self, vec):
+        """Coefficients of vec in the accepted vectors, or None outside the span."""
+        ech = self.ech
+        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
+        if any(c != ech.zero for c in res[:len(vec)]):
+            return None
+        return [ech.zero - c for c in res[len(vec):]]

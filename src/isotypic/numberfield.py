@@ -41,7 +41,7 @@ from .cyclotomic import (
     poly_trim,
 )
 from .errors import ValidationError
-from .linalg import Echelon, solve_in_span
+from .linalg import CoordinateSpan
 
 Rat = Fraction
 
@@ -473,35 +473,22 @@ class CycEmbedding:
         self.generator = generator
         if generator is None:
             self.image = None
-            self.powers = None
             return
         if image is None or image.field != field:
             raise ValidationError("embedding image must live in the target field")
         self.image = image
-        # power basis of Q(g) inside the cyclotomic field
-        level = generator.level
-        zero, one = Rat(0), Rat(1)
-        powers = [CycValue.one(level)]
-        vectors = [list(powers[0].coeffs)]
-        ech = Echelon(zero, one)
-        ech.add(vectors[0])
-        while True:
-            nxt = powers[-1] * generator
-            if ech.contains(list(nxt.coeffs)):
-                break
-            ech.add(list(nxt.coeffs))
-            powers.append(nxt)
-            vectors.append(list(nxt.coeffs))
-        self.powers = powers
-        self._vectors = vectors
+        # power basis of Q(g) inside the cyclotomic field: g^0, ..., g^(d-1)
+        # span it, and g^d has the coordinates of the minimal polynomial
+        self._span = span = CoordinateSpan(Rat(0), Rat(1))
+        top = CycValue.one(generator.level)
+        while span.add(list(top.coeffs)):
+            top = top * generator
         # image^0, ..., image^d: the images of the power basis, then of g^d
         images = [field.one()]
-        for _ in powers:
+        for _ in range(span.rank):
             images.append(images[-1] * image)
         self._images = images[:-1]
-        # minimal polynomial of g: express g^d in lower powers
-        top = powers[-1] * generator
-        coords = solve_in_span(vectors, list(top.coeffs), zero, one)
+        coords = span.coordinates(list(top.coeffs))
         # validate: minpoly(image) == 0 in L
         acc = images[-1]
         for c, p in zip(coords, images):
@@ -517,9 +504,7 @@ class CycEmbedding:
         if self.generator is None:
             raise ValidationError("no embedding declared for irrational cyclotomic values")
         target = v.to_level(self.generator.level)
-        coords = solve_in_span(
-            self._vectors, list(target.coeffs), Rat(0), Rat(1)
-        )
+        coords = self._span.coordinates(list(target.coeffs))
         if coords is None:
             raise ValidationError("value lies outside the declared embedded subfield")
         acc = self.field.zero()

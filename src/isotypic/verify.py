@@ -66,7 +66,10 @@ class ManifestRunner:
             raise ValidationError("a manifest is a JSON object with a \"group\" specification")
         self.manifest = manifest
         self.group = group_from_spec(manifest["group"])
-        self.field = field_from_json(manifest["field"]) if "field" in manifest else None
+        self.field = None
+        if "field" in manifest:
+            with parsing("manifest field"):
+                self.field = field_from_json(manifest["field"])
         self._elements = {}
         # elements with "field": "L" reuse the certified manifest field
         self._field_cache = {} if self.field is None else {
@@ -78,22 +81,11 @@ class ManifestRunner:
                 if spec.get("field") == "L":  # reference to the manifest-level field
                     spec = dict(spec, field=manifest["field"])
                 self._elements[name] = element_from_json(self.group, spec, self._field_cache)
-            pending = {name: spec["derive"] for name, spec in
-                       manifest.get("elements", {}).items() if "derive" in spec}
-        while pending:
-            progressed = False
-            for name in sorted(pending):
-                try:
-                    self._elements[name] = self.eval_expr(pending[name])
-                except ValidationError:
-                    continue
-                del pending[name]
-                progressed = True
-                break
-            if not progressed:
-                raise ValidationError(
-                    f"cannot resolve derived elements {sorted(pending)} (cycle or unknown name)"
-                )
+            self._derived = {name: spec["derive"] for name, spec in
+                             manifest.get("elements", {}).items() if "derive" in spec}
+        self._deriving = []
+        for name in sorted(self._derived):
+            self._element(name)
         self._table = None
         self._orbits = None
 
@@ -109,11 +101,23 @@ class ManifestRunner:
         self.table
         return self._orbits
 
+    def _element(self, name) -> AlgebraElement:
+        """A named element, derived on first use if it is a derived one."""
+        if name not in self._elements:
+            if name not in self._derived:
+                raise ValidationError(f"unknown element {name!r} in manifest expression")
+            if name in self._deriving:
+                cycle = self._deriving[self._deriving.index(name):]
+                raise ValidationError(f"derived elements {cycle} form a cycle")
+            self._deriving.append(name)
+            with parsing(f"derived element {name!r}"):
+                self._elements[name] = self.eval_expr(self._derived[name])
+            self._deriving.pop()
+        return self._elements[name]
+
     def eval_expr(self, expr) -> AlgebraElement:
         if isinstance(expr, str):
-            if expr not in self._elements:
-                raise ValidationError(f"unknown element {expr!r} in manifest expression")
-            return self._elements[expr]
+            return self._element(expr)
         if not isinstance(expr, dict):
             raise ValidationError(f"manifest expression {expr!r} is neither a name nor an object")
         op = expr.get("op")

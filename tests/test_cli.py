@@ -234,6 +234,23 @@ MALFORMED_DOCUMENTS = {
         "e": {"field": "L", "coeffs": []}}, "checks": []}, "'field'"),
     "rep-field-not-an-object": ("primitive", {"field": "L"}, "field descriptor"),
     "table-without-classes": ("chartable", {"level": 6}, "'classes'"),
+    "field-minpoly-not-a-number": ("verify", {"group": S3_SPEC, "field": {
+        "minpoly": ["x", 1], "automorphisms": [[0, 1]]}, "checks": []}, "manifest field"),
+    "field-without-minpoly": ("verify", {"group": S3_SPEC, "field": {
+        "automorphisms": [[0, 1]]}, "checks": []}, "'minpoly'"),
+    "derived-add-without-args": ("verify", {"group": S3_SPEC, "elements": {
+        "e": {"derive": {"op": "add", "args": []}}}, "checks": []}, "derived element 'e'"),
+    "derived-scale-by-non-number": ("verify", {"group": S3_SPEC, "elements": {
+        "b": {"field": "Q", "coeffs": [[0, "1"]]},
+        "e": {"derive": {"op": "scale", "arg": "b", "by": "x"}}}, "checks": []},
+        "derived element 'e'"),
+    "derived-cycle": ("verify", {"group": S3_SPEC, "elements": {
+        "a": {"derive": "b"}, "b": {"derive": {"op": "add", "args": ["a"]}}}, "checks": []},
+        "derived elements ['a', 'b'] form a cycle"),
+    "derived-unknown-name": ("verify", {"group": S3_SPEC, "elements": {
+        "a": {"derive": "zz"}}, "checks": []}, "unknown element 'zz'"),
+    "presentation-bound-below-1": ("group-info", {"presentation": {
+        "generators": 1, "relators": [[1, 1]], "bound": -5}}, "bound must be at least 1"),
 }
 
 
@@ -248,6 +265,7 @@ def test_cli_malformed_document_exit_2(tmp_path, name):
         "verify": ["verify", str(path)],
         "primitive": ["idempotents", "primitive", "--group", str(gpath), "--rep", str(path)],
         "chartable": ["chartable", "--group", str(gpath), "--table", str(path)],
+        "group-info": ["group-info", "--group", str(path)],
     }[command]
     proc = run_cli_process(*argv)
     assert proc.returncode == 2, proc.stderr

@@ -160,6 +160,7 @@ def _arity3_decomposer():
     dec.rho = [SimpleNamespace(multiplicities=v) for v in vectors]
     dec._containment = {(i, j): (0 if i == 0 and j else None)
                         for i in range(4) for j in range(4)}
+    dec._overgroups = {}
     return dec
 
 
