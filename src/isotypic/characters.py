@@ -17,6 +17,13 @@ on every computed or loaded table.  Each inner product is one sum of
 Kronecker-packed bigint products (the slot width rules out overflow),
 unpacked and folded through the level's reduction rows once per pair.
 
+The table keeps the packed rows, and they give each dim V^H = (1/|H|) sum_k
+c_k chi(g_k) once per subgroup class: with c_k = |H meet C_k| counted once,
+row i's sum is one integer t = sum_k c_k P_ik.  The slot width admits
+|G| max|x| >= |H| max|x|, so each slot of t is below 2^(B-1) in absolute
+value: the sum is rational exactly when |t| < 2^(B-1), as every higher slot
+is then zero, and t / (|H| D) must then be a non-negative integer.
+
 Galois orbits come from the generators of (Z/e)^x alone: each permutes the
 rows, found again by their values, and every unit's permutation, each
 orbit and each member's stabilizer follow by integer composition.
@@ -27,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -58,7 +66,12 @@ class CharacterTable:
         self.level = group.exponent
         self.classes = group.conjugacy_classes()
         self.chars = tuple(chars)
+        self._fixed_dims = {}  # sorted members -> fixed_dims
         self.validate()
+
+    @cached_property
+    def _packed(self):  # validate sets it; a subclass may validate otherwise
+        return _check_orthogonality(self)
 
     @property
     def class_sizes(self):
@@ -82,7 +95,7 @@ class CharacterTable:
             ident = c.values[0]
             if not (ident.is_rational() and ident.as_rational() == c.degree > 0):
                 raise ValidationError(f"row {i}: identity value does not match degree")
-        _check_orthogonality(self)
+        self._packed = _check_orthogonality(self)
 
     def __repr__(self):
         return f"CharacterTable({self.group!r}, {len(self.chars)} irreducibles)"
@@ -98,7 +111,7 @@ def _check_orthogonality(table: CharacterTable):
     A slot sums at most phi(e) products per class, weighted by the class
     sizes, which add up to |G| (rows), or once per character, r <= |G|
     times (columns); so 2^(B-1) > |G| * phi(e) * max|x| * max|conj x|
-    rules out overflow.
+    rules out overflow.  Returns the packed rows, the slot width and D.
     """
     n = table.group.order
     sizes = table.class_sizes
@@ -125,8 +138,7 @@ def _check_orthogonality(table: CharacterTable):
         for j in range(i, r):
             num = unpack(sum(map(mul, packed[i], weighted[j])))
             if num[0] != (n * scale if i == j else 0) or num[1:] != zero:
-                conj = [v.conjugate() for v in table.chars[j].values]
-                got = _inner_with_conjugate(table, table.chars[i].values, conj)
+                got = inner_product(table, table.chars[i].values, table.chars[j].values)
                 raise ValidationError(
                     f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
                 )
@@ -137,39 +149,51 @@ def _check_orthogonality(table: CharacterTable):
             num = unpack(sum(map(mul, columns[i], columns_conj[j])))
             if num[0] * sizes[i] != (n * scale if i == j else 0) or num[1:] != zero:
                 raise ValidationError(f"column orthogonality fails for classes ({i},{j})")
+    return packed, bits, den
 
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:
     """(1/|G|) sum_g a(g) conj(b(g)) for class functions given per class."""
-    return _inner_with_conjugate(table, a, [y.conjugate() for y in b])
-
-
-def _inner_with_conjugate(table: CharacterTable, a, conj_b) -> CycValue:
     total = CycValue.zero(table.level)
-    for size, x, y in zip(table.class_sizes, a, conj_b):
-        total = total + x * y * size
+    for size, x, y in zip(table.class_sizes, a, b):
+        total = total + x * y.conjugate() * size
     return total * Rat(1, table.group.order)
 
 
+def fixed_dims(table: CharacterTable, members):
+    """dim V_i^H for every row i, H a subset of G, from the packed rows (see
+    the module docstring); kept on the table under H's sorted members.  A
+    row that fails a check holds its error message instead."""
+    key = tuple(sorted(members))
+    dims = table._fixed_dims.get(key)
+    if dims is None:
+        packed, bits, den = table._packed
+        classes, counts = zip(*Counter(map(table.group.class_index, key)).items())
+        half, scale = 1 << (bits - 1), len(key) * den
+        dims = []
+        for row in packed:
+            t = sum(map(mul, counts, map(row.__getitem__, classes)))
+            if not -half < t < half:
+                dims.append("invalid character/subgroup data: fixed dimension not rational")
+            elif t < 0 or t % scale:
+                dims.append(f"invalid character/subgroup data: fixed dimension "
+                            f"{Rat(t, scale)} not a non-negative integer")
+            else:
+                dims.append(t // scale)
+        dims = table._fixed_dims[key] = tuple(dims)
+    return dims
+
+
+def _checked(dim) -> int:
+    if isinstance(dim, str):  # the error message a row of fixed_dims holds
+        raise InvariantError(dim)
+    return dim
+
+
 def fixed_dim(table: CharacterTable, char: Character, members) -> int:
-    """dim of the subspace of the representation fixed by the subgroup H:
-    (1/|H|) sum_k c_k chi(g_k), with c_k = |H meet C_k| counted in integers."""
-    return _fixed_dim(table, char, Counter(map(table.group.class_index, members)), len(members))
-
-
-def _fixed_dim(table: CharacterTable, char: Character, counts, order: int) -> int:
-    total = CycValue.zero(table.level)
-    for k, c in counts.items():  # a class met once costs no product
-        total = total + (char.values[k] if c == 1 else char.values[k] * c)
-    total = total * Rat(1, order)
-    if not total.is_rational():
-        raise InvariantError("invalid character/subgroup data: fixed dimension not rational")
-    q = total.as_rational()
-    if q.denominator != 1 or q < 0:
-        raise InvariantError(
-            f"invalid character/subgroup data: fixed dimension {q} not a non-negative integer"
-        )
-    return int(q)
+    """dim of the subspace of the representation fixed by the subgroup H,
+    read from fixed_dims at the row of char."""
+    return _checked(fixed_dims(table, members)[table.chars.index(char)])
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +546,9 @@ class RationalIrrep:
 
 def schur_divisor_bound(table: CharacterTable, char_index: int) -> int:
     """gcd of <rho_H, V> over all subgroup classes: a multiple of the Schur index."""
-    char = table.chars[char_index]
     g = 0
     for sub in table.group.subgroup_classes():
-        g = gcd(g, fixed_dim(table, char, sub.members))
+        g = gcd(g, _checked(fixed_dims(table, sub.members)[char_index]))
         if g == 1:
             return 1
     return g
@@ -601,11 +624,9 @@ def galois_orbits(table: CharacterTable):
             RationalIrrep(members, stab, degrees.pop(), field_degree, status)
         )
 
-    def is_trivial(w: RationalIrrep) -> bool:
-        c = table.chars[w.char_indices[0]]
-        return c.degree == 1 and all(v == 1 for v in c.values)
-
-    result.sort(key=lambda w: (not is_trivial(w), w.char_indices[0]))
+    # <chi, 1> = dim V^G is 1 for a row of norm 1 exactly when chi = 1 (Cauchy-Schwarz)
+    whole = fixed_dims(table, range(table.group.order))
+    result.sort(key=lambda w: (whole[w.char_indices[0]] != 1, w.char_indices[0]))
     return tuple(result)
 
 
@@ -665,12 +686,10 @@ class RhoDecomposition:
 def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecomposition:
     """Decompose rho_H over the rational irreducibles: a_j = <rho_H, V_j> / m_j."""
     members = tuple(sorted(members))
-    counts = Counter(map(table.group.class_index, members))  # c_k, once for all orbits
-    dims = []
-    mults = []
-    conditional = False
+    fixed = fixed_dims(table, members)
+    dims, mults, conditional = [], [], False
     for orbit in orbits:
-        d = _fixed_dim(table, table.chars[orbit.char_indices[0]], counts, len(members))
+        d = _checked(fixed[orbit.char_indices[0]])
         m = orbit.multiplier
         if d % m != 0:
             raise InvariantError(
@@ -681,11 +700,7 @@ def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecompositio
         mults.append(d // m)
         conditional = conditional or (d != 0 and orbit.schur.conditional)
     index = table.group.order // len(members)
-    total = sum(
-        a * orbit.rational_dim() for a, orbit in zip(mults, orbits)
-    )
+    total = sum(a * orbit.rational_dim() for a, orbit in zip(mults, orbits))
     if total != index:
-        raise InvariantError(
-            f"rho decomposition dimension count {total} != index {index}"
-        )
+        raise InvariantError(f"rho decomposition dimension count {total} != index {index}")
     return RhoDecomposition(members, tuple(dims), tuple(mults), conditional)

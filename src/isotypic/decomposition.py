@@ -102,7 +102,6 @@ class JacobianDecomposer:
         self._classes_with_vector = {}
         for i, rd in enumerate(self.rho):
             self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
-        self._containment = {}
         self._overgroups = {}
 
     # -- helpers ---------------------------------------------------------------
@@ -115,15 +114,9 @@ class JacobianDecomposer:
 
     def conjugator(self, inner_idx: int, outer_idx: int):
         """Element conjugating class rep inner into class rep outer, or None."""
-        key = (inner_idx, outer_idx)
-        if key not in self._containment:
-            inner = self.subgroups[inner_idx].members
-            outer = self.subgroups[outer_idx].members
-            if len(outer) % len(inner) != 0:
-                self._containment[key] = None
-            else:
-                self._containment[key] = self.group.conjugator_into(inner, outer)
-        return self._containment[key]
+        inner = self.subgroups[inner_idx].members
+        outer = self.subgroups[outer_idx].members
+        return None if len(outer) % len(inner) else self.group.conjugator_into(inner, outer)
 
     def overgroups(self, inner_idx: int):
         """(N, conjugator) for every class N of larger order than H that

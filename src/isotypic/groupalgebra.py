@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
-from .characters import CharacterTable, RationalIrrep, fixed_dim
+from .characters import CharacterTable, RationalIrrep, _checked, fixed_dims
 from .cyclotomic import (
     CycValue, _cyc, _Exact, _level, _normal, _pack, _unpacker, trace_to_rational,
 )
@@ -894,9 +894,8 @@ def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
             raise InvariantError(
                 f"orbit module of ell_{j+1} has dimension {verdict['dim']} != {m * rep.degree}"
             )
-    char = rep.table.chars[rep.char_index]
     for sub in rep.group.subgroup_classes():
-        d = fixed_dim(rep.table, char, sub.members)
+        d = _checked(fixed_dims(rep.table, sub.members)[rep.char_index])
         if d % m != 0:
             raise InvariantError(
                 f"subgroup multiplicity {d} is not divisible by the declared m = {m}"

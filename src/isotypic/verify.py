@@ -10,6 +10,7 @@ manifest order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .characters import compute_character_table, galois_orbits, rho_decomposition
 from .errors import ValidationError
@@ -32,11 +33,7 @@ def parse_word(group: FiniteGroup, text: str) -> int:
     for factor in text.split("*"):
         name, caret, exp = factor.partition("^")
         name = name.strip()
-        idx = None
-        for i in range(len(group.generators)):
-            if generator_name(i) == name:
-                idx = i
-                break
+        idx = next((i for i in range(len(group.generators)) if generator_name(i) == name), None)
         if idx is None:
             raise ValidationError(f"unknown generator name {name!r}")
         try:
@@ -86,20 +83,14 @@ class ManifestRunner:
         self._deriving = []
         for name in sorted(self._derived):
             self._element(name)
-        self._table = None
-        self._orbits = None
 
-    @property
+    @cached_property
     def table(self):
-        if self._table is None:
-            self._table = compute_character_table(self.group)
-            self._orbits = galois_orbits(self._table)
-        return self._table
+        return compute_character_table(self.group)
 
-    @property
+    @cached_property
     def orbits(self):
-        self.table
-        return self._orbits
+        return galois_orbits(self.table)
 
     def _element(self, name) -> AlgebraElement:
         """A named element, derived on first use if it is a derived one."""

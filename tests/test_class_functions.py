@@ -1,6 +1,7 @@
 """Class functions evaluated once per conjugacy class, checked against the
 per-element code in ``class_function_reference.py``."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -29,9 +30,10 @@ from isotypic import (
     galois_orbits,
     rational_central_idempotent,
 )
+from isotypic.cli import main
 from isotypic.fixtures import corpus, order80_rep
 from isotypic.numberfield import CycEmbedding
-from isotypic.serialize import element_to_json
+from isotypic.serialize import element_to_json, table_from_json, table_to_json
 
 
 def _d4_x_s3():
@@ -85,16 +87,37 @@ def test_fixed_dim_matches_reference(tables, name):
                 reference_fixed_dim(table, char, sub.members)
 
 
+C4 = [[1, 2, 3, 0]]
+
+
+def _c4_swapped():
+    """The C4 table with its order-2 and order-4 columns swapped, as JSON.
+
+    It passes both orthogonality relations and Galois closure, but on
+    {1, g^2} one row sums to 1 - z4, whose top coordinate is negative."""
+    group = from_permutations(C4)
+    blob = table_to_json(compute_character_table(group))
+    orders = [group.elem_orders[c["representative"]] for c in blob["classes"]]
+    a, b = orders.index(2), orders.index(4)
+    for row in blob["chars"]:
+        row[a], row[b] = row[b], row[a]
+    return group, blob, blob["classes"][a]["representative"]
+
+
 def test_fixed_dim_keeps_its_exact_checks(small_tables):
     s3, sl23 = small_tables["S3"], small_tables["SL23"]
     std = next(c for c in s3.chars if c.degree == 2)
     cycle = s3.group.generators[1]
     irrational = next((c, k) for c in sl23.chars for k, v in enumerate(c.values)
                       if not v.is_rational())
+    c4_group, c4_blob, involution = _c4_swapped()
+    c4 = table_from_json(c4_group, c4_blob)
+    galois_orbits(c4)  # validated and Galois-closed, yet its fixed dimensions fail
     cases = [
         (s3, std, (0, cycle)),                                   # (2 - 1) / 2
         (s3, std, (cycle,)),                                     # -1
         (sl23, irrational[0], (sl23.classes[irrational[1]].representative,)),
+        (c4, c4.chars[0], (0, involution)),                      # (1 - z4) / 2
     ]
     for table, char, members in cases:
         with pytest.raises(InvariantError) as new:
@@ -102,6 +125,16 @@ def test_fixed_dim_keeps_its_exact_checks(small_tables):
         with pytest.raises(InvariantError) as ref:
             reference_fixed_dim(table, char, members)
         assert str(new.value) == str(ref.value)
+
+
+def test_swapped_c4_table_fails_the_rationality_check(tmp_path, capsys):
+    _, blob, _ = _c4_swapped()
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps({"permutations": C4}))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(blob))
+    assert main(["full-report", "--group", str(group_path), "--table", str(table_path)]) == 3
+    assert "fixed dimension not rational" in capsys.readouterr().err
 
 
 def _rep_cases(rep80, small_tables):

@@ -21,10 +21,12 @@ from isotypic import (
     SchurStatus,
     ValidationError,
     compute_character_table,
+    diagonal_idempotents,
     from_permutations,
     galois_orbits,
     orbit_index,
     rho_decomposition,
+    validate_schur_from_rep,
 )
 from isotypic import decomposition
 from isotypic.cli import main
@@ -97,15 +99,30 @@ def test_forced_schur_index_error_matches_reference(t80, orbits80, quad80):
     assert str(init.value) == first
 
 
-def test_init_counts_classes_once_per_subgroup(monkeypatch):
-    group = from_permutations(elementary_abelian2(4))
-    table = compute_character_table(group)
-    orbits = galois_orbits(table)
+def _count_class_lookups(monkeypatch, group):
     calls = []
     lookup = group.class_index
     monkeypatch.setattr(group, "class_index", lambda g: calls.append(g) or lookup(g))
+    return calls
+
+
+def test_init_counts_classes_once_per_subgroup(monkeypatch, dec80, rep80, quad80):
+    group = from_permutations(elementary_abelian2(4))
+    table = compute_character_table(group)
+    orbits = galois_orbits(table)
+    calls = _count_class_lookups(monkeypatch, group)
     dec = JacobianDecomposer(table, orbits=orbits)
     assert len(calls) <= sum(s.order for s in dec.subgroups)
+    # the fixed dimensions kept on the table serve a second decomposer, and
+    # the Schur suite of the order-80 rep once a decomposer has run on its
+    # table (its diagonal suite, which evaluates characters, runs first)
+    calls.clear()
+    JacobianDecomposer(table, orbits=orbits)
+    assert calls == []
+    diagonal_idempotents(rep80)
+    calls80 = _count_class_lookups(monkeypatch, dec80.group)
+    assert validate_schur_from_rep(rep80, quad80) == 2
+    assert calls80 == []
 
 
 def test_intermediate_of_a_non_subgroup_is_a_validation_error(dec24, dec80):
@@ -158,9 +175,7 @@ def _arity3_decomposer():
     vectors = [(1, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0)]
     dec.subgroups = [SimpleNamespace(order=1 if i == 0 else 2) for i in range(4)]
     dec.rho = [SimpleNamespace(multiplicities=v) for v in vectors]
-    dec._containment = {(i, j): (0 if i == 0 and j else None)
-                        for i in range(4) for j in range(4)}
-    dec._overgroups = {}
+    dec._overgroups = {0: ((1, 0), (2, 0), (3, 0))}
     return dec
 
 
