@@ -56,7 +56,6 @@ from .groupalgebra import (
     construct_primitive_system,
     diagonal_idempotent,
     diagonal_idempotents,
-    ideal_basis,
     ideal_dim,
     invariant_idempotent,
     orbit_module_check,

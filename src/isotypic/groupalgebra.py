@@ -9,6 +9,11 @@ diagonal idempotents of a matrix representation, and the construction that
 turns them into primitive idempotent systems over L, K and Q by Galois
 symmetrization.
 
+The block ideal L[G]ell_j of a diagonal idempotent is never echelonized: its
+basis is read off the representation's matrices as the matrix units
+E_1j..E_nj, because Schur orthogonality (Serre, Linear Representations of
+Finite Groups, 2.2) gives E_ij E_kl = delta_jk E_il with E_jj = ell_j.
+
 The central idempotents are class functions: e_V = (n/|G|) sum chi(g^-1) g,
 e_W with Tr_{K/Q} chi in place of chi, and e_V over L with chi embedded in
 L.  One builder takes one value per conjugacy class, scales it once and
@@ -437,17 +442,6 @@ def _trace_dim(e: AlgebraElement) -> int:
     return int(d)
 
 
-def ideal_dim(a: AlgebraElement) -> int:
-    """Dimension over the coefficient field of the left ideal F[G]*a.
-
-    An idempotent (checked exactly) gets the closed form |G|*a(1); any
-    other element the rank of its left translates.
-    """
-    if a.is_idempotent():
-        return _trace_dim(a)
-    return len(ideal_basis(a))
-
-
 def _echelon(domain, vectors) -> Echelon:
     """Echelon of the vectors, inserted in order."""
     ech = Echelon(domain.zero(), domain.one())
@@ -456,17 +450,15 @@ def _echelon(domain, vectors) -> Echelon:
     return ech
 
 
-def ideal_basis(a: AlgebraElement):
-    """First linearly independent left translates of a, as elements.
+def ideal_dim(a: AlgebraElement) -> int:
+    """Dimension over the coefficient field of the left ideal F[G]*a.
 
-    Its length is the rank fallback of ideal_dim for non-idempotents.
+    An idempotent (checked exactly) gets the closed form |G|*a(1); any
+    other element the rank of its left translates.
     """
-    ech = Echelon(a.domain.zero(), a.domain.one())
-    basis = []
-    for vec in a.left_translates():
-        if ech.add(vec):
-            basis.append(AlgebraElement(a.group, a.domain, dict(enumerate(vec))))
-    return basis
+    if a.is_idempotent():
+        return _trace_dim(a)
+    return _echelon(a.domain, a.left_translates()).rank
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +613,20 @@ def central_idempotent_over_field(rep: MatrixRep) -> AlgebraElement:
                                    Rat(rep.degree, rep.group.order))
 
 
-def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
-    """ell_j = (dim/|G|) sum_g r_jj(g^-1) g over L."""
+def _matrix_units(rep: MatrixRep, j: int):
+    """Dense vectors of E_ij = (n/|G|) sum_g r_ji(g^-1) g, i = 1..n: a basis of
+    L[G]ell_j for every MatrixRep, whose matrices are certified multiplicative
+    and whose trace is a validated irreducible character (module docstring)."""
     group = rep.group
-    dom = FieldDomain(rep.field)
     scale = Rat(rep.degree, group.order)
-    coeffs = {}
-    for g in range(group.order):
-        coeffs[g] = rep.matrices[group.inv(g)][j][j] * scale
-    return AlgebraElement(group, dom, coeffs)
+    rows = [rep.matrices[group.inv(g)][j] for g in range(group.order)]
+    return [[row[i] * scale for row in rows] for i in range(rep.degree)]
+
+
+def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
+    """ell_j = E_jj = (dim/|G|) sum_g r_jj(g^-1) g over L."""
+    return AlgebraElement(rep.group, FieldDomain(rep.field),
+                          dict(enumerate(_matrix_units(rep, j)[j])))
 
 
 def _validated_diagonal(rep: MatrixRep):
@@ -660,25 +657,34 @@ def diagonal_idempotents(rep: MatrixRep):
 
 
 def orbit_module_check(element: AlgebraElement) -> dict:
-    """Galois-orbit analysis of the left ideal of a primitive idempotent.
+    """Galois-orbit analysis of the left ideal of an element over L.
 
     Computes M = sum of the left ideals generated by the Gal(L/K)-translates
     of the element; reports whether the stabilizer of the ideal is trivial,
     whether the sum is direct, and the dimension of M.  Only the element's
-    own left translates are echelonized: tau(g*a) = g*tau(a), and tau keeps
-    the zero tests and first-nonzero pivots of Echelon, so the reduced basis
-    of the ideal of tau(a) is tau applied to that of a.
+    own left translates are echelonized: tau(g*a) = g*tau(a), so tau maps a
+    basis of the ideal of a onto one of the ideal of tau(a).
     """
     if element.domain.kind != "numberfield":
         raise ValidationError("orbit analysis needs an element over a declared field")
-    dom, nf = element.domain, element.domain.field
-    rows = _echelon(dom, element.left_translates()).rows
+    rows = _echelon(element.domain, element.left_translates()).rows
+    return _orbit_verdict(element.domain.field, rows)
+
+
+def _orbit_verdict(nf: NumField, rows) -> dict:
+    """orbit_module_check for the ideal with the independent rows as basis.
+
+    A direct sum of nonzero blocks shows that no tau_h fixes the first block,
+    so the pairwise echelons run only if the sum is not direct or is zero.
+    """
+    dom = FieldDomain(nf)
     bases = [[[nf.apply_auto(h, c) for c in row] for row in rows] for h in nf.subfield_fixers]
     base_dim = len(rows)
-    # tau_h moves the ideal iff its rows enlarge the span of the first block
-    stab_trivial = all([_echelon(dom, bases[0] + b).rank > base_dim for b in bases[1:]])
     total = _echelon(dom, [v for b in bases for v in b]).rank
     direct = total == base_dim * len(bases)
+    # tau_h moves the ideal iff its rows enlarge the span of the first block
+    stab_trivial = (direct and base_dim > 0) or all(
+        [_echelon(dom, bases[0] + b).rank > base_dim for b in bases[1:]])
     return {"stabilizer_trivial": stab_trivial, "direct": direct, "dim": total,
             "block_dim": base_dim}
 
@@ -718,10 +724,11 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
 
     Scans the diagonal idempotents in index order, keeping ell_j whenever it
     lies outside the span accumulated so far; each kept ideal contributes
-    its full Galois orbit of left ideals to the span.  The coordinates of
-    the central idempotent with respect to the assembled basis give the
-    primitive idempotents u_s^h, which are then validated against the whole
-    expected relation suite.
+    its full Galois orbit of left ideals to the span, as the tau_h-images of
+    its matrix units.  The coordinates of the central idempotent with respect
+    to the assembled basis give the primitive idempotents u_s^h, which are
+    then validated against the whole expected relation suite.  A given ells
+    must be the rep's diagonal idempotents.
     """
     nf = rep.field
     group = rep.group
@@ -735,27 +742,22 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
             f"declared field degree {len(nf.automorphisms)} does not equal "
             f"[L:K]*[K:Q] = {m}*{orbit.field_degree}"
         )
-    valid_ells, e_central = _validated_diagonal(rep)
-    if ells is None:
-        ells = valid_ells
+    diagonal, e_central = _validated_diagonal(rep)
+    if ells is not None and list(ells) != list(diagonal):
+        raise ValidationError("ells are not the diagonal idempotents of the representation")
     dom = FieldDomain(nf)
     zero, one = dom.zero(), dom.one()
 
     span = CoordinateSpan(zero, one)
     selected = []
-    block_bases = []  # [s][h] -> list of basis elements of J_s^h
-    for j, ell in enumerate(ells):
+    block_bases = []  # [s][h] -> dense basis vectors of J_s^h
+    for j, ell in enumerate(diagonal):
         if span.coordinates(ell.dense()) is not None:
             continue
-        base = ideal_basis(ell)
-        if len(base) != n:
-            raise InvariantError("basis assembly failed: block ideal has wrong dimension")
-        per_tau = []
-        for h in fixers:
-            tau_base = [b.apply_galois(h) for b in base]
-            for b in tau_base:
-                span.add(b.dense())
-            per_tau.append(tau_base)
+        column = _matrix_units(rep, j)
+        per_tau = [[[nf.apply_auto(h, c) for c in vec] for vec in column] for h in fixers]
+        for vec in [v for tau_column in per_tau for v in tau_column]:
+            span.add(vec)
         selected.append(j)
         block_bases.append(per_tau)
 
@@ -769,24 +771,20 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     if coords is None:
         raise InvariantError("basis assembly failed: central idempotent not expressible")
 
-    u_grid = []
-    pos = 0
+    u_grid, pos = [], 0
     for per_tau in block_bases:
         row = []
-        for tau_base in per_tau:
-            u = AlgebraElement.zero(group, dom)
-            for c, b in zip(coords[pos:pos + len(tau_base)], tau_base):
-                if c != zero:
-                    u = u + b * c
-            pos += len(tau_base)
-            row.append(u)
+        for tau_column in per_tau:
+            cs, pos = coords[pos:pos + n], pos + n
+            row.append(AlgebraElement(group, dom, {
+                g: sum((c * vec[g] for c, vec in zip(cs, tau_column)), zero)
+                for g in range(group.order)}))
         u_grid.append(tuple(row))
-    u_grid = tuple(u_grid)
 
     e_rational = rational_central_idempotent(rep.table, orbit)
     system = IdempotentSystem(
-        group=group, nf=nf, ells=tuple(ells), selected=tuple(selected),
-        u_grid=u_grid, e_central=e_central, e_rational=e_rational,
+        group=group, nf=nf, ells=diagonal, selected=tuple(selected),
+        u_grid=tuple(u_grid), e_central=e_central, e_rational=e_rational,
     )
     failures = [name for name, ok in system_grid_checks(system) if not ok]
     if failures:
@@ -878,14 +876,14 @@ def symmetrize_to_rational(system: IdempotentSystem):
 def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
     """Evidence suite asserting m = [L:K] for the orbit of the representation.
 
-    Checks the orbit analysis of every diagonal idempotent and the
-    divisibility of every subgroup multiplicity by m; returns m on success.
-    The diagonal suite itself runs only if the rep has not passed it yet.
+    Checks the orbit analysis of every diagonal idempotent's ideal, on its
+    matrix units, and the divisibility of every subgroup multiplicity by m;
+    returns m.  The diagonal suite runs only if the rep has not passed it yet.
     """
     m = len(rep.field.subfield_fixers)
-    ells = diagonal_idempotents(rep)
-    for j, ell in enumerate(ells):
-        verdict = orbit_module_check(ell)
+    _validated_diagonal(rep)
+    for j in range(rep.degree):
+        verdict = _orbit_verdict(rep.field, _matrix_units(rep, j))
         if not (verdict["stabilizer_trivial"] and verdict["direct"]):
             raise InvariantError(
                 f"orbit analysis failed for ell_{j+1}: {verdict}"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from isotypic import (
     AlgebraElement,
+    FieldDomain,
     MatrixRep,
     NumField,
     RATIONAL_FIELD,
@@ -18,7 +20,6 @@ from isotypic import (
     diagonal_idempotent,
     diagonal_idempotents,
     galois_orbits,
-    ideal_basis,
     ideal_dim,
     invariant_idempotent,
     orbit_module_check,
@@ -260,13 +261,17 @@ def test_trace_formula_matches_echelon_rank(small_groups, small_tables, g80, fie
     ] + symmetrize_to_rational(s3_system)                          # the S3 f_s
     for e in idempotents:
         assert e.is_idempotent()
-        assert ga._trace_dim(e) == len(ideal_basis(e)) == ideal_dim(e)
+        ech = Echelon(e.domain.zero(), e.domain.one())
+        for vec in e.left_translates():
+            ech.add(vec)
+        assert ga._trace_dim(e) == ech.rank == ideal_dim(e)
 
 
 def test_ideal_dim_of_non_idempotent_uses_echelon(small_groups, small_tables, monkeypatch):
     calls = []
-    real = ga.ideal_basis
-    monkeypatch.setattr(ga, "ideal_basis", lambda a: calls.append(a) or real(a))
+    real = AlgebraElement.left_translates
+    monkeypatch.setattr(AlgebraElement, "left_translates",
+                        lambda self: calls.append(self) or real(self))
     S3 = small_groups["S3"]
     rep = s3_standard_rep(small_groups, small_tables)
     twice_ev = central_idempotent_over_field(rep) * 2
@@ -276,19 +281,6 @@ def test_ideal_dim_of_non_idempotent_uses_echelon(small_groups, small_tables, mo
     assert ga.ideal_dim(one_plus_g) == 3      # (1 + g)/2 projects onto |G|/2 dimensions
     assert calls == [twice_ev, one_plus_g]
     assert ga.ideal_dim(AlgebraElement.zero(S3)) == 0
-
-
-def test_ideal_basis_is_first_independent_translates(small_groups):
-    S4 = small_groups["S4"]
-    rng = random.Random(7)
-    a = AlgebraElement(S4, RATIONALS, {rng.randrange(24): F(rng.randint(-3, 3)) for _ in range(6)})
-    ech = Echelon(F(0), F(1))
-    want = []
-    for g in range(S4.order):
-        elem = AlgebraElement.basis(S4, g) * a
-        if ech.add(elem.dense()):
-            want.append(elem)
-    assert ideal_basis(a) == want
 
 
 # -- diagonal idempotents and the primitive system ------------------------------------------
@@ -407,6 +399,71 @@ def test_galois_translate_generates_same_module(rep80, field80):
     l1 = ells[0]
     tau_l1 = l1.apply_galois(1)
     assert orbit_module_check(tau_l1)["dim"] == orbit_module_check(l1)["dim"]
+
+
+def _unit_elements(rep, j):
+    return [AlgebraElement(rep.group, FieldDomain(rep.field), dict(enumerate(vec)))
+            for vec in ga._matrix_units(rep, j)]
+
+
+def test_matrix_units_multiply_as_matrix_units(small_groups, small_tables):
+    for rep in (s3_standard_rep(small_groups, small_tables), q8_rep(small_groups, small_tables)):
+        n = rep.degree
+        # units[j][i] = E_ij
+        units = [_unit_elements(rep, j) for j in range(n)]
+        zero = AlgebraElement.zero(rep.group, FieldDomain(rep.field))
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            want = units[l][i] if j == k else zero
+            assert units[j][i] * units[l][k] == want
+        for j in range(n):
+            assert units[j][j] == diagonal_idempotent(rep, j)
+
+
+def test_matrix_unit_column_spans_the_ideal_of_ell(rep80, small_groups, small_tables):
+    reps = (rep80, q8_rep(small_groups, small_tables), s3_standard_rep(small_groups, small_tables))
+    for rep in reps:
+        dom = FieldDomain(rep.field)
+        for j, ell in enumerate(diagonal_idempotents(rep)):
+            column = ga._matrix_units(rep, j)
+            translates = ga._echelon(dom, ell.left_translates())
+            assert ga._echelon(dom, column).rank == translates.rank == rep.degree
+            assert ga._echelon(dom, translates.rows + column).rank == rep.degree  # the union
+            assert ga._orbit_verdict(rep.field, column) == orbit_module_check(ell)
+
+
+def test_primitive_pipeline_never_calls_left_translates(g80, t80, field80, quad80,
+                                                        small_groups, small_tables,
+                                                        monkeypatch):
+    def refuse(self):
+        raise AssertionError("left translates echelonized")
+
+    monkeypatch.setattr(AlgebraElement, "left_translates", refuse)
+    q8 = q8_rep(small_groups, small_tables)
+    q8_orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
+    for rep, orbit in ((q8, q8_orbit), (fx.order80_rep(g80, t80, field80), quad80)):
+        m = validate_schur_from_rep(rep, orbit)
+        assert m == 2
+        system = construct_primitive_system(rep, assert_schur(orbit, m))
+        assert all(ok for _, ok in system_grid_checks(system))
+
+
+def test_orbit_module_check_edge_cases(g80, rep80, field80):
+    # L[G]e_V is the whole simple block, which tau maps to itself
+    assert orbit_module_check(central_idempotent_over_field(rep80)) == {
+        "stabilizer_trivial": False, "direct": False, "dim": 16, "block_dim": 16}
+    # the zero ideal: the sum is direct, but tau fixes it
+    assert orbit_module_check(AlgebraElement.zero(g80, FieldDomain(field80))) == {
+        "stabilizer_trivial": False, "direct": True, "dim": 0, "block_dim": 0}
+
+
+def test_construct_primitive_system_takes_only_the_reps_ells(small_groups, small_tables):
+    rep = q8_rep(small_groups, small_tables)
+    orbit = assert_schur(next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2), 2)
+    ells = diagonal_idempotents(rep)
+    with pytest.raises(ValidationError, match="not the diagonal idempotents"):
+        construct_primitive_system(rep, orbit, ells=ells[::-1])
+    system = construct_primitive_system(rep, orbit, ells=ells)
+    assert list(system.ells) == ells
 
 
 def test_s3_primitive_system(small_groups, small_tables):

@@ -10,7 +10,7 @@ import pytest
 
 import character_table_reference as ref
 from isotypic import characters
-from isotypic.groupalgebra import diagonal_idempotents, ideal_basis
+from isotypic.groupalgebra import _matrix_units
 from isotypic.linalg import CoordinateSpan
 from linalg_reference import solve_in_span
 
@@ -88,12 +88,12 @@ def test_dependent_basis_rejected_where_solve_in_span_raised(seed):
 
 
 def test_coordinates_match_solve_in_span_over_order80_field(rep80):
-    """The block-selection basis of the order-80 example: one ideal of a
-    diagonal idempotent and its Gal(L/K) translate, vectors of length 80
-    over L."""
+    """The block-selection basis of the order-80 example: the matrix units
+    E_i1 spanning the ideal of ell_1 and their Gal(L/K) translates, vectors
+    of length 80 over L."""
     nf = rep80.field
-    base = ideal_basis(diagonal_idempotents(rep80)[0])
-    vecs = [b.apply_galois(h).dense() for h in nf.subfield_fixers for b in base]
+    column = _matrix_units(rep80, 0)
+    vecs = [[nf.apply_auto(h, c) for c in vec] for h in nf.subfield_fixers for vec in column]
     zero, one = nf.zero(), nf.one()
     span, rejected = _span(vecs, zero, one)
     assert rejected is None
