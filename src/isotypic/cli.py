@@ -23,6 +23,7 @@ from .characters import (
 from .cyclotomic import render_cyc
 from .decomposition import JacobianDecomposer
 from .errors import BoundExceededError, InvariantError, ValidationError
+from .groups import DEFAULT_LATTICE_BOUND
 from .groupalgebra import (
     central_idempotent,
     construct_primitive_system,
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, table=True):
         p.add_argument("--group", required=True, help="group specification JSON (or bundled:NAME)")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--lattice-bound", type=int, default=2000)
+        p.add_argument("--lattice-bound", type=int, default=DEFAULT_LATTICE_BOUND)
         if table:
             p.add_argument("--table", help="character table JSON instead of computing")
 

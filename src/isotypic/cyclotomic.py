@@ -1,5 +1,5 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_e), and the integer kernel
-it shares with the declared number fields of ``numberfield``.
+and operators it shares with the declared number fields of ``numberfield``.
 
 An element is a tuple of integer numerators over one positive common
 denominator, normalized by their gcd, so every value has exactly one form
@@ -11,6 +11,14 @@ or a change of level is a convolution or an index map followed by a fold
 through them.  The Galois group of Q(zeta_e)/Q is identified with the units
 of Z/e acting by zeta -> zeta^k; subfields are represented implicitly by
 their stabilizer inside that unit group.
+
+Every operator (+, -, *, / and their reflected forms, ** and inverse) is
+written once, on ``_Exact``, against four hooks of each value class:
+``_make(num, den)`` builds a value of the same field; ``_pair(other)``
+brings two values into one field (the lcm level here, the same field in
+``numberfield``) or raises ValidationError; ``_reduction()`` is the
+field's product reduction (rows, width, scale); ``_images()`` yields the
+images sigma(a), sigma != 1, of a value.
 
 Both kinds of field are Galois and every automorphism is known, so an
 inverse has a closed form: a^-1 = c / N(a) with c the product of the images
@@ -242,17 +250,22 @@ def _combine(vec, rows, width):
     return out
 
 
-def _power(value, k: int, one):
-    """value ** k by square and multiply; a negative k inverts first."""
-    if k < 0:
-        value, k = value.inverse(), -k
-    result = one
-    while k:
-        if k & 1:
-            result = result * value
-        value = value * value
-        k >>= 1
-    return result
+def _power_table(low, low_den, count):
+    """(rows, D): rows[k] is the sparse integer vector D * (t^k mod p) for
+    k < count, where p = t^n + (low[0] + ... + low[n-1] t^(n-1)) / low_den
+    and D is the common denominator of the rows (1 when low_den is 1)."""
+    n = len(low)
+    powers = [(tuple(int(j == k) for j in range(n)), 1) for k in range(n)]
+    num, den = powers[-1]
+    for _ in range(n, count):
+        # t^k = t * t^(k-1), with t^n = -low / low_den
+        top = num[-1]
+        num, den = _normal([low_den * x - top * y for x, y in zip((0,) + num[:-1], low)],
+                           den * low_den)
+        powers.append((num, den))
+    scale = lcm(*(d for _, d in powers))
+    rows = [tuple((j, x * (scale // d)) for j, x in enumerate(num) if x) for num, d in powers]
+    return rows, scale
 
 
 def _inverse(value, images, one):
@@ -293,7 +306,9 @@ def _render_terms(coeffs, gen: str) -> str:
 
 
 class _Exact:
-    """Shared storage and read-only views of the integer kernel."""
+    """Storage, read-only views and every operator of a field value, written
+    against the four hooks the module docstring names.  A rational operand
+    (int or Fraction) needs no hook."""
 
     __slots__ = ("num", "den")
 
@@ -324,6 +339,65 @@ class _Exact:
     def _rational_hash(self):
         return hash(Rat(self.num[0], self.den))
 
+    def _one(self):
+        return self._make((1,) + (0,) * (len(self.num) - 1), 1)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, _Exact):
+            a, b = self._pair(other)
+            return a._make(*_sum(a.num, a.den, b.num, b.den))
+        return self._make(*_shifted(self.num, self.den, other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(tuple([-x for x in self.num]), self.den)
+
+    def __sub__(self, other):
+        if isinstance(other, _Exact):
+            a, b = self._pair(other)
+            return a._make(*_difference(a.num, a.den, b.num, b.den))
+        return self._make(*_shifted(self.num, self.den, -_rational(other)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Exact):
+            a, b = self._pair(other)
+            rows, width, scale = a._reduction()
+            num = _fold(_convolve(a.num, b.num), rows, width, scale)
+            return a._make(*_normal(num, a.den * b.den * scale))
+        return self._make(*_scaled(self.num, self.den, other))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        return _inverse(self, self._images(), self._one())
+
+    def __truediv__(self, other):
+        if isinstance(other, _Exact):
+            a, b = self._pair(other)
+            return a * b.inverse()
+        return self * (1 / Rat(other))
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k: int):
+        """self ** k by square and multiply; a negative k inverts first."""
+        value = self.inverse() if k < 0 else self
+        k = abs(k)
+        result = self._one()
+        while k:
+            if k & 1:
+                result = result * value
+            value = value * value
+            k >>= 1
+        return result
+
 
 # ---------------------------------------------------------------------------
 # reduction tables of Q(zeta_e)
@@ -347,19 +421,9 @@ class _Level:
                 f"cyclotomic level {e} exceeds the level bound {DEFAULT_LEVEL_BOUND}"
             )
         phi = euler_phi(e)
-        low = cyclotomic_polynomial(e)[:phi]
-        rows = [((i, 1),) for i in range(phi)]
-        cur = [0] * phi
-        cur[-1] = 1
-        for _ in range(phi, max(e, 2 * phi - 1)):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [c - top * p for c, p in zip(cur, low)]
-            rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         self.level = e
         self.phi = phi
-        self.rows = rows
+        self.rows, _ = _power_table(cyclotomic_polynomial(e)[:phi], 1, max(e, 2 * phi - 1))
         self.galois_rows = {}
         self.lift_rows = {}
         # Tr(zeta^i) / phi(e) = mu(d) / phi(d) with d = e / gcd(i, e)
@@ -469,69 +533,39 @@ class CycValue(_Exact):
     def conjugate(self) -> "CycValue":
         return self.galois(-1)
 
-    # -- arithmetic --------------------------------------------------------
+    # -- hooks of _Exact -----------------------------------------------------
 
-    @staticmethod
-    def _common(a: "CycValue", b) -> tuple["CycValue", "CycValue"]:
-        if not isinstance(b, CycValue):
-            b = CycValue.from_rational(b)
-        if a.level == b.level:
-            return a, b
-        lev = a.level * b.level // gcd(a.level, b.level)
-        return a.to_level(lev), b.to_level(lev)
+    def _make(self, num, den) -> "CycValue":
+        return _cyc(self.level, num, den)
 
-    def __add__(self, other):
-        if not isinstance(other, CycValue):
-            return _cyc(self.level, *_shifted(self.num, self.den, other))
-        a, b = CycValue._common(self, other)
-        return _cyc(a.level, *_sum(a.num, a.den, b.num, b.den))
+    def _pair(self, other) -> tuple["CycValue", "CycValue"]:
+        """Both values at the lcm of their levels."""
+        if type(other) is not CycValue:
+            raise ValidationError(f"cannot combine {self!r} with {other!r}: different fields")
+        if other.level == self.level:
+            return self, other
+        lev = lcm(self.level, other.level)
+        return self.to_level(lev), other.to_level(lev)
 
-    __radd__ = __add__
+    def _reduction(self):
+        lv = _level(self.level)
+        return lv.rows, lv.phi, 1
 
-    def __neg__(self):
-        return _cyc(self.level, tuple([-x for x in self.num]), self.den)
+    def _images(self):
+        return (self.galois(k) for k in unit_group(self.level)[1:])
 
-    def __sub__(self, other):
-        if not isinstance(other, CycValue):
-            return _cyc(self.level, *_shifted(self.num, self.den, -_rational(other)))
-        a, b = CycValue._common(self, other)
-        return _cyc(a.level, *_difference(a.num, a.den, b.num, b.den))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, CycValue):
-            return _cyc(self.level, *_scaled(self.num, self.den, other))
-        a, b = CycValue._common(self, other)
-        lv = _level(a.level)
-        num = _fold(_convolve(a.num, b.num), lv.rows, lv.phi)
-        return _cyc(a.level, *_normal(num, a.den * b.den))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "CycValue":
-        return _inverse(self, (self.galois(k) for k in unit_group(self.level)[1:]),
-                        CycValue.one(self.level))
-
-    def __truediv__(self, other):
-        if not isinstance(other, CycValue):
-            return self * (1 / Rat(other))
-        a, b = CycValue._common(self, other)
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return CycValue.from_rational(other).to_level(self.level) / self
-
-    def __pow__(self, k: int):
-        return _power(self, k, CycValue.one(self.level))
+    # by name in each class's __dict__, where perfbench wraps its counters
+    __add__, __sub__, __rsub__, __neg__, __mul__ = (
+        _Exact.__add__, _Exact.__sub__, _Exact.__rsub__, _Exact.__neg__, _Exact.__mul__)
+    __truediv__, __rtruediv__, __pow__, inverse = (
+        _Exact.__truediv__, _Exact.__rtruediv__, _Exact.__pow__, _Exact.inverse)
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
             return self._equals_rational(other)
         if not isinstance(other, CycValue):
             return NotImplemented
-        a, b = CycValue._common(self, other)
+        a, b = self._pair(other)
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
@@ -543,7 +577,8 @@ class CycValue(_Exact):
         return hash(Rat(trace, self.den * lv.trace_den))
 
     def sort_key(self):
-        return self.coeffs
+        # ints and Fractions compare numerically: the order of self.coeffs
+        return self.num if self.den == 1 else self.coeffs
 
     def __repr__(self):
         return f"CycValue({self.level}, {render_cyc(self)!r})"

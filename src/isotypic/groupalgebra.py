@@ -36,17 +36,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .characters import CharacterTable, RationalIrrep, _checked, fixed_dims
 from .cyclotomic import (
-    CycValue, _cyc, _Exact, _level, _normal, _pack, _unpacker, trace_to_rational,
+    CycValue, _Exact, _normal, _pack, _unpacker, trace_to_rational,
 )
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
 from .linalg import CoordinateSpan, Echelon
-from .numberfield import CycEmbedding, NumField, NumFieldValue, _nfv
+from .numberfield import CycEmbedding, NumField, NumFieldValue
 
 Rat = Fraction
 
@@ -90,7 +89,21 @@ class RationalDomain:
         return "Q"
 
 
-class CyclotomicDomain:
+class _ExactDomain:
+    """The packed product's view of a field domain: its coefficients as
+    integer numerators, and the reduction and constructor of its values."""
+
+    def numerators(self, c):
+        c = _coerce(self, c)
+        return c.num, c.den
+
+    def packing(self):
+        one = self.one()
+        rows, width, scale = one._reduction()
+        return width, rows, scale, one._make
+
+
+class CyclotomicDomain(_ExactDomain):
     kind = "cyclotomic"
 
     def __init__(self, level: int):
@@ -108,15 +121,6 @@ class CyclotomicDomain:
     def apply_galois(self, unit, value):
         return value.galois(unit)
 
-    def numerators(self, c):
-        if not (isinstance(c, CycValue) and c.level == self.level):
-            c = _coerce(self, c)
-        return c.num, c.den
-
-    def packing(self):
-        lv = _level(self.level)
-        return lv.phi, lv.rows, 1, partial(_cyc, self.level)
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicDomain) and self.level == other.level
 
@@ -127,7 +131,7 @@ class CyclotomicDomain:
         return f"Q(zeta_{self.level})"
 
 
-class FieldDomain:
+class FieldDomain(_ExactDomain):
     kind = "numberfield"
 
     def __init__(self, nf: NumField):
@@ -144,15 +148,6 @@ class FieldDomain:
 
     def apply_galois(self, index, value):
         return self.field.apply_auto(index, value)
-
-    def numerators(self, c):
-        if not (isinstance(c, NumFieldValue) and c.field is self.field):
-            c = _coerce(self, c)
-        return c.num, c.den
-
-    def packing(self):
-        rows, scale = self.field._power_rows
-        return self.field.degree, rows, scale, partial(_nfv, self.field)
 
     def __eq__(self, other):
         return isinstance(other, FieldDomain) and self.field == other.field
@@ -209,7 +204,7 @@ def _coerce(domain, c, embedding=None):
     if isinstance(c, NumFieldValue):
         if domain.kind == "Q":
             return c.as_rational()
-        if domain.kind == "numberfield" and c.field == domain.field:
+        if domain.kind == "numberfield" and (c.field is domain.field or c.field == domain.field):
             return c
     raise ValidationError(f"cannot coerce {c!r} into {domain!r}")
 

@@ -137,6 +137,7 @@ class FiniteGroup:
         self._subgroup_classes = None
         self._fusion = None
         self._first_conjugators = {}
+        self._member_masks = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -391,7 +392,8 @@ class FiniteGroup:
         """Least element a with a * inner * a^-1 contained in outer, or None.
 
         Per inner tuple, its distinct conjugate masks are cached in order of
-        the least a giving each, so a query is one mask AND per conjugate.
+        the least a giving each, and per outer tuple its mask, so a query is
+        one mask AND per conjugate.
         """
         inner = tuple(inner)
         firsts = self._first_conjugators.get(inner)
@@ -400,7 +402,10 @@ class FiniteGroup:
             for a, m in self._conjugate_masks(set(inner)):
                 least_a.setdefault(m, a)
             firsts = self._first_conjugators[inner] = tuple(least_a.items())
-        outer_mask = sum(self._bit[m] for m in set(outer))
+        outer = tuple(outer)
+        outer_mask = self._member_masks.get(outer)
+        if outer_mask is None:
+            outer_mask = self._member_masks[outer] = sum(self._bit[m] for m in set(outer))
         for m, a in firsts:
             if m & outer_mask == m:
                 return a

@@ -9,9 +9,11 @@ procedure, run in integers: each candidate factor interpolated through
 divisors of p's values must divide the leading coefficient and the value at
 one more point before it is trial-divided exactly in Z[t], so Fraction
 polynomial division never runs.  Values share
-the integer kernel of ``cyclotomic``, including its inverse: the product of
-the images of a value under the declared automorphisms other than the
-identity, divided by the value's norm.
+the integer kernel of ``cyclotomic`` and every operator of its ``_Exact``;
+``NumFieldValue`` supplies the four hooks: ``_make``, ``_pair`` (a same-field
+check), ``_reduction`` (the rows of t^k mod p) and ``_images`` (the declared
+automorphisms other than the identity, whose product over the norm is the
+inverse).
 """
 
 from __future__ import annotations
@@ -23,20 +25,12 @@ from math import gcd, isqrt, lcm
 from .cyclotomic import (
     CycValue,
     _combine,
-    _convolve,
-    _difference,
     _Exact,
-    _fold,
     _integral,
-    _inverse,
     _new,
     _normal,
-    _power,
-    _rational,
+    _power_table,
     _render_terms,
-    _scaled,
-    _shifted,
-    _sum,
     poly_mod,
     poly_trim,
 )
@@ -278,19 +272,11 @@ class NumField:
 
     @cached_property
     def _power_rows(self):
-        """(rows, D): rows[k] is D * (t^k mod p) for k < 2 deg - 1."""
+        """(rows, deg, D): rows[k] is D * (t^k mod p) for k < 2 deg - 1."""
         deg = self.degree
         low, low_den = _integral(self.minpoly[:deg])
-        powers = [(tuple(int(j == k) for j in range(deg)), 1) for k in range(deg)]
-        for _ in range(deg, 2 * deg - 1):
-            # t * t^(k-1), with t^deg = -low / low_den
-            num, den = powers[-1]
-            top = num[-1]
-            shifted = (0,) + num[:-1]
-            powers.append(
-                _normal([low_den * x - top * y for x, y in zip(shifted, low)], den * low_den)
-            )
-        return _common_rows(powers)
+        rows, scale = _power_table(low, low_den, 2 * deg - 1)
+        return rows, deg, scale
 
     @cached_property
     def _auto_maps(self):
@@ -301,7 +287,9 @@ class NumField:
             powers = [self.one()]
             for _ in range(self.degree - 1):
                 powers.append(powers[-1] * image)
-            maps.append(_common_rows([(v.num, v.den) for v in powers]))
+            den = lcm(*(v.den for v in powers))
+            maps.append(([tuple((j, x * (den // v.den)) for j, x in enumerate(v.num) if x)
+                          for v in powers], den))
         return tuple(maps)
 
     # -- element constructors ----------------------------------------------
@@ -347,13 +335,6 @@ class NumField:
         return f"NumField(deg {self.degree}, {len(self.automorphisms)} autos)"
 
 
-def _common_rows(values):
-    """Sparse integer rows of (num, den) vectors over their common denominator."""
-    den = lcm(*(d for _, d in values))
-    rows = [tuple((j, x * (den // d)) for j, x in enumerate(num) if x) for num, d in values]
-    return rows, den
-
-
 class NumFieldValue(_Exact):
     """Element of a NumField: polynomial in t of degree < [L:Q]."""
 
@@ -368,57 +349,30 @@ class NumFieldValue(_Exact):
         self.field = field
         self.num, self.den = _normal(num, den)
 
-    def _coerce(self, other) -> "NumFieldValue":
-        if isinstance(other, NumFieldValue):
-            if other.field is not self.field and other.field != self.field:
-                raise ValidationError("mixing values from different number fields")
-            return other
-        return self.field.from_rational(other)
+    # -- hooks of _Exact -----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, NumFieldValue):
-            return _nfv(self.field, *_shifted(self.num, self.den, other))
-        other = self._coerce(other)
-        return _nfv(self.field, *_sum(self.num, self.den, other.num, other.den))
+    def _make(self, num, den) -> "NumFieldValue":
+        return _nfv(self.field, num, den)
 
-    __radd__ = __add__
+    def _pair(self, other) -> tuple["NumFieldValue", "NumFieldValue"]:
+        """Both values, once they are known to lie in one field."""
+        if type(other) is not NumFieldValue or (
+                other.field is not self.field and other.field != self.field):
+            raise ValidationError(f"cannot combine {self!r} with {other!r}: different fields")
+        return self, other
 
-    def __neg__(self):
-        return _nfv(self.field, tuple([-x for x in self.num]), self.den)
+    def _reduction(self):
+        return self.field._power_rows
 
-    def __sub__(self, other):
-        if not isinstance(other, NumFieldValue):
-            return _nfv(self.field, *_shifted(self.num, self.den, -_rational(other)))
-        other = self._coerce(other)
-        return _nfv(self.field, *_difference(self.num, self.den, other.num, other.den))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, NumFieldValue):
-            return _nfv(self.field, *_scaled(self.num, self.den, other))
-        other = self._coerce(other)
+    def _images(self):
         field = self.field
-        rows, scale = field._power_rows
-        num = _fold(_convolve(self.num, other.num), rows, field.degree, scale)
-        return _nfv(field, *_normal(num, self.den * other.den * scale))
+        return (field.apply_auto(i, self) for i in range(1, field.degree))
 
-    __rmul__ = __mul__
-
-    def inverse(self) -> "NumFieldValue":
-        field = self.field
-        return _inverse(self, (field.apply_auto(i, self) for i in range(1, field.degree)),
-                        field.one())
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, k: int):
-        return _power(self, k, self.field.one())
+    # by name in each class's __dict__, where perfbench wraps its counters
+    __add__, __sub__, __rsub__, __neg__, __mul__ = (
+        _Exact.__add__, _Exact.__sub__, _Exact.__rsub__, _Exact.__neg__, _Exact.__mul__)
+    __truediv__, __rtruediv__, __pow__, inverse = (
+        _Exact.__truediv__, _Exact.__rtruediv__, _Exact.__pow__, _Exact.inverse)
 
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):

@@ -16,7 +16,9 @@ from fractions import Fraction
 from .characters import Character, CharacterTable
 from .cyclotomic import CycValue
 from .errors import ValidationError
-from .groups import FiniteGroup, from_cayley_table, from_permutations, from_presentation
+from .groups import (
+    DEFAULT_ENUMERATION_BOUND, FiniteGroup, from_cayley_table, from_permutations, from_presentation,
+)
 from .groupalgebra import (
     AlgebraElement,
     CyclotomicDomain,
@@ -98,7 +100,7 @@ def group_from_spec(d) -> FiniteGroup:
         if kind == "presentation":
             p = d[kind]
             args = (int(p["generators"]), [list(w) for w in p["relators"]])
-            bound = int(p.get("bound", 10000))
+            bound = int(p.get("bound", DEFAULT_ENUMERATION_BOUND))
         else:
             rows = [list(r) for r in d[kind]]
     if kind != "presentation" and any(type(x) is not int for r in rows for x in r):

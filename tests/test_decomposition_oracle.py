@@ -47,6 +47,30 @@ def _quad(orbits):
     return tuple(i + 1 for i in orbit.char_indices)
 
 
+class _CountingDict(dict):
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
+def test_containment_queries_build_each_outer_mask_once():
+    builds = []
+    group = GROUPS["C2^4"]()
+    group._member_masks = _CountingDict(builds)  # every mask built is stored
+    table = compute_character_table(group)
+    dec = JacobianDecomposer(table, orbits=galois_orbits(table))
+    pairs = [(i, o) for i in range(len(dec.subgroups)) for o in range(len(dec.subgroups))]
+    first = [dec.contains(i, o) for i, o in pairs]
+    assert builds and len(builds) == len(set(builds))
+    del builds[:]
+    assert [dec.contains(i, o) for i, o in pairs] == first
+    assert builds == []
+
+
 @pytest.mark.parametrize("name,m2,relabel", CASES)
 def test_decomposer_matches_reference(name, m2, relabel):
     rng = random.Random(name)

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -7,10 +8,12 @@ from isotypic import (
     CycEmbedding,
     CycValue,
     NumField,
+    NumFieldValue,
     RATIONAL_FIELD,
     ValidationError,
     is_irreducible,
 )
+from isotypic.cyclotomic import _Exact
 from isotypic.fixtures import order80_field, order80_k_and_l, sqrt_minus5_cyclotomic
 
 
@@ -216,3 +219,21 @@ def test_irreducibility_matches_fraction_reference():
     verdicts = [is_irreducible(p) for p in cases]
     assert verdicts == [reference_is_irreducible(p) for p in cases]
     assert 50 < sum(verdicts) < len(cases) - 150  # both kinds, every product reducible
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_values_of_different_fields_do_not_combine(op):
+    z, t = CycValue.root_of_unity(8), order80_field().gen()
+    other = NumField([F(-2), F(0), F(1)], [[0, 1], [0, -1]]).gen()
+    for a, b in ((z, t), (t, z), (t, other), (other, t)):
+        with pytest.raises(ValidationError, match="different"):
+            op(a, b)
+
+
+def test_both_value_classes_share_one_copy_of_each_operator():
+    # the names perfbench wraps in each class's own __dict__
+    for name in ("__add__", "__sub__", "__rsub__", "__neg__", "__mul__", "__truediv__",
+                 "__rtruediv__", "__pow__", "inverse"):
+        shared = _Exact.__dict__[name]
+        assert CycValue.__dict__[name] is shared
+        assert NumFieldValue.__dict__[name] is shared

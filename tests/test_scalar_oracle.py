@@ -41,6 +41,34 @@ def _same(new, old):
         assert new.sort_key() == old.sort_key()
 
 
+def _ref_power(base, k, one):
+    out = one
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def _check_mixed_operators(a, ra, b, rb, q, one, invert):
+    """Rationals on the left, division and powers, against the reference's
+    products and inverses; ``invert`` allows reference inverses of a and b."""
+    _same(q + a, ra + q)
+    _same(q - a, -ra + q)
+    _same(q * a, ra * q)
+    if q != 0:
+        _same(a / q, ra * (1 / F(q)))
+    for k in range(4):
+        _same(a ** k, _ref_power(ra, k, one))
+    if not invert:
+        return
+    if not b.is_zero():
+        _same(a / b, ra * rb.inverse())
+    if not a.is_zero():
+        inv = ra.inverse()
+        _same(q / a, inv * q)
+        for k in (1, 2):
+            _same(a ** -k, _ref_power(inv, k, one))
+
+
 def _cyc_pair(level, coeffs):
     return CycValue(level, coeffs), ref.CycValue(level, coeffs)
 
@@ -74,6 +102,7 @@ def test_cyclotomic_kernel_matches_reference(level):
         _same(c.to_level(level), rc.to_level(level))
         if phi <= 16 and not a.is_zero():
             _same(a.inverse(), ra.inverse())
+        _check_mixed_operators(a, ra, b, rb, q, ref.CycValue(level, [1]), phi <= 16)
         assert (a == b) == (ra == rb)
         assert (a == c) == (ra == rc)
         assert (a == q) == (ra == q)
@@ -124,6 +153,7 @@ def test_number_field_kernel_matches_reference(name):
             _same(nf.apply_auto(i, a), ra.apply_auto(i))
         if not a.is_zero():
             _same(a.inverse(), ra.inverse())
+        _check_mixed_operators(a, ra, b, rb, q, ra._new([1]), True)
         assert (a == b) == (ra == rb)
         assert (a == q) == (ra == q)
         assert (a * b - b * a) == 0
@@ -178,3 +208,11 @@ def test_inverse_checks_the_norm_is_rational():
     with pytest.raises(InvariantError, match="norm"):
         cyclotomic._inverse(z, [z.galois(2), z.galois(3)], CycValue.one(5))
     assert cyclotomic._inverse(z, [z.galois(k) for k in (2, 3, 4)], CycValue.one(5)) == z ** 4
+
+
+def test_sort_key_orders_values_as_their_coordinates():
+    rng = random.Random(8)
+    values = [CycValue(8, _coeffs(rng, 4)) for _ in range(3000)]
+    assert sum(v.den != 1 for v in values) > 500
+    by_key = sorted(range(len(values)), key=lambda i: values[i].sort_key())
+    assert by_key == sorted(range(len(values)), key=lambda i: values[i].coeffs)
