@@ -51,42 +51,20 @@ def poly_trim(p):
     return p
 
 
-def poly_divmod(a, b):
-    """Quotient and remainder of a by b (b nonzero), exact over Q."""
-    if not poly_trim(list(b)):
-        raise ZeroDivisionError("polynomial division by zero")
-    b = poly_trim(list(b))
-    a = poly_trim(list(a))
-    q = [Rat(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and poly_trim(a):
-        if not a:
-            break
-        shift = len(a) - len(b)
-        coef = a[-1] / lead
-        q[shift] = coef
-        for i, cb in enumerate(b):
-            a[shift + i] -= coef * cb
-        poly_trim(a)
-    return poly_trim(q), a
-
-
-def poly_mod(a, b):
-    return poly_divmod(a, b)[1]
-
-
 def _exact_quotient(a, b):
-    """a / b for integer polynomials, b monic and dividing a."""
+    """a / b for integer polynomials, or None when b does not divide a in Z[t]."""
     a = list(a)
-    n = len(b) - 1
+    n, lead = len(b) - 1, b[-1]
     q = [0] * (len(a) - n)
     for i in range(len(q) - 1, -1, -1):
-        c = q[i] = a[i + n]
+        c, rest = divmod(a[i + n], lead)
+        if rest:
+            return None
+        q[i] = c
         if c:
             for j, bj in enumerate(b):
                 a[i + j] -= c * bj
-    assert not any(a)
-    return q
+    return None if any(a) else q
 
 
 @lru_cache(maxsize=None)

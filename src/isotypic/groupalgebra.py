@@ -514,9 +514,10 @@ class MatrixRep:
     (element, generator) pairs: the group's elements are numbered
     breadth-first, so the first pair reaching an element defines its matrix
     and every other pair is checked against it, which certifies the full
-    multiplication table.  Traces are checked at every element against the
-    linked character, embedded into L once per class as ``char_values``
-    through the declared embedding.  The rep is immutable after __init__,
+    multiplication table.  The trace is then a class function, so it is
+    checked once per class, at the class's first element, against the linked
+    character, embedded into L as ``char_values`` through the declared
+    embedding.  The rep is immutable after __init__,
     so the diagonal suite of ``diagonal_idempotents`` runs once and its
     result is stored on it.
     """
@@ -565,16 +566,19 @@ class MatrixRep:
                     )
         self.matrices = tuple(matrices)
 
-        # the character embedded into L once per class, checked at every element
+        # the character embedded into L and checked once per class, at the
+        # class's first element: the rep is multiplicative, so its trace is a
+        # class function and the first failing element is found all the same
         values = [None] * len(char.values)
         for g, mat in enumerate(self.matrices):
             k = group.class_index(g)
             if values[k] is None:
                 values[k] = self.embedding.embed(char.values[k])
-            if sum((mat[i][i] for i in range(n)), nf.zero()) != values[k]:
-                raise ValidationError(
-                    f"representation inconsistent with character: trace mismatch at element {g}"
-                )
+                if sum((mat[i][i] for i in range(n)), nf.zero()) != values[k]:
+                    raise ValidationError(
+                        f"representation inconsistent with character: "
+                        f"trace mismatch at element {g}"
+                    )
         self.char_values = tuple(values)
 
     def _entry(self, x):

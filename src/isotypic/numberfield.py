@@ -7,8 +7,9 @@ automorphisms whose fixed field is the distinguished subfield K.
 Irreducibility of p is certified by Kronecker's method, a complete decision
 procedure, run in integers: each candidate factor interpolated through
 divisors of p's values must divide the leading coefficient and the value at
-one more point before it is trial-divided exactly in Z[t], so Fraction
-polynomial division never runs.  Values share
+one more point before it is trial-divided exactly in Z[t].  The rest of the
+declaration is certified by Galois theory (see ``NumField``), so no
+composition table is built and no polynomial is divided over Q.  Values share
 the integer kernel of ``cyclotomic`` and every operator of its ``_Exact``;
 ``NumFieldValue`` supplies the four hooks: ``_make``, ``_pair`` (a same-field
 check), ``_reduction`` (the rows of t^k mod p) and ``_images`` (the declared
@@ -26,12 +27,13 @@ from .cyclotomic import (
     CycValue,
     _combine,
     _Exact,
+    _exact_quotient,
+    _fold,
     _integral,
     _new,
     _normal,
     _power_table,
     _render_terms,
-    poly_mod,
     poly_trim,
 )
 from .errors import ValidationError
@@ -56,33 +58,20 @@ def _int_divisors(n: int):
     return small + large[::-1]
 
 
-def _to_primitive_int(poly):
-    """Scale a rational polynomial to a primitive integer polynomial."""
-    denom = 1
-    for c in poly:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in poly]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
 def _interp_points(ipoly, count):
+    """count nodes 0, 1, -1, 2, ... with their values, or None at a rational root."""
     pts = []
     x = 0
     while len(pts) < count:
         for cand in ([x] if x == 0 else [x, -x]):
             val = _evaluate(ipoly, cand)
             if val == 0:
-                return None, cand  # rational root found
+                return None
             pts.append((cand, val))
             if len(pts) == count:
                 break
         x += 1
-    return pts, None
+    return pts
 
 
 def is_irreducible(poly) -> bool:
@@ -94,17 +83,17 @@ def is_irreducible(poly) -> bool:
     must also satisfy lead(q) | lead(P) and q(x0) | P(x0) at one more point
     x0; only then is it trial-divided, exactly in integers.
     """
-    poly = [Rat(c) for c in poly]
-    poly_trim(poly)
-    deg = len(poly) - 1
+    num = poly_trim(_integral(poly)[0])
+    deg = len(num) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    ipoly = _to_primitive_int(poly)
+    content = gcd(*num)
+    ipoly = [c // content for c in num]
     lead = ipoly[-1]
     for k in range(1, deg // 2 + 1):
-        pts, root = _interp_points(ipoly, k + 2)
+        pts = _interp_points(ipoly, k + 2)
         if pts is None:
             return False
         (x0, y0), pts = pts[-1], pts[:-1]
@@ -127,7 +116,7 @@ def is_irreducible(poly) -> bool:
             at_x0 = _evaluate(cand, x0)
             if at_x0 == 0 or y0 % at_x0:
                 continue
-            if _divides(cand, ipoly):
+            if _exact_quotient(ipoly, cand) is not None:
                 return False
     return True
 
@@ -137,20 +126,6 @@ def _evaluate(ipoly, x: int) -> int:
     for c in reversed(ipoly):
         val = val * x + c
     return val
-
-
-def _divides(q, p) -> bool:
-    """Whether the integer polynomial q divides p in Z[x]."""
-    p = list(p)
-    n, lead = len(q) - 1, q[-1]
-    for i in range(len(p) - 1 - n, -1, -1):
-        c, rest = divmod(p[i + n], lead)
-        if rest:
-            return False
-        if c:
-            for j, qj in enumerate(q):
-                p[i + j] -= c * qj
-    return not any(p)
 
 
 def _integer_interpolant(xs, ys):
@@ -191,9 +166,16 @@ class NumField:
     """Galois extension of Q with declared automorphisms.
 
     minpoly: monic rational coefficients, low degree first.
-    automorphisms: images of t, each a polynomial of degree < deg(p); the
+    automorphisms: images of t, each a polynomial reduced mod p on input; the
         identity need not come first in the input but is reordered to index 0.
     subfield_fixers: indices of the automorphisms generating Gal(L/K).
+
+    Certificate: once p is irreducible, L is a field of degree d = deg p, and
+    each root F of p in L defines the automorphism t -> F.  Since
+    |Aut(L/Q)| <= [L:Q] = d, d pairwise-distinct declared roots are all of
+    Aut(L/Q): L/Q is Galois, the identity (the image equal to t) is among
+    them and they are closed under composition.  Only the subfield fixers,
+    an arbitrary subset, are checked for closure.
     """
 
     def __init__(self, minpoly, automorphisms, subfield_fixers=(0,), name="L"):
@@ -209,19 +191,14 @@ class NumField:
         self.minpoly = tuple(minpoly)
         self.name = name
 
-        autos = []
-        for img in automorphisms:
-            img = [Rat(c) for c in img]
-            img = poly_mod(img, minpoly)
-            autos.append(tuple(img))
-        if len(autos) != self.degree:
+        images = [NumFieldValue(self, img) for img in automorphisms]
+        if len(images) != self.degree:
             raise ValidationError(
-                f"L/Q not Galois as declared: need {self.degree} automorphisms, got {len(autos)}"
+                f"L/Q not Galois as declared: need {self.degree} automorphisms, got {len(images)}"
             )
-        if len(set(autos)) != len(autos):
+        if len({(v.num, v.den) for v in images}) != len(images):
             raise ValidationError("L/Q not Galois as declared: repeated automorphism")
-        for img in autos:
-            image = NumFieldValue(self, img)
+        for image in images:
             acc = self.zero()
             for c in reversed(minpoly):
                 acc = acc * image + c
@@ -229,61 +206,41 @@ class NumField:
                 raise ValidationError(
                     "L/Q not Galois as declared: image is not a root of the minimal polynomial"
                 )
-        ident = tuple([Rat(0), Rat(1)][: self.degree + 1]) if self.degree > 1 else None
-        if self.degree == 1:
-            autos = [tuple([Rat(0)])] if not autos else autos
-            self.automorphisms = (autos[0],)
-        else:
-            if ident not in autos:
-                raise ValidationError("L/Q not Galois as declared: identity missing")
-            autos.remove(ident)
-            self.automorphisms = (ident, *autos)
+        identity = self.gen()
+        images.remove(identity)
+        self._image_values = images = (identity, *images)
+        self.automorphisms = tuple(tuple(poly_trim(list(v.coeffs))) for v in images)
 
-        # composition table; also certifies closure under composition.
-        # _comp[i][j] = "apply sigma_i first, then sigma_j"; its image
-        # polynomial is F_i(F_j(t)) = sigma_j(F_i) since sigma(v) = v(F_sigma(t)) mod p.
-        self._comp = []
-        index = {img: i for i, img in enumerate(self.automorphisms)}
-        for a in self.automorphisms:
-            value = NumFieldValue(self, a)
-            row = []
-            for j in range(len(self.automorphisms)):
-                img = tuple(poly_trim(list(self.apply_auto(j, value).coeffs)))
-                if img not in index:
-                    raise ValidationError(
-                        "L/Q not Galois as declared: automorphisms not closed under composition"
-                    )
-                row.append(index[img])
-            self._comp.append(tuple(row))
-
-        fixers = tuple(sorted(set(int(i) for i in subfield_fixers)))
-        if not fixers or fixers[0] != 0:
-            fixers = tuple(sorted(set(fixers) | {0}))
+        fixers = tuple(sorted(set(int(i) for i in subfield_fixers) | {0}))
         for i in fixers:
-            if not 0 <= i < len(self.automorphisms):
+            if not 0 <= i < len(images):
                 raise ValidationError("subfield fixer index out of range")
-        for i in fixers:
-            for j in fixers:
-                if self._comp[i][j] not in fixers:
+        fixed = {(images[i].num, images[i].den) for i in fixers}
+        for i in fixers[1:]:
+            for j in fixers[1:]:
+                image = self.apply_auto(j, images[i])
+                if (image.num, image.den) not in fixed:
                     raise ValidationError("subfield fixers are not closed under composition")
         self.subfield_fixers = fixers
 
     # -- integer tables, built on first use ------------------------------------
 
+    def _powers(self, count):
+        """(rows, D): rows[k] is D * (t^k mod p) for k < count."""
+        low, low_den = _integral(self.minpoly[:self.degree])
+        return _power_table(low, low_den, count)
+
     @cached_property
     def _power_rows(self):
         """(rows, deg, D): rows[k] is D * (t^k mod p) for k < 2 deg - 1."""
-        deg = self.degree
-        low, low_den = _integral(self.minpoly[:deg])
-        rows, scale = _power_table(low, low_den, 2 * deg - 1)
-        return rows, deg, scale
+        rows, scale = self._powers(2 * self.degree - 1)
+        return rows, self.degree, scale
 
     @cached_property
     def _auto_maps(self):
         """Per automorphism (rows, D): rows[j] is D * sigma(t^j) mod p."""
         maps = []
-        for img in self.automorphisms:
-            image = NumFieldValue(self, img)
+        for image in self._image_values:
             powers = [self.one()]
             for _ in range(self.degree - 1):
                 powers.append(powers[-1] * image)
@@ -304,9 +261,7 @@ class NumField:
         return _nfv(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def gen(self) -> "NumFieldValue":
-        if self.degree == 1:
-            return NumFieldValue(self, [-self.minpoly[0]])
-        return _nfv(self, (0, 1) + (0,) * (self.degree - 2), 1)
+        return NumFieldValue(self, (0, 1))  # in degree 1, t mod p is the root
 
     def from_rational(self, q) -> "NumFieldValue":
         q = Rat(q)
@@ -341,11 +296,12 @@ class NumFieldValue(_Exact):
     __slots__ = ("field",)
 
     def __init__(self, field: NumField, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > field.degree:  # rare: products fold through _power_rows
-            coeffs = poly_mod([Rat(c) for c in coeffs], list(field.minpoly))
         num, den = _integral(coeffs)
-        num += [0] * (field.degree - len(num))
+        deg = field.degree
+        if len(num) > deg:  # rare: products fold through _power_rows
+            rows, scale = field._powers(len(num))
+            num, den = _fold(num, rows, deg, scale), den * scale
+        num += [0] * (deg - len(num))
         self.field = field
         self.num, self.den = _normal(num, den)
 

@@ -185,6 +185,35 @@ def test_trace_mismatch_raises_the_reference_message(small_tables):
     assert "trace mismatch" in str(new.value)
 
 
+def test_trace_checked_once_per_class_fails_like_the_reference(small_tables):
+    # each rational linear character as a 1-dim rep, against every character
+    # of its degree: the first failing element is the reference's
+    compared = 0
+    for table in small_tables.values():
+        group = table.group
+        linear = [c for c in table.chars
+                  if c.degree == 1 and all(v.is_rational() for v in c.values)]
+        for rep in linear:
+            gens = [[[rep.values[group.class_index(g)].as_rational()]] for g in group.generators]
+            for k, char in enumerate(table.chars):
+                if char.degree != 1:
+                    continue
+                try:
+                    MatrixRep(group, RATIONAL_FIELD, gens, table, k)
+                    new = None
+                except ValidationError as exc:
+                    new = str(exc)
+                try:
+                    reference_matrices(group, RATIONAL_FIELD, gens, char,
+                                       CycEmbedding(RATIONAL_FIELD, None, None))
+                    old = None
+                except ValidationError as exc:
+                    old = str(exc)
+                assert new == old
+                compared += new is not None
+    assert compared > 10
+
+
 def test_rep_needs_breadth_first_numbering():
     # C4 generated by 3: element 1 = 3*3*3 is reached only after element 2
     c4 = FiniteGroup([[(a + b) % 4 for b in range(4)] for a in range(4)],

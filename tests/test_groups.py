@@ -1,12 +1,25 @@
+import itertools
+import random
+
 import pytest
 
 from isotypic import (
     BoundExceededError,
+    FiniteGroup,
     ValidationError,
     from_cayley_table,
     from_permutations,
     from_presentation,
 )
+
+# latin square with identity and self-inverse elements, but not associative
+_LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 def test_presentation_order80(g80):
     assert g80.order == 80
@@ -57,16 +70,85 @@ def test_cayley_table_valid():
 
 
 def test_cayley_table_broken_associativity():
-    # latin square with identity but not associative (order 5 loop)
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(ValidationError, match="associativity fails at"):
-        from_cayley_table(table)
+        from_cayley_table(_LOOP5)
+
+
+def _reduced_latin_squares(n):
+    """Every n x n latin square whose first row and column are 0, 1, ..., n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [list(r) for r in rows]
+            return
+        i, j = cells[k]
+        for x in range(n):
+            if x not in rows[i] and all(rows[r][j] != x for r in range(n)):
+                rows[i][j] = x
+                yield from fill(k + 1)
+                rows[i][j] = None
+
+    return list(fill(0))
+
+
+def _is_group_table(table):
+    n = len(table)
+    inverses = all(any(table[a][b] == 0 == table[b][a] for b in range(n)) for a in range(n))
+    return inverses and all(table[table[a][b]][c] == table[a][table[b][c]]
+                            for a in range(n) for b in range(n) for c in range(n))
+
+
+def test_cayley_tables_accepted_exactly_when_groups():
+    squares = _reduced_latin_squares(5)
+    assert len(squares) == 56
+    accepted = 0
+    for table in squares:
+        if _is_group_table(table):
+            assert from_cayley_table(table)._mul == tuple(map(tuple, table))
+            accepted += 1
+        else:
+            with pytest.raises(ValidationError, match="not a group table"):
+                from_cayley_table(table)
+    assert accepted == 6  # the labellings of C5: 4! / |Aut(C5)|
+
+
+def test_tables_that_are_not_latin_end_in_a_verdict():
+    # the closure of the generators on such a table once looped forever
+    with pytest.raises(ValidationError, match="associativity fails"):
+        from_cayley_table([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    tables = []
+    for cells in itertools.product(range(3), repeat=4):
+        tables.append([[0, 1, 2], [1, *cells[:2]], [2, *cells[2:]]])
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(4, 7)
+        table = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+        for i in range(1, n):
+            for j in range(i + 1, n):
+                table[i][j] = table[j][i] = rng.randrange(1, n)
+        tables.append(table)
+    accepted = 0
+    for table in tables:
+        if _is_group_table(table):
+            from_cayley_table(table)
+            accepted += 1
+        else:
+            with pytest.raises(ValidationError, match="not a group table"):
+                from_cayley_table(table)
+    assert accepted >= 1
+
+
+@pytest.mark.parametrize("generators", [(), (1,), (4,)])
+def test_generators_must_generate_the_table(generators):
+    # Light's test over these generators passes or is vacuous; the table is no group
+    with pytest.raises(ValidationError, match="generators reach"):
+        FiniteGroup(_LOOP5, generators=generators)
+    c4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    with pytest.raises(ValidationError, match="generators reach 2 of 4 elements"):
+        FiniteGroup(c4, generators=(2,))
+    assert FiniteGroup(c4, generators=(3,)).generators == (3,)
 
 
 def test_cayley_table_missing_identity():
@@ -186,7 +268,14 @@ def test_fusion_partition(small_groups):
 
 
 def test_exhaustive_associativity_order80(g80):
-    g80._check_associativity_full()
+    mul, n = g80._mul, g80.order
+    for a in range(n):
+        row_a = mul[a]
+        for b in range(n):
+            row_ab = mul[row_a[b]]
+            row_b = mul[b]
+            for c in range(n):
+                assert row_ab[c] == row_a[row_b[c]], (a, b, c)
 
 
 def test_labels_and_words(g24):

@@ -237,3 +237,76 @@ def test_both_value_classes_share_one_copy_of_each_operator():
         shared = _Exact.__dict__[name]
         assert CycValue.__dict__[name] is shared
         assert NumFieldValue.__dict__[name] is shared
+
+
+# Q(zeta_5): the four automorphisms t -> t^k, k = 1..4
+_CYC5 = [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("declared, fixers, expected", [
+    # identity not first, and t -> t^4 given unreduced
+    ([[0, 0, 1], [0, 1], [0, 0, 0, 0, 1], [0, 0, 0, 1]], (0, 2),
+     {"minpoly": ["1", "1", "1", "1", "1"],
+      "automorphisms": [["0", "1"], ["0", "0", "1"], ["-1", "-1", "-1", "-1"], ["0", "0", "0", "1"]],
+      "subfield_fixers": [0, 2]}),
+    ([[0, 0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1]], (),
+     {"minpoly": ["1", "1", "1", "1", "1"],
+      "automorphisms": [["0", "1"], ["-1", "-1", "-1", "-1"], ["0", "0", "0", "1"], ["0", "0", "1"]],
+      "subfield_fixers": [0]}),
+])
+def test_declared_field_json_is_pinned(declared, fixers, expected):
+    from isotypic.serialize import field_from_json, field_to_json
+
+    nf = NumField(_CYC5, declared, fixers)
+    assert field_to_json(nf) == expected
+    assert field_from_json(expected) == nf
+
+
+def test_degree_one_field_json_is_pinned():
+    from isotypic.serialize import field_to_json
+
+    assert field_to_json(RATIONAL_FIELD) == {
+        "minpoly": ["0", "1"], "automorphisms": [[]], "subfield_fixers": [0]}
+    assert field_to_json(NumField([F(-3, 2), 1], [[F(3, 2), 0, 0]])) == {
+        "minpoly": ["-3/2", "1"], "automorphisms": [["3/2"]], "subfield_fixers": [0]}
+    assert field_to_json(NumField([-2, 0, 1], [[0, -1], [0, 1]], (1,))) == {
+        "minpoly": ["-2", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]],
+        "subfield_fixers": [0, 1]}
+
+
+@pytest.mark.parametrize("declared, fixers, message", [
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]], (0, 1),
+     "subfield fixers are not closed under composition"),  # sigma_2 has order 4
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]], (0, 4),
+     "subfield fixer index out of range"),
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1], [-1, -1, -1, -1]], (0, 3), None),
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 1, 0, 0]], (0,),
+     "L/Q not Galois as declared: repeated automorphism"),
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1], [1]], (0,),
+     "L/Q not Galois as declared: image is not a root of the minimal polynomial"),
+    ([[0, 1], [0, 0, 1], [0, 0, 0, 1]], (0,),
+     "L/Q not Galois as declared: need 4 automorphisms, got 3"),
+])
+def test_declared_field_errors_keep_their_messages(declared, fixers, message):
+    if message is None:
+        assert NumField(_CYC5, declared, fixers).subfield_fixers == (0, 3)
+        return
+    with pytest.raises(ValidationError) as err:
+        NumField(_CYC5, declared, fixers)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["order80", "nonintegral", "cyc5"])
+def test_long_coefficient_lists_fold_like_the_reference(name):
+    import fraction_reference as ref
+
+    nf = {"order80": order80_field(),
+          "nonintegral": NumField([F(1, 16), 0, F(-5, 2), 0, 1],
+                                  [[0, 1], [0, -1], [0, 10, 0, -4], [0, -10, 0, 4]]),
+          "cyc5": NumField(_CYC5, [[0, 1], [0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1]])}[name]
+    rng = random.Random(name)
+    for length in range(2 * nf.degree, 5 * nf.degree):
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(length)]
+        value = nf.value(coeffs)
+        assert value.coeffs == ref.NumFieldValue(nf.minpoly, nf.automorphisms, coeffs).coeffs
+        assert all(type(c) is F for c in value.coeffs)
