@@ -15,8 +15,10 @@ method (Butler, *Fundamental Algorithms for Permutation Groups*, 1991): a
 subgroup in progress keeps a short generating tuple, and <H, g> is the
 union of the right cosets H*r that the generators reach.  The lattice grows
 by cyclic extensions of class representatives (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005), trying one g per right
-coset H*g.  Conjugates are compared as masks: for sets of one size, the
+*Handbook of Computational Group Theory*, 2005, 4.1 and 10.1), trying one
+g per N(H)-orbit of right cosets H*g.  Conjugates are walked along the
+generators, and the Schreier elements of the walk generate the normalizer.
+Conjugates are compared as masks: for sets of one size, the
 sorted member tuple of A is lexicographically below that of B exactly when
 the lowest set bit of A ^ B lies in A.  DEFAULT_LATTICE_BOUND bounds the
 group order and DEFAULT_SUBGROUP_CLASS_BOUND the number of classes.
@@ -40,20 +42,21 @@ _GEN_NAMES = ("x", "y", "z", "w", "v", "u")
 _TRIVIAL = ((0,), 1, ())  # (members, mask, gens) of the trivial subgroup
 
 
-def _lex_least(conjugates):
-    """The first (a, mask) pair whose mask has the least sorted member tuple.
+def _lex_least(points):
+    """The first orbit point whose mask has the least sorted member tuple.
 
-    For two sets of one size, the sorted tuple of A is below that of B
-    exactly when the lowest set bit of A ^ B lies in A: below that bit the
-    two agree, and there A has a member where B has a larger one.
+    Each point is a tuple whose second entry is a mask.  For two sets of one
+    size, the sorted tuple of A is below that of B exactly when the lowest
+    set bit of A ^ B lies in A: below that bit the two agree, and there A has
+    a member where B has a larger one.
     """
-    conjugates = iter(conjugates)
-    best_a, best = next(conjugates)
-    for a, m in conjugates:
-        d = m ^ best
+    best = points[0]
+    for p in points:
+        m = p[1]
+        d = m ^ best[1]
         if d & -d & m:
-            best_a, best = a, m
-    return best_a, best
+            best = p
+    return best
 
 
 def generator_name(i: int) -> str:
@@ -143,6 +146,7 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._subgroup_classes = None
+        self._class_index = None
         self._fusion = None
         self._first_conjugators = {}
         self._member_masks = {}
@@ -315,12 +319,79 @@ class FiniteGroup:
         """The elements of elems outside the span of those before them."""
         return self._closure_of(elems)[2]
 
-    def _conjugate_masks(self, members):
-        """Yield (a, mask of a * members * a^-1) for a = 0, 1, ..., |G| - 1."""
+    def _conjugation_tables(self):
+        """One (s, c_s) pair per generator s, with c_s[x] = s * x * s^-1."""
+        mul, inv = self._mul, self._inv
+        tables = []
+        for s in self.generators:
+            row, si = mul[s], inv[s]
+            tables.append((s, tuple(mul[row[x]][si] for x in range(self.order))))
+        return tables
+
+    def _conjugation_orbit(self, members, tables):
+        """The conjugates a*K*a^-1 of the set K = members, walked along the
+        generators with the tables of ``_conjugation_tables``.
+
+        Each point is (a, mask, image) with image the members of a*K*a^-1;
+        the point that generator s reaches from it has conjugator s*a.  The
+        orbit under the generators is the whole conjugacy orbit, found with
+        |G:N(K)| * #gens * |K| lookups.  An edge from point i onto a point j
+        already found gives the Schreier element a_j^-1 * s * a_i, which
+        normalizes K; these elements generate N(K) (Schreier's lemma).
+        Returns the points and the Schreier elements.
+        """
         mul, inv, bit = self._mul, self._inv, self._bit
-        for a in range(self.order):
-            row, ai = mul[a], inv[a]
-            yield a, sum(bit[mul[row[m]][ai]] for m in members)
+        image = list(members)
+        mask = sum(map(bit.__getitem__, image))
+        points = [(0, mask, image)]
+        index = {mask: 0}
+        schreier = []
+        for a, _, image in points:
+            for s, c in tables:
+                conj = list(map(c.__getitem__, image))
+                mask = sum(map(bit.__getitem__, conj))
+                j = index.get(mask)
+                if j is None:
+                    index[mask] = len(points)
+                    points.append((mul[s][a], mask, conj))
+                else:
+                    schreier.append(mul[inv[points[j][0]]][mul[s][a]])
+        return points, schreier
+
+    def _representative(self, sub, points, schreier):
+        """The least conjugate R = a*K*a^-1 in the orbit walk of K = sub.
+
+        Returns R as (members, mask, gens), with gens those of K conjugated
+        by a, and generators of N(R) = a*N(K)*a^-1: the Schreier elements
+        conjugated by a and closed, or those of G when the orbit is one
+        point.
+        """
+        mul, inv = self._mul, self._inv
+        a, mask, image = _lex_least(points)
+        ai = inv[a]
+        rep = (tuple(sorted(image)), mask, tuple(mul[mul[a][s]][ai] for s in sub[2]))
+        if len(points) == 1:
+            return rep, self.generators
+        return rep, self._closure_of(mul[mul[a][x]][ai] for x in schreier)[2]
+
+    def _cyclic_generator_orbit(self, g, normalizer):
+        """The generators g^k of <g>, k prime to ord g, and their conjugates
+        n g^k n^-1 under the group generated by ``normalizer``."""
+        mul, inv = self._mul, self._inv
+        o = self.elem_orders[g]
+        orbit, x = [], g
+        for k in range(1, o):
+            if gcd(k, o) == 1:
+                orbit.append(x)
+            x = mul[x][g]
+        found = set(orbit)
+        for x in orbit:
+            for n in normalizer:
+                y = mul[mul[n][x]][inv[n]]
+                if y not in found:
+                    found.add(y)
+                    orbit.append(y)
+        return orbit
 
     def subgroup_generated(self, elems) -> Subgroup:
         members = self._closure_of(elems)[0]
@@ -335,22 +406,31 @@ class FiniteGroup:
     def canonical_form(self, members) -> tuple[int, ...]:
         """Lexicographically least sorted member tuple among all conjugates.
 
-        The conjugates are compared as masks by the lowest-bit rule of
-        ``_lex_least``; only the winner is turned back into a tuple.
+        The conjugates are walked along the generators by
+        ``_conjugation_orbit`` and compared as masks by the lowest-bit rule
+        of ``_lex_least``; only the winner is sorted.
         """
-        members = tuple(sorted(members))
-        a, _ = _lex_least(self._conjugate_masks(members))
-        return self.conjugate_subgroup(members, a)
+        points, _ = self._conjugation_orbit(set(members), self._conjugation_tables())
+        return tuple(sorted(_lex_least(points)[2]))
 
     def subgroup_classes(self, bound: int = DEFAULT_LATTICE_BOUND):
         """One canonical representative per conjugacy class of subgroups.
 
         Breadth-first over cyclic extensions <H, g> of the representatives
-        found so far, each built by ``_extend``.  Since <H, h*g> = <H, g>,
-        one g per right coset H*g is tried.  A new subgroup's |G| conjugate
-        masks all go into the seen set, and the lexicographically least one
-        is kept as in ``canonical_form``, with its generators conjugated
-        along.
+        found so far, each built by ``_extend``.  A new subgroup's
+        conjugates are walked along the generators by
+        ``_conjugation_orbit``; every one goes into the seen set, and the
+        lexicographically least is kept as in ``canonical_form``, with its
+        generators conjugated along.  The Schreier elements of the walk,
+        conjugated by the same element and closed, give generators of the
+        representative's normalizer (G itself when the orbit is one point).
+
+        One g is tried per N(H)-orbit of cyclic extensions.  When H is
+        extended by g, every right coset H*x with x = n g^k n^-1 is dropped,
+        for k prime to ord g and n in N(H): <H, g^k> = <H, g> and
+        n<H, g>n^-1 = <H, n g n^-1>, so each dropped extension is conjugate
+        to <H, g> and its class is found by g's.  The x come from
+        ``_cyclic_generator_orbit`` over the generators of N(H).
         More than DEFAULT_SUBGROUP_CLASS_BOUND classes raise
         BoundExceededError.
         """
@@ -362,45 +442,47 @@ class FiniteGroup:
             )
         class_bound = DEFAULT_SUBGROUP_CLASS_BOUND
         mul, bit = self._mul, self._bit
+        tables = self._conjugation_tables()
         everything = (1 << self.order) - 1
         seen = {_TRIVIAL[1]}
-        queue = [_TRIVIAL]
-        for base in queue:
+        queue = [(_TRIVIAL, self.generators)]  # (members, mask, gens), generators of N(H)
+        for base, normalizer in queue:
             members, mask = base[0], base[1]
             rest = everything ^ mask
             while rest:
                 g = (rest & -rest).bit_length() - 1
-                rest ^= sum(bit[mul[h][g]] for h in members)
+                for x in self._cyclic_generator_orbit(g, normalizer):
+                    if bit[x] & rest:
+                        rest ^= sum(bit[mul[h][x]] for h in members)
                 sub = self._extend(base, g)
                 if sub[1] in seen:
                     continue
-                conjugates = list(self._conjugate_masks(sub[0]))
-                seen.update(m for _, m in conjugates)
-                a, least = _lex_least(conjugates)
-                queue.append((
-                    self.conjugate_subgroup(sub[0], a),
-                    least,
-                    tuple(self.conjugate(s, a) for s in sub[2]),
-                ))
+                points, schreier = self._conjugation_orbit(sub[0], tables)
+                seen.update(p[1] for p in points)
+                queue.append(self._representative(sub, points, schreier))
                 if len(queue) > class_bound:
                     raise BoundExceededError(
                         f"subgroup class bound exceeded: {len(queue)} classes > {class_bound}"
                     )
-        classes = sorted((sub[0] for sub in queue), key=lambda m: (len(m), m))
+        classes = sorted((sub[0] for sub, _ in queue), key=lambda m: (len(m), m))
         self._subgroup_classes = tuple(Subgroup(m, canonical=True) for m in classes)
         return self._subgroup_classes
 
     def find_class_of_subgroup(self, members) -> int:
         """Index of the subgroup class containing the given subgroup."""
         canon = self.canonical_form(members)
-        for i, s in enumerate(self.subgroup_classes()):
-            if s.members == canon:
-                return i
-        raise ValidationError("subgroup not found in lattice (is it really a subgroup?)")
+        if self._class_index is None:
+            self._class_index = {s.members: i for i, s in enumerate(self.subgroup_classes())}
+        index = self._class_index.get(canon)
+        if index is None:
+            raise ValidationError("subgroup not found in lattice (is it really a subgroup?)")
+        return index
 
     def conjugator_into(self, inner, outer) -> int | None:
         """Least element a with a * inner * a^-1 contained in outer, or None.
 
+        The promise is the *least* a, so every a in 0..|G|-1 is tried once
+        per inner tuple, not only the conjugators of a generator-orbit walk.
         Per inner tuple, its distinct conjugate masks are cached in order of
         the least a giving each, and per outer tuple its mask, so a query is
         one mask AND per conjugate.
@@ -408,9 +490,12 @@ class FiniteGroup:
         inner = tuple(inner)
         firsts = self._first_conjugators.get(inner)
         if firsts is None:
+            mul, inv, bit = self._mul, self._inv, self._bit
+            inner_set = set(inner)
             least_a = {}
-            for a, m in self._conjugate_masks(set(inner)):
-                least_a.setdefault(m, a)
+            for a in range(self.order):
+                row, ai = mul[a], inv[a]
+                least_a.setdefault(sum(bit[mul[row[m]][ai]] for m in inner_set), a)
             firsts = self._first_conjugators[inner] = tuple(least_a.items())
         outer = tuple(outer)
         outer_mask = self._member_masks.get(outer)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .cyclotomic import (
     CycValue,
@@ -36,10 +36,14 @@ from .cyclotomic import (
     _render_terms,
     poly_trim,
 )
-from .errors import ValidationError
+from .errors import BoundExceededError, ValidationError
 from .linalg import CoordinateSpan
 
 Rat = Fraction
+
+# Kronecker candidate tuples tried per factor degree; the declared fields in
+# the bundled data and the golden files need at most 960 (t^4 - 16t^2 + 144)
+KRONECKER_CANDIDATE_BOUND = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +85,9 @@ def is_irreducible(poly) -> bool:
     primitive and integral (Gauss's lemma), so its values at k + 1 integer
     nodes divide those of P and determine it.  Each interpolated candidate q
     must also satisfy lead(q) | lead(P) and q(x0) | P(x0) at one more point
-    x0; only then is it trial-divided, exactly in integers.
+    x0; only then is it trial-divided, exactly in integers.  More than
+    KRONECKER_CANDIDATE_BOUND candidate tuples for one factor degree raise
+    BoundExceededError before any is built.
     """
     num = poly_trim(_integral(poly)[0])
     deg = len(num) - 1
@@ -105,6 +111,12 @@ def is_irreducible(poly) -> bool:
                 divisor_lists.append(divs)  # sign fixed: -q divides iff q does
             else:
                 divisor_lists.append([d for dd in divs for d in (dd, -dd)])
+        count = prod(map(len, divisor_lists))
+        if count > KRONECKER_CANDIDATE_BOUND:
+            raise BoundExceededError(
+                f"irreducibility test bound exceeded: {count} Kronecker candidates"
+                f" > {KRONECKER_CANDIDATE_BOUND}"
+            )
         # Lagrange-interpolate every candidate value tuple and trial divide
         stack = [()]
         for divs in divisor_lists:

@@ -333,6 +333,16 @@ def test_cli_bound_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+def test_cli_verify_kronecker_bound_exit_4(tmp_path):
+    blob = _load_bundled("manifest_order80.json")
+    blob["field"]["minpoly"] = ["720720", "0", "0", "0", "0", "0", "0", "0", "1"]
+    path = tmp_path / "big_field.json"
+    path.write_text(json.dumps(blob))
+    proc = run_cli_process("verify", str(path))
+    assert proc.returncode == 4, proc.stderr
+    assert "307200 Kronecker candidates > 100000" in proc.stderr
+
+
 def test_cli_chartable(capsys, tmp_path):
     gpath = tmp_path / "s3.json"
     gpath.write_text(json.dumps(presentation_spec("S3")))

@@ -124,9 +124,47 @@ def test_subgroup_class_bound(monkeypatch):
 
 def test_lattice_order_bound_fires_before_any_work():
     group = from_permutations(symmetric(4))
-    group._conjugate_masks = None  # any lattice work would call it
+    group._extend = group._conjugation_orbit = None  # any lattice work calls them
     with pytest.raises(BoundExceededError, match="24 > 23"):
         group.subgroup_classes(bound=23)
+    with pytest.raises(TypeError):  # the poison is reached once the bound allows work
+        group.subgroup_classes(bound=24)
+
+
+def brute_normalizer(group, members):
+    target = set(members)
+    return tuple(a for a in range(group.order)
+                 if {ref.conjugate(group, m, a) for m in members} == target)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_schreier_normalizers_match_brute_force(name):
+    """The lattice's representative and normalizer, reached from a random
+    conjugate, against {a : a*H*a^-1 = H}."""
+    rng = random.Random("normalizer " + name)
+    group = relabelled(GROUPS[name](), rng)
+    tables = group._conjugation_tables()
+    for s in group.subgroup_classes():
+        sub = group._closure_of(rng.choice(distinct_conjugates(group, s.members)))
+        points, schreier = group._conjugation_orbit(sub[0], tables)
+        (members, mask, gens), normalizer = group._representative(sub, points, schreier)
+        assert members == s.members
+        assert mask == sum(1 << m for m in members)
+        assert tuple(ref.closure_of(group, gens)) == members
+        brute = brute_normalizer(group, members)
+        assert tuple(ref.closure_of(group, normalizer)) == brute
+        assert len(points) * len(brute) == group.order
+
+
+@pytest.mark.parametrize("degree,classes,subgroups", [(5, 19, 156), (6, 56, 1455)])
+def test_symmetric_group_subgroup_counts(degree, classes, subgroups):
+    group = from_permutations(symmetric(degree))
+    tables = group._conjugation_tables()
+    reps = group.subgroup_classes()
+    assert len(reps) == classes
+    assert sum(len(group._conjugation_orbit(s.members, tables)[0]) for s in reps) == subgroups
+    if degree == 5:
+        assert sum(len(distinct_conjugates(group, s.members)) for s in reps) == subgroups
 
 
 # permutation ingestion against the |G|^2 compositions of permutation_reference.py

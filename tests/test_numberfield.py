@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from isotypic import (
+    BoundExceededError,
     CycEmbedding,
     CycValue,
     NumField,
@@ -13,6 +14,7 @@ from isotypic import (
     ValidationError,
     is_irreducible,
 )
+from isotypic import numberfield
 from isotypic.cyclotomic import _Exact
 from isotypic.fixtures import order80_field, order80_k_and_l, sqrt_minus5_cyclotomic
 
@@ -210,6 +212,19 @@ def _irreducibility_cases():
         scale = F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 7))
         cases.append([c * scale for c in f])
     return cases
+
+
+def test_kronecker_candidate_bound(monkeypatch):
+    # t^8 + 720720: 307200 candidates for a quartic factor, raised before any is built
+    with pytest.raises(BoundExceededError, match="307200 Kronecker candidates > 100000"):
+        is_irreducible([720720, 0, 0, 0, 0, 0, 0, 0, 1])
+    # the bundled order-80 field needs 960 for a quadratic factor
+    quartic = [144, 0, -16, 0, 1]
+    monkeypatch.setattr(numberfield, "KRONECKER_CANDIDATE_BOUND", 959)
+    with pytest.raises(BoundExceededError, match="960 Kronecker candidates > 959"):
+        is_irreducible(quartic)
+    monkeypatch.setattr(numberfield, "KRONECKER_CANDIDATE_BOUND", 960)
+    assert is_irreducible(quartic)
 
 
 def test_irreducibility_matches_fraction_reference():
