@@ -444,12 +444,13 @@ def _level(e: int) -> _Level:
 
 
 class CycValue(_Exact):
-    """Element of Q(zeta_e) in reduced power-basis form."""
+    """Element of Q(zeta_e) in reduced power-basis form: coeffs / den."""
 
     __slots__ = ("level",)
 
-    def __init__(self, level: int, coeffs):
-        num, den = _integral(coeffs)
+    def __init__(self, level: int, coeffs, den: int = 1):
+        num, scale = _integral(coeffs)
+        den *= scale
         phi = euler_phi(level)
         if len(num) > phi:
             rows = _level(level).rows

@@ -44,6 +44,9 @@ Rat = Fraction
 # Kronecker candidate tuples tried per factor degree; the declared fields in
 # the bundled data and the golden files need at most 960 (t^4 - 16t^2 + 144)
 KRONECKER_CANDIDATE_BOUND = 10**5
+# bit length of the largest node value whose divisors are listed: trial
+# division runs to its square root, at most 2^18 steps per value
+KRONECKER_VALUE_BITS = 36
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +56,11 @@ KRONECKER_CANDIDATE_BOUND = 10**5
 
 def _int_divisors(n: int):
     n = abs(n)
+    if n.bit_length() > KRONECKER_VALUE_BITS:
+        raise BoundExceededError(
+            f"irreducibility test bound exceeded: a node value of {n.bit_length()} bits"
+            f" > {KRONECKER_VALUE_BITS}"
+        )
     small, large = [], []
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -85,9 +93,10 @@ def is_irreducible(poly) -> bool:
     primitive and integral (Gauss's lemma), so its values at k + 1 integer
     nodes divide those of P and determine it.  Each interpolated candidate q
     must also satisfy lead(q) | lead(P) and q(x0) | P(x0) at one more point
-    x0; only then is it trial-divided, exactly in integers.  More than
-    KRONECKER_CANDIDATE_BOUND candidate tuples for one factor degree raise
-    BoundExceededError before any is built.
+    x0; only then is it trial-divided, exactly in integers.  A node value
+    longer than KRONECKER_VALUE_BITS bits raises BoundExceededError before
+    its divisors are searched, and more than KRONECKER_CANDIDATE_BOUND
+    candidate tuples for one factor degree before any is built.
     """
     num = poly_trim(_integral(poly)[0])
     deg = len(num) - 1
@@ -303,12 +312,13 @@ class NumField:
 
 
 class NumFieldValue(_Exact):
-    """Element of a NumField: polynomial in t of degree < [L:Q]."""
+    """Element of a NumField: polynomial in t of degree < [L:Q], coeffs / den."""
 
     __slots__ = ("field",)
 
-    def __init__(self, field: NumField, coeffs):
-        num, den = _integral(coeffs)
+    def __init__(self, field: NumField, coeffs, den: int = 1):
+        num, scale = _integral(coeffs)
+        den *= scale
         deg = field.degree
         if len(num) > deg:  # rare: products fold through _power_rows
             rows, scale = field._powers(len(num))

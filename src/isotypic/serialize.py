@@ -5,13 +5,24 @@ Scalars serialize as exact strings ("3/4"), cyclotomic values as
 {"level", "coeffs"}, number-field values as coefficient lists.  All writers
 emit sorted, whitespace-stable JSON so identical inputs produce identical
 bytes.
+
+A scalar is read as a JSON integer (not a bool) or an ASCII string of the
+form ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator; anything else (a
+float, a bool, "0.5", "1e3", " 1", "+1", "1/0") is refused with a
+ValidationError that names it.  The coordinates of cyclotomic and
+number-field values go straight between this text and the integer kernel's
+numerators over one common denominator, with no Fraction per coordinate.
+Rationals (Q coefficients, a field descriptor's minpoly and automorphism
+images, which NumField keeps as Fractions) are read by the same grammar.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 
 from .characters import Character, CharacterTable
 from .cyclotomic import CycValue
@@ -26,7 +37,7 @@ from .groupalgebra import (
     MatrixRep,
     RATIONALS,
 )
-from .numberfield import CycEmbedding, NumField
+from .numberfield import CycEmbedding, NumField, NumFieldValue
 
 Rat = Fraction
 
@@ -49,17 +60,63 @@ def parsing(what: str):
 
 # -- scalars -----------------------------------------------------------------
 
+_SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def scalar_from_json(c) -> tuple[int, int]:
+    """(n, d) in lowest terms with d > 0, from a JSON int or a "p/q" string."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is str and _SCALAR.fullmatch(c):
+        num, _, den = c.partition("/")
+        if not den:
+            return int(num), 1
+        n, d = int(num), int(den)
+        if d == 0:
+            raise ValueError(f"zero denominator in the scalar {c!r}")
+        g = gcd(n, d)
+        return n // g, d // g
+    raise ValueError(f'{json.dumps(c)} is not an exact scalar (an integer or a "p/q" string)')
+
+
+def scalars_from_json(cs) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator, from a JSON list of scalars."""
+    if type(cs) is not list:
+        raise ValueError(f"a list of scalars is expected, not {json.dumps(cs)}")
+    pairs = [scalar_from_json(c) for c in cs]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def rational_from_json(c) -> Rat:
+    return Rat(*scalar_from_json(c))
+
+
+def _scalar_strings(num, den) -> list[str]:
+    """str(Fraction(x, den)) for each x in num, without building the Fraction."""
+    if den == 1:
+        return [str(x) for x in num]
+    out = []
+    for x in num:
+        g = gcd(x, den)
+        out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+    return out
+
 
 def cyc_to_json(v: CycValue) -> dict:
-    return {"level": v.level, "coeffs": [str(c) for c in v.coeffs]}
+    return {"level": v.level, "coeffs": _scalar_strings(v.num, v.den)}
 
 
 def cyc_from_json(d) -> CycValue:
-    return CycValue(int(d["level"]), [Rat(c) for c in d["coeffs"]])
+    return CycValue(int(d["level"]), *scalars_from_json(d["coeffs"]))
 
 
 def nfv_to_json(v) -> list:
-    return [str(c) for c in v.coeffs]
+    return _scalar_strings(v.num, v.den)
+
+
+def nfv_from_json(nf: NumField, cs) -> NumFieldValue:
+    return NumFieldValue(nf, *scalars_from_json(cs))
 
 
 # -- fields ------------------------------------------------------------------
@@ -77,8 +134,8 @@ def field_from_json(d) -> NumField:
     if not isinstance(d, dict):
         raise ValidationError(f"a field descriptor is an object with a minpoly, not {d!r}")
     return NumField(
-        [Rat(c) for c in d["minpoly"]],
-        [[Rat(c) for c in img] for img in d["automorphisms"]],
+        [rational_from_json(c) for c in d["minpoly"]],
+        [[rational_from_json(c) for c in img] for img in d["automorphisms"]],
         tuple(d.get("subfield_fixers", (0,))),
     )
 
@@ -144,9 +201,9 @@ def table_from_json(group: FiniteGroup, d) -> CharacterTable:
         for row in d["chars"]:
             values = tuple(cyc_from_json(v).to_level(level) for v in row)
             deg = values[0]
-            if not deg.is_rational() or Rat(deg.as_rational()).denominator != 1:
+            if not deg.is_rational() or deg.den != 1:
                 raise ValidationError("character degree is not an integer")
-            chars.append(Character(values, int(deg.as_rational())))
+            chars.append(Character(values, deg.num[0]))
     return CharacterTable(group, chars)  # validates orthogonality
 
 
@@ -205,11 +262,11 @@ def element_from_json(group: FiniteGroup, d, field_cache: dict | None = None) ->
             if not 0 <= g < group.order:
                 raise ValidationError(f"element index {g} out of range")
             if dom.kind == "Q":
-                out[g] = Rat(c)
+                out[g] = rational_from_json(c)
             elif dom.kind == "cyclotomic":
                 out[g] = cyc_from_json(c)
             else:
-                out[g] = dom.field.value([Rat(x) for x in c])
+                out[g] = nfv_from_json(dom.field, c)
     return AlgebraElement(group, dom, out)
 
 
@@ -254,12 +311,12 @@ def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:
             emb = CycEmbedding(
                 nf,
                 cyc_from_json(d["embedding"]["generator"]),
-                nf.value([Rat(c) for c in d["embedding"]["image"]]),
+                nfv_from_json(nf, d["embedding"]["image"]),
             )
         else:
             emb = CycEmbedding(nf, None, None)
         gens = [
-            [[nf.value([Rat(c) for c in x]) for x in row] for row in mat]
+            [[nfv_from_json(nf, x) for x in row] for row in mat]
             for mat in d["generators"]
         ]
     return MatrixRep(group, nf, gens, table, char_index, emb)

@@ -9,16 +9,15 @@ manifest order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .characters import compute_character_table, galois_orbits, rho_decomposition
 from .errors import ValidationError
 from .groupalgebra import AlgebraElement, RATIONALS, ideal_dim
 from .groups import FiniteGroup, generator_name
-from .serialize import element_from_json, field_from_json, field_key, group_from_spec, parsing
-
-Rat = Fraction
+from .serialize import (
+    element_from_json, field_from_json, field_key, group_from_spec, parsing, rational_from_json,
+)
 
 
 # -- word parsing ("x*y^2,x^10" style) ----------------------------------------
@@ -127,7 +126,7 @@ class ManifestRunner:
         if op == "galois":
             return self.eval_expr(expr["arg"]).apply_galois(int(expr["auto"]))
         if op == "scale":
-            return self.eval_expr(expr["arg"]) * Rat(expr["by"])
+            return self.eval_expr(expr["arg"]) * rational_from_json(expr["by"])
         raise ValidationError(f"unknown manifest operation {op!r}")
 
     def _match_orbit(self, matcher) -> int:

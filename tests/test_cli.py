@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from isotypic import RATIONALS, ValidationError
+from isotypic import RATIONALS, ValidationError, compute_character_table
 from isotypic.cli import main
 from isotypic.fixtures import order80_element, presentation_spec
 from isotypic.serialize import (
@@ -199,10 +199,10 @@ MALFORMED_MANIFESTS = {
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "isotypic.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("command,text", [
@@ -220,6 +220,22 @@ def test_cli_malformed_input_exit_2(tmp_path, command, text):
 
 
 S3_SPEC = {"permutations": [[1, 0, 2], [1, 2, 0]]}
+
+
+def _s3_table_with(coeff):
+    """The S3 table document with one coefficient of its second character replaced."""
+    blob = table_to_json(compute_character_table(group_from_spec(S3_SPEC)))
+    blob["chars"][1][0]["coeffs"][0] = coeff
+    return blob
+
+
+def _q_element_manifest(coeff, **derived):
+    """An S3 manifest with one element over Q whose coefficient is given."""
+    elements = {"b": {"field": "Q", "coeffs": [[0, coeff]]}}
+    elements.update({name: {"derive": expr} for name, expr in derived.items()})
+    return {"group": S3_SPEC, "elements": elements, "checks": [{"check": "zero", "of": "b"}]}
+
+
 MALFORMED_DOCUMENTS = {
     # name: (command, document, key or text the message must name)
     "check-without-of": ("verify", {"group": S3_SPEC, "checks": [{"check": "idempotent"}]},
@@ -251,6 +267,32 @@ MALFORMED_DOCUMENTS = {
         "a": {"derive": "zz"}}, "checks": []}, "unknown element 'zz'"),
     "presentation-bound-below-1": ("group-info", {"presentation": {
         "generators": 1, "relators": [[1, 1]], "bound": -5}}, "bound must be at least 1"),
+    # scalars: a JSON int or a "p/q" string with a nonzero denominator, nothing else
+    "table-coefficient-zero-denominator": ("chartable", _s3_table_with("1/0"),
+                                           "malformed character table: zero denominator in "
+                                           "the scalar '1/0'"),
+    "table-coefficient-float": ("chartable", _s3_table_with(1.0), "1.0 is not an exact scalar"),
+    "element-coefficient-zero-denominator": ("verify", _q_element_manifest("1/0"),
+                                             "malformed algebra element: zero denominator"),
+    "element-coefficient-float": ("verify", _q_element_manifest(0.5),
+                                  "0.5 is not an exact scalar"),
+    "element-coefficient-bool": ("verify", _q_element_manifest(True),
+                                 "true is not an exact scalar"),
+    "element-coefficient-decimal-string": ("verify", _q_element_manifest("0.5"),
+                                           '"0.5" is not an exact scalar'),
+    "element-coefficient-padded-string": ("verify", _q_element_manifest(" 1"),
+                                          '" 1" is not an exact scalar'),
+    "scale-by-float": ("verify", _q_element_manifest(
+        "1", e={"op": "scale", "arg": "b", "by": 0.5}), "0.5 is not an exact scalar"),
+    "field-element-coefficients-not-a-list": ("verify", {"group": S3_SPEC, "elements": {
+        "e": {"field": {"cyclotomic": 3}, "coeffs": [[0, {"level": 3, "coeffs": "12"}]]}},
+        "checks": []}, 'not "12"'),
+    "field-minpoly-zero-denominator": ("verify", {"group": S3_SPEC, "field": {
+        "minpoly": ["1/0", "1"], "automorphisms": [[0]]}, "checks": []},
+        "malformed manifest field: zero denominator in the scalar '1/0'"),
+    "field-automorphism-bool": ("verify", {"group": S3_SPEC, "field": {
+        "minpoly": [0, 1], "automorphisms": [[False]]}, "checks": []},
+        "false is not an exact scalar"),
 }
 
 
@@ -341,6 +383,27 @@ def test_cli_verify_kronecker_bound_exit_4(tmp_path):
     proc = run_cli_process("verify", str(path))
     assert proc.returncode == 4, proc.stderr
     assert "307200 Kronecker candidates > 100000" in proc.stderr
+
+
+@pytest.mark.parametrize("coeff", ["1e999999999", "0.5"])
+def test_cli_exponent_and_decimal_strings_exit_2_at_once(tmp_path, coeff):
+    # read as a number, "1e999999999" is 10**999999999: far too long to build in 2 s
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(_q_element_manifest(coeff)))
+    proc = run_cli_process("verify", str(path), timeout=2)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and json.dumps(coeff) in proc.stderr
+
+
+def test_cli_kronecker_value_bound_exit_4(tmp_path):
+    # t^2 + c with c near 2^64: listing the divisors of c by trial division takes minutes
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"group": S3_SPEC, "field": {
+        "minpoly": [str(2**64 - 59), "0", "1"], "automorphisms": [[0, 1], [0, -1]]},
+        "checks": []}))
+    proc = run_cli_process("verify", str(path), timeout=2)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr and "a node value of 64 bits > 36" in proc.stderr
 
 
 def test_cli_chartable(capsys, tmp_path):

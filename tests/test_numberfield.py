@@ -227,6 +227,18 @@ def test_kronecker_candidate_bound(monkeypatch):
     assert is_irreducible(quartic)
 
 
+def test_kronecker_value_bound():
+    from isotypic.numberfield import KRONECKER_VALUE_BITS, _int_divisors
+
+    largest = 2**KRONECKER_VALUE_BITS - 1
+    assert _int_divisors(-largest)[-1] == largest
+    with pytest.raises(BoundExceededError, match="a node value of 37 bits > 36"):
+        _int_divisors(largest + 1)
+    # t^2 + 2^44 + 1: about 2^22 trial divisions at the node 0 without the bound
+    with pytest.raises(BoundExceededError, match="a node value of 45 bits > 36"):
+        is_irreducible([2**44 + 1, 0, 1])
+
+
 def test_irreducibility_matches_fraction_reference():
     from irreducibility_reference import reference_is_irreducible
 
