@@ -31,8 +31,7 @@ orbit and each member's stabilizer follow by integer composition.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -51,10 +50,10 @@ CLASS_COUNT_BOUND = 500
 the validation grow as the cube of the class count."""
 
 
-@dataclass(frozen=True)
-class Character:
-    values: tuple[CycValue, ...]   # one per conjugacy class
-    degree: int
+class Character(namedtuple("Character", "values degree")):
+    """An irreducible character: its CycValue per conjugacy class, and its degree."""
+
+    __slots__ = ()
 
     def sort_key(self):
         return (self.degree, tuple(v.sort_key() for v in self.values))
@@ -67,6 +66,7 @@ class CharacterTable:
         self.classes = group.conjugacy_classes()
         self.chars = tuple(chars)
         self._fixed_dims = {}  # sorted members -> fixed_dims
+        self._class_counts = {}  # sorted members -> class_counts
         self.validate()
 
     @cached_property
@@ -160,6 +160,14 @@ def inner_product(table: CharacterTable, a, b) -> CycValue:
     return total * Rat(1, table.group.order)
 
 
+def class_counts(table: CharacterTable, members) -> Counter:
+    """{k: |H meet C_k|} for H = the sorted tuple members; kept on the table."""
+    counts = table._class_counts.get(members)
+    if counts is None:
+        counts = table._class_counts[members] = Counter(map(table.group.class_index, members))
+    return counts
+
+
 def fixed_dims(table: CharacterTable, members):
     """dim V_i^H for every row i, H a subset of G, from the packed rows (see
     the module docstring); kept on the table under H's sorted members.  A
@@ -168,7 +176,7 @@ def fixed_dims(table: CharacterTable, members):
     dims = table._fixed_dims.get(key)
     if dims is None:
         packed, bits, den = table._packed
-        classes, counts = zip(*Counter(map(table.group.class_index, key)).items())
+        classes, counts = zip(*class_counts(table, key).items())
         half, scale = 1 << (bits - 1), len(key) * den
         dims = []
         for row in packed:
@@ -489,21 +497,18 @@ def _solve_action(basis, images, p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchurStatus:
+class SchurStatus(namedtuple("SchurStatus", "kind m divisor_bound evidence", defaults=("",))):
     """Three-state knowledge about the Schur index of an orbit.
 
+    kind is "exact", "asserted" or "bounded":
     exact:    m is certain (divisor bound 1, or stated by a trusted source).
     asserted: m passed the representation-based validation suite.
-    bounded:  only 1 <= m | divisor_bound is known; the divisor bound is
-              used as the working multiplier and results carry a
-              conditional flag.
+    bounded:  only 1 <= m | divisor_bound is known and m is None; the
+              divisor bound is used as the working multiplier and results
+              carry a conditional flag.
     """
 
-    kind: str                 # "exact" | "asserted" | "bounded"
-    m: int | None
-    divisor_bound: int
-    evidence: str = ""
+    __slots__ = ()
 
     @property
     def effective(self) -> int:
@@ -519,15 +524,13 @@ class SchurStatus:
         return f"{self.kind} m = {self.m}"
 
 
-@dataclass(frozen=True)
-class RationalIrrep:
-    """Galois orbit of complex irreducibles with its field and Schur data."""
+class RationalIrrep(namedtuple(
+        "RationalIrrep", "char_indices stabilizer degree field_degree schur")):
+    """Galois orbit of complex irreducibles with its field and Schur data:
+    the rows of the orbit, the units of Z/e fixing their values, their
+    common degree n, the field degree [K:Q] = orbit size, and a SchurStatus."""
 
-    char_indices: tuple[int, ...]
-    stabilizer: tuple[int, ...]    # units of Z/e fixing the character values
-    degree: int                    # common degree n of the orbit members
-    field_degree: int              # [K:Q] = orbit size
-    schur: SchurStatus
+    __slots__ = ()
 
     @property
     def multiplier(self) -> int:
@@ -640,7 +643,7 @@ def assert_schur(orbit: RationalIrrep, m: int, evidence: str = "user assertion")
             f"{orbit.schur.divisor_bound}"
         )
     kind = "exact" if m == 1 else "asserted"
-    return replace(orbit, schur=SchurStatus(kind, m, orbit.schur.divisor_bound, evidence))
+    return orbit._replace(schur=SchurStatus(kind, m, orbit.schur.divisor_bound, evidence))
 
 
 def orbit_index(orbits, selector) -> int:
@@ -672,15 +675,13 @@ def rational_character(table: CharacterTable, orbit: RationalIrrep):
     return [orbit.schur.m * t for t in traces], True
 
 
-@dataclass(frozen=True)
-class RhoDecomposition:
+class RhoDecomposition(namedtuple(
+        "RhoDecomposition", "subgroup_members fixed_dims multiplicities conditional")):
     """Multiplicities of the rational irreducibles in the permutation
-    representation induced from the trivial representation of a subgroup."""
+    representation induced from the trivial representation of a subgroup:
+    fixed_dims holds <rho_H, V_j> per orbit and multiplicities fixed_dims / m."""
 
-    subgroup_members: tuple[int, ...]
-    fixed_dims: tuple[int, ...]        # <rho_H, V_j> per orbit
-    multiplicities: tuple[int, ...]    # fixed_dims / m per orbit
-    conditional: bool
+    __slots__ = ()
 
 
 def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecomposition:

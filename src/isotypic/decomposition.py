@@ -10,16 +10,21 @@ complement inside a Prym.  The classes are indexed by their vectors, so the
 Prym partners N of H for an orbit W are looked up as the classes with
 a(N) = a(H) - e_W and only their containment is tested.  The other searches
 read, per inner class H, the list of larger classes that contain a
-conjugate of H, built on first use.
+conjugate of H, built on first use.  Containment is asked by class index:
+a pair passes a packed class-count filter (``_may_contain``) before H's
+conjugate masks, ordered by least conjugator, are ANDed with N's mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from itertools import combinations, compress
+from operator import sub
 
 from .characters import (
     CharacterTable,
     assert_schur,
+    class_counts,
     galois_orbits,
     orbit_index,
     rho_decomposition,
@@ -31,51 +36,44 @@ from .errors import BoundExceededError, ValidationError
 INTERSECTION_SEARCH_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class Factor:
-    orbit_index: int
-    label: str
-    exponent: int
-    provenance: str
-    conditional: bool
+class Factor(namedtuple("Factor", "orbit_index label exponent provenance conditional")):
+    """One factor B_W^exponent of a decomposition, W the orbit at orbit_index."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    subject: str
-    factors: tuple[Factor, ...]
+class DecompositionReport(namedtuple("DecompositionReport", "subject factors")):
+    """The factors of one decomposed variety (JW, JW_H or a Prym)."""
+
+    __slots__ = ()
 
     def exponents(self):
         return tuple(f.exponent for f in self.factors)
 
 
-@dataclass(frozen=True)
-class PrymWitness:
-    inner: int                 # subgroup class index H
-    outer: int                 # subgroup class index N
-    conjugator: int            # a with a H a^-1 inside the stored N
+class PrymWitness(namedtuple("PrymWitness", "inner outer conjugator")):
+    """Subgroup class indices H and N, and an a with a H a^-1 inside the stored N."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IntersectionWitness:
-    inner: int
-    outers: tuple[int, ...]
-    conjugators: tuple[int, ...]
+class IntersectionWitness(namedtuple("IntersectionWitness", "inner outers conjugators")):
+    """A subgroup class H, the classes N_1..N_k and one conjugator per N_i."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ComplementWitness:
-    inner: int
-    outer: int
-    conjugator: int
-    relation: tuple[int, ...]  # multiplicity vector of rho_H - rho_N per orbit
+class ComplementWitness(namedtuple("ComplementWitness", "inner outer conjugator relation")):
+    """H, N and a conjugator as in PrymWitness, and the multiplicity vector of
+    rho_H - rho_N per orbit."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
-    orbit_index: int
-    kind: str                  # "prym" | "intersection" | "complement"
-    witness: object
+class RealizabilityVerdict(namedtuple("RealizabilityVerdict", "orbit_index kind witness")):
+    """kind is "prym", "intersection" or "complement", with its witness."""
+
+    __slots__ = ()
 
 
 class JacobianDecomposer:
@@ -102,7 +100,18 @@ class JacobianDecomposer:
         self._classes_with_vector = {}
         for i, rd in enumerate(self.rho):
             self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
-        self._overgroups = {}
+        # per subgroup class index: order, member mask, packed class counts,
+        # and the conjugate masks and overgroup list, built on first use
+        self._orders = tuple(s.order for s in self.subgroups)
+        self._masks = tuple(self.group._member_mask(s.members) for s in self.subgroups)
+        width = max(table.class_sizes).bit_length() + 1
+        self._guard = sum(1 << (k * width + width - 1) for k in range(len(table.classes)))
+        self._counts = tuple(
+            sum(c << (k * width) for k, c in class_counts(table, s.members).items())
+            for s in self.subgroups
+        )
+        self._conjugate_masks = [None] * len(self.subgroups)
+        self._overgroups = [None] * len(self.subgroups)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -112,22 +121,44 @@ class JacobianDecomposer:
     def subgroup_class_of(self, members) -> int:
         return self.group.find_class_of_subgroup(members)
 
+    def _may_contain(self, inner_idx: int, outer_idx: int) -> bool:
+        """|H| divides |N| and |H meet C_k| <= |N meet C_k| for every class
+        C_k, as a conjugate of H inside N needs.
+
+        Each class count sits in a slot of one integer, below the guard bit
+        that tops the slot, so (P_N | guard) - P_H keeps the guard bit of a
+        slot exactly when that slot of P_N is not below that of P_H, and no
+        slot borrows from the next."""
+        guard = self._guard
+        return (self._orders[outer_idx] % self._orders[inner_idx] == 0
+                and ((self._counts[outer_idx] | guard) - self._counts[inner_idx]) & guard == guard)
+
     def conjugator(self, inner_idx: int, outer_idx: int):
-        """Element conjugating class rep inner into class rep outer, or None."""
-        inner = self.subgroups[inner_idx].members
-        outer = self.subgroups[outer_idx].members
-        return None if len(outer) % len(inner) else self.group.conjugator_into(inner, outer)
+        """Least element conjugating class rep inner into class rep outer, or None."""
+        if not self._may_contain(inner_idx, outer_idx):
+            return None
+        firsts = self._conjugate_masks[inner_idx]
+        if firsts is None:
+            firsts = self._conjugate_masks[inner_idx] = \
+                self.group._conjugate_masks(self.subgroups[inner_idx].members)
+        outer = self._masks[outer_idx]
+        for m, a in firsts:
+            if m & outer == m:
+                return a
+        return None
 
     def overgroups(self, inner_idx: int):
         """(N, conjugator) for every class N of larger order than H that
-        contains a conjugate of H, in class order; built on first use."""
-        if inner_idx not in self._overgroups:
-            order = self.subgroups[inner_idx].order
-            self._overgroups[inner_idx] = tuple(
-                (io, conj) for io, s in enumerate(self.subgroups)
-                if s.order > order and (conj := self.conjugator(inner_idx, io)) is not None
+        contains a conjugate of H, in class order; built on first use.  The
+        classes are sorted by order, so every such N comes after H."""
+        found = self._overgroups[inner_idx]
+        if found is None:
+            order, orders = self._orders[inner_idx], self._orders
+            found = self._overgroups[inner_idx] = tuple(
+                (io, conj) for io in range(inner_idx + 1, len(orders))
+                if orders[io] > order and (conj := self.conjugator(inner_idx, io)) is not None
             )
-        return self._overgroups[inner_idx]
+        return found
 
     def contains(self, inner_idx: int, outer_idx: int) -> bool:
         return self.conjugator(inner_idx, outer_idx) is not None
@@ -195,12 +226,7 @@ class JacobianDecomposer:
     # -- lattice searches ------------------------------------------------------------
 
     def _pair_sort_key(self, inner_idx, outer_idx):
-        return (
-            -self.subgroups[inner_idx].order,
-            -self.subgroups[outer_idx].order,
-            inner_idx,
-            outer_idx,
-        )
+        return (-self._orders[inner_idx], -self._orders[outer_idx], inner_idx, outer_idx)
 
     def find_prym_realizations(self, orbit_index: int):
         """All (H, N) subgroup-class pairs with rho_H = W + rho_N exactly.
@@ -250,17 +276,21 @@ class JacobianDecomposer:
                 if not cands[idx][2] & union:
                     extend(ih, cands, idx + 1, chosen + [cands[idx]], union | cands[idx][2])
 
-        for ih in range(len(self.subgroups)):
-            a = self.mult_vector(ih)
+        vectors = [rd.multiplicities for rd in self.rho]
+        bits = [1 << j for j in range(len(vectors[0]))]
+        for ih, a in enumerate(vectors):
             if a[w] == 0:
                 continue
             cands = []
             for io, conj in self.overgroups(ih):
-                diff = [x - y for x, y in zip(a, self.mult_vector(io))]
-                if any(d < 0 for d in diff) or diff[w] != 1:
+                b = vectors[io]
+                if a[w] - b[w] != 1:
+                    continue
+                diff = list(map(sub, a, b))
+                if min(diff) < 0:
                     continue
                 # the orbits other than W where rho_H - rho_N is non-zero
-                residue = sum(1 << j for j, d in enumerate(diff) if d and j != w)
+                residue = sum(compress(bits, diff)) ^ bits[w]
                 cands.append((io, conj, residue))
             cands.sort(key=lambda c: (-self.subgroups[c[0]].order, c[0]))
             extend(ih, cands, 0, [], 0)
@@ -293,18 +323,14 @@ class JacobianDecomposer:
 
     def find_prym_isogenies(self):
         """Distinct containment pairs with identical rho differences."""
+        vectors = [rd.multiplicities for rd in self.rho]
         diffs = {}
-        for ih in range(len(self.subgroups)):
-            a = self.mult_vector(ih)
+        for ih, a in enumerate(vectors):
             for io, _ in self.overgroups(ih):
-                diff = tuple(x - y for x, y in zip(a, self.mult_vector(io)))
-                diffs.setdefault(diff, []).append((ih, io))
+                diffs.setdefault(tuple(map(sub, a, vectors[io])), []).append((ih, io))
         out = []
-        for diff in sorted(diffs):
-            pairs = diffs[diff]
-            for i in range(len(pairs)):
-                for j in range(i + 1, len(pairs)):
-                    out.append((pairs[i], pairs[j]))
+        for pairs in diffs.values():
+            out.extend(combinations(pairs, 2))
         out.sort()
         return out
 

@@ -34,7 +34,6 @@ slot can overflow, and the packing is exact by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -688,25 +687,27 @@ def _orbit_verdict(nf: NumField, rows) -> dict:
             "block_dim": base_dim}
 
 
-@dataclass
 class IdempotentSystem:
     """Output of the primitive-system construction for one irreducible.
 
     u_grid[s][h] is the primitive idempotent in the h-th Galois translate of
-    the s-th selected left ideal; k elements live in K[G], f elements in
-    Q[G].  The Galois data records Gal(L/K) as automorphism indices of the
-    declared field.
+    the s-th selected left ideal; e_central is e_V over L and e_rational
+    e_W over Q; k elements live in K[G], f elements in Q[G].  The Galois
+    data records Gal(L/K) as automorphism indices of the declared field.
     """
 
-    group: FiniteGroup
-    nf: NumField
-    ells: tuple
-    selected: tuple
-    u_grid: tuple
-    e_central: AlgebraElement          # e_V over L
-    e_rational: AlgebraElement         # e_W over Q
-    k_elements: tuple = dc_field(default=())
-    f_elements: tuple = dc_field(default=())
+    def __init__(self, group: FiniteGroup, nf: NumField, ells, selected, u_grid,
+                 e_central: AlgebraElement, e_rational: AlgebraElement,
+                 k_elements=(), f_elements=()):
+        self.group = group
+        self.nf = nf
+        self.ells = ells
+        self.selected = selected
+        self.u_grid = u_grid
+        self.e_central = e_central
+        self.e_rational = e_rational
+        self.k_elements = k_elements
+        self.f_elements = f_elements
 
     @property
     def schur_m(self) -> int:

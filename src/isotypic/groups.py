@@ -17,7 +17,9 @@ union of the right cosets H*r that the generators reach.  The lattice grows
 by cyclic extensions of class representatives (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, 4.1 and 10.1), trying one
 g per N(H)-orbit of right cosets H*g.  Conjugates are walked along the
-generators, and the Schreier elements of the walk generate the normalizer.
+generators, and the Schreier elements of the walk generate the normalizer;
+the elements carrying H onto one conjugate form a coset of it, whose least
+element is the least conjugator that ``conjugator_into`` promises.
 Conjugates are compared as masks: for sets of one size, the
 sorted member tuple of A is lexicographically below that of B exactly when
 the lowest set bit of A ^ B lies in A.  DEFAULT_LATTICE_BOUND bounds the
@@ -26,7 +28,7 @@ group order and DEFAULT_SUBGROUP_CLASS_BOUND the number of classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import BoundExceededError, ValidationError
@@ -63,16 +65,17 @@ def generator_name(i: int) -> str:
     return _GEN_NAMES[i] if i < len(_GEN_NAMES) else f"g{i}"
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: int
-    members: tuple[int, ...]
+class ConjugacyClass(namedtuple("ConjugacyClass", "representative members")):
+    """A conjugacy class: its least element and its sorted member tuple."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    members: tuple[int, ...]
-    canonical: bool = False
+class Subgroup(namedtuple("Subgroup", "members canonical", defaults=(False,))):
+    """A subgroup as its sorted member tuple; canonical when it is the least
+    conjugate of its class (see ``FiniteGroup.canonical_form``)."""
+
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -148,6 +151,7 @@ class FiniteGroup:
         self._subgroup_classes = None
         self._class_index = None
         self._fusion = None
+        self._conj_tables = None
         self._first_conjugators = {}
         self._member_masks = {}
 
@@ -320,13 +324,16 @@ class FiniteGroup:
         return self._closure_of(elems)[2]
 
     def _conjugation_tables(self):
-        """One (s, c_s) pair per generator s, with c_s[x] = s * x * s^-1."""
-        mul, inv = self._mul, self._inv
-        tables = []
-        for s in self.generators:
-            row, si = mul[s], inv[s]
-            tables.append((s, tuple(mul[row[x]][si] for x in range(self.order))))
-        return tables
+        """One (s, c_s) pair per generator s, with c_s[x] = s * x * s^-1;
+        built once and shared by the lattice, ``canonical_form`` and
+        ``conjugator_into``."""
+        if self._conj_tables is None:
+            mul, inv = self._mul, self._inv
+            self._conj_tables = tuple(
+                (s, tuple(mul[mul[s][x]][inv[s]] for x in range(self.order)))
+                for s in self.generators
+            )
+        return self._conj_tables
 
     def _conjugation_orbit(self, members, tables):
         """The conjugates a*K*a^-1 of the set K = members, walked along the
@@ -478,30 +485,48 @@ class FiniteGroup:
             raise ValidationError("subgroup not found in lattice (is it really a subgroup?)")
         return index
 
+    def _member_mask(self, members) -> int:
+        """The mask of a member tuple, kept per tuple."""
+        mask = self._member_masks.get(members)
+        if mask is None:
+            mask = self._member_masks[members] = sum(map(self._bit.__getitem__, set(members)))
+        return mask
+
+    def _conjugate_masks(self, inner):
+        """(mask, a) for each distinct conjugate a * K * a^-1 of the member
+        tuple K = inner, with a the least element giving it, in increasing a;
+        kept per tuple.
+
+        The conjugates are walked along the generators by
+        ``_conjugation_orbit``.  The elements carrying K onto the point
+        (a, mask) form the coset a*N(K), with N(K) the closure of the
+        Schreier elements (all of G when the orbit is one point), so the
+        least of them is min(a*n for n in N(K)): |G| lookups over the whole
+        orbit, against |G| * |K| for conjugating K by every element.
+        """
+        firsts = self._first_conjugators.get(inner)
+        if firsts is None:
+            points, schreier = self._conjugation_orbit(set(inner), self._conjugation_tables())
+            if len(points) == 1:
+                firsts = ((points[0][1], 0),)
+            else:
+                normalizer = self._closure_of(schreier)[0]
+                mul = self._mul
+                least = sorted((min(map(mul[a].__getitem__, normalizer)), mask)
+                               for a, mask, _ in points)
+                firsts = tuple((mask, a) for a, mask in least)
+            self._first_conjugators[inner] = firsts
+        return firsts
+
     def conjugator_into(self, inner, outer) -> int | None:
         """Least element a with a * inner * a^-1 contained in outer, or None.
 
-        The promise is the *least* a, so every a in 0..|G|-1 is tried once
-        per inner tuple, not only the conjugators of a generator-orbit walk.
-        Per inner tuple, its distinct conjugate masks are cached in order of
-        the least a giving each, and per outer tuple its mask, so a query is
-        one mask AND per conjugate.
+        The conjugate masks of ``_conjugate_masks`` come in order of their
+        least conjugator, so the first one inside the mask of outer gives
+        the least a: one mask AND per conjugate.
         """
-        inner = tuple(inner)
-        firsts = self._first_conjugators.get(inner)
-        if firsts is None:
-            mul, inv, bit = self._mul, self._inv, self._bit
-            inner_set = set(inner)
-            least_a = {}
-            for a in range(self.order):
-                row, ai = mul[a], inv[a]
-                least_a.setdefault(sum(bit[mul[row[m]][ai]] for m in inner_set), a)
-            firsts = self._first_conjugators[inner] = tuple(least_a.items())
-        outer = tuple(outer)
-        outer_mask = self._member_masks.get(outer)
-        if outer_mask is None:
-            outer_mask = self._member_masks[outer] = sum(self._bit[m] for m in set(outer))
-        for m, a in firsts:
+        outer_mask = self._member_mask(tuple(outer))
+        for m, a in self._conjugate_masks(tuple(inner)):
             if m & outer_mask == m:
                 return a
         return None

@@ -9,7 +9,9 @@ bytes.
 A scalar is read as a JSON integer (not a bool) or an ASCII string of the
 form ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator; anything else (a
 float, a bool, "0.5", "1e3", " 1", "+1", "1/0") is refused with a
-ValidationError that names it.  The coordinates of cyclotomic and
+ValidationError that names it.  An integer field (a level, a class
+representative or size, an element index, a degree, a bound) must be a JSON
+integer, not a float or a bool.  The coordinates of cyclotomic and
 number-field values go straight between this text and the integer kernel's
 numerators over one common denominator, with no Fraction per coordinate.
 Rationals (Q coefficients, a field descriptor's minpoly and automorphism
@@ -56,6 +58,14 @@ def parsing(what: str):
         raise ValidationError(f"{what} lacks the key {exc}") from None
     except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from None
+
+
+def json_int(x, name: str) -> int:
+    """x itself when it is a JSON integer (not a bool); a ValueError naming
+    the field otherwise, which ``parsing`` turns into a ValidationError."""
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an integer, not {json.dumps(x)}")
+    return x
 
 
 # -- scalars -----------------------------------------------------------------
@@ -108,7 +118,7 @@ def cyc_to_json(v: CycValue) -> dict:
 
 
 def cyc_from_json(d) -> CycValue:
-    return CycValue(int(d["level"]), *scalars_from_json(d["coeffs"]))
+    return CycValue(json_int(d["level"], "level"), *scalars_from_json(d["coeffs"]))
 
 
 def nfv_to_json(v) -> list:
@@ -136,7 +146,7 @@ def field_from_json(d) -> NumField:
     return NumField(
         [rational_from_json(c) for c in d["minpoly"]],
         [[rational_from_json(c) for c in img] for img in d["automorphisms"]],
-        tuple(d.get("subfield_fixers", (0,))),
+        tuple(json_int(k, "subfield fixer") for k in d.get("subfield_fixers", (0,))),
     )
 
 
@@ -156,8 +166,8 @@ def group_from_spec(d) -> FiniteGroup:
     with parsing(f"{kind} group specification"):
         if kind == "presentation":
             p = d[kind]
-            args = (int(p["generators"]), [list(w) for w in p["relators"]])
-            bound = int(p.get("bound", DEFAULT_ENUMERATION_BOUND))
+            args = (json_int(p["generators"], "generators"), [list(w) for w in p["relators"]])
+            bound = json_int(p.get("bound", DEFAULT_ENUMERATION_BOUND), "bound")
         else:
             rows = [list(r) for r in d[kind]]
     if kind != "presentation" and any(type(x) is not int for r in rows for x in r):
@@ -183,7 +193,7 @@ def table_to_json(table: CharacterTable) -> dict:
 
 def table_from_json(group: FiniteGroup, d) -> CharacterTable:
     with parsing("character table"):
-        level = int(d["level"])
+        level = json_int(d["level"], "level")
         if level != group.exponent:
             raise ValidationError(
                 f"table level {level} does not match the group exponent {group.exponent}"
@@ -192,7 +202,9 @@ def table_from_json(group: FiniteGroup, d) -> CharacterTable:
         if len(d["classes"]) != len(classes):
             raise ValidationError("table class count does not match the group")
         for entry, cls in zip(d["classes"], classes):
-            if int(entry["representative"]) != cls.representative or int(entry["size"]) != len(cls.members):
+            rep = json_int(entry["representative"], "class representative")
+            size = json_int(entry["size"], "class size")
+            if rep != cls.representative or size != len(cls.members):
                 raise ValidationError(
                     f"table class data {entry} does not match the group's class "
                     f"(rep {cls.representative}, size {len(cls.members)})"
@@ -227,7 +239,7 @@ def domain_from_json(d, field_cache: dict | None = None):
     if d == "Q":
         return RATIONALS
     if isinstance(d, dict) and "cyclotomic" in d:
-        return CyclotomicDomain(int(d["cyclotomic"]))
+        return CyclotomicDomain(json_int(d["cyclotomic"], "cyclotomic level"))
     if isinstance(d, dict) and "minpoly" in d:
         key = field_key(d)
         if field_cache is not None and key in field_cache:
@@ -258,7 +270,7 @@ def element_from_json(group: FiniteGroup, d, field_cache: dict | None = None) ->
         dom = domain_from_json(d["field"], field_cache)
         out = {}
         for g, c in d["coeffs"]:
-            g = int(g)
+            g = json_int(g, "element index")
             if not 0 <= g < group.order:
                 raise ValidationError(f"element index {g} out of range")
             if dom.kind == "Q":
@@ -302,7 +314,7 @@ def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:
         if char_index is None:
             raise ValidationError("character values in the file match no row of the table")
         degree = table.chars[char_index].degree
-        if "degree" in d and int(d["degree"]) != degree:
+        if "degree" in d and json_int(d["degree"], "degree") != degree:
             raise ValidationError(
                 f"representation key 'degree' is {d['degree']}, but the matched "
                 f"character has degree {degree}"

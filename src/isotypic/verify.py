@@ -16,7 +16,8 @@ from .errors import ValidationError
 from .groupalgebra import AlgebraElement, RATIONALS, ideal_dim
 from .groups import FiniteGroup, generator_name
 from .serialize import (
-    element_from_json, field_from_json, field_key, group_from_spec, parsing, rational_from_json,
+    element_from_json, field_from_json, field_key, group_from_spec, json_int, parsing,
+    rational_from_json,
 )
 
 
@@ -124,7 +125,7 @@ class ManifestRunner:
                 acc = acc * a
             return acc
         if op == "galois":
-            return self.eval_expr(expr["arg"]).apply_galois(int(expr["auto"]))
+            return self.eval_expr(expr["arg"]).apply_galois(json_int(expr["auto"], "auto"))
         if op == "scale":
             return self.eval_expr(expr["arg"]) * rational_from_json(expr["by"])
         raise ValidationError(f"unknown manifest operation {op!r}")
@@ -132,9 +133,9 @@ class ManifestRunner:
     def _match_orbit(self, matcher) -> int:
         hits = []
         for i, o in enumerate(self.orbits):
-            if o.degree != int(matcher["degree"]):
+            if o.degree != json_int(matcher["degree"], "degree"):
                 continue
-            if len(o.char_indices) != int(matcher["orbit_size"]):
+            if len(o.char_indices) != json_int(matcher["orbit_size"], "orbit_size"):
                 continue
             hits.append(i)
         if len(hits) != 1:
@@ -195,17 +196,17 @@ class ManifestRunner:
                 el = el.to_domain(RATIONALS)
             d = ideal_dim(el)
             return (f"{label}: ideal dim of {check['of']} = {check['dim']} (got {d})",
-                    d == int(check["dim"]))
+                    d == json_int(check["dim"], "dim"))
         if kind == "rho_identity":
             diff = self._rho_diff(check)
             want = [0] * len(self.orbits)
             for matcher, mult in check["exact"]:
-                want[self._match_orbit(matcher)] = int(mult)
+                want[self._match_orbit(matcher)] = json_int(mult, "mult")
             return (f"{label}", diff == want)
         if kind == "rho_component":
             diff = self._rho_diff(check)
             ok = all(
-                diff[self._match_orbit(matcher)] == int(mult)
+                diff[self._match_orbit(matcher)] == json_int(mult, "mult")
                 for matcher, mult in check["contains"]
             ) and all(d >= 0 for d in diff)
             return (f"{label}", ok)

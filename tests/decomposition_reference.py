@@ -7,13 +7,15 @@ subgroup class's multiplicity vector once: ``rho_decomposition`` recounts the
 classes of H for every orbit, ``decompose_intermediate`` recomputes rho_H for
 the members it is given, the Prym search compares every pair of subgroup
 classes, and the intersection search walks each arity separately, comparing
-residue vectors entry by entry.
+residue vectors entry by entry.  Containment is decided by
+``lattice_reference.conjugator_into``, which tries every element in turn.
 ``test_decomposition_oracle.py`` uses them as oracles.
 """
 
 from collections import Counter
 from fractions import Fraction as Rat
 
+from lattice_reference import conjugator_into
 from isotypic.characters import RhoDecomposition
 from isotypic.cyclotomic import CycValue
 from isotypic.decomposition import DecompositionReport, IntersectionWitness, PrymWitness
@@ -83,7 +85,7 @@ def reference_find_prym_realizations(dec, vectors, orbit_index):
             b = vectors[io]
             if not all((a[j] - b[j] == (1 if j == w else 0)) for j in range(r)):
                 continue
-            conj = dec.conjugator(ih, io)
+            conj = conjugator_into(dec.group, subgroups[ih].members, subgroups[io].members)
             if conj is None:
                 continue
             out.append(PrymWitness(ih, io, conj))
@@ -105,12 +107,12 @@ def reference_find_intersection_realizations(dec, vectors, orbit_index, max_arit
         for io in range(len(subgroups)):
             if io == ih:
                 continue
-            conj = dec.conjugator(ih, io)
-            if conj is None:
-                continue
             b = vectors[io]
             diff = [a[j] - b[j] for j in range(r)]
             if any(d < 0 for d in diff) or diff[w] != 1:
+                continue
+            conj = conjugator_into(dec.group, subgroups[ih].members, subgroups[io].members)
+            if conj is None:
                 continue
             residue = tuple(d if j != w else 0 for j, d in enumerate(diff))
             cands.append((io, conj, residue))

@@ -85,3 +85,12 @@ def conjugator_into(group, inner, outer):
         if all(conjugate(group, m, a) in outer_set for m in inner):
             return a
     return None
+
+
+def first_conjugators(group, inner):
+    """(mask, a) for each distinct conjugate a * inner * a^-1, with a the
+    least element giving it, in increasing a: every a in 0..|G|-1 is tried."""
+    least_a = {}
+    for a in range(group.order):
+        least_a.setdefault(sum(1 << conjugate(group, m, a) for m in set(inner)), a)
+    return tuple(least_a.items())

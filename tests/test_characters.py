@@ -234,11 +234,10 @@ def test_rho_dimension_count(small_tables, small_orbits):
 
 def test_rho_inconsistent_schur_detected(g80, t80, orbits80, quad80):
     from isotypic.characters import SchurStatus
-    from dataclasses import replace
 
     # force an impossible m = 4 without the divisor check; the subgroup with
     # <rho_H, V> = 2 exposes the non-exact division
-    bad = replace(quad80, schur=SchurStatus("asserted", 4, 2, "forced"))
+    bad = quad80._replace(schur=SchurStatus("asserted", 4, 2, "forced"))
     bad_orbits = tuple(bad if o is quad80 else o for o in orbits80)
     xy2 = g80.evaluate_word([1, 2, 2])
     members = g80.subgroup_generated([xy2]).members

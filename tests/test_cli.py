@@ -222,10 +222,12 @@ def test_cli_malformed_input_exit_2(tmp_path, command, text):
 S3_SPEC = {"permutations": [[1, 0, 2], [1, 2, 0]]}
 
 
-def _s3_table_with(coeff):
-    """The S3 table document with one coefficient of its second character replaced."""
+def _s3_table_with(coeff, **first_class):
+    """The S3 table document with one coefficient of its second character
+    replaced, and the entries of its first class updated by first_class."""
     blob = table_to_json(compute_character_table(group_from_spec(S3_SPEC)))
     blob["chars"][1][0]["coeffs"][0] = coeff
+    blob["classes"][0].update(first_class)
     return blob
 
 
@@ -293,6 +295,15 @@ MALFORMED_DOCUMENTS = {
     "field-automorphism-bool": ("verify", {"group": S3_SPEC, "field": {
         "minpoly": [0, 1], "automorphisms": [[False]]}, "checks": []},
         "false is not an exact scalar"),
+    # integer fields: a JSON int, never a float (6.9 was read as 6) or a bool
+    "table-level-float": ("chartable", dict(_s3_table_with("1"), level=6.9),
+                          "malformed character table: level must be an integer, not 6.9"),
+    "table-class-size-bool": ("chartable", _s3_table_with("1", size=True),
+                              "malformed character table: class size must be an integer, "
+                              "not true"),
+    "element-index-float": ("verify", {"group": S3_SPEC, "elements": {
+        "b": {"field": "Q", "coeffs": [[0.0, "1"]]}}, "checks": []},
+        "malformed algebra element: element index must be an integer, not 0.0"),
 }
 
 

@@ -3,7 +3,7 @@ intermediate decompositions checked against the recomputing code in
 ``decomposition_reference.py``, on the groups and on seeded relabellings."""
 
 import random
-from dataclasses import replace
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +14,7 @@ from decomposition_reference import (
     reference_find_prym_realizations,
     reference_rho_decomposition,
 )
+import lattice_reference
 from isotypic import (
     BoundExceededError,
     InvariantError,
@@ -71,6 +72,31 @@ def test_containment_queries_build_each_outer_mask_once():
     assert builds == []
 
 
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_containment_poset_matches_reference(name):
+    """Every overgroup list against conjugating by every element, and the
+    packed class-count filter against the counts compared one by one: it
+    passes exactly when |H| divides |N| and no class meets H more than N,
+    so it never rejects a containment."""
+    group = relabelled(LATTICE_GROUPS[name](), random.Random("poset " + name))
+    table = compute_character_table(group)
+    dec = JacobianDecomposer(table, orbits=galois_orbits(table))
+    members = [s.members for s in dec.subgroups]
+    counts = [Counter(group.class_index(m) for m in h) for h in members]
+    for ih, inner in enumerate(members):
+        brute = []
+        for io, outer in enumerate(members):
+            conj = lattice_reference.conjugator_into(group, inner, outer)
+            fits = (len(outer) % len(inner) == 0
+                    and all(counts[io][k] >= c for k, c in counts[ih].items()))
+            assert dec._may_contain(ih, io) == fits
+            assert conj is None or fits
+            assert dec.conjugator(ih, io) == conj
+            if conj is not None and len(outer) > len(inner):
+                brute.append((io, conj))
+        assert dec.overgroups(ih) == tuple(brute)
+
+
 @pytest.mark.parametrize("name,m2,relabel", CASES)
 def test_decomposer_matches_reference(name, m2, relabel):
     rng = random.Random(name)
@@ -110,7 +136,7 @@ def _outcome(rho, *args):
 
 
 def test_forced_schur_index_error_matches_reference(t80, orbits80, quad80):
-    bad = replace(quad80, schur=SchurStatus("asserted", 4, 2, "forced"))
+    bad = quad80._replace(schur=SchurStatus("asserted", 4, 2, "forced"))
     bad_orbits = tuple(bad if o is quad80 else o for o in orbits80)
     outcomes = [_outcome(reference_rho_decomposition, t80, bad_orbits, sub.members)
                 for sub in t80.group.subgroup_classes()]

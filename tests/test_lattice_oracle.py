@@ -156,6 +156,21 @@ def test_schreier_normalizers_match_brute_force(name):
         assert len(points) * len(brute) == group.order
 
 
+@pytest.mark.parametrize("name", GROUPS)
+def test_conjugate_masks_match_enumeration(name):
+    """The least conjugators read off the N(K) cosets of the orbit walk
+    against conjugating by every element, for each class and for random
+    subsets, which need not be subgroups."""
+    rng = random.Random("conjugators " + name)
+    group = relabelled(GROUPS[name](), rng)
+    sets = [s.members for s in group.subgroup_classes()]
+    sets += [tuple(sorted(rng.sample(range(group.order), rng.randint(1, 3)))) for _ in range(10)]
+    tables = group._conjugation_tables()
+    for members in sets:
+        assert group._conjugate_masks(members) == ref.first_conjugators(group, members)
+    assert group._conjugation_tables() is tables  # built once, shared with the lattice
+
+
 @pytest.mark.parametrize("degree,classes,subgroups", [(5, 19, 156), (6, 56, 1455)])
 def test_symmetric_group_subgroup_counts(degree, classes, subgroups):
     group = from_permutations(symmetric(degree))
