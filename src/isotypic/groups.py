@@ -98,11 +98,12 @@ class FiniteGroup:
         if n == 0 or any(len(row) != n for row in mul_table):
             raise ValidationError("not a group table: table is not square")
         self.order = n
-        self._mul = tuple(tuple(int(x) for x in row) for row in mul_table)
+        self._mul = tuple(map(tuple, mul_table))
         for row in self._mul:
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValidationError(f"not a group table: entry {x} out of range")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                x = next(x for x in row if type(x) is not int or not 0 <= x < n)
+                raise ValidationError(f"not a group table: entry {x!r} " + (
+                    "out of range" if type(x) is int else "is not an integer"))
 
         if any(self._mul[0][j] != j for j in range(n)) or any(
             self._mul[i][0] != i for i in range(n)
@@ -124,12 +125,16 @@ class FiniteGroup:
         self._inv = tuple(inv)
         self._bit = tuple(1 << g for g in range(n))
 
+        generators = None if generators is None else tuple(generators)
+        for g in generators or ():
+            if type(g) is not int or not 0 <= g < n:
+                raise ValidationError(f"generator {g!r} is not an element index below {n}")
         members, _, greedy = self._closure_of(range(1, n) if generators is None else generators)
         if len(members) != n:
             raise ValidationError(
                 f"not a group table: the generators reach {len(members)} of {n} elements"
             )
-        self.generators = greedy if generators is None else tuple(generators)
+        self.generators = greedy if generators is None else generators
         self._check_associativity_light()
 
         orders = []
@@ -534,39 +539,21 @@ class FiniteGroup:
     # -- rational fusion ------------------------------------------------------------
 
     def rational_fusion_classes(self):
-        """Partition coarsening conjugacy: g fused with g^k for gcd(k, ord g) = 1."""
-        if self._fusion is not None:
-            return self._fusion
-        classes = self.conjugacy_classes()
-        parent = list(range(len(classes)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for idx, cls in enumerate(classes):
-            g = cls.representative
-            o = self.elem_orders[g]
-            for k in range(1, o + 1):
-                if gcd(k, o) == 1:
-                    j = self.class_index(self.power(g, k))
-                    ri, rj = find(idx), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-
-        buckets = {}
-        for idx in range(len(classes)):
-            buckets.setdefault(find(idx), []).append(idx)
-        fused = []
-        for root in sorted(buckets):
-            members = []
-            for idx in buckets[root]:
-                members.extend(classes[idx].members)
-            fused.append(tuple(sorted(members)))
-        fused.sort(key=lambda m: m[0])
-        self._fusion = tuple(fused)
+        """Partition coarsening conjugacy: g fused with g^k for gcd(k, ord g) = 1.
+        The classes of these g^k are closed under the rule (k^-1 mod ord g,
+        and products), so they are g's whole rational class."""
+        if self._fusion is None:
+            classes = self.conjugacy_classes()
+            seen, fused = set(), []
+            for idx, cls in enumerate(classes):
+                if idx not in seen:
+                    g = cls.representative
+                    o = self.elem_orders[g]
+                    powers = {self.class_index(self.power(g, k))
+                              for k in range(1, o + 1) if gcd(k, o) == 1}
+                    seen |= powers
+                    fused.append(tuple(sorted(x for j in powers for x in classes[j].members)))
+            self._fusion = tuple(sorted(fused))  # disjoint: by least member
         return self._fusion
 
     # -- export ---------------------------------------------------------------------
@@ -738,6 +725,8 @@ def _group_from_generator_perms(perms):
 
 def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     """Group defined by generators and relators (signed 1-based letters)."""
+    if type(ngens) is not int or type(bound) is not int:
+        raise ValidationError(f"generator count {ngens!r} and bound {bound!r} must be integers")
     if ngens < 0:
         raise ValidationError("generator count must be non-negative")
     if bound < 1:
@@ -760,6 +749,8 @@ def from_permutations(perms, bound=DEFAULT_ENUMERATION_BOUND):
     gens = [tuple(p) for p in perms]
     npts = len(gens[0]) if gens else 0
     for p in gens:
+        if set(map(type, p)) - {int}:
+            raise ValidationError(f"permutation entries must be integers, not {p!r}")
         if sorted(p) != list(range(npts)):
             raise ValidationError("input is not a bijection on {0..n-1}")
     # BFS over the elements (order grows while it is walked);

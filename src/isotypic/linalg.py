@@ -69,14 +69,10 @@ class CoordinateSpan:
     def add(self, vec) -> bool:
         """Accept a vector outside the span (True); reject one inside it."""
         ech = self.ech
-        # the unit tail always raises the rank; a pivot in the tail means
-        # the head reduced to zero
-        ech.add(list(vec) + [ech.zero] * ech.rank + [ech.one])
-        if ech.pivot_cols[-1] < len(vec):
-            return True
-        ech.rows.pop()
-        ech.pivot_cols.pop()
-        return False
+        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
+        if all(c == ech.zero for c in res[:len(vec)]):
+            return False
+        return ech.add(res + [ech.one])
 
     def coordinates(self, vec):
         """Coefficients of vec in the accepted vectors, or None outside the span."""

@@ -9,6 +9,7 @@ manifest order.
 
 from __future__ import annotations
 
+import json
 from functools import cached_property
 
 from .characters import compute_character_table, galois_orbits, rho_decomposition
@@ -213,4 +214,7 @@ class ManifestRunner:
         raise ValidationError(f"unknown check type {kind!r}")
 
     def run(self):
-        return [self.run_check(c) for c in self.manifest.get("checks", [])]
+        checks = self.manifest.get("checks", [])
+        if not isinstance(checks, list):
+            raise ValidationError(f"manifest checks must be a list, not {json.dumps(checks)}")
+        return [self.run_check(c) for c in checks]

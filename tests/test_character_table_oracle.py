@@ -16,13 +16,15 @@ from character_table_reference import (
 )
 from isotypic import (
     BoundExceededError,
+    InvariantError,
     ValidationError,
     compute_character_table,
     from_permutations,
     galois_orbits,
 )
 from isotypic import characters
-from isotypic.characters import Character
+from isotypic.characters import Character, CharacterTable
+from isotypic.cyclotomic import CycValue, unit_group
 from isotypic.cli import main
 from isotypic.serialize import cyc_from_json, table_from_json, table_to_json
 from test_lattice_oracle import dihedral, gl2_3, relabelled, symmetric
@@ -140,6 +142,67 @@ def test_damaged_table_fails_like_the_reference(name, how, tmp_path):
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(blob))
     assert main(["chartable", "--group", str(group_path), "--table", str(table_path)]) == 2
+
+
+# -- a seeded campaign of damaged tables: the row relation alone decides ------------
+
+
+CAMPAIGN = {"S4": 100, "D10": 95, "GL23": 60, "C11x5": 25, "D48": 20}
+CAMPAIGN_GROUPS = {"D10": lambda: dihedral(5), **GROUPS}
+
+
+def _damage(table, rng):
+    """One kind of damage to a copy of the table's rows: a root of unity
+    added to one entry, two non-identity columns swapped, one entry swapped
+    between rows, a Galois twist of one row, or one entry negated."""
+    rows = [list(c.values) for c in table.chars]
+    r, e = len(rows), table.level
+    how = rng.randrange(5)
+    i, j, k = rng.randrange(r), rng.randrange(r), rng.randrange(r)
+    if how == 0:
+        rows[i][k] = rows[i][k] + CycValue.root_of_unity(e, rng.randrange(e))
+    elif how == 1:
+        a, b = rng.sample(range(1, r), 2)
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+    elif how == 2:
+        rows[i][k], rows[j][k] = rows[j][k], rows[i][k]
+    elif how == 3:
+        u = rng.choice(unit_group(e))
+        rows[i] = [v.galois(u) for v in rows[i]]
+    else:
+        rows[i][k] = -rows[i][k]
+    return how, [Character(tuple(row), c.degree) for row, c in zip(rows, table.chars)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (InvariantError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", CAMPAIGN)
+def test_damaged_table_campaign_matches_the_reference(name):
+    """The library checks the row relation only; the reference checks both
+    relations.  Each damaged table gets the same verdict and message, and
+    an accepted one the same Galois orbits (or the same error)."""
+    table = compute_character_table(from_permutations(CAMPAIGN_GROUPS[name]()))
+    rng = random.Random(f"campaign/{name}")
+    verdicts = set()
+    for _ in range(CAMPAIGN[name]):
+        how, chars = _damage(table, rng)
+        got = _outcome(lambda: CharacterTable(table.group, chars))
+        ref = _outcome(lambda: ReferenceCharacterTable(table.group, chars))
+        accepted = isinstance(got, CharacterTable)
+        verdicts.add(accepted)
+        if accepted:
+            assert isinstance(ref, CharacterTable)
+            assert _outcome(lambda: galois_orbits(got)) == \
+                _outcome(lambda: reference_galois_orbits(ref))
+        else:
+            assert got == ref, how
+    assert verdicts == {True, False}
 
 
 # -- the class-count bound -------------------------------------------------------------

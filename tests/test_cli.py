@@ -304,6 +304,13 @@ MALFORMED_DOCUMENTS = {
     "element-index-float": ("verify", {"group": S3_SPEC, "elements": {
         "b": {"field": "Q", "coeffs": [[0.0, "1"]]}}, "checks": []},
         "malformed algebra element: element index must be an integer, not 0.0"),
+    # checks: a list, never null, a number or a bool (each was a TypeError traceback)
+    "checks-null": ("verify", {"group": S3_SPEC, "checks": None},
+                    "manifest checks must be a list, not null"),
+    "checks-number": ("verify", {"group": S3_SPEC, "checks": 5},
+                      "manifest checks must be a list, not 5"),
+    "checks-bool": ("verify", {"group": S3_SPEC, "checks": True},
+                    "manifest checks must be a list, not true"),
 }
 
 

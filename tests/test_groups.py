@@ -156,6 +156,26 @@ def test_cayley_table_missing_identity():
         from_cayley_table([[1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("build,named", [
+    # 1.9 and 1.2 were truncated to 1: the table was accepted as C2
+    (lambda: from_cayley_table([[0, 1.9], [1.2, 0]]), "entry 1.9 is not an integer"),
+    (lambda: from_cayley_table([[0, True], [1, 0]]), "entry True is not an integer"),
+    (lambda: from_cayley_table([[0, 1], [1, "0"]]), "entry '0' is not an integer"),
+    (lambda: from_cayley_table([[0, 1], [1, -1]]), "entry -1 out of range"),
+    # floats equal to ints passed the bijection check and then met tuple indexing
+    (lambda: from_permutations([[1.0, 0.0]]), r"not \(1.0, 0.0\)"),
+    (lambda: from_permutations([[0, 1], [False, True]]), r"not \(False, True\)"),
+    (lambda: from_presentation(2.0, [[1, 1]]), "generator count 2.0"),
+    (lambda: from_presentation(1, [[1, 1]], bound=10.0), "bound 10.0"),
+    (lambda: FiniteGroup([[0, 1], [1, 0]], generators=[1.0]), "generator 1.0 is not"),
+    (lambda: FiniteGroup([[0, 1], [1, 0]], generators=[2]), "generator 2 is not"),
+    (lambda: FiniteGroup([[0, 1], [1, 0]], generators=[-1]), "generator -1 is not"),
+])
+def test_group_entries_must_be_integers(build, named):
+    with pytest.raises(ValidationError, match=named):
+        build()
+
+
 def test_cayley_round_trip(g80):
     again = from_cayley_table(g80.export()["cayley"])
     assert again.order == g80.order

@@ -1,7 +1,9 @@
 """Source hygiene of the package: the standard library is its only
-dependency, and no float enters its exact arithmetic."""
+dependency, no float enters its exact arithmetic, and importing it loads
+few modules."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,3 +40,19 @@ def test_no_floats(path):
 def test_the_scan_sees_the_package():
     assert len(SOURCES) > 10
     assert any(p.name == "numberfield.py" for p in SOURCES)
+
+
+# what ``import isotypic`` may load besides its own modules
+IMPORT_PATH_MODULES = {"__future__", "_decimal", "decimal", "fractions", "numbers"}
+
+
+def test_import_loads_few_modules():
+    """A stray import of a heavy module (dataclasses, inspect) on the import
+    path would add its load time to every command."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import isotypic; print(*sorted(set(sys.modules) - before))")
+    loaded = subprocess.run([sys.executable, "-I", "-B", "-c", code, src],
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "isotypic.groups" in loaded
+    assert {m for m in loaded if m.split(".")[0] != "isotypic"} <= IMPORT_PATH_MODULES

@@ -171,6 +171,26 @@ def test_conjugate_masks_match_enumeration(name):
     assert group._conjugation_tables() is tables  # built once, shared with the lattice
 
 
+@pytest.mark.parametrize("name", GROUPS)
+def test_rational_fusion_matches_cyclic_subgroup_conjugacy(name):
+    """Classes C_i and C_j fuse exactly when <g_i> and <g_j> are conjugate:
+    a definition that reads no power map, checked by conjugating by every
+    element."""
+    group = relabelled(GROUPS[name](), random.Random("fusion " + name))
+    classes = group.conjugacy_classes()
+    cyclic = [frozenset(ref.closure_of(group, [c.representative])) for c in classes]
+    want = set()
+    for sub in cyclic:
+        conjugates = {frozenset(ref.conjugate(group, m, a) for m in sub)
+                      for a in range(group.order)}
+        want.add(frozenset(m for c, other in zip(classes, cyclic) if other in conjugates
+                           for m in c.members))
+    fused = group.rational_fusion_classes()
+    assert set(map(frozenset, fused)) == want
+    assert all(f == tuple(sorted(f)) for f in fused)
+    assert list(fused) == sorted(fused, key=min)
+
+
 @pytest.mark.parametrize("degree,classes,subgroups", [(5, 19, 156), (6, 56, 1455)])
 def test_symmetric_group_subgroup_counts(degree, classes, subgroups):
     group = from_permutations(symmetric(degree))
