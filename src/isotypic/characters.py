@@ -4,13 +4,24 @@ The table is computed by the modular method of Dixon (Numer. Math. 10,
 1967) as revised by Schneider (J. Symbolic Comput. 9, 1990): the class-sum
 structure constants act on F_p^r for a prime p = 1 (mod e) with
 p > 2*sqrt(|G|), and F_p^r is split into their common eigenspaces.  Each
-restricted action is brought to upper Hessenberg form mod p once; its
-characteristic polynomial is read off, its roots are found by Horner
-evaluation at the p points of F_p, and nullspaces are taken at those roots
-only.  One F_p elimination with unit-vector tails gives both the restricted
-action and those nullspaces.  Character values are lifted to Q(zeta_e) by
-discrete Fourier inversion on the power map, once per rational class:
-chi(g^k) = sigma_k(chi(g)) for gcd(k, o(g)) = 1 gives the other classes.
+eigenspace is kept as a basis that is the identity at its pivot columns,
+basis[a][pivots[b]] = (a == b), so a vector of its span has its coordinates
+at the pivots: the restricted action of a class sum is read off the pivot
+entries of the images, each a short sum over a sparse row of the class-sum
+matrix, with no elimination.  A class sum that acts on an eigenspace as a
+scalar leaves it whole.  Otherwise the restricted action is brought to
+upper Hessenberg form mod p once; its characteristic polynomial is read
+off, its roots are found by Horner evaluation at the p points of F_p, and
+nullspaces are taken at those roots only, by one F_p elimination with
+unit-vector tails.  A tail is 1 at its own dependent column and 0 at the
+others, so the eigenvectors it combines are again the identity at pivots.
+
+Character values are lifted to Q(zeta_e) by discrete Fourier inversion on
+the power map, once per rational class: the multiplicity m_i of zeta_o^i as
+an eigenvalue of g, o = o(g), is found mod p, and chi(g^k) = sum_i m_i
+zeta_o^(ik) for gcd(k, o) = 1.  sigma_k is the index map i -> ik on the
+powers of zeta_o, applied before the reduction mod Phi_e, so each value is
+one integer map of the m_i.
 
 Row orthogonality is checked, pair by pair, as exact equalities on every
 computed or loaded table; column orthogonality is its corollary.  Each inner
@@ -38,7 +49,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
-    CycValue, _combine, _level, _pack, _unpacker, trace_to_rational, unit_group,
+    CycValue, _combine, _cyc, _level, _normal, _pack, _unpacker, trace_to_rational,
+    unit_group,
 )
 from .errors import BoundExceededError, InvariantError, ValidationError
 from .groups import FiniteGroup
@@ -344,75 +356,72 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
     p = _dixon_prime(n, e)
     sizes = [len(c.members) for c in classes]
     reps = [c.representative for c in classes]
-    inv_class = [group.class_index(group.inv(rep)) for rep in reps]
+    class_of, mul_table, inv = group._class_of, group._mul, group._inv
+    inv_class = [class_of[inv[rep]] for rep in reps]
 
-    # structure constants: mult[i][k][j] = #{u in C_i : u^-1 * w_k in C_j}
+    # structure constants, row by row: mats[i][k] lists the (j, c) with
+    # c = #{u in C_i : u^-1 * w_k in C_j} > 0
     mats = []
-    for i in range(r):
-        mat = [[0] * r for _ in range(r)]
-        for k in range(r):
-            wk = reps[k]
-            row = mat[k]
-            for u in classes[i].members:
-                row[group.class_index(group.mul(group.inv(u), wk))] += 1
-        mats.append(mat)
+    for cls in classes:
+        inv_rows = [mul_table[inv[u]] for u in cls.members]
+        mats.append([list(Counter([class_of[x[wk]] for x in inv_rows]).items())
+                     for wk in reps])
 
-    # split F_p^r into common eigenspaces of all class-sum matrices
-    subspaces = [[[1 if c == j else 0 for c in range(r)] for j in range(r)]]
-    for i in range(1, r):
-        if all(len(s) == 1 for s in subspaces):
+    # split F_p^r into common eigenspaces of all class-sum matrices, each kept
+    # as a basis that is the identity at its pivot columns
+    subspaces = [([[int(c == j) for c in range(r)] for j in range(r)], list(range(r)))]
+    for rows in mats[1:]:
+        if all(len(pivots) == 1 for _, pivots in subspaces):
             break
-        mat = mats[i]
         new_spaces = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
+        for basis, pivots in subspaces:
+            d = len(pivots)
+            if d == 1:
+                new_spaces.append((basis, pivots))
                 continue
-            d = len(basis)
-            images = [[sum(map(mul, row, vec)) % p for row in mat] for vec in basis]
-            # restricted action: images[a] = sum_b action[a][b] basis[b], so
-            # coordinate vectors transform by the transpose of action
-            action = _solve_action(basis, images, p)
-            act_t = [[action[b][a] for b in range(d)] for a in range(d)]
+            act_t = _restricted_action(rows, basis, pivots, p)
+            lam = act_t[0][0]
+            if act_t == [[lam if a == b else 0 for b in range(d)] for a in range(d)]:
+                new_spaces.append((basis, pivots))  # one eigenvalue: nothing to split
+                continue
+            cols = list(zip(*basis))
             found = 0
             for lam in _roots_mod(_charpoly_mod(act_t, p), p):
                 shifted = [
                     [(act_t[a][b] - (lam if a == b else 0)) % p for b in range(d)]
                     for a in range(d)
                 ]
+                # a tail is 1 at its dependent column q and 0 after q and at
+                # the other dependent columns: its vector is 1 at pivots[q]
+                # and 0 at the other new pivots
                 null = _nullspace_mod(shifted, p)
-                sub = []
-                for coefs in null:
-                    vec = [0] * r
-                    for c, bvec in zip(coefs, basis):
-                        if c:
-                            for t in range(r):
-                                vec[t] = (vec[t] + c * bvec[t]) % p
-                    sub.append(vec)
-                new_spaces.append(sub)
+                sub = [[sum(map(mul, coefs, col)) % p for col in cols] for coefs in null]
+                sub_pivots = [pivots[d - 1 - t[::-1].index(1)] for t in null]
+                new_spaces.append((sub, sub_pivots))
                 found += len(null)
             if found != d:
                 raise InvariantError("splitting failure")  # pragma: no cover
         subspaces = new_spaces
-    if any(len(s) != 1 for s in subspaces):
+    if any(len(pivots) != 1 for _, pivots in subspaces):
         raise InvariantError("splitting failure")  # pragma: no cover
 
     # recover normalized character values mod p from eigenvalues
     w = _primitive_root(p)
     z = pow(w, (p - 1) // e, p)  # fixed primitive e-th root of unity mod p
     power_class = []
-    for j in range(r):
-        g = reps[j]
-        o = group.elem_orders[g]
-        power_class.append([group.class_index(group.power(g, k)) for k in range(o)])
+    for g in reps:
+        powers, x = [], 0
+        for _ in range(group.elem_orders[g]):
+            powers.append(class_of[x])
+            x = mul_table[x][g]
+        power_class.append(powers)
     lifts, images = _lift_plan(power_class, z, e, p)
+    phi = _level(e).phi
 
     chars = []
-    for basis in subspaces:
-        v = basis[0]
-        j0 = next(j for j in range(r) if v[j] % p)
-        inv_v = pow(v[j0], p - 2, p)
-        omegas = [sum(map(mul, mats[i][j0], v)) * inv_v % p for i in range(r)]
+    for (v,), (j0,) in subspaces:
+        # v[j0] = 1, so omega_i = (M_i v)[j0]
+        omegas = [sum([c * v[j] for j, c in mats[i][j0]]) % p for i in range(r)]
         # chi(g_i)/chi(1) = omega_i / |C_i|
         ratio = [
             (omegas[i] * pow(sizes[i] % p, p - 2, p)) % p for i in range(r)
@@ -430,42 +439,51 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
 
         # the multiplicity of zeta_o^i as an eigenvalue of g is
         # (1/o) sum_k chi(g^k) zeta_o^(-ik), lifted from F_p
-        lifted = []
-        for step, inv_o, weights in lifts:
-            coeffs = [0] * e
-            for i, row in enumerate(weights):
-                c = sum([vals_mod[cls] * w for cls, w in row]) * inv_o % p
-                if c:
-                    coeffs[i * step] += c
-            lifted.append(CycValue(e, coeffs))
-        values = [lifted[a] if u == 1 else lifted[a].galois(u) for a, u in images]
-        chars.append(Character(tuple(values), deg))
+        mults = [
+            [sum([vals_mod[cls] * w for cls, w in row]) * inv_o % p for row in weights]
+            for inv_o, weights in lifts
+        ]
+        values = tuple(_cyc(e, tuple(_combine(mults[a], fold, phi)), 1) for a, fold in images)
+        chars.append(Character(values, deg))
 
     chars.sort(key=Character.sort_key)
     return CharacterTable(group, chars)
 
 
+def _restricted_action(rows, basis, pivots, p):
+    """The transposed matrix of a class sum on the span of basis.
+
+    basis[a][pivots[b]] = (a == b), so a vector of the span has its
+    coordinates at the pivots, and entry (a, b) is entry pivots[a] of the
+    image of basis[b].  rows[k] lists the (j, c) with c != 0 in row k of
+    the class-sum matrix; the span must be invariant.
+    """
+    return [[sum([c * vec[j] for j, c in rows[k]]) % p for vec in basis] for k in pivots]
+
+
 def _lift_plan(power_class, z, e, p):
     """How to lift character values from F_p, one rational class at a time.
 
-    Returns (lifts, images).  A lift (e/o, 1/o mod p, weights) serves one
-    class rep g of order o: weights[i] lists (class, sum of zeta_o^(-ik)
-    over the k with g^k in that class), so the inverse Fourier transform of
-    the power map costs one short sum per i.  images[j] = (lift, u) gives
-    chi(g_j) = sigma_u(chi(g)) for g^k in class j, gcd(k, o) = 1 and u a
-    unit mod e with u = k (mod o).
+    Returns (lifts, images).  A lift (1/o mod p, weights) serves one class
+    rep g of order o: weights[i] lists (class, sum of zeta_o^(-ik) over the
+    k with g^k in that class), so the multiplicity m_i of zeta_o^i as an
+    eigenvalue of g costs one short sum.  images[j] = (lift, fold) gives
+    chi(g_j) = sigma_k(chi(g)) = sum_i m_i zeta_o^(ik) for g^k in class j
+    and gcd(k, o) = 1: fold[i] is the reduction row of zeta_e^(ik e/o) in
+    Q(zeta_e), so the value is one ``_combine`` of the m_i.
     """
+    rows = _level(e).rows
     lifts = []
     images = [None] * len(power_class)
     for j, powers in enumerate(power_class):
         if images[j] is not None:
             continue
         o = len(powers)
+        step = e // o
         for k in range(o):
             if gcd(k, o) == 1 and images[powers[k]] is None:
-                u = next(u for u in range(k or o, e + o, o) if gcd(u, e) == 1)
-                images[powers[k]] = (len(lifts), u)
-        zo_inv = pow(z, (e // o) * (o - 1), p)
+                images[powers[k]] = (len(lifts), [rows[i * k % o * step] for i in range(o)])
+        zo_inv = pow(z, step * (o - 1), p)
         zp = [pow(zo_inv, m, p) for m in range(o)]
         weights = []
         for i in range(o):
@@ -473,20 +491,8 @@ def _lift_plan(power_class, z, e, p):
             for k, cls in enumerate(powers):
                 row[cls] = (row.get(cls, 0) + zp[i * k % o]) % p
             weights.append([(cls, w) for cls, w in row.items() if w])
-        lifts.append((e // o, pow(o % p, p - 2, p), weights))
+        lifts.append((pow(o % p, p - 2, p), weights))
     return lifts, images
-
-
-def _solve_action(basis, images, p):
-    """Matrix of the restricted action: images[a] = sum_b action[a][b] basis[b].
-
-    The basis must be independent and every image must lie in its span."""
-    d = len(basis)
-    tails = _eliminate_mod(basis + images, p)
-    if any(t is not None for t in tails[:d]) or any(t is None for t in tails[d:]):
-        raise InvariantError("splitting failure")  # pragma: no cover
-    # the tail of image a is e_(d+a) - sum_b action[a][b] e_b
-    return [[-x % p for x in t[:d]] for t in tails[d:]]
 
 
 # ---------------------------------------------------------------------------
@@ -560,17 +566,23 @@ def _galois_permutations(table: CharacterTable):
     sigma_k is applied to the values only for the units k, in increasing
     order, that the earlier ones do not generate, each image row found
     again through its values; every other unit's permutation is composed
-    from theirs.
+    from theirs.  Rows are compared at one level, the lcm of e and the
+    values' levels, where sigma_k is any unit that is k mod e.
     """
     e = table.level
-    by_values = {tuple((v.num, v.den) for v in c.values): i for i, c in enumerate(table.chars)}
-    perms = {1: tuple(range(len(table.chars)))}
+    level = lcm(e, *{v.level for c in table.chars for v in c.values})
+    lv = _level(level)
+    rows = [[v.to_level(level) for v in c.values] for c in table.chars]
+    by_values = {tuple([(v.num, v.den) for v in row]): i for i, row in enumerate(rows)}
+    perms = {1: tuple(range(len(rows)))}
     for k in unit_group(e):
         if k in perms:
             continue
+        images = lv.galois_map(next(u for u in range(k, k + level, e) if gcd(u, level) == 1))
         perm = []
-        for c in table.chars:
-            j = by_values.get(tuple((w.num, w.den) for w in (v.galois(k) for v in c.values)))
+        for row in rows:
+            j = by_values.get(tuple([_normal(_combine(v.num, images, lv.phi), v.den)
+                                     for v in row]))
             if j is None:
                 raise ValidationError("table is not closed under the Galois action")
             perm.append(j)

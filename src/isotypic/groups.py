@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import itemgetter
 
 from .errors import BoundExceededError, ValidationError
 
@@ -105,23 +106,20 @@ class FiniteGroup:
                 raise ValidationError(f"not a group table: entry {x!r} " + (
                     "out of range" if type(x) is int else "is not an integer"))
 
-        if any(self._mul[0][j] != j for j in range(n)) or any(
-            self._mul[i][0] != i for i in range(n)
-        ):
+        identity = tuple(range(n))
+        if self._mul[0] != identity or tuple([row[0] for row in self._mul]) != identity:
             raise ValidationError("not a group table: index 0 is not a two-sided identity")
 
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self._mul[a][b] == 0:
-                    if self._mul[b][a] != 0:
-                        raise ValidationError(
-                            f"not a group table: {b} is a right but not left inverse of {a}"
-                        )
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        inv = []
+        for a, row in enumerate(self._mul):
+            if 0 not in row:
                 raise ValidationError(f"not a group table: element {a} has no inverse")
+            b = row.index(0)
+            if self._mul[b][a] != 0:
+                raise ValidationError(
+                    f"not a group table: {b} is a right but not left inverse of {a}"
+                )
+            inv.append(b)
         self._inv = tuple(inv)
         self._bit = tuple(1 << g for g in range(n))
 
@@ -171,17 +169,24 @@ class FiniteGroup:
         The closure in ``__init__`` only ever multiplies elements it has
         already reached, so it shows generation even of a table that is not
         associative.
+
+        Each (a, g) is one comparison of whole rows: row a g of the table
+        against row a read at the entries of row g.  Only on a failure is the
+        first failing b looked for.  A one-element table is associative.
         """
+        n, mul = self.order, self._mul
+        if n == 1:
+            return
         for g in self.generators:
-            row_g = self._mul[g]
-            for a in range(self.order):
-                row_a = self._mul[a]
-                row_ag = self._mul[row_a[g]]
-                for b in range(self.order):
-                    if row_ag[b] != row_a[row_g[b]]:
-                        raise ValidationError(
-                            f"not a group table: associativity fails at ({a},{g},{b})"
-                        )
+            row_g = mul[g]
+            times_g = itemgetter(*row_g)  # row a -> the row of a (g b) over b
+            for a, row_a in enumerate(mul):
+                row_ag = mul[row_a[g]]
+                if row_ag != times_g(row_a):
+                    b = next(b for b in range(n) if row_ag[b] != row_a[row_g[b]])
+                    raise ValidationError(
+                        f"not a group table: associativity fails at ({a},{g},{b})"
+                    )
 
     # -- basic operations ------------------------------------------------------
 
@@ -711,14 +716,14 @@ def _group_from_generator_perms(perms):
 
     # columns of the multiplication table, built incrementally along BFS words:
     # the column of w*g is perm_g applied after the column of w.
+    # steps[gi][x] is the index of element x followed by generator gi
+    steps = [[pos[perm[x]] for x in order] for perm in perms]
     cols = [list(range(n))] + [None] * (n - 1)
     for idx in range(1, n):
         prev_idx, gi = bfs_parent[idx]
-        prev_col = cols[prev_idx]
-        perm = perms[gi]
-        cols[idx] = [pos[perm[order[prev_col[a]]]] for a in range(n)]
+        cols[idx] = list(map(steps[gi].__getitem__, cols[prev_idx]))
 
-    mul = [[cols[b][a] for b in range(n)] for a in range(n)]
+    mul = list(zip(*cols))
     generators = [pos[perm[0]] for perm in perms]
     return FiniteGroup(mul, labels=words, generators=generators)
 

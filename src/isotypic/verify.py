@@ -152,7 +152,7 @@ class ManifestRunner:
 
     def run_check(self, check: dict) -> tuple[str, bool]:
         if not isinstance(check, dict):
-            raise ValidationError(f"a manifest check is a JSON object, not {check!r}")
+            raise ValidationError(f"a manifest check is a JSON object, not {json.dumps(check)}")
         name = check.get("label", check.get("check"))
         with parsing("manifest check" if name is None else f"manifest check {name!r}"):
             return self._evaluate(check)

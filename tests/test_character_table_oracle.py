@@ -27,7 +27,9 @@ from isotypic.characters import Character, CharacterTable
 from isotypic.cyclotomic import CycValue, unit_group
 from isotypic.cli import main
 from isotypic.serialize import cyc_from_json, table_from_json, table_to_json
-from test_lattice_oracle import dihedral, gl2_3, relabelled, symmetric
+from test_lattice_oracle import (
+    dihedral, direct_product, elementary_abelian2, gl2_3, relabelled, symmetric,
+)
 
 
 def semidirect(p, q):
@@ -54,6 +56,11 @@ GROUPS = {
     "D60": lambda: dihedral(30),
     "C11x5": lambda: semidirect(11, 5),
     **{f"Dic{n}": (lambda n=n: dicyclic(n)) for n in (2, 3, 5, 7)},
+    # p = 11 < r = 16: each class sum halves the subspaces it splits
+    "C2_4": lambda: elementary_abelian2(4),
+    # a class sum acts as a scalar on 6 of the 16 subspaces it meets
+    "D4xS3": lambda: direct_product(dihedral(4), symmetric(3)),
+    "C1": lambda: [[0]],  # e = 1
 }
 CASES = [(name, relabel) for name in GROUPS for relabel in (0, 1, 2)]
 
@@ -73,6 +80,20 @@ def test_table_and_orbits_match_reference(name, relabel):
         [(c.degree, c.values) for c in ref.chars]
     # equal orbits have equal members, stabilizers, degrees and Schur data
     assert galois_orbits(table) == reference_galois_orbits(ref)
+
+
+def test_galois_orbits_do_not_depend_on_the_level_of_a_value():
+    """A degree-2 row of D10 with its rational entries stored at level 1
+    passes ``validate``, and its orbits are those of the computed table."""
+    group = from_permutations(dihedral(5))
+    table = compute_character_table(group)
+    i = next(i for i, c in enumerate(table.chars) if c.degree == 2)
+    chars = list(table.chars)
+    chars[i] = Character(tuple(CycValue.from_rational(v.as_rational()) if v.is_rational()
+                               else v for v in chars[i].values), 2)
+    mixed = CharacterTable(group, chars)
+    assert {v.level for v in mixed.chars[i].values} == {1, table.level}
+    assert galois_orbits(mixed) == galois_orbits(table)
 
 
 def _conjugated(mat, i, j, c, p):

@@ -311,6 +311,13 @@ MALFORMED_DOCUMENTS = {
                       "manifest checks must be a list, not 5"),
     "checks-bool": ("verify", {"group": S3_SPEC, "checks": True},
                     "manifest checks must be a list, not true"),
+    # a check: a JSON object, named in JSON spelling when it is not one
+    "check-null": ("verify", {"group": S3_SPEC, "checks": [None]},
+                   "a manifest check is a JSON object, not null"),
+    "check-string": ("verify", {"group": S3_SPEC, "checks": ["x"]},
+                     'a manifest check is a JSON object, not "x"'),
+    "check-number": ("verify", {"group": S3_SPEC, "checks": [5]},
+                     "a manifest check is a JSON object, not 5"),
 }
 
 

@@ -11,6 +11,7 @@ from isotypic import (
     from_permutations,
     from_presentation,
 )
+from group_table_reference import ReferenceFiniteGroup
 
 # latin square with identity and self-inverse elements, but not associative
 _LOOP5 = [
@@ -138,6 +139,68 @@ def test_tables_that_are_not_latin_end_in_a_verdict():
             with pytest.raises(ValidationError, match="not a group table"):
                 from_cayley_table(table)
     assert accepted >= 1
+
+
+def _verdict(build, table, generators):
+    """The message of the ValidationError that build raises, or the
+    inverses and generators of the group it certifies."""
+    try:
+        group = build(table, generators=generators)
+    except ValidationError as err:
+        return str(err)
+    return group._inv, group.generators
+
+
+def _intercalate_swapped(table, rng):
+    """The table with one 2 x 2 latin subsquare away from the identity
+    row and column flipped: a latin square again, and rarely a group."""
+    n = len(table)
+    quads = [(i, k, j, m) for i in range(1, n) for k in range(i + 1, n)
+             for j in range(1, n) for m in range(j + 1, n)
+             if table[i][j] == table[k][m] and table[i][m] == table[k][j]]
+    i, k, j, m = rng.choice(quads)
+    out = [list(row) for row in table]
+    out[i][j], out[i][m] = out[i][m], out[i][j]
+    out[k][j], out[k][m] = out[k][m], out[k][j]
+    return out
+
+
+def _random_generators(rng, n):
+    return None if rng.random() < 0.5 else tuple(rng.sample(range(n), rng.randint(0, 2)))
+
+
+def test_certification_matches_the_per_entry_reference():
+    """Every verdict and message of FiniteGroup, the (a,g,b) triple of a
+    failed Light's test included, equals that of the per-entry reference."""
+    rng = random.Random(20)
+    cases = [([[0]], gens) for gens in (None, (), (0,))]
+    # every table of order 2 with 0 as identity or not
+    cases += [([[0, x], [y, z]], gens) for x, y, z in itertools.product(range(2), repeat=3)
+              for gens in (None, (), (0,), (1,), (1, 0))]
+    # the reduced latin squares of order 5: 50 of the 56 are not groups
+    cases += [(table, None) for table in _reduced_latin_squares(5)]
+    groups = [from_permutations(p)._mul for p in (
+        [[1, 2, 0], [1, 0, 2]],                        # S3
+        [[1, 2, 3, 0], [3, 2, 1, 0]],                  # D8
+        [[1, 0, 3, 2, 5, 4, 7, 6], [2, 3, 0, 1, 6, 7, 4, 5], [4, 5, 6, 7, 0, 1, 2, 3]],  # C2^3
+    )]
+    for _ in range(120):
+        table = _intercalate_swapped(rng.choice(groups), rng)
+        cases.append((table, _random_generators(rng, len(table))))
+    # tables with an identity but not latin: missing and one-sided inverses
+    for _ in range(300):
+        n = rng.randint(3, 6)
+        table = [list(range(n))] + [[i] + [rng.randrange(n) for _ in range(n - 1)]
+                                    for i in range(1, n)]
+        cases.append((table, _random_generators(rng, n)))
+    verdicts = []
+    for table, generators in cases:
+        got = _verdict(FiniteGroup, table, generators)
+        assert got == _verdict(ReferenceFiniteGroup, table, generators), (table, generators)
+        verdicts.append(got if isinstance(got, str) else "a group")
+    for kind in ("a group", "is not a two-sided identity", "has no inverse",
+                 "right but not left inverse", "generators reach", "associativity fails at"):
+        assert any(kind in v for v in verdicts), kind
 
 
 @pytest.mark.parametrize("generators", [(), (1,), (4,)])

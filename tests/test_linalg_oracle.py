@@ -1,7 +1,7 @@
 """CoordinateSpan checked against the solver it replaced
-(``linalg_reference.solve_in_span``), and the one F_p eliminator of the
-Dixon split against the ``_solve_action`` and ``_nullspace_mod`` it replaced
-(``character_table_reference.py``)."""
+(``linalg_reference.solve_in_span``), and the restricted action and the
+nullspaces of the Dixon split against the ``_solve_action`` and
+``_nullspace_mod`` they replaced (``character_table_reference.py``)."""
 
 import random
 from fractions import Fraction
@@ -108,25 +108,50 @@ def test_coordinates_match_solve_in_span_over_order80_field(rep80):
     assert span.coordinates(outside) is None
 
 
-def _independent_mod(rng, count, width, p):
-    while True:
-        vecs = [[rng.randrange(p) for _ in range(width)] for _ in range(count)]
-        if all(t is None for t in characters._eliminate_mod(vecs, p)):
-            return vecs
+def _echelon_basis(rng, count, width, p):
+    """A random reduced echelon basis and its pivot columns."""
+    pivots = sorted(rng.sample(range(width), count))
+    basis = []
+    for piv in pivots:
+        vec = [0] * width
+        vec[piv] = 1
+        for j in range(piv + 1, width):
+            if j not in pivots:
+                vec[j] = rng.randrange(p)
+        basis.append(vec)
+    return basis, pivots
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_solve_action_matches_reference(seed):
+    """The restricted action read off the pivots of an echelon basis, from
+    the sparse rows of a matrix that keeps its span, against the solver it
+    replaced."""
     rng = random.Random(200 + seed)
     p = rng.choice((31, 101, 241, 1009))
     d = rng.randint(1, 6)
-    basis = _independent_mod(rng, d, d + rng.randint(0, 4), p)
+    width = d + rng.randint(0, 4)
+    basis, pivots = _echelon_basis(rng, d, width, p)
     action = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-    images = [[sum(c * b[t] for c, b in zip(row, basis)) % p for t in range(len(basis[0]))]
+    images = [[sum(c * b[t] for c, b in zip(row, basis)) % p for t in range(width)]
               for row in action]
-    got = characters._solve_action(basis, images, p)
-    assert got == ref._solve_action(basis, images, p)
-    assert got == action
+    # M x = sum_b x[pivots[b]] images[b] + R (x - sum_b x[pivots[b]] basis[b]):
+    # M basis[b] = images[b], and the random R acts off the span
+    noise = [[rng.randrange(p) for _ in range(width)] for _ in range(width)]
+    at_pivot = {piv: b for b, piv in enumerate(pivots)}
+    matrix = []
+    for k in range(width):
+        row = []
+        for j in range(width):
+            b = at_pivot.get(j)
+            off = [int(t == j) - (basis[b][t] if b is not None else 0) for t in range(width)]
+            x = sum(r * y for r, y in zip(noise[k], off))
+            row.append((x + (images[b][k] if b is not None else 0)) % p)
+        matrix.append(row)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+    got = characters._restricted_action(rows, basis, pivots, p)
+    assert got == [list(col) for col in zip(*ref._solve_action(basis, images, p))]
+    assert got == [list(col) for col in zip(*action)]
 
 
 @pytest.mark.parametrize("seed", range(12))
