@@ -28,16 +28,26 @@ computed or loaded table; column orthogonality is its corollary.  Each inner
 product is one sum of Kronecker-packed bigint products (the slot width rules
 out overflow), unpacked and folded through the level's rows once per pair.
 
-The table keeps the packed rows, and they give each dim V^H = (1/|H|) sum_k
-c_k chi(g_k) once per subgroup class: with c_k = |H meet C_k| counted once,
-row i's sum is one integer t = sum_k c_k P_ik.  The slot width admits
-|G| max|x| >= |H| max|x|, so each slot of t is below 2^(B-1) in absolute
-value: the sum is rational exactly when |t| < 2^(B-1), as every higher slot
-is then zero, and t / (|H| D) must then be a non-negative integer.
+One integer form and its readers.  The check lifts every value once, to
+L = lcm(e, the values' levels) over one common denominator D: N[i][k] is
+the numerator tuple of row i at class k, and the table keeps (L, N, D, the
+packed rows, the slot width B).  Every other reader takes the values from
+it:
 
-Galois orbits come from the generators of (Z/e)^x alone: each permutes the
-rows, found again by their values, and every unit's permutation, each
-orbit and each member's stabilizer follow by integer composition.
+- dim V^H = (1/|H|) sum_k c_k chi(g_k), once per subgroup class: with
+  c_k = |H meet C_k| counted once, row i's sum is one integer
+  t = sum_k c_k P_ik over the packed rows.  The slot width admits
+  |G| max|x| >= |H| max|x|, so each slot of t is below 2^(B-1) in absolute
+  value: the sum is rational exactly when |t| < 2^(B-1), as every higher
+  slot is then zero, and t / (|H| D) must then be a non-negative integer.
+- Galois orbits come from the generators of (Z/e)^x alone: each permutes
+  the rows, found again by their numerators N[i] over the shared D, and
+  every unit's permutation, each orbit and each member's stabilizer follow
+  by integer composition.
+- Rational traces have a closed form.  Tr(zeta_L^j) = phi(L) w_j / T with
+  the weights w and denominator T of the level (``cyclotomic._Level``), and
+  a row of an orbit lies in its field K (``galois_orbits``), so
+  Tr_{K/Q} chi_i(g_k) = [K:Q] sum_j N[i][k]_j w_j / (T D).
 """
 
 from __future__ import annotations
@@ -49,8 +59,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
-    CycValue, _combine, _cyc, _level, _normal, _pack, _unpacker, trace_to_rational,
-    unit_group,
+    CycValue, _combine, _cyc, _level, _normal, _pack, _unpacker, unit_group,
 )
 from .errors import BoundExceededError, InvariantError, ValidationError
 from .groups import FiniteGroup
@@ -82,7 +91,7 @@ class CharacterTable:
         self.validate()
 
     @cached_property
-    def _packed(self):  # validate sets it; a subclass may validate otherwise
+    def _form(self):  # validate sets it; a subclass may validate otherwise
         return _check_orthogonality(self)
 
     @property
@@ -107,7 +116,7 @@ class CharacterTable:
             ident = c.values[0]
             if not (ident.is_rational() and ident.as_rational() == c.degree > 0):
                 raise ValidationError(f"row {i}: identity value does not match degree")
-        self._packed = _check_orthogonality(self)
+        self._form = _check_orthogonality(self)
 
     def __repr__(self):
         return f"CharacterTable({self.group!r}, {len(self.chars)} irreducibles)"
@@ -121,13 +130,14 @@ def _check_orthogonality(table: CharacterTable):
     i <= j prove X S sigma(X)^T = |G| I.  X is square (``validate``), so
     sigma(X)^T X S = |G| I: column orthogonality (Isaacs, ch. 2).
 
-    Every value becomes its integer numerators over the table's common
+    Every value becomes its integer numerators at L over the table's common
     denominator D, packed into one int (``cyclotomic._pack``), and so does
     its complex conjugate.  Each inner product is then one sum of bigint
     products, unpacked and folded through the level's rows once per pair.
     A slot sums at most phi(e) products per class, weighted by the class
     sizes, which add up to |G|, so 2^(B-1) > |G| * phi(e) * max|x| * max|conj x|
-    rules out overflow.  Returns the packed rows, the slot width and D.
+    rules out overflow.  Returns the table's integer form (L, N, D, the
+    packed rows, the slot width); see the module docstring.
     """
     n = table.group.order
     sizes = table.class_sizes
@@ -137,7 +147,8 @@ def _check_orthogonality(table: CharacterTable):
     conj_rows = lv.galois_map(max(level - 1, 1))  # zeta -> zeta^-1
     values = [[v.to_level(level) for v in c.values] for c in table.chars]
     den = lcm(*(v.den for row in values for v in row))
-    nums = [[[x * (den // v.den) for x in v.num] for v in row] for row in values]
+    nums = [[v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
+             for v in row] for row in values]
     conjs = [[_combine(v, conj_rows, phi) for v in row] for row in nums]
     top = max(abs(x) for row in nums for v in row for x in v)
     top_conj = max(abs(x) for row in conjs for v in row for x in v)
@@ -154,11 +165,11 @@ def _check_orthogonality(table: CharacterTable):
         for j in range(i, r):
             num = unpack(sum(map(mul, packed[i], weighted[j])))
             if num[0] != (n * scale if i == j else 0) or num[1:] != zero:
-                got = inner_product(table, table.chars[i].values, table.chars[j].values)
+                got = _cyc(level, *_normal(num, n * scale))
                 raise ValidationError(
                     f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
                 )
-    return packed, bits, den
+    return level, nums, den, packed, bits
 
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:
@@ -184,7 +195,7 @@ def fixed_dims(table: CharacterTable, members):
     key = tuple(sorted(members))
     dims = table._fixed_dims.get(key)
     if dims is None:
-        packed, bits, den = table._packed
+        _, _, den, packed, bits = table._form
         classes, counts = zip(*class_counts(table, key).items())
         half, scale = 1 << (bits - 1), len(key) * den
         dims = []
@@ -565,15 +576,14 @@ def _galois_permutations(table: CharacterTable):
 
     sigma_k is applied to the values only for the units k, in increasing
     order, that the earlier ones do not generate, each image row found
-    again through its values; every other unit's permutation is composed
-    from theirs.  Rows are compared at one level, the lcm of e and the
-    values' levels, where sigma_k is any unit that is k mod e.
+    again through its numerators; every other unit's permutation is
+    composed from theirs.  Rows are compared in the table's integer form,
+    at level L over the shared D, where sigma_k is any unit that is k mod e.
     """
     e = table.level
-    level = lcm(e, *{v.level for c in table.chars for v in c.values})
+    level, rows = table._form[:2]
     lv = _level(level)
-    rows = [[v.to_level(level) for v in c.values] for c in table.chars]
-    by_values = {tuple([(v.num, v.den) for v in row]): i for i, row in enumerate(rows)}
+    by_values = {tuple(row): i for i, row in enumerate(rows)}
     perms = {1: tuple(range(len(rows)))}
     for k in unit_group(e):
         if k in perms:
@@ -581,8 +591,7 @@ def _galois_permutations(table: CharacterTable):
         images = lv.galois_map(next(u for u in range(k, k + level, e) if gcd(u, level) == 1))
         perm = []
         for row in rows:
-            j = by_values.get(tuple([_normal(_combine(v.num, images, lv.phi), v.den)
-                                     for v in row]))
+            j = by_values.get(tuple([tuple(_combine(v, images, lv.phi)) for v in row]))
             if j is None:
                 raise ValidationError("table is not closed under the Galois action")
             perm.append(j)
@@ -652,17 +661,24 @@ def orbit_index(orbits, selector) -> int:
     )
 
 
+def _rational_traces(table: CharacterTable, orbit: RationalIrrep):
+    """Tr_{K/Q} chi(g_k) per class k, chi the orbit's first row, in the
+    closed form of the module docstring."""
+    level, nums, den = table._form[:3]
+    lv = _level(level)
+    if lv.phi != len(unit_group(table.level)):  # galois_orbits proves K in Q(zeta_e) only
+        raise ValidationError(f"values at level {level} may lie outside Q(zeta_{table.level})")
+    return [Rat(orbit.field_degree * sum(map(mul, v, lv.trace_weights)), lv.trace_den * den)
+            for v in nums[orbit.char_indices[0]]]
+
+
 def rational_character(table: CharacterTable, orbit: RationalIrrep):
     """Rational-valued class function of the orbit: m * Tr_{K/Q}(chi).
 
     Returns (values, scaled): when the Schur status is only bounded the trace
     character is returned unscaled and scaled is False.
     """
-    base = table.chars[orbit.char_indices[0]]
-    traces = [
-        Rat(trace_to_rational(v, orbit.stabilizer)) for v in
-        (val.to_level(table.level) for val in base.values)
-    ]
+    traces = _rational_traces(table, orbit)
     if orbit.schur.kind == "bounded":
         return traces, False
     return [orbit.schur.m * t for t in traces], True

@@ -37,10 +37,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .characters import CharacterTable, RationalIrrep, _checked, fixed_dims
-from .cyclotomic import (
-    CycValue, _Exact, _normal, _pack, _unpacker, trace_to_rational,
-)
+from .characters import CharacterTable, RationalIrrep, _checked, _rational_traces, fixed_dims
+from .cyclotomic import CycValue, _Exact, _normal, _pack, _unpacker
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
 from .linalg import CoordinateSpan, Echelon
@@ -483,10 +481,8 @@ def central_idempotent(table: CharacterTable, char_index: int) -> AlgebraElement
 
 def rational_central_idempotent(table: CharacterTable, orbit: RationalIrrep) -> AlgebraElement:
     """e attached to a rational irreducible: (dim/|G|) sum Tr_{K/Q}(chi(g^-1)) g."""
-    char = table.chars[orbit.char_indices[0]]
-    traces = [trace_to_rational(v, orbit.stabilizer) for v in char.values]
-    return _class_function_element(table.group, RATIONALS, traces,
-                                   Rat(char.degree, table.group.order))
+    return _class_function_element(table.group, RATIONALS, _rational_traces(table, orbit),
+                                   Rat(orbit.degree, table.group.order))
 
 
 def averaging_idempotent(group: FiniteGroup, members) -> AlgebraElement:

@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .characters import Character, CharacterTable
-from .cyclotomic import CycValue
-from .errors import ValidationError
+from .cyclotomic import DEFAULT_LEVEL_BOUND, CycValue
+from .errors import BoundExceededError, ValidationError
 from .groups import (
     DEFAULT_ENUMERATION_BOUND, FiniteGroup, from_cayley_table, from_permutations, from_presentation,
 )
@@ -66,6 +66,18 @@ def json_int(x, name: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{name} must be an integer, not {json.dumps(x)}")
     return x
+
+
+def json_level(x, name: str) -> int:
+    """A cyclotomic level, refused below 1 or above the level bound before any
+    value is built at it (Euler's phi alone is linear in the level)."""
+    level = json_int(x, name)
+    if level < 1:
+        raise ValidationError("cyclotomic level must be positive")
+    if level > DEFAULT_LEVEL_BOUND:
+        raise BoundExceededError(
+            f"cyclotomic level {level} exceeds the level bound {DEFAULT_LEVEL_BOUND}")
+    return level
 
 
 # -- scalars -----------------------------------------------------------------
@@ -118,7 +130,7 @@ def cyc_to_json(v: CycValue) -> dict:
 
 
 def cyc_from_json(d) -> CycValue:
-    return CycValue(json_int(d["level"], "level"), *scalars_from_json(d["coeffs"]))
+    return CycValue(json_level(d["level"], "level"), *scalars_from_json(d["coeffs"]))
 
 
 def nfv_to_json(v) -> list:
@@ -239,7 +251,7 @@ def domain_from_json(d, field_cache: dict | None = None):
     if d == "Q":
         return RATIONALS
     if isinstance(d, dict) and "cyclotomic" in d:
-        return CyclotomicDomain(json_int(d["cyclotomic"], "cyclotomic level"))
+        return CyclotomicDomain(json_level(d["cyclotomic"], "cyclotomic level"))
     if isinstance(d, dict) and "minpoly" in d:
         key = field_key(d)
         if field_cache is not None and key in field_cache:

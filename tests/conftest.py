@@ -1,3 +1,7 @@
+import faulthandler
+import os
+import sys
+
 import pytest
 
 from isotypic import (
@@ -12,6 +16,29 @@ from isotypic.fixtures import (
     order80_group,
     order80_rep,
 )
+
+
+HANG_SECONDS = 60
+"""A test still running after this long dumps every thread's traceback and
+ends the run, so a hang fails the suite instead of stalling it; the slowest
+test takes a few seconds."""
+
+_stderr = []  # a copy of the real stderr: output capture redirects fd 2 during a test
+
+
+def pytest_configure(config):
+    _stderr.append(os.dup(sys.stderr.fileno()))
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr.pop())
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard():
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=_stderr[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """The characteristic-polynomial split, the packed orthogonality check and
 the permutation-based Galois orbits checked against the code they replaced
 (``character_table_reference.py``), on the groups and on seeded
-relabellings; and the class-count bound."""
+relabellings; the table's integer form and its closed-form traces checked
+against the values and ``trace_to_rational``; and the class-count bound."""
 
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -23,10 +25,11 @@ from isotypic import (
     galois_orbits,
 )
 from isotypic import characters
-from isotypic.characters import Character, CharacterTable
-from isotypic.cyclotomic import CycValue, unit_group
+from isotypic.characters import Character, CharacterTable, rational_character
+from isotypic.cyclotomic import CycValue, _cyc, _normal, trace_to_rational, unit_group
 from isotypic.cli import main
-from isotypic.serialize import cyc_from_json, table_from_json, table_to_json
+from isotypic.groupalgebra import invariant_idempotent, rational_central_idempotent
+from isotypic.serialize import cyc_from_json, group_from_spec, table_from_json, table_to_json
 from test_lattice_oracle import (
     dihedral, direct_product, elementary_abelian2, gl2_3, relabelled, symmetric,
 )
@@ -82,9 +85,9 @@ def test_table_and_orbits_match_reference(name, relabel):
     assert galois_orbits(table) == reference_galois_orbits(ref)
 
 
-def test_galois_orbits_do_not_depend_on_the_level_of_a_value():
-    """A degree-2 row of D10 with its rational entries stored at level 1
-    passes ``validate``, and its orbits are those of the computed table."""
+def _mixed_level_d10():
+    """The D10 table, and a copy whose first degree-2 row stores its rational
+    entries at level 1."""
     group = from_permutations(dihedral(5))
     table = compute_character_table(group)
     i = next(i for i, c in enumerate(table.chars) if c.degree == 2)
@@ -93,7 +96,77 @@ def test_galois_orbits_do_not_depend_on_the_level_of_a_value():
                                else v for v in chars[i].values), 2)
     mixed = CharacterTable(group, chars)
     assert {v.level for v in mixed.chars[i].values} == {1, table.level}
+    return table, mixed
+
+
+def test_galois_orbits_do_not_depend_on_the_level_of_a_value():
+    """The mixed-level D10 table passes ``validate``, and its orbits, rational
+    characters and idempotents e_W and f_H = p_H e_W are those of the
+    computed table: every value is traced at one level."""
+    table, mixed = _mixed_level_d10()
+    group = table.group
     assert galois_orbits(mixed) == galois_orbits(table)
+    _check_form(mixed)
+    for orbit in galois_orbits(table):
+        assert rational_character(mixed, orbit) == rational_character(table, orbit)
+        e_w = rational_central_idempotent(mixed, orbit)
+        assert e_w == rational_central_idempotent(table, orbit)
+        assert e_w * e_w == e_w
+        for g in group.generators:
+            members = {group.power(g, k) for k in range(group.elem_orders[g])}
+            assert invariant_idempotent(mixed, orbit, members) == \
+                invariant_idempotent(table, orbit, members)
+
+
+def test_traces_refuse_values_outside_the_exponent_field():
+    """C2 with rows (1, z8), (1, -z8) passes ``validate`` and
+    ``galois_orbits``, but its values do not lie in Q(zeta_2): no trace."""
+    z8 = CycValue.root_of_unity(8)
+    one = CycValue.one(8)
+    table = CharacterTable(from_permutations([[1, 0]]),
+                           [Character((one, z8), 1), Character((one, -z8), 1)])
+    for orbit in galois_orbits(table):
+        with pytest.raises(ValidationError, match="level 8 may lie outside Q.zeta_2."):
+            rational_character(table, orbit)
+        with pytest.raises(ValidationError, match="level 8 may lie outside Q.zeta_2."):
+            rational_central_idempotent(table, orbit)
+
+
+# -- the integer form against the values it was built from ------------------------
+
+
+def _check_form(table):
+    """Each numerator tuple over D gives back its value, and each closed-form
+    trace equals ``trace_to_rational`` at the table's level."""
+    level, nums, den = table._form[:3]
+    for char, row in zip(table.chars, nums):
+        assert [_cyc(level, *_normal(v, den)) for v in row] == list(char.values)
+    for orbit in galois_orbits(table):
+        values = table.chars[orbit.char_indices[0]].values
+        assert characters._rational_traces(table, orbit) == \
+            [trace_to_rational(v.to_level(table.level), orbit.stabilizer) for v in values]
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_integer_form_of_oracle_tables(name):
+    _check_form(compute_character_table(_group(name, 0)))
+
+
+BUNDLED_TABLES = {"order80": "group_order80.json", "S3": "group_s3.json",
+                  "S4": "group_s4.json", "Q8": "group_q8.json", "SL23": "group_order24.json"}
+
+
+@pytest.mark.parametrize("name", BUNDLED_TABLES)
+def test_integer_form_of_bundled_tables(name):
+    data = resources.files("isotypic.data")
+    group = group_from_spec(json.loads(data.joinpath(BUNDLED_TABLES[name]).read_text()))
+    blob = json.loads(data.joinpath(f"table_{name.lower()}.json").read_text())
+    _check_form(table_from_json(group, blob))
+
+
+def test_integer_form_of_the_small_corpus(small_tables):
+    for table in small_tables.values():
+        _check_form(table)
 
 
 def _conjugated(mat, i, j, c, p):

@@ -298,6 +298,12 @@ MALFORMED_DOCUMENTS = {
     # integer fields: a JSON int, never a float (6.9 was read as 6) or a bool
     "table-level-float": ("chartable", dict(_s3_table_with("1"), level=6.9),
                           "malformed character table: level must be an integer, not 6.9"),
+    # cyclotomic levels: positive (a level-0 value was a ZeroDivisionError traceback)
+    "table-value-level-zero": ("chartable", dict(_s3_table_with("1"), chars=[
+        [{"level": 0, "coeffs": []}]]), "cyclotomic level must be positive"),
+    "element-field-level-negative": ("verify", {"group": S3_SPEC, "elements": {
+        "b": {"field": {"cyclotomic": -2}, "coeffs": []}}, "checks": []},
+        "cyclotomic level must be positive"),
     "table-class-size-bool": ("chartable", _s3_table_with("1", size=True),
                               "malformed character table: class size must be an integer, "
                               "not true"),
@@ -429,6 +435,25 @@ def test_cli_kronecker_value_bound_exit_4(tmp_path):
     proc = run_cli_process("verify", str(path), timeout=2)
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr and "a node value of 64 bits > 36" in proc.stderr
+
+
+@pytest.mark.parametrize("command,level", [("chartable", 10**8), ("verify", 10**7)])
+def test_cli_level_bound_exit_4_at_once(tmp_path, command, level):
+    # Euler's phi is linear in the level: 10^8 did not finish in 20 s, 10^7 took 2.2 s
+    path = tmp_path / "input.json"
+    if command == "chartable":
+        blob = _load_bundled("table_s4.json")
+        blob["chars"][1][1] = {"level": level, "coeffs": ["1"]}
+        argv = ["chartable", "--group", "bundled:group_s4.json", "--table", str(path)]
+    else:
+        blob = {"group": S3_SPEC, "elements": {"b": {"field": {"cyclotomic": level},
+                                                     "coeffs": []}}, "checks": []}
+        argv = ["verify", str(path)]
+    path.write_text(json.dumps(blob))
+    proc = run_cli_process(*argv, timeout=2)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"cyclotomic level {level} exceeds the level bound 1000" in proc.stderr
 
 
 def test_cli_chartable(capsys, tmp_path):
