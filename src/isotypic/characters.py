@@ -23,27 +23,55 @@ zeta_o^(ik) for gcd(k, o) = 1.  sigma_k is the index map i -> ik on the
 powers of zeta_o, applied before the reduction mod Phi_e, so each value is
 one integer map of the m_i.
 
-Row orthogonality is checked, pair by pair, as exact equalities on every
-computed or loaded table; column orthogonality is its corollary.  Each inner
-product is one sum of Kronecker-packed bigint products (the slot width rules
-out overflow), unpacked and folded through the level's rows once per pair.
-
-One integer form and its readers.  The check lifts every value once, to
+Row orthogonality is proved exactly on every computed or loaded table;
+column orthogonality is its corollary.  The values are lifted once, to
 L = lcm(e, the values' levels) over one common denominator D: N[i][k] is
-the numerator tuple of row i at class k, and the table keeps (L, N, D, the
-packed rows, the slot width B).  Every other reader takes the values from
-it:
+the numerator tuple of row i at class k, so D chi_i(g_k) lies in Z[zeta_L],
+and so does a_ij = D^2 (sum_k |C_k| chi_i(g_k) conj chi_j(g_k) - |G| delta_ij).
+
+- The bound.  |zeta| = 1 in every complex embedding, so each embedding of
+  D chi_i(g_k) is at most ||N[i][k]||_1, the L1 norm of the tuple, and each
+  embedding of a_ij is at most B = |G| (max ||N||_1^2 + D^2).  This holds for
+  any table, damaged or not.
+- The prime.  p is the least prime = 1 (mod L) above B, and w = a^((p-1)/L)
+  mod p for the least a whose w has w^(L/q) != 1 for each prime q | L: a
+  primitive L-th root of unity mod p, found without factoring p - 1.
+  Primality is decided exactly by Miller-Rabin on the first 13 prime bases
+  below psi_13 ~ 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017).
+- The check.  zeta_L -> w is a ring map onto F_p whose kernel is a prime P
+  above p, and zeta_L -> w^-1 sends conj x to the image of x; so
+  sum_k |C_k| ev_i(k) ev'_j(k) = |G| D^2 delta_ij (mod p), with ev at w and
+  ev' at w^-1, says a_ij is in P, for every pair i <= j.
+- The argument.  Rows that pass the check are pairwise distinct: equal rows
+  i != j would need |G| D^2 = 0 (mod p), and p > B >= |G| D^2.  When each
+  sigma_u, u a unit of Z/L, sends every row to a row, it permutes them by
+  some pi_u, and sigma_u(a_ij) = a_(pi_u(i), pi_u(j)), so
+  every a_ij lies in every sigma_u^-1(P): in every prime above p, which is
+  unramified, and hence in pZ[zeta_L].  A nonzero element of pZ[zeta_L] has
+  an embedding of absolute value at least p > B, so every a_ij is 0.
+- The fallback.  A table that is not closed under (Z/L)^x, that fails the
+  check mod p, or whose p would reach psi_13 is checked pair by pair, as
+  exact equalities: each inner product is one sum of Kronecker-packed
+  bigint products (the slot width rules out overflow), unpacked and folded
+  through the level's rows once per pair.  That path accepts or raises the
+  message naming the first pair that fails.
+
+One integer form and its readers.  The table keeps (L, N, D, the packed
+rows, the slot width b, the Galois permutations).  Every other reader takes
+the values from it:
 
 - dim V^H = (1/|H|) sum_k c_k chi(g_k), once per subgroup class: with
   c_k = |H meet C_k| counted once, row i's sum is one integer
   t = sum_k c_k P_ik over the packed rows.  The slot width admits
-  |G| max|x| >= |H| max|x|, so each slot of t is below 2^(B-1) in absolute
-  value: the sum is rational exactly when |t| < 2^(B-1), as every higher
+  |G| max|x| >= |H| max|x|, so each slot of t is below 2^(b-1) in absolute
+  value: the sum is rational exactly when |t| < 2^(b-1), as every higher
   slot is then zero, and t / (|H| D) must then be a non-negative integer.
-- Galois orbits come from the generators of (Z/e)^x alone: each permutes
-  the rows, found again by their numerators N[i] over the shared D, and
-  every unit's permutation, each orbit and each member's stabilizer follow
-  by integer composition.
+- Galois orbits read the permutations of the rows by the units of Z/L,
+  which the check builds from the images of the distinct values under a
+  few generators, found again by their numerators over the shared D.  The
+  values lie in Q(zeta_e) exactly when each unit that is 1 mod e fixes
+  every row; each orbit and each member's stabilizer follow by integer
+  composition.
 - Rational traces have a closed form.  Tr(zeta_L^j) = phi(L) w_j / T with
   the weights w and denominator T of the level (``cyclotomic._Level``), and
   a row of an orbit lies in its field K (``galois_orbits``), so
@@ -123,32 +151,123 @@ class CharacterTable:
 
 
 def _check_orthogonality(table: CharacterTable):
-    """Row orthogonality, pair by pair, as exact equalities.
+    """Row orthogonality, proved exactly; returns the table's integer form.
 
     With X the value matrix, S = diag(|C_k|) and sigma: zeta -> zeta^-1,
     entry (j, i) of X S sigma(X)^T is sigma of entry (i, j), so the pairs
     i <= j prove X S sigma(X)^T = |G| I.  X is square (``validate``), so
     sigma(X)^T X S = |G| I: column orthogonality (Isaacs, ch. 2).
 
-    Every value becomes its integer numerators at L over the table's common
-    denominator D, packed into one int (``cyclotomic._pack``), and so does
-    its complex conjugate.  Each inner product is then one sum of bigint
-    products, unpacked and folded through the level's rows once per pair.
-    A slot sums at most phi(e) products per class, weighted by the class
-    sizes, which add up to |G|, so 2^(B-1) > |G| * phi(e) * max|x| * max|conj x|
-    rules out overflow.  Returns the table's integer form (L, N, D, the
-    packed rows, the slot width); see the module docstring.
+    Rows closed under (Z/L)^x are proved mod one split prime
+    (``_split_prime_check``); any other table, or one that fails there, goes
+    pair by pair (``_check_pairwise``), which accepts or raises the message.
+    Values repeat across a table, so each distinct numerator tuple is
+    mapped, evaluated and packed once.  Returns (L, N, D, the packed rows,
+    the slot width, the Galois permutations); see the module docstring.
     """
-    n = table.group.order
-    sizes = table.class_sizes
+    level, nums, den = _integer_form(table)
+    distinct, index = _distinct(nums)
+    perms = _galois_permutations(level, distinct, index)
+    if perms is not None and _split_prime_check(table, level, distinct, index, den):
+        # fixed_dims needs only 2^(bits-1) > |G| max|x|
+        bits = (table.group.order * max(max(map(abs, v)) for v in distinct)).bit_length() + 1
+        packed = [_pack(v, bits) for v in distinct]
+        packed = [[packed[j] for j in row] for row in index]
+    else:
+        packed, bits = _check_pairwise(table, level, nums, den)
+    return level, nums, den, packed, bits, perms
+
+
+def _integer_form(table: CharacterTable):
+    """(L, N, D): L = lcm(e, the values' levels), D the common denominator
+    of the values at L, and N[i][k] the numerator tuple of row i at class k."""
     level = lcm(table.level, *(v.level for c in table.chars for v in c.values))
-    lv = _level(level)
-    phi = lv.phi
-    conj_rows = lv.galois_map(max(level - 1, 1))  # zeta -> zeta^-1
     values = [[v.to_level(level) for v in c.values] for c in table.chars]
     den = lcm(*(v.den for row in values for v in row))
     nums = [[v.num if v.den == den else tuple([x * (den // v.den) for x in v.num])
              for v in row] for row in values]
+    return level, nums, den
+
+
+def _distinct(nums):
+    """(values, index): the distinct numerator tuples of N in order of first
+    appearance, and index[i][k] the position of N[i][k] among them."""
+    position = {}
+    index = [[position.setdefault(v, len(position)) for v in row] for row in nums]
+    return list(position), index
+
+
+def _row_relation_bound(order: int, values, den: int) -> int:
+    """B = |G| (max ||N||_1^2 + D^2) over the numerator tuples N of the
+    values: every complex embedding of every D^2 |G| (<chi_i, chi_j> -
+    delta_ij) is at most B in absolute value."""
+    l1 = max(sum(map(abs, v)) for v in values)
+    return order * (l1 * l1 + den * den)
+
+
+def _split_prime(level: int, bound: int):
+    """(p, w): the least prime p = 1 (mod level) above bound, and the
+    primitive level-th root of unity w = a^((p-1)/level) mod p for the least
+    a >= 1 that gives one; None when p would reach PRIME_TEST_BOUND."""
+    for p in range(bound + 1 + -bound % level, PRIME_TEST_BOUND, level):
+        if _is_prime(p):
+            break
+    else:
+        return None
+    qs = _prime_factors(level)
+    for a in range(1, p):
+        w = pow(a, (p - 1) // level, p)
+        if all(pow(w, level // q, p) != 1 for q in qs):
+            return p, w
+    raise InvariantError("no primitive root found")  # pragma: no cover
+
+
+def _split_prime_check(table: CharacterTable, level: int, values, index, den: int) -> bool:
+    """True when the row relation holds mod the split prime p of the module
+    docstring, which proves it for rows closed under (Z/L)^x; False when it
+    fails there, or when no such p lies below PRIME_TEST_BOUND.  values are
+    the distinct numerator tuples, and index[i][k] is the position of
+    N[i][k] among them.
+
+    zeta_L -> w is a ring map Z[zeta_L] -> F_p, and zeta_L -> w^-1 sends
+    each value to its complex conjugate's image, so each pair sum is one
+    sum of word-size products over the classes.
+    """
+    n = table.group.order
+    found = _split_prime(level, _row_relation_bound(n, values, den))
+    if found is None:
+        return False
+    p, w = found
+    up = [pow(w, m, p) for m in range(len(values[0]))]
+    w_inv = pow(w, -1, p)
+    down = [pow(w_inv, m, p) for m in range(len(up))]
+    at_w = [sum(map(mul, v, up)) % p for v in values]
+    at_w_inv = [sum(map(mul, v, down)) % p for v in values]
+    ev = [[at_w[j] for j in row] for row in index]
+    weighted = [[size * at_w_inv[j] % p for size, j in zip(table.class_sizes, row)]
+                for row in index]
+    norm = n * den * den % p
+    return all(sum(map(mul, ev[i], weighted[j])) % p == (norm if i == j else 0)
+               for i in range(len(ev)) for j in range(i, len(ev)))
+
+
+def _check_pairwise(table: CharacterTable, level: int, nums, den: int):
+    """Row orthogonality, pair by pair, as exact equalities; raises
+    ValidationError at the first pair that fails.
+
+    Every numerator tuple is packed into one int (``cyclotomic._pack``), and
+    so is its complex conjugate.  Each inner product is then one sum of
+    bigint products, unpacked and folded through the level's rows once per
+    pair.  A slot sums at most phi(L) products per class, weighted by the
+    class sizes, which add up to |G|, so 2^(b-1) > |G| * phi(L) * max|x| *
+    max|conj x| rules out overflow.  Returns (the packed rows, the slot
+    width b).
+    """
+    n = table.group.order
+    sizes = table.class_sizes
+    lv = _level(level)
+    phi = lv.phi
+    conj_rows = lv.galois_map(max(level - 1, 1))  # zeta -> zeta^-1
     conjs = [[_combine(v, conj_rows, phi) for v in row] for row in nums]
     top = max(abs(x) for row in nums for v in row for x in v)
     top_conj = max(abs(x) for row in conjs for v in row for x in v)
@@ -169,7 +288,7 @@ def _check_orthogonality(table: CharacterTable):
                 raise ValidationError(
                     f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
                 )
-    return level, nums, den, packed, bits
+    return packed, bits
 
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:
@@ -195,7 +314,7 @@ def fixed_dims(table: CharacterTable, members):
     key = tuple(sorted(members))
     dims = table._fixed_dims.get(key)
     if dims is None:
-        _, _, den, packed, bits = table._form
+        den, packed, bits = table._form[2:5]
         classes, counts = zip(*class_counts(table, key).items())
         half, scale = 1 << (bits - 1), len(key) * den
         dims = []
@@ -229,11 +348,36 @@ def fixed_dim(table: CharacterTable, char: Character, members) -> int:
 # ---------------------------------------------------------------------------
 
 
+PRIME_TEST_BOUND = 3317044064679887385961981
+"""psi_13, the least odd composite that is a strong probable prime to each of
+the first 13 prime bases (Sorenson and Webster, Math. Comp. 86, 2017):
+below it ``_is_prime`` is exact."""
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the first 13 prime bases, exact below PRIME_TEST_BOUND;
+    a larger n is refused, not decided."""
+    if n >= PRIME_TEST_BOUND:
+        raise BoundExceededError(
+            f"{n} is beyond the bound {PRIME_TEST_BOUND} of the exact primality test")
     if n < 2:
         return False
-    for d in range(2, isqrt(n) + 1):
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -246,10 +390,9 @@ def _dixon_prime(order: int, exponent: int) -> int:
             return p
 
 
-def _primitive_root(p: int) -> int:
-    fac = []
-    m = p - 1
-    d = 2
+def _prime_factors(m: int):
+    """The distinct prime factors of m >= 1, by trial division."""
+    fac, d = [], 2
     while d * d <= m:
         if m % d == 0:
             fac.append(d)
@@ -258,6 +401,11 @@ def _primitive_root(p: int) -> int:
         d += 1
     if m > 1:
         fac.append(m)
+    return fac
+
+
+def _primitive_root(p: int) -> int:
+    fac = _prime_factors(p - 1)
     for w in range(2, p):
         if all(pow(w, (p - 1) // q, p) != 1 for q in fac):
             return w
@@ -571,33 +719,35 @@ def schur_divisor_bound(table: CharacterTable, char_index: int) -> int:
     return g
 
 
-def _galois_permutations(table: CharacterTable):
-    """{k: the permutation of the rows by sigma_k} for every unit k of Z/e.
+def _galois_permutations(level: int, values, index):
+    """{u: the map of the rows by sigma_u} for every unit u of Z/L; None
+    when an image row is not a row.  It permutes rows that are pairwise
+    distinct, as the rows of every accepted table are.  values are
+    the distinct numerator tuples at level L over the table's denominator,
+    and index[i][k] is the position of N[i][k] among them.
 
-    sigma_k is applied to the values only for the units k, in increasing
-    order, that the earlier ones do not generate, each image row found
-    again through its numerators; every other unit's permutation is
-    composed from theirs.  Rows are compared in the table's integer form,
-    at level L over the shared D, where sigma_k is any unit that is k mod e.
+    sigma_u is applied, once per distinct value, only for the units u, in
+    increasing order, that the earlier ones do not generate; each image is
+    found again through its numerators, and each image row through its
+    value positions.  Every other unit's permutation is composed from theirs.
     """
-    e = table.level
-    level, rows = table._form[:2]
     lv = _level(level)
-    by_values = {tuple(row): i for i, row in enumerate(rows)}
-    perms = {1: tuple(range(len(rows)))}
-    for k in unit_group(e):
+    position = {v: j for j, v in enumerate(values)}
+    by_row = {tuple(row): i for i, row in enumerate(index)}
+    perms = {1: tuple(range(len(index)))}
+    for k in unit_group(level):
         if k in perms:
             continue
-        images = lv.galois_map(next(u for u in range(k, k + level, e) if gcd(u, level) == 1))
-        perm = []
-        for row in rows:
-            j = by_values.get(tuple([tuple(_combine(v, images, lv.phi)) for v in row]))
-            if j is None:
-                raise ValidationError("table is not closed under the Galois action")
-            perm.append(j)
+        images = lv.galois_map(k)
+        image = [position.get(tuple(_combine(v, images, lv.phi))) for v in values]
+        if None in image:
+            return None
+        perm = [by_row.get(tuple([image[j] for j in row])) for row in index]
+        if None in perm:
+            return None
         reached = list(perms.items())
         for a, perm_a in reached:  # grows: the closure of the group so far and k
-            b = a * k % e
+            b = a * k % level
             if b not in perms:
                 perms[b] = tuple([perm[i] for i in perm_a])
                 reached.append((b, perms[b]))
@@ -607,15 +757,25 @@ def _galois_permutations(table: CharacterTable):
 def galois_orbits(table: CharacterTable):
     """Partition of the irreducibles into Galois orbits, trivial orbit first.
 
-    A member's stabilizer is the set of units whose row permutation fixes
-    it: the rows are pairwise distinct (``validate``), so sigma_k fixes the
-    member's values exactly when it fixes the row.  (Z/e)^x is abelian, so
-    an orbit's members share a stabilizer, and its size is the field degree;
-    sigma_k fixes chi(1), which ``validate`` ties to the degree.
+    The permutations of the rows by the units of Z/L come with the table's
+    integer form.  The values lie in Q(zeta_e) exactly when every unit that
+    is 1 mod e fixes every row; then sigma_k, k a unit of Z/e, is any unit
+    of Z/L that is k mod e.  A member's stabilizer is the set of units whose
+    row permutation fixes it: the rows are pairwise distinct (``validate``),
+    so sigma_k fixes the member's values exactly when it fixes the row.
+    (Z/e)^x is abelian, so an orbit's members share a stabilizer, and its
+    size is the field degree; sigma_k fixes chi(1), which ``validate`` ties
+    to the degree.
     """
-    units = unit_group(table.level)
-    perms = _galois_permutations(table)
-    perm_of = [perms[k] for k in units]
+    e = table.level
+    level, perms = table._form[0], table._form[5]
+    if perms is None:
+        raise ValidationError("table is not closed under the Galois action")
+    if any(perm != perms[1] for u, perm in perms.items() if u % e == 1 % e):
+        raise ValidationError(f"values at level {level} lie outside Q(zeta_{e})")
+    units = unit_group(e)
+    perm_of = [perms[next(u for u in range(k, k + level, e) if gcd(u, level) == 1)]
+               for k in units]
     result = []
     for i in range(len(table.chars)):
         members = tuple(sorted({perm[i] for perm in perm_of}))

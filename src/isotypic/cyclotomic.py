@@ -449,6 +449,8 @@ class CycValue(_Exact):
     __slots__ = ("level",)
 
     def __init__(self, level: int, coeffs, den: int = 1):
+        if level < 1:
+            raise ValidationError("cyclotomic level must be positive")
         num, scale = _integral(coeffs)
         den *= scale
         phi = euler_phi(level)

@@ -1,8 +1,10 @@
 """The characteristic-polynomial split, the packed orthogonality check and
 the permutation-based Galois orbits checked against the code they replaced
 (``character_table_reference.py``), on the groups and on seeded
-relabellings; the table's integer form and its closed-form traces checked
-against the values and ``trace_to_rational``; and the class-count bound."""
+relabellings; the split-prime proof of the row relation against the
+pair-by-pair check, and the exact primality test against trial division;
+the table's integer form and its closed-form traces checked against the
+values and ``trace_to_rational``; and the class-count bound."""
 
 import json
 import random
@@ -13,6 +15,7 @@ import pytest
 
 from character_table_reference import (
     ReferenceCharacterTable,
+    _is_prime as trial_division_is_prime,
     reference_compute_character_table,
     reference_galois_orbits,
 )
@@ -25,7 +28,9 @@ from isotypic import (
     galois_orbits,
 )
 from isotypic import characters
-from isotypic.characters import Character, CharacterTable, rational_character
+from isotypic.characters import (
+    Character, CharacterTable, RationalIrrep, SchurStatus, rational_character,
+)
 from isotypic.cyclotomic import CycValue, _cyc, _normal, trace_to_rational, unit_group
 from isotypic.cli import main
 from isotypic.groupalgebra import invariant_idempotent, rational_central_idempotent
@@ -119,17 +124,25 @@ def test_galois_orbits_do_not_depend_on_the_level_of_a_value():
 
 
 def test_traces_refuse_values_outside_the_exponent_field():
-    """C2 with rows (1, z8), (1, -z8) passes ``validate`` and
-    ``galois_orbits``, but its values do not lie in Q(zeta_2): no trace."""
-    z8 = CycValue.root_of_unity(8)
-    one = CycValue.one(8)
-    table = CharacterTable(from_permutations([[1, 0]]),
-                           [Character((one, z8), 1), Character((one, -z8), 1)])
-    for orbit in galois_orbits(table):
+    """C2 with rows (1, z8), (1, -z8) passes ``validate``, but its values do
+    not lie in Q(zeta_2): ``galois_orbits`` refuses it, for sigma_3 does not
+    permute its rows, and so does each trace.  C2 with rows (1, z4), (1, -z4)
+    is closed under (Z/4)^x, but sigma_3, which is 1 mod 2, swaps its rows."""
+    group = from_permutations([[1, 0]])
+    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    table = CharacterTable(group, [Character((one, z8), 1), Character((one, -z8), 1)])
+    with pytest.raises(ValidationError, match="not closed under the Galois action"):
+        galois_orbits(table)
+    for i in (0, 1):
+        orbit = RationalIrrep((i,), (1,), 1, 1, SchurStatus("exact", 1, 1))
         with pytest.raises(ValidationError, match="level 8 may lie outside Q.zeta_2."):
             rational_character(table, orbit)
         with pytest.raises(ValidationError, match="level 8 may lie outside Q.zeta_2."):
             rational_central_idempotent(table, orbit)
+    z4, one = CycValue.root_of_unity(4), CycValue.one(4)
+    table = CharacterTable(group, [Character((one, z4), 1), Character((one, -z4), 1)])
+    with pytest.raises(ValidationError, match="level 4 lie outside Q.zeta_2."):
+        galois_orbits(table)
 
 
 # -- the integer form against the values it was built from ------------------------
@@ -156,12 +169,15 @@ BUNDLED_TABLES = {"order80": "group_order80.json", "S3": "group_s3.json",
                   "S4": "group_s4.json", "Q8": "group_q8.json", "SL23": "group_order24.json"}
 
 
-@pytest.mark.parametrize("name", BUNDLED_TABLES)
-def test_integer_form_of_bundled_tables(name):
+def _bundled(name):
     data = resources.files("isotypic.data")
     group = group_from_spec(json.loads(data.joinpath(BUNDLED_TABLES[name]).read_text()))
-    blob = json.loads(data.joinpath(f"table_{name.lower()}.json").read_text())
-    _check_form(table_from_json(group, blob))
+    return group, json.loads(data.joinpath(f"table_{name.lower()}.json").read_text())
+
+
+@pytest.mark.parametrize("name", BUNDLED_TABLES)
+def test_integer_form_of_bundled_tables(name):
+    _check_form(table_from_json(*_bundled(name)))
 
 
 def test_integer_form_of_the_small_corpus(small_tables):
@@ -188,6 +204,99 @@ def test_charpoly_roots_are_the_eigenvalues():
     # (x - 2)^2 (x - 5) x
     assert poly == [0, (-20) % p, 24 % p, (-9) % p, 1]
     assert characters._roots_mod(poly, p) == [0, 2, 5]
+
+
+# -- the split-prime proof against the pair-by-pair check ---------------------------
+
+
+class _Unchecked(CharacterTable):
+    """A table that skips ``validate``, so that each path can be run on it."""
+
+    def validate(self):
+        pass
+
+
+def _paths(group, chars):
+    """Runs the full check (the split prime, then the pairs) and the
+    pair-by-pair check alone on the rows, asserts that they give the same
+    verdict and message, and returns it with the split-prime verdict (None
+    when the rows are not closed under (Z/L)^x), which must also agree."""
+    table = _Unchecked(group, chars)
+    level, nums, den = characters._integer_form(table)
+    pairwise = _outcome(lambda: characters._check_pairwise(table, level, nums, den) and "accepted")
+    assert _outcome(lambda: characters._check_orthogonality(table) and "accepted") == pairwise
+    distinct, index = characters._distinct(nums)
+    proved = None
+    if characters._galois_permutations(level, distinct, index) is not None:
+        proved = characters._split_prime_check(table, level, distinct, index, den)
+        assert proved == (pairwise == "accepted")
+    return pairwise, proved
+
+
+def _unreachable(*args):
+    raise AssertionError("the check was reached")
+
+
+VALID_GROUPS = {**GROUPS, "D240": lambda: dihedral(120)}
+
+
+@pytest.mark.parametrize("name", VALID_GROUPS)
+def test_split_prime_proves_every_computed_table(name, monkeypatch):
+    group = from_permutations(VALID_GROUPS[name]())
+    table = compute_character_table(group)
+    assert _paths(group, table.chars) == ("accepted", True)
+    monkeypatch.setattr(characters, "_check_pairwise", _unreachable)
+    assert CharacterTable(group, table.chars)._form[5] is not None
+
+
+@pytest.mark.parametrize("name", BUNDLED_TABLES)
+def test_split_prime_proves_every_bundled_table(name, monkeypatch):
+    group, blob = _bundled(name)
+    assert _paths(group, _load_chars(group, blob)) == ("accepted", True)
+    monkeypatch.setattr(characters, "_check_pairwise", _unreachable)
+    table_from_json(group, blob)
+
+
+def test_split_prime_search():
+    """B = |G| (max ||N||_1^2 + D^2); p = 1 (mod L), p > B and prime, and w
+    has order exactly L mod p; no prime is sought at or above the exact
+    range of the primality test."""
+    assert characters._row_relation_bound(6, [(1, -2, 0), (3, 0, 0)], 2) == 6 * (3 * 3 + 2 * 2)
+    for level, bound in ((1, 1), (2, 10), (24, 816), (60, 6000), (250, 13000), (840, 10 ** 12)):
+        p, w = characters._split_prime(level, bound)
+        assert p % level == 1 % level and p > bound and trial_division_is_prime(p)
+        assert [m for m in range(1, level + 1) if pow(w, m, p) == 1] == [level]
+    for bound in (characters.PRIME_TEST_BOUND - 2, characters.PRIME_TEST_BOUND, 10 ** 30):
+        assert characters._split_prime(60, bound) is None
+
+
+def test_rows_not_closed_never_reach_the_split_prime(monkeypatch):
+    """The proof needs the rows closed under (Z/L)^x: C2 with rows (1, z8),
+    (1, -z8) is not, so only the pair-by-pair check may accept it."""
+    monkeypatch.setattr(characters, "_split_prime_check", _unreachable)
+    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    table = CharacterTable(from_permutations([[1, 0]]),
+                           [Character((one, z8), 1), Character((one, -z8), 1)])
+    assert table._form[5] is None
+
+
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+)
+
+
+def test_primality_is_exact_in_its_range():
+    """Miller-Rabin on 13 bases agrees with trial division below 2 10^5,
+    rejects the least strong pseudoprimes to the first 1, ..., 12 prime
+    bases, and refuses to decide at or above psi_13."""
+    assert [characters._is_prime(n) for n in range(200_000)] == \
+        [trial_division_is_prime(n) for n in range(200_000)]
+    assert not any(characters._is_prime(n) for n in STRONG_PSEUDOPRIMES)
+    assert characters._is_prime(characters.PRIME_TEST_BOUND - 2) in (True, False)
+    for n in (characters.PRIME_TEST_BOUND, characters.PRIME_TEST_BOUND + 2, 10 ** 30):
+        with pytest.raises(BoundExceededError, match="exact primality test"):
+            characters._is_prime(n)
 
 
 # -- the packed validation against the reference, on damaged tables -----------------
@@ -229,6 +338,7 @@ def test_damaged_table_fails_like_the_reference(name, how, tmp_path):
     with pytest.raises(ValidationError) as got:
         table_from_json(group, blob)
     assert str(got.value) == str(ref.value)
+    assert _paths(group, chars)[0] == ("ValidationError", str(ref.value))
     assert "orthogonality fails for" in str(got.value)
 
     group_path = tmp_path / "group.json"
@@ -280,16 +390,22 @@ def _outcome(build):
 def test_damaged_table_campaign_matches_the_reference(name):
     """The library checks the row relation only; the reference checks both
     relations.  Each damaged table gets the same verdict and message, and
-    an accepted one the same Galois orbits (or the same error)."""
+    an accepted one the same Galois orbits (or the same error).  The full
+    check and the pair-by-pair check agree on each, and the split prime
+    alone rejects some."""
     table = compute_character_table(from_permutations(CAMPAIGN_GROUPS[name]()))
     rng = random.Random(f"campaign/{name}")
-    verdicts = set()
+    verdicts, proofs = set(), set()
     for _ in range(CAMPAIGN[name]):
         how, chars = _damage(table, rng)
         got = _outcome(lambda: CharacterTable(table.group, chars))
         ref = _outcome(lambda: ReferenceCharacterTable(table.group, chars))
         accepted = isinstance(got, CharacterTable)
         verdicts.add(accepted)
+        paths, proved = _paths(table.group, chars)
+        proofs.add(proved)
+        if accepted or "orthogonality" in got[1]:  # not refused before the relation
+            assert paths == ("accepted" if accepted else got)
         if accepted:
             assert isinstance(ref, CharacterTable)
             assert _outcome(lambda: galois_orbits(got)) == \
@@ -297,6 +413,7 @@ def test_damaged_table_campaign_matches_the_reference(name):
         else:
             assert got == ref, how
     assert verdicts == {True, False}
+    assert False in proofs
 
 
 # -- the class-count bound -------------------------------------------------------------

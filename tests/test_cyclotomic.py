@@ -197,6 +197,12 @@ def test_hash_agrees_with_equality_across_levels():
     assert len({CycValue.from_rational(5, 12), 5}) == 1
 
 
+@pytest.mark.parametrize("level", [0, -3])
+def test_level_must_be_positive(level):
+    with pytest.raises(ValidationError, match="cyclotomic level must be positive"):
+        CycValue(level, [])
+
+
 def test_level_bound_raises_before_building_a_table(monkeypatch):
     from isotypic import BoundExceededError, cyclotomic
 
