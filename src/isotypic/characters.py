@@ -41,11 +41,13 @@ and so does a_ij = D^2 (sum_k |C_k| chi_i(g_k) conj chi_j(g_k) - |G| delta_ij).
 - The check.  zeta_L -> w is a ring map onto F_p whose kernel is a prime P
   above p, and zeta_L -> w^-1 sends conj x to the image of x; so
   sum_k |C_k| ev_i(k) ev'_j(k) = |G| D^2 delta_ij (mod p), with ev at w and
-  ev' at w^-1, says a_ij is in P, for every pair i <= j.
+  ev' at w^-1, says a_ij is in P, for every ordered pair (i, j).  The pairs
+  j < i are not implied by the others: a_ji = conj a_ij lies in conj P,
+  which is another prime when L > 2.
 - The argument.  Rows that pass the check are pairwise distinct: equal rows
   i != j would need |G| D^2 = 0 (mod p), and p > B >= |G| D^2.  When each
   sigma_u, u a unit of Z/L, sends every row to a row, it permutes them by
-  some pi_u, and sigma_u(a_ij) = a_(pi_u(i), pi_u(j)), so
+  some pi_u, and sigma_u(a_ij) = a_(pi_u(i), pi_u(j)) lies in P, so
   every a_ij lies in every sigma_u^-1(P): in every prime above p, which is
   unramified, and hence in pZ[zeta_L].  A nonzero element of pZ[zeta_L] has
   an embedding of absolute value at least p > B, so every a_ij is 0.
@@ -154,13 +156,15 @@ def _check_orthogonality(table: CharacterTable):
     """Row orthogonality, proved exactly; returns the table's integer form.
 
     With X the value matrix, S = diag(|C_k|) and sigma: zeta -> zeta^-1,
-    entry (j, i) of X S sigma(X)^T is sigma of entry (i, j), so the pairs
-    i <= j prove X S sigma(X)^T = |G| I.  X is square (``validate``), so
-    sigma(X)^T X S = |G| I: column orthogonality (Isaacs, ch. 2).
+    entry (j, i) of X S sigma(X)^T is sigma of entry (i, j), so the exact
+    equalities at the pairs i <= j prove X S sigma(X)^T = |G| I.  X is square
+    (``validate``), so sigma(X)^T X S = |G| I: column orthogonality
+    (Isaacs, ch. 2).
 
-    Rows closed under (Z/L)^x are proved mod one split prime
-    (``_split_prime_check``); any other table, or one that fails there, goes
-    pair by pair (``_check_pairwise``), which accepts or raises the message.
+    Rows closed under (Z/L)^x are proved mod one split prime, at every
+    ordered pair (``_split_prime_check``); any other table, or one that
+    fails there, goes pair by pair (``_check_pairwise``), which accepts or
+    raises the message.
     Values repeat across a table, so each distinct numerator tuple is
     mapped, evaluated and packed once.  Returns (L, N, D, the packed rows,
     the slot width, the Galois permutations); see the module docstring.
@@ -207,19 +211,12 @@ def _row_relation_bound(order: int, values, den: int) -> int:
 
 def _split_prime(level: int, bound: int):
     """(p, w): the least prime p = 1 (mod level) above bound, and the
-    primitive level-th root of unity w = a^((p-1)/level) mod p for the least
-    a >= 1 that gives one; None when p would reach PRIME_TEST_BOUND."""
+    primitive level-th root of unity w mod p of ``_root_of_unity``; None
+    when p would reach PRIME_TEST_BOUND."""
     for p in range(bound + 1 + -bound % level, PRIME_TEST_BOUND, level):
         if _is_prime(p):
-            break
-    else:
-        return None
-    qs = _prime_factors(level)
-    for a in range(1, p):
-        w = pow(a, (p - 1) // level, p)
-        if all(pow(w, level // q, p) != 1 for q in qs):
-            return p, w
-    raise InvariantError("no primitive root found")  # pragma: no cover
+            return p, _root_of_unity(p, level)
+    return None
 
 
 def _split_prime_check(table: CharacterTable, level: int, values, index, den: int) -> bool:
@@ -231,7 +228,8 @@ def _split_prime_check(table: CharacterTable, level: int, values, index, den: in
 
     zeta_L -> w is a ring map Z[zeta_L] -> F_p, and zeta_L -> w^-1 sends
     each value to its complex conjugate's image, so each pair sum is one
-    sum of word-size products over the classes.
+    sum of word-size products over the classes.  Every ordered pair is
+    checked: pair (j, i) puts a_ij in conj P, not in P.
     """
     n = table.group.order
     found = _split_prime(level, _row_relation_bound(n, values, den))
@@ -248,7 +246,7 @@ def _split_prime_check(table: CharacterTable, level: int, values, index, den: in
                 for row in index]
     norm = n * den * den % p
     return all(sum(map(mul, ev[i], weighted[j])) % p == (norm if i == j else 0)
-               for i in range(len(ev)) for j in range(i, len(ev)))
+               for i in range(len(ev)) for j in range(len(ev)))
 
 
 def _check_pairwise(table: CharacterTable, level: int, nums, den: int):
@@ -404,12 +402,16 @@ def _prime_factors(m: int):
     return fac
 
 
-def _primitive_root(p: int) -> int:
-    fac = _prime_factors(p - 1)
-    for w in range(2, p):
-        if all(pow(w, (p - 1) // q, p) != 1 for q in fac):
+def _root_of_unity(p: int, n: int) -> int:
+    """A primitive n-th root of unity mod the prime p = 1 (mod n):
+    w = a^((p-1)/n) for the least a >= 1 with w^(n/q) != 1 for each prime
+    q | n, found without factoring p - 1."""
+    qs = _prime_factors(n)
+    for a in range(1, p):
+        w = pow(a, (p - 1) // n, p)
+        if all(pow(w, n // q, p) != 1 for q in qs):
             return w
-    raise InvariantError("no primitive root found")  # pragma: no cover
+    raise InvariantError("no primitive root of unity found")  # pragma: no cover
 
 
 def _eliminate_mod(vectors, p):
@@ -565,8 +567,7 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
         raise InvariantError("splitting failure")  # pragma: no cover
 
     # recover normalized character values mod p from eigenvalues
-    w = _primitive_root(p)
-    z = pow(w, (p - 1) // e, p)  # fixed primitive e-th root of unity mod p
+    z = _root_of_unity(p, e)  # fixed primitive e-th root of unity mod p
     power_class = []
     for g in reps:
         powers, x = [], 0

@@ -280,6 +280,23 @@ def test_rows_not_closed_never_reach_the_split_prime(monkeypatch):
     assert table._form[5] is None
 
 
+def test_split_prime_check_reads_both_orders_of_a_pair():
+    """a_ji = conj a_ij, but mod p that puts a_ji in conj P, not in P.  On
+    C3 the rows (1, 1, 1) and (1, 1, -z3) have norms 3 and a_01 = 3 + z3, of
+    norm 7 = p: a_01 lies in P and a_10 does not.  A check of the pairs
+    i <= j only would accept the rows in one of the two orders."""
+    group = from_permutations([[1, 2, 0]])
+    one, z3 = CycValue.one(3), CycValue.root_of_unity(3)
+    rows = [Character((one, one, one), 1), Character((one, one, -z3), 1)]
+    for chars in (rows, rows[::-1]):
+        table = _Unchecked(group, chars)
+        level, nums, den = characters._integer_form(table)
+        distinct, index = characters._distinct(nums)
+        bound = characters._row_relation_bound(group.order, distinct, den)
+        assert characters._split_prime(level, bound)[0] == 7
+        assert not characters._split_prime_check(table, level, distinct, index, den)
+
+
 STRONG_PSEUDOPRIMES = (
     2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
     341550071728321, 3825123056546413051, 318665857834031151167461,
