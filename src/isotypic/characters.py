@@ -856,12 +856,23 @@ class RhoDecomposition(namedtuple(
 
 def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecomposition:
     """Decompose rho_H over the rational irreducibles: a_j = <rho_H, V_j> / m_j."""
-    members = tuple(sorted(members))
+    return _rho_from_columns(table, _rho_columns(orbits), tuple(sorted(members)))
+
+
+def _rho_columns(orbits):
+    """(first row, m, rational dimension, conditional) per orbit: all that
+    ``rho_decomposition`` reads of the orbits, read once for many subgroups."""
+    return tuple((o.char_indices[0], o.multiplier, o.rational_dim(), o.schur.conditional)
+                 for o in orbits)
+
+
+def _rho_from_columns(table: CharacterTable, columns, members) -> RhoDecomposition:
+    """``rho_decomposition`` for the sorted members of H, the orbits given
+    by their ``_rho_columns``."""
     fixed = fixed_dims(table, members)
     dims, mults, conditional = [], [], False
-    for orbit in orbits:
-        d = _checked(fixed[orbit.char_indices[0]])
-        m = orbit.multiplier
+    for row, m, _, orbit_conditional in columns:
+        d = _checked(fixed[row])
         if d % m != 0:
             raise InvariantError(
                 f"Schur index inconsistent with the rho decomposition: "
@@ -869,9 +880,9 @@ def rho_decomposition(table: CharacterTable, orbits, members) -> RhoDecompositio
             )
         dims.append(d)
         mults.append(d // m)
-        conditional = conditional or (d != 0 and orbit.schur.conditional)
+        conditional = conditional or (d != 0 and orbit_conditional)
     index = table.group.order // len(members)
-    total = sum(a * orbit.rational_dim() for a, orbit in zip(mults, orbits))
+    total = sum(a * column[2] for a, column in zip(mults, columns))
     if total != index:
         raise InvariantError(f"rho decomposition dimension count {total} != index {index}")
     return RhoDecomposition(members, tuple(dims), tuple(mults), conditional)

@@ -69,6 +69,10 @@ def _exact_quotient(a, b):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """phi(n); every constructor of a value at level n asks it first, so a
+    level below 1 is refused here."""
+    if n < 1:
+        raise ValidationError("cyclotomic level must be positive")
     count = 0
     for k in range(1, n + 1):
         if gcd(k, n) == 1:
@@ -449,11 +453,9 @@ class CycValue(_Exact):
     __slots__ = ("level",)
 
     def __init__(self, level: int, coeffs, den: int = 1):
-        if level < 1:
-            raise ValidationError("cyclotomic level must be positive")
+        phi = euler_phi(level)
         num, scale = _integral(coeffs)
         den *= scale
-        phi = euler_phi(level)
         if len(num) > phi:
             rows = _level(level).rows
             if len(num) > level:  # zeta^level = 1
@@ -477,8 +479,8 @@ class CycValue(_Exact):
     @staticmethod
     def root_of_unity(level: int, power: int = 1) -> "CycValue":
         """zeta_level ** power."""
-        power %= level
-        return CycValue(level, [0] * power + [1])
+        euler_phi(level)  # refuses a level below 1 before it is used as a modulus
+        return CycValue(level, [0] * (power % level) + [1])
 
     @staticmethod
     def zero(level: int = 1) -> "CycValue":

@@ -10,29 +10,31 @@ complement inside a Prym.  The classes are indexed by their vectors, so the
 Prym partners N of H for an orbit W are looked up as the classes with
 a(N) = a(H) - e_W and only their containment is tested.  The other searches
 read, per inner class H, the list of larger classes that contain a
-conjugate of H, built on first use.  Containment is asked by class index:
-a pair passes a packed class-count filter (``_may_contain``) before H's
-conjugate masks, ordered by least conjugator, are ANDed with N's mask.
+conjugate of H.  Containment is one bit of the poset that the lattice walk
+records (``FiniteGroup.overgroup_masks``); a conjugator is looked for only
+for the pairs that become witnesses, as the first of H's conjugate masks,
+ordered by least conjugator, inside N's mask.  The classification takes
+the least intersection witness without building the full list.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations, compress
+from itertools import combinations, compress, groupby
 from operator import sub
 
 from .characters import (
     CharacterTable,
+    _rho_columns,
+    _rho_from_columns,
     assert_schur,
-    class_counts,
     galois_orbits,
     orbit_index,
-    rho_decomposition,
 )
-from .errors import BoundExceededError, ValidationError
+from .errors import BoundExceededError, InvariantError, ValidationError
 
-# Partial tuples one find_intersection_realizations call may visit; at arity
-# 4 the largest search on the tested and benchmarked groups (C2^5) visits 1585.
+# Partial tuples one intersection search may visit; at arity 4 the largest
+# full search on the tested and benchmarked groups (C2^5) visits 1585.
 INTERSECTION_SEARCH_BOUND = 10**6
 
 
@@ -94,22 +96,17 @@ class JacobianDecomposer:
             orbits[idx] = assert_schur(orbits[idx], m)
         self.orbits = tuple(orbits)
         self.subgroups = self.group.subgroup_classes()
-        self.rho = tuple(
-            rho_decomposition(table, self.orbits, s.members) for s in self.subgroups
-        )
+        columns = _rho_columns(self.orbits)
+        self.rho = tuple(_rho_from_columns(table, columns, s.members) for s in self.subgroups)
         self._classes_with_vector = {}
         for i, rd in enumerate(self.rho):
             self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
-        # per subgroup class index: order, member mask, packed class counts,
-        # and the conjugate masks and overgroup list, built on first use
+        # per subgroup class index: order, member mask, the bitset of larger
+        # classes containing a conjugate, and the conjugate masks and
+        # overgroup list, built on first use
         self._orders = tuple(s.order for s in self.subgroups)
         self._masks = tuple(self.group._member_mask(s.members) for s in self.subgroups)
-        width = max(table.class_sizes).bit_length() + 1
-        self._guard = sum(1 << (k * width + width - 1) for k in range(len(table.classes)))
-        self._counts = tuple(
-            sum(c << (k * width) for k, c in class_counts(table, s.members).items())
-            for s in self.subgroups
-        )
+        self._above = self.group.overgroup_masks()
         self._conjugate_masks = [None] * len(self.subgroups)
         self._overgroups = [None] * len(self.subgroups)
 
@@ -121,21 +118,14 @@ class JacobianDecomposer:
     def subgroup_class_of(self, members) -> int:
         return self.group.find_class_of_subgroup(members)
 
-    def _may_contain(self, inner_idx: int, outer_idx: int) -> bool:
-        """|H| divides |N| and |H meet C_k| <= |N meet C_k| for every class
-        C_k, as a conjugate of H inside N needs.
-
-        Each class count sits in a slot of one integer, below the guard bit
-        that tops the slot, so (P_N | guard) - P_H keeps the guard bit of a
-        slot exactly when that slot of P_N is not below that of P_H, and no
-        slot borrows from the next."""
-        guard = self._guard
-        return (self._orders[outer_idx] % self._orders[inner_idx] == 0
-                and ((self._counts[outer_idx] | guard) - self._counts[inner_idx]) & guard == guard)
+    def contains(self, inner_idx: int, outer_idx: int) -> bool:
+        """Whether a conjugate of class rep inner lies in class rep outer,
+        read off the lattice walk's bitsets (``overgroup_masks``)."""
+        return inner_idx == outer_idx or self._above[inner_idx] >> outer_idx & 1 == 1
 
     def conjugator(self, inner_idx: int, outer_idx: int):
         """Least element conjugating class rep inner into class rep outer, or None."""
-        if not self._may_contain(inner_idx, outer_idx):
+        if not self.contains(inner_idx, outer_idx):
             return None
         firsts = self._conjugate_masks[inner_idx]
         if firsts is None:
@@ -145,23 +135,22 @@ class JacobianDecomposer:
         for m, a in firsts:
             if m & outer == m:
                 return a
-        return None
+        # unreachable: the proof in overgroup_masks gives a conjugate inside
+        raise InvariantError("a lattice containment has no conjugator")  # pragma: no cover
 
     def overgroups(self, inner_idx: int):
-        """(N, conjugator) for every class N of larger order than H that
-        contains a conjugate of H, in class order; built on first use.  The
-        classes are sorted by order, so every such N comes after H."""
+        """Every class N of larger order than H that contains a conjugate of
+        H, in class order; built on first use.  The classes are sorted by
+        order, so every such N comes after H."""
         found = self._overgroups[inner_idx]
         if found is None:
-            order, orders = self._orders[inner_idx], self._orders
-            found = self._overgroups[inner_idx] = tuple(
-                (io, conj) for io in range(inner_idx + 1, len(orders))
-                if orders[io] > order and (conj := self.conjugator(inner_idx, io)) is not None
-            )
+            bits = bin(self._above[inner_idx])[:1:-1]  # character io is bit io
+            found, io = [], bits.find("1")
+            while io >= 0:
+                found.append(io)
+                io = bits.find("1", io + 1)
+            found = self._overgroups[inner_idx] = tuple(found)
         return found
-
-    def contains(self, inner_idx: int, outer_idx: int) -> bool:
-        return self.conjugator(inner_idx, outer_idx) is not None
 
     def mult_vector(self, sub_idx: int):
         return self.rho[sub_idx].multiplicities
@@ -248,15 +237,31 @@ class JacobianDecomposer:
         out.sort(key=lambda p: self._pair_sort_key(p.inner, p.outer))
         return out
 
-    def find_intersection_realizations(self, orbit_index: int, max_arity: int = 4):
-        """Tuples (H, [N_1..N_k]): each rho_H - rho_{N_k} contains W exactly
-        once and the residues are pairwise disjoint, k from 2 to max_arity.
+    def _intersection_candidates(self, w: int, inner_idx: int):
+        """(N, residue) for each class N above H = inner_idx with rho_H - rho_N
+        >= 0 holding W exactly once, residue the bitset of the other orbits
+        where it is non-zero; by decreasing order of N, then class index."""
+        a = self.mult_vector(inner_idx)
+        bits = [1 << j for j in range(len(a))]
+        cands = []
+        for io in self.overgroups(inner_idx):
+            b = self.mult_vector(io)
+            if a[w] - b[w] != 1:
+                continue
+            diff = list(map(sub, a, b))
+            if min(diff) < 0:
+                continue
+            cands.append((io, sum(compress(bits, diff)) ^ bits[w]))
+        cands.sort(key=lambda c: (-self._orders[c[0]], c[0]))
+        return cands
 
-        More than INTERSECTION_SEARCH_BOUND partial tuples raise
-        BoundExceededError."""
-        w = orbit_index
-        out = []
-        visited = 0
+    def _intersection_tuples(self, w, inners, min_arity, max_arity, out, visited=0):
+        """Append (H, outers) to out for each H in inners and each tuple of
+        min_arity..max_arity candidates with pairwise disjoint residues.
+
+        Returns the count of partial tuples visited, the empty ones
+        included, added to visited; more than INTERSECTION_SEARCH_BOUND
+        raise BoundExceededError."""
 
         def extend(ih, cands, start, chosen, union):
             nonlocal visited
@@ -266,46 +271,70 @@ class JacobianDecomposer:
                     f"intersection search for orbit {w} visited {visited} partial tuples"
                     f" > {INTERSECTION_SEARCH_BOUND}"
                 )
-            if len(chosen) >= 2:
-                out.append(IntersectionWitness(
-                    ih, tuple(c[0] for c in chosen), tuple(c[1] for c in chosen)
-                ))
+            if len(chosen) >= min_arity:
+                out.append((ih, tuple(chosen)))
             if len(chosen) >= max_arity:
                 return
             for idx in range(start, len(cands)):
-                if not cands[idx][2] & union:
-                    extend(ih, cands, idx + 1, chosen + [cands[idx]], union | cands[idx][2])
+                io, residue = cands[idx]
+                if not residue & union:
+                    extend(ih, cands, idx + 1, chosen + [io], union | residue)
 
-        vectors = [rd.multiplicities for rd in self.rho]
-        bits = [1 << j for j in range(len(vectors[0]))]
-        for ih, a in enumerate(vectors):
-            if a[w] == 0:
-                continue
-            cands = []
-            for io, conj in self.overgroups(ih):
-                b = vectors[io]
-                if a[w] - b[w] != 1:
-                    continue
-                diff = list(map(sub, a, b))
-                if min(diff) < 0:
-                    continue
-                # the orbits other than W where rho_H - rho_N is non-zero
-                residue = sum(compress(bits, diff)) ^ bits[w]
-                cands.append((io, conj, residue))
-            cands.sort(key=lambda c: (-self.subgroups[c[0]].order, c[0]))
-            extend(ih, cands, 0, [], 0)
-        # ties between abstractly symmetric witnesses (subgroup classes swapped
-        # by an outer automorphism) are broken by the inner subgroup whose
-        # multiplicity vector is lexicographically greatest
-        out.sort(key=lambda t: (
-            -self.subgroups[t.inner].order,
-            len(t.outers),
-            tuple(-self.subgroups[i].order for i in t.outers),
-            tuple(-x for x in self.mult_vector(t.inner)),
-            t.inner,
-            t.outers,
-        ))
-        return out
+        for ih in inners:
+            if self.mult_vector(ih)[w]:
+                extend(ih, self._intersection_candidates(w, ih), 0, [], 0)
+        return visited
+
+    def _intersection_key(self, found):
+        """The order of intersection witnesses (H, outers): larger H, then
+        fewer and larger N_i.  Ties between abstractly symmetric witnesses
+        (subgroup classes swapped by an outer automorphism) are broken by
+        the inner subgroup whose multiplicity vector is lexicographically
+        greatest."""
+        ih, outers = found
+        return (
+            -self._orders[ih],
+            len(outers),
+            tuple(-self._orders[i] for i in outers),
+            tuple(-x for x in self.mult_vector(ih)),
+            ih,
+            outers,
+        )
+
+    def _intersection_witness(self, found):
+        ih, outers = found
+        return IntersectionWitness(ih, outers, tuple(self.conjugator(ih, io) for io in outers))
+
+    def find_intersection_realizations(self, orbit_index: int, max_arity: int = 4):
+        """Tuples (H, [N_1..N_k]): each rho_H - rho_{N_k} contains W exactly
+        once and the residues are pairwise disjoint, k from 2 to max_arity.
+
+        More than INTERSECTION_SEARCH_BOUND partial tuples raise
+        BoundExceededError."""
+        found = []
+        self._intersection_tuples(orbit_index, range(len(self.subgroups)), 2, max_arity, found)
+        found.sort(key=self._intersection_key)
+        return [self._intersection_witness(t) for t in found]
+
+    def least_intersection_realization(self, orbit_index: int, max_arity: int = 4):
+        """``find_intersection_realizations(orbit_index, max_arity)[0]``, or
+        None when that list is empty, found without building the list.
+
+        The order starts with -|H| and then the arity, so the inner classes
+        are visited by decreasing order and, within one order, the tuples of
+        arity 2, 3, ..., max_arity in turn; the first order and arity that
+        yield a witness hold the least one.  The partial tuples visited are
+        bounded as in the full search."""
+        visited = 0
+        inners = range(len(self.subgroups) - 1, -1, -1)
+        for _, same_order in groupby(inners, key=self._orders.__getitem__):
+            same_order = list(same_order)
+            for k in range(2, max_arity + 1):
+                found = []
+                visited = self._intersection_tuples(orbit_index, same_order, k, k, found, visited)
+                if found:
+                    return self._intersection_witness(min(found, key=self._intersection_key))
+        return None
 
     def find_containments(self, orbit_index: int):
         """(H, N, multiplicity): W appears in rho_H, vanishes in rho_N, H <= N."""
@@ -315,7 +344,7 @@ class JacobianDecomposer:
             mult = self.mult_vector(ih)[w]
             if mult == 0:
                 continue
-            for io, _ in self.overgroups(ih):
+            for io in self.overgroups(ih):
                 if self.mult_vector(io)[w] == 0:
                     out.append((ih, io, mult))
         out.sort(key=lambda t: self._pair_sort_key(t[0], t[1]))
@@ -326,7 +355,7 @@ class JacobianDecomposer:
         vectors = [rd.multiplicities for rd in self.rho]
         diffs = {}
         for ih, a in enumerate(vectors):
-            for io, _ in self.overgroups(ih):
+            for io in self.overgroups(ih):
                 diffs.setdefault(tuple(map(sub, a, vectors[io])), []).append((ih, io))
         out = []
         for pairs in diffs.values():
@@ -346,9 +375,9 @@ class JacobianDecomposer:
         pairs = self.find_prym_realizations(w)
         if pairs:
             return RealizabilityVerdict(w, "prym", pairs[0])
-        inters = self.find_intersection_realizations(w, max_arity=max_arity)
-        if inters:
-            return RealizabilityVerdict(w, "intersection", inters[0])
+        least = self.least_intersection_realization(w, max_arity=max_arity)
+        if least is not None:
+            return RealizabilityVerdict(w, "intersection", least)
         # minimal containment: smallest ambient Prym by rho-dimension difference
         best = None
         for ih, io, _ in self.find_containments(w):

@@ -16,7 +16,10 @@ subgroup in progress keeps a short generating tuple, and <H, g> is the
 union of the right cosets H*r that the generators reach.  The lattice grows
 by cyclic extensions of class representatives (Holt, Eick and O'Brien,
 *Handbook of Computational Group Theory*, 2005, 4.1 and 10.1), trying one
-g per N(H)-orbit of right cosets H*g.  Conjugates are walked along the
+g per N(H)-orbit of right cosets H*g.  Each extension tried is an edge from
+the class of H to the class of <H, g>, and the transitive closure of the
+edges, one bitset per class, is the containment poset of the classes
+(``overgroup_masks``).  Conjugates are walked along the
 generators, and the Schreier elements of the walk generate the normalizer;
 the elements carrying H onto one conjugate form a coset of it, whose least
 element is the least conjugator that ``conjugator_into`` promises.
@@ -60,6 +63,26 @@ def _lex_least(points):
         if d & -d & m:
             best = p
     return best
+
+
+def _closure(nodes, edges):
+    """Bitsets of the transitive closure of edges, reindexed.
+
+    nodes lists the nodes in their new order, and edges[i] holds the nodes
+    that node i points to, each later in the new order; bit r of entry s
+    is set when the node at position s reaches the one at position r.
+    """
+    position = [0] * len(nodes)
+    for r, i in enumerate(nodes):
+        position[i] = r
+    reach = [0] * len(nodes)
+    for s in reversed(range(len(nodes))):
+        m = 0
+        for j in edges[nodes[s]]:
+            r = position[j]
+            m |= reach[r] | 1 << r
+        reach[s] = m
+    return tuple(reach)
 
 
 def generator_name(i: int) -> str:
@@ -152,6 +175,7 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._subgroup_classes = None
+        self._overgroup_masks = None
         self._class_index = None
         self._fusion = None
         self._conj_tables = None
@@ -319,7 +343,7 @@ class FiniteGroup:
                     reps.append(x)
         if len(elems) != mask.bit_count():
             elems = set(elems)
-        return tuple(sorted(elems)), mask, gens
+        return elems, mask, gens
 
     def _closure_of(self, elems):
         """The (members, mask, gens) triple of <elems>, extended one element at a time."""
@@ -411,7 +435,7 @@ class FiniteGroup:
         return orbit
 
     def subgroup_generated(self, elems) -> Subgroup:
-        members = self._closure_of(elems)[0]
+        members = tuple(sorted(self._closure_of(elems)[0]))
         return Subgroup(members, canonical=members == self.canonical_form(members))
 
     def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -436,11 +460,12 @@ class FiniteGroup:
         Breadth-first over cyclic extensions <H, g> of the representatives
         found so far, each built by ``_extend``.  A new subgroup's
         conjugates are walked along the generators by
-        ``_conjugation_orbit``; every one goes into the seen set, and the
-        lexicographically least is kept as in ``canonical_form``, with its
-        generators conjugated along.  The Schreier elements of the walk,
-        conjugated by the same element and closed, give generators of the
-        representative's normalizer (G itself when the orbit is one point).
+        ``_conjugation_orbit``; the mask of every one maps to the new class
+        in the seen dict, and the lexicographically least is kept as in
+        ``canonical_form``, with its generators conjugated along.  The
+        Schreier elements of the walk, conjugated by the same element and
+        closed, give generators of the representative's normalizer (G
+        itself when the orbit is one point).
 
         One g is tried per N(H)-orbit of cyclic extensions.  When H is
         extended by g, every right coset H*x with x = n g^k n^-1 is dropped,
@@ -448,6 +473,9 @@ class FiniteGroup:
         n<H, g>n^-1 = <H, n g n^-1>, so each dropped extension is conjugate
         to <H, g> and its class is found by g's.  The x come from
         ``_cyclic_generator_orbit`` over the generators of N(H).
+
+        Every extension tried is an edge from the class of H to the class
+        of <H, g>; ``overgroup_masks`` holds their transitive closure.
         More than DEFAULT_SUBGROUP_CLASS_BOUND classes raise
         BoundExceededError.
         """
@@ -461,10 +489,12 @@ class FiniteGroup:
         mul, bit = self._mul, self._bit
         tables = self._conjugation_tables()
         everything = (1 << self.order) - 1
-        seen = {_TRIVIAL[1]}
+        seen = {_TRIVIAL[1]: 0}  # conjugate mask -> class, numbered in walk order
         queue = [(_TRIVIAL, self.generators)]  # (members, mask, gens), generators of N(H)
-        for base, normalizer in queue:
+        edges = [set()]  # per class, the classes of the extensions tried from it
+        for i, (base, normalizer) in enumerate(queue):
             members, mask = base[0], base[1]
+            above = edges[i]
             rest = everything ^ mask
             while rest:
                 g = (rest & -rest).bit_length() - 1
@@ -472,18 +502,40 @@ class FiniteGroup:
                     if bit[x] & rest:
                         rest ^= sum(bit[mul[h][x]] for h in members)
                 sub = self._extend(base, g)
-                if sub[1] in seen:
-                    continue
-                points, schreier = self._conjugation_orbit(sub[0], tables)
-                seen.update(p[1] for p in points)
-                queue.append(self._representative(sub, points, schreier))
-                if len(queue) > class_bound:
-                    raise BoundExceededError(
-                        f"subgroup class bound exceeded: {len(queue)} classes > {class_bound}"
-                    )
-        classes = sorted((sub[0] for sub, _ in queue), key=lambda m: (len(m), m))
-        self._subgroup_classes = tuple(Subgroup(m, canonical=True) for m in classes)
+                j = seen.get(sub[1])
+                if j is None:
+                    j = len(queue)
+                    points, schreier = self._conjugation_orbit(sub[0], tables)
+                    for p in points:
+                        seen[p[1]] = j
+                    queue.append(self._representative(sub, points, schreier))
+                    edges.append(set())
+                    if len(queue) > class_bound:
+                        raise BoundExceededError(
+                            f"subgroup class bound exceeded: {len(queue)} classes > {class_bound}"
+                        )
+                above.add(j)
+        ranked = sorted(range(len(queue)), key=lambda i: (len(queue[i][0][0]), queue[i][0][0]))
+        self._subgroup_classes = tuple(Subgroup(queue[i][0][0], canonical=True) for i in ranked)
+        self._overgroup_masks = _closure(ranked, edges)
         return self._subgroup_classes
+
+    def overgroup_masks(self):
+        """Per subgroup class i (see ``subgroup_classes``), the bitset with
+        bit j set exactly when class i lies in a conjugate of the larger
+        class j.
+
+        It is the transitive closure of the edges H -> <H, g> of the
+        lattice walk.  Every edge is a containment.  Conversely, let H be a
+        representative inside a conjugate N' of N with |H| < |N'|, and take
+        g in N' outside H.  The walk tried some g' whose extension is
+        conjugate to <H, g> (the pruning drops only such extensions), so
+        there is an edge from H to the class of K = <H, g> <= N'.  Either
+        K = N', or the representative of K lies in a conjugate of N with
+        smaller index, and induction on |N : H| ends the proof.
+        """
+        self.subgroup_classes()
+        return self._overgroup_masks
 
     def find_class_of_subgroup(self, members) -> int:
         """Index of the subgroup class containing the given subgroup."""

@@ -199,8 +199,11 @@ def test_hash_agrees_with_equality_across_levels():
 
 @pytest.mark.parametrize("level", [0, -3])
 def test_level_must_be_positive(level):
-    with pytest.raises(ValidationError, match="cyclotomic level must be positive"):
-        CycValue(level, [])
+    for build in (lambda: CycValue(level, []), lambda: CycValue.zero(level),
+                  lambda: CycValue.one(level), lambda: CycValue.from_rational(2, level),
+                  lambda: CycValue.root_of_unity(level)):
+        with pytest.raises(ValidationError, match="cyclotomic level must be positive"):
+            build()
 
 
 def test_level_bound_raises_before_building_a_table(monkeypatch):

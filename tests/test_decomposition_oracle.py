@@ -3,7 +3,6 @@ intermediate decompositions checked against the recomputing code in
 ``decomposition_reference.py``, on the groups and on seeded relabellings."""
 
 import random
-from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -74,39 +73,40 @@ def test_containment_queries_build_each_outer_mask_once():
 
 @pytest.mark.parametrize("name", LATTICE_GROUPS)
 def test_containment_poset_matches_reference(name):
-    """Every overgroup list against conjugating by every element, and the
-    packed class-count filter against the counts compared one by one: it
-    passes exactly when |H| divides |N| and no class meets H more than N,
-    so it never rejects a containment."""
+    """Containment, least conjugators and every overgroup list against
+    conjugating by every element: the bitsets of the lattice walk say
+    exactly which pairs nest."""
     group = relabelled(LATTICE_GROUPS[name](), random.Random("poset " + name))
     table = compute_character_table(group)
     dec = JacobianDecomposer(table, orbits=galois_orbits(table))
     members = [s.members for s in dec.subgroups]
-    counts = [Counter(group.class_index(m) for m in h) for h in members]
     for ih, inner in enumerate(members):
         brute = []
         for io, outer in enumerate(members):
             conj = lattice_reference.conjugator_into(group, inner, outer)
-            fits = (len(outer) % len(inner) == 0
-                    and all(counts[io][k] >= c for k, c in counts[ih].items()))
-            assert dec._may_contain(ih, io) == fits
-            assert conj is None or fits
+            assert dec.contains(ih, io) == (conj is not None)
             assert dec.conjugator(ih, io) == conj
             if conj is not None and len(outer) > len(inner):
-                brute.append((io, conj))
+                brute.append(io)
+        assert dec.contains(ih, ih)
         assert dec.overgroups(ih) == tuple(brute)
+
+
+def _decomposer(name, m2, relabel):
+    """The decomposer of one of CASES."""
+    group = GROUPS[name]()
+    if relabel:
+        group = relabelled(group, random.Random(name))
+    table = compute_character_table(group)
+    orbits = galois_orbits(table)
+    return JacobianDecomposer(table, orbits=orbits,
+                              schur_assertions={_quad(orbits): 2} if m2 else None)
 
 
 @pytest.mark.parametrize("name,m2,relabel", CASES)
 def test_decomposer_matches_reference(name, m2, relabel):
-    rng = random.Random(name)
-    group = GROUPS[name]()
-    if relabel:
-        group = relabelled(group, rng)
-    table = compute_character_table(group)
-    orbits = galois_orbits(table)
-    dec = JacobianDecomposer(table, orbits=orbits,
-                             schur_assertions={_quad(orbits): 2} if m2 else None)
+    dec = _decomposer(name, m2, relabel)
+    group, table = dec.group, dec.table
     vectors = []
     for sub, rd in zip(dec.subgroups, dec.rho):
         assert rd == reference_rho_decomposition(table, dec.orbits, sub.members)
@@ -126,6 +126,24 @@ def test_decomposer_matches_reference(name, m2, relabel):
         for members in [sub.members] + others[:1]:
             assert dec.decompose_intermediate(members) == \
                 reference_decompose_intermediate(dec, members)
+
+
+@pytest.mark.parametrize("name", GROUPS)
+def test_init_rho_matches_rho_decomposition(name):
+    dec = _decomposer(name, False, False)
+    assert len(dec.rho) == len(dec.subgroups)
+    for rd, s in zip(dec.rho, dec.subgroups):
+        assert rd == rho_decomposition(dec.table, dec.orbits, s.members)
+
+
+@pytest.mark.parametrize("name,m2,relabel", CASES)
+def test_least_intersection_witness_heads_the_full_list(name, m2, relabel):
+    dec = _decomposer(name, m2, relabel)
+    for w in range(len(dec.orbits)):
+        for k in (2, 3, 4):
+            full = dec.find_intersection_realizations(w, max_arity=k)
+            assert dec.least_intersection_realization(w, max_arity=k) == \
+                (full[0] if full else None)
 
 
 def _outcome(rho, *args):
@@ -224,8 +242,14 @@ def _arity3_decomposer():
     dec = object.__new__(JacobianDecomposer)
     vectors = [(1, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0)]
     dec.subgroups = [SimpleNamespace(order=1 if i == 0 else 2) for i in range(4)]
+    dec._orders = (1, 2, 2, 2)
     dec.rho = [SimpleNamespace(multiplicities=v) for v in vectors]
-    dec._overgroups = {0: ((1, 0), (2, 0), (3, 0))}
+    # H = {0} lies in N_i = {0, i}: bits 1-3 of its overgroup bitset, and its
+    # one conjugate mask, with conjugator 0, fits every mask
+    dec._above = (0b1110, 0, 0, 0)
+    dec._overgroups = {0: (1, 2, 3)}
+    dec._masks = (0b1, 0b11, 0b101, 0b1001)
+    dec._conjugate_masks = {0: ((0b1, 0),)}
     return dec
 
 
