@@ -65,7 +65,7 @@ def _lex_least(points):
     return best
 
 
-def _closure(nodes, edges):
+def _transitive_closure(nodes, edges):
     """Bitsets of the transitive closure of edges, reindexed.
 
     nodes lists the nodes in their new order, and edges[i] holds the nodes
@@ -517,7 +517,7 @@ class FiniteGroup:
                 above.add(j)
         ranked = sorted(range(len(queue)), key=lambda i: (len(queue[i][0][0]), queue[i][0][0]))
         self._subgroup_classes = tuple(Subgroup(queue[i][0][0], canonical=True) for i in ranked)
-        self._overgroup_masks = _closure(ranked, edges)
+        self._overgroup_masks = _transitive_closure(ranked, edges)
         return self._subgroup_classes
 
     def overgroup_masks(self):
