@@ -1,4 +1,4 @@
-"""Time character-table compute and validate, and report the split prime.
+"""Time character-table compute and validate, and report the split primes.
 
 Run from the repository root:
 
@@ -9,10 +9,9 @@ For each group it builds the group and its classes (untimed), then times
 ``compute_character_table`` (which validates once) and one more
 ``CharacterTable.validate`` on the computed table, each the median of
 ``--runs`` runs on a freshly built group.  It also writes the table's level
-L, the bound B of the row relation and the split prime p that proves it
-(null when the table would need the pair-by-pair check), and the Python
-version and machine.  Stdlib only; everything but the times is
-deterministic.
+L, the bound B of the row relation and the split primes that prove it (one
+prime above B when B < 2^64), and the Python version and machine.  Stdlib
+only; everything but the times is deterministic.
 """
 
 import argparse
@@ -78,7 +77,6 @@ def time_group(name, runs):
         validates.append(perf_counter() - start)
     level, nums, den = table._form[:3]
     bound = characters._row_relation_bound(group.order, characters._distinct(nums)[0], den)
-    found = characters._split_prime(level, bound)
     return {
         "order": group.order,
         "classes": len(table.chars),
@@ -86,7 +84,7 @@ def time_group(name, runs):
         "validate_s": round(statistics.median(validates), 4),
         "L": level,
         "B": bound,
-        "p": found and found[0],
+        "primes": characters._split_primes(level, bound),
     }
 
 

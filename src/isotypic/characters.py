@@ -33,30 +33,34 @@ and so does a_ij = D^2 (sum_k |C_k| chi_i(g_k) conj chi_j(g_k) - |G| delta_ij).
   D chi_i(g_k) is at most ||N[i][k]||_1, the L1 norm of the tuple, and each
   embedding of a_ij is at most B = |G| (max ||N||_1^2 + D^2).  This holds for
   any table, damaged or not.
-- The prime.  p is the least prime = 1 (mod L) above B, and w = a^((p-1)/L)
-  mod p for the least a whose w has w^(L/q) != 1 for each prime q | L: a
-  primitive L-th root of unity mod p, found without factoring p - 1.
-  Primality is decided exactly by Miller-Rabin on the first 13 prime bases
-  below psi_13 ~ 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017).
-- The check.  zeta_L -> w is a ring map onto F_p whose kernel is a prime P
-  above p, and zeta_L -> w^-1 sends conj x to the image of x; so
-  sum_k |C_k| ev_i(k) ev'_j(k) = |G| D^2 delta_ij (mod p), with ev at w and
-  ev' at w^-1, says a_ij is in P, for every ordered pair (i, j).  The pairs
-  j < i are not implied by the others: a_ji = conj a_ij lies in conj P,
-  which is another prime when L > 2.
-- The argument.  Rows that pass the check are pairwise distinct: equal rows
-  i != j would need |G| D^2 = 0 (mod p), and p > B >= |G| D^2.  When each
-  sigma_u, u a unit of Z/L, sends every row to a row, it permutes them by
-  some pi_u, and sigma_u(a_ij) = a_(pi_u(i), pi_u(j)) lies in P, so
-  every a_ij lies in every sigma_u^-1(P): in every prime above p, which is
-  unramified, and hence in pZ[zeta_L].  A nonzero element of pZ[zeta_L] has
-  an embedding of absolute value at least p > B, so every a_ij is 0.
-- The fallback.  A table that is not closed under (Z/L)^x, that fails the
-  check mod p, or whose p would reach psi_13 is checked pair by pair, as
-  exact equalities: each inner product is one sum of Kronecker-packed
-  bigint products (the slot width rules out overflow), unpacked and folded
-  through the level's rows once per pair.  That path accepts or raises the
-  message naming the first pair that fails.
+- The primes.  p_1 < p_2 < ... are the least primes = 1 (mod L) above
+  min(B, 2^64), as many as make their product exceed B: one prime p > B
+  when B < 2^64, and primes of about 64 bits for a larger B.  For each p,
+  w = a^((p-1)/L) mod p for the least a whose w has w^(L/q) != 1 for each
+  prime q | L: a primitive L-th root of unity mod p, found without
+  factoring p - 1.  Primality is decided exactly by Miller-Rabin on the
+  first 13 prime bases below psi_13 ~ 3.3e24 (Sorenson and Webster, Math.
+  Comp. 86, 2017); a candidate at or above psi_13 is refused.
+- The check.  For a unit u of Z/L, zeta_L -> w^u is a ring map onto F_p
+  whose kernel is a prime P_u above p, and zeta_L -> w^-u sends conj x to
+  the image of x; so sum_k |C_k| ev_i(k) ev'_j(k) = |G| D^2 delta_ij
+  (mod p), with ev at w^u and ev' at w^-u, says a_ij is in P_u, for every
+  ordered pair (i, j).  With u = 1 alone the pairs j < i are not implied by
+  the others: a_ji = conj a_ij lies in conj P_1 = P_-1, which is another
+  prime when L > 2.
+- The argument.  p = 1 (mod L) splits completely in Z[zeta_L]: the P_u
+  are all the primes above p, and they are unramified, so an element of
+  every P_u lies in pZ[zeta_L].  Rows closed under (Z/L)^x are checked at
+  u = 1 only: each sigma_u sends row i to some row pi_u(i), so
+  sigma_u(a_ij) = a_(pi_u(i), pi_u(j)) lies in P_1, and a_ij lies in
+  sigma_u^-1(P_1) = P_u.  Any other rows are checked at every unit u.
+  Either way every a_ij lies in pZ[zeta_L] for each of the primes, hence
+  in (prod p) Z[zeta_L], and a nonzero element of that ideal has an
+  embedding of absolute value at least prod p > B: so every a_ij is 0.
+- The message.  A table that fails is evaluated at every unit of every
+  prime, where a_ij is 0 exactly when it vanishes at all of them, and the
+  first pair i <= j with a nonzero a_ij is named with its exact inner
+  product (``inner_product``).
 
 One integer form and its readers.  The table keeps (L, N, D, the packed
 rows, the slot width b, the Galois permutations).  Every other reader takes
@@ -89,7 +93,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
-    CycValue, _combine, _cyc, _level, _normal, _pack, _unpacker, unit_group,
+    CycValue, _combine, _cyc, _level, _pack, unit_group,
 )
 from .errors import BoundExceededError, InvariantError, ValidationError
 from .groups import FiniteGroup
@@ -161,24 +165,33 @@ def _check_orthogonality(table: CharacterTable):
     (``validate``), so sigma(X)^T X S = |G| I: column orthogonality
     (Isaacs, ch. 2).
 
-    Rows closed under (Z/L)^x are proved mod one split prime, at every
-    ordered pair (``_split_prime_check``); any other table, or one that
-    fails there, goes pair by pair (``_check_pairwise``), which accepts or
-    raises the message.
+    The relation is checked at every ordered pair mod the split primes, at
+    zeta_L -> w for rows closed under (Z/L)^x and at zeta_L -> w^u for every
+    unit u otherwise (``_split_prime_images``).  A table that fails is
+    evaluated at every unit, and the message names the first pair i <= j
+    whose a_ij is nonzero at one of them, with its exact inner product.
     Values repeat across a table, so each distinct numerator tuple is
-    mapped, evaluated and packed once.  Returns (L, N, D, the packed rows,
-    the slot width, the Galois permutations); see the module docstring.
+    evaluated and packed once.  Returns (L, N, D, the packed rows, the slot
+    width, the Galois permutations); see the module docstring.
     """
     level, nums, den = _integer_form(table)
     distinct, index = _distinct(nums)
     perms = _galois_permutations(level, distinct, index)
-    if perms is not None and _split_prime_check(table, level, distinct, index, den):
-        # fixed_dims needs only 2^(bits-1) > |G| max|x|
-        bits = (table.group.order * max(max(map(abs, v)) for v in distinct)).bit_length() + 1
-        packed = [_pack(v, bits) for v in distinct]
-        packed = [[packed[j] for j in row] for row in index]
-    else:
-        packed, bits = _check_pairwise(table, level, nums, den)
+    primes = _split_primes(level, _row_relation_bound(table.group.order, distinct, den))
+    units = unit_group(level)
+    pairs = [(i, j) for i in range(len(index)) for j in range(len(index))]
+    images = _split_prime_images(table, level, primes, (1,) if perms is not None else units,
+                                 distinct, index, den)
+    if not all(_vanishes(*image, pairs) for image in images):
+        images = list(_split_prime_images(table, level, primes, units, distinct, index, den))
+        i, j = next((i, j) for i, j in pairs
+                    if i <= j and not all(_vanishes(*image, [(i, j)]) for image in images))
+        got = inner_product(table, table.chars[i].values, table.chars[j].values).to_level(level)
+        raise ValidationError(f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}")
+    # fixed_dims needs only 2^(bits-1) > |G| max|x|
+    bits = (table.group.order * max(max(map(abs, v)) for v in distinct)).bit_length() + 1
+    packed = [_pack(v, bits) for v in distinct]
+    packed = [[packed[j] for j in row] for row in index]
     return level, nums, den, packed, bits, perms
 
 
@@ -209,84 +222,55 @@ def _row_relation_bound(order: int, values, den: int) -> int:
     return order * (l1 * l1 + den * den)
 
 
-def _split_prime(level: int, bound: int):
-    """(p, w): the least prime p = 1 (mod level) above bound, and the
-    primitive level-th root of unity w mod p of ``_root_of_unity``; None
-    when p would reach PRIME_TEST_BOUND."""
-    for p in range(bound + 1 + -bound % level, PRIME_TEST_BOUND, level):
+SPLIT_PRIME_FLOOR = 1 << 64
+"""Split primes are sought above min(B, SPLIT_PRIME_FLOOR): a larger bound
+takes several primes of about this size, not one prime above it, so each
+stays far below PRIME_TEST_BOUND."""
+
+
+def _split_primes(level: int, bound: int):
+    """The least primes p = 1 (mod level) above min(bound, SPLIT_PRIME_FLOOR),
+    as many as make their product exceed bound: one prime p > bound when
+    bound < SPLIT_PRIME_FLOOR."""
+    p = min(bound, SPLIT_PRIME_FLOOR)
+    p += 1 + -p % level
+    primes, product = [], 1
+    while product <= bound:
         if _is_prime(p):
-            return p, _root_of_unity(p, level)
-    return None
+            primes.append(p)
+            product *= p
+        p += level
+    return primes
 
 
-def _split_prime_check(table: CharacterTable, level: int, values, index, den: int) -> bool:
-    """True when the row relation holds mod the split prime p of the module
-    docstring, which proves it for rows closed under (Z/L)^x; False when it
-    fails there, or when no such p lies below PRIME_TEST_BOUND.  values are
-    the distinct numerator tuples, and index[i][k] is the position of
-    N[i][k] among them.
+def _split_prime_images(table: CharacterTable, level: int, primes, units, values, index,
+                        den: int):
+    """(p, |G| D^2 mod p, ev, weighted) for each split prime p and each unit
+    u, in that order: with w the primitive level-th root of unity mod p of
+    ``_root_of_unity``, ev[i][k] is the image of N[i][k] under zeta_L -> w^u,
+    and weighted[j][k] is |C_k| times the image of conj N[j][k], which
+    zeta_L -> w^-u gives.  values are the distinct numerator tuples, and
+    index[i][k] is the position of N[i][k] among them; each is evaluated
+    once per embedding."""
+    n, sizes = table.group.order, table.class_sizes
+    for p in primes:
+        w = _root_of_unity(p, level)
+        for u in units:
+            up = [pow(w, u * m, p) for m in range(len(values[0]))]
+            down = [pow(w, -u * m, p) for m in range(len(up))]
+            at_w = [sum(map(mul, v, up)) % p for v in values]
+            at_w_inv = [sum(map(mul, v, down)) % p for v in values]
+            ev = [[at_w[j] for j in row] for row in index]
+            weighted = [[size * at_w_inv[j] % p for size, j in zip(sizes, row)]
+                        for row in index]
+            yield p, n * den * den % p, ev, weighted
 
-    zeta_L -> w is a ring map Z[zeta_L] -> F_p, and zeta_L -> w^-1 sends
-    each value to its complex conjugate's image, so each pair sum is one
-    sum of word-size products over the classes.  Every ordered pair is
-    checked: pair (j, i) puts a_ij in conj P, not in P.
-    """
-    n = table.group.order
-    found = _split_prime(level, _row_relation_bound(n, values, den))
-    if found is None:
-        return False
-    p, w = found
-    up = [pow(w, m, p) for m in range(len(values[0]))]
-    w_inv = pow(w, -1, p)
-    down = [pow(w_inv, m, p) for m in range(len(up))]
-    at_w = [sum(map(mul, v, up)) % p for v in values]
-    at_w_inv = [sum(map(mul, v, down)) % p for v in values]
-    ev = [[at_w[j] for j in row] for row in index]
-    weighted = [[size * at_w_inv[j] % p for size, j in zip(table.class_sizes, row)]
-                for row in index]
-    norm = n * den * den % p
+
+def _vanishes(p: int, norm: int, ev, weighted, pairs) -> bool:
+    """True when sum_k |C_k| ev_i(k) ev'_j(k) = |G| D^2 delta_ij (mod p) at
+    each pair (i, j): each a_ij lies in the kernel of the embedding."""
     return all(sum(map(mul, ev[i], weighted[j])) % p == (norm if i == j else 0)
-               for i in range(len(ev)) for j in range(len(ev)))
-
-
-def _check_pairwise(table: CharacterTable, level: int, nums, den: int):
-    """Row orthogonality, pair by pair, as exact equalities; raises
-    ValidationError at the first pair that fails.
-
-    Every numerator tuple is packed into one int (``cyclotomic._pack``), and
-    so is its complex conjugate.  Each inner product is then one sum of
-    bigint products, unpacked and folded through the level's rows once per
-    pair.  A slot sums at most phi(L) products per class, weighted by the
-    class sizes, which add up to |G|, so 2^(b-1) > |G| * phi(L) * max|x| *
-    max|conj x| rules out overflow.  Returns (the packed rows, the slot
-    width b).
-    """
-    n = table.group.order
-    sizes = table.class_sizes
-    lv = _level(level)
-    phi = lv.phi
-    conj_rows = lv.galois_map(max(level - 1, 1))  # zeta -> zeta^-1
-    conjs = [[_combine(v, conj_rows, phi) for v in row] for row in nums]
-    top = max(abs(x) for row in nums for v in row for x in v)
-    top_conj = max(abs(x) for row in conjs for v in row for x in v)
-    bits = (n * phi * top * top_conj).bit_length() + 1
-    packed = [[_pack(v, bits) for v in row] for row in nums]
-    packed_conj = [[_pack(v, bits) for v in row] for row in conjs]
-    unpack = _unpacker(bits, 2 * phi - 1, lv.rows, phi)
-    scale = den * den
-    zero = [0] * (phi - 1)
-
-    r = len(packed)
-    weighted = [list(map(mul, sizes, row)) for row in packed_conj]
-    for i in range(r):
-        for j in range(i, r):
-            num = unpack(sum(map(mul, packed[i], weighted[j])))
-            if num[0] != (n * scale if i == j else 0) or num[1:] != zero:
-                got = _cyc(level, *_normal(num, n * scale))
-                raise ValidationError(
-                    f"row orthogonality fails for rows ({i},{j}): <.,.> = {got!r}"
-                )
-    return packed, bits
+               for i, j in pairs)
 
 
 def inner_product(table: CharacterTable, a, b) -> CycValue:

@@ -12,9 +12,10 @@ a(N) = a(H) - e_W and only their containment is tested.  The other searches
 read, per inner class H, the list of larger classes that contain a
 conjugate of H.  Containment is one bit of the poset that the lattice walk
 records (``FiniteGroup.overgroup_masks``); a conjugator is looked for only
-for the pairs that become witnesses, as the first of H's conjugate masks,
-ordered by least conjugator, inside N's mask.  The classification takes
-the least intersection witness without building the full list.
+for the pairs that become witnesses (``FiniteGroup.conjugator_into``), as
+the first of H's conjugate masks, ordered by least conjugator, inside N's
+mask.  The classification takes the least intersection witness without
+building the full list.
 """
 
 from __future__ import annotations
@@ -101,13 +102,10 @@ class JacobianDecomposer:
         self._classes_with_vector = {}
         for i, rd in enumerate(self.rho):
             self._classes_with_vector.setdefault(rd.multiplicities, []).append(i)
-        # per subgroup class index: order, member mask, the bitset of larger
-        # classes containing a conjugate, and the conjugate masks and
-        # overgroup list, built on first use
+        # per subgroup class index: order, the bitset of larger classes
+        # containing a conjugate, and the overgroup list, built on first use
         self._orders = tuple(s.order for s in self.subgroups)
-        self._masks = tuple(self.group._member_mask(s.members) for s in self.subgroups)
         self._above = self.group.overgroup_masks()
-        self._conjugate_masks = [None] * len(self.subgroups)
         self._overgroups = [None] * len(self.subgroups)
 
     # -- helpers ---------------------------------------------------------------
@@ -127,16 +125,12 @@ class JacobianDecomposer:
         """Least element conjugating class rep inner into class rep outer, or None."""
         if not self.contains(inner_idx, outer_idx):
             return None
-        firsts = self._conjugate_masks[inner_idx]
-        if firsts is None:
-            firsts = self._conjugate_masks[inner_idx] = \
-                self.group._conjugate_masks(self.subgroups[inner_idx].members)
-        outer = self._masks[outer_idx]
-        for m, a in firsts:
-            if m & outer == m:
-                return a
-        # unreachable: the proof in overgroup_masks gives a conjugate inside
-        raise InvariantError("a lattice containment has no conjugator")  # pragma: no cover
+        a = self.group.conjugator_into(self.subgroups[inner_idx].members,
+                                       self.subgroups[outer_idx].members)
+        if a is None:
+            # unreachable: the proof in overgroup_masks gives a conjugate inside
+            raise InvariantError("a lattice containment has no conjugator")  # pragma: no cover
+        return a
 
     def overgroups(self, inner_idx: int):
         """Every class N of larger order than H that contains a conjugate of

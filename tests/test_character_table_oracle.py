@@ -2,13 +2,15 @@
 the permutation-based Galois orbits checked against the code they replaced
 (``character_table_reference.py``), on the groups and on seeded
 relabellings; the split-prime proof of the row relation against the
-pair-by-pair check, and the exact primality test against trial division;
+reference, and the split primes and the exact primality test against trial
+division;
 the table's integer form and its closed-form traces checked against the
 values and ``trace_to_rational``; and the class-count bound."""
 
 import json
 import random
 from fractions import Fraction
+from math import prod
 from importlib import resources
 
 import pytest
@@ -206,35 +208,41 @@ def test_charpoly_roots_are_the_eigenvalues():
     assert characters._roots_mod(poly, p) == [0, 2, 5]
 
 
-# -- the split-prime proof against the pair-by-pair check ---------------------------
+# -- the split-prime proof against the reference ----------------------------------
 
 
 class _Unchecked(CharacterTable):
-    """A table that skips ``validate``, so that each path can be run on it."""
+    """A table that skips ``validate``, so that the row check can be run alone."""
 
     def validate(self):
         pass
 
 
 def _paths(group, chars):
-    """Runs the full check (the split prime, then the pairs) and the
-    pair-by-pair check alone on the rows, asserts that they give the same
-    verdict and message, and returns it with the split-prime verdict (None
-    when the rows are not closed under (Z/L)^x), which must also agree."""
+    """Runs the full row check alone on the rows and the reference on the
+    whole table; wherever the reference reaches the row relation, asserts
+    that the two give the same verdict and message.  Returns the check's
+    verdict and whether the rows are closed under (Z/L)^x."""
     table = _Unchecked(group, chars)
+    got = _outcome(lambda: characters._check_orthogonality(table) and "accepted")
+    ref = _outcome(lambda: ReferenceCharacterTable(group, chars) and "accepted")
+    if ref == "accepted" or "orthogonality" in ref[1]:
+        assert got == ref
     level, nums, den = characters._integer_form(table)
-    pairwise = _outcome(lambda: characters._check_pairwise(table, level, nums, den) and "accepted")
-    assert _outcome(lambda: characters._check_orthogonality(table) and "accepted") == pairwise
-    distinct, index = characters._distinct(nums)
-    proved = None
-    if characters._galois_permutations(level, distinct, index) is not None:
-        proved = characters._split_prime_check(table, level, distinct, index, den)
-        assert proved == (pairwise == "accepted")
-    return pairwise, proved
+    closed = characters._galois_permutations(level, *characters._distinct(nums)) is not None
+    return got, closed
 
 
-def _unreachable(*args):
-    raise AssertionError("the check was reached")
+def _embeddings(monkeypatch):
+    """The (primes, units) of every ``_split_prime_images`` call from now on."""
+    calls, images = [], characters._split_prime_images
+
+    def recorded(table, level, primes, units, *rest):
+        calls.append((primes, units))
+        return images(table, level, primes, units, *rest)
+
+    monkeypatch.setattr(characters, "_split_prime_images", recorded)
+    return calls
 
 
 VALID_GROUPS = {**GROUPS, "D240": lambda: dihedral(120)}
@@ -242,59 +250,133 @@ VALID_GROUPS = {**GROUPS, "D240": lambda: dihedral(120)}
 
 @pytest.mark.parametrize("name", VALID_GROUPS)
 def test_split_prime_proves_every_computed_table(name, monkeypatch):
+    """A computed table is closed under (Z/L)^x, and one embedding of one
+    prime proves it."""
     group = from_permutations(VALID_GROUPS[name]())
     table = compute_character_table(group)
     assert _paths(group, table.chars) == ("accepted", True)
-    monkeypatch.setattr(characters, "_check_pairwise", _unreachable)
+    calls = _embeddings(monkeypatch)
     assert CharacterTable(group, table.chars)._form[5] is not None
+    assert [(len(primes), units) for primes, units in calls] == [(1, (1,))]
 
 
 @pytest.mark.parametrize("name", BUNDLED_TABLES)
 def test_split_prime_proves_every_bundled_table(name, monkeypatch):
     group, blob = _bundled(name)
     assert _paths(group, _load_chars(group, blob)) == ("accepted", True)
-    monkeypatch.setattr(characters, "_check_pairwise", _unreachable)
+    calls = _embeddings(monkeypatch)
     table_from_json(group, blob)
+    assert [(len(primes), units) for primes, units in calls] == [(1, (1,))]
+
+
+def _least_split_prime(level, bound):
+    """The least prime = 1 (mod level) above bound, by trial division."""
+    return next(p for p in range(bound + 1, 2 * bound + level + 2)
+                if p % level == 1 % level and trial_division_is_prime(p))
 
 
 def test_split_prime_search():
-    """B = |G| (max ||N||_1^2 + D^2); p = 1 (mod L), p > B and prime, and w
-    has order exactly L mod p; no prime is sought at or above the exact
-    range of the primality test."""
+    """B = |G| (max ||N||_1^2 + D^2); below 2^64 the split primes are one
+    prime, the least p = 1 (mod L) above B, and w has order exactly L mod p."""
     assert characters._row_relation_bound(6, [(1, -2, 0), (3, 0, 0)], 2) == 6 * (3 * 3 + 2 * 2)
+    assert characters._split_primes(250, 13000) == [13001]
     for level, bound in ((1, 1), (2, 10), (24, 816), (60, 6000), (250, 13000), (840, 10 ** 12)):
-        p, w = characters._split_prime(level, bound)
-        assert p % level == 1 % level and p > bound and trial_division_is_prime(p)
+        [p] = characters._split_primes(level, bound)
+        assert p == _least_split_prime(level, bound)
+        w = characters._root_of_unity(p, level)
         assert [m for m in range(1, level + 1) if pow(w, m, p) == 1] == [level]
-    for bound in (characters.PRIME_TEST_BOUND - 2, characters.PRIME_TEST_BOUND, 10 ** 30):
-        assert characters._split_prime(60, bound) is None
 
 
-def test_rows_not_closed_never_reach_the_split_prime(monkeypatch):
-    """The proof needs the rows closed under (Z/L)^x: C2 with rows (1, z8),
-    (1, -z8) is not, so only the pair-by-pair check may accept it."""
-    monkeypatch.setattr(characters, "_split_prime_check", _unreachable)
+def test_split_primes_multiply_past_the_bound():
+    """From 2^64 on, the split primes are the least primes = 1 (mod L)
+    above 2^64, as few as make their product exceed B; just below 2^64 they
+    are the one least prime above B.  Each is prime by the exact test."""
+    floor = characters.SPLIT_PRIME_FLOOR
+    assert floor == 2 ** 64
+    for level in (1, 8, 60, 250):
+        assert characters._split_primes(level, floor - 1) == \
+            characters._split_primes(level, floor)[:1]
+        for bound in (floor - 1, floor, characters.PRIME_TEST_BOUND, 10 ** 30, 10 ** 60):
+            primes = characters._split_primes(level, bound)
+            assert all(p % level == 1 % level and characters._is_prime(p) for p in primes)
+            assert prod(primes) > bound >= prod(primes[:-1])
+            start = min(bound, floor) + 1
+            candidates = [q for q in range(start, primes[-1] + 1) if q % level == 1 % level]
+            assert [q for q in candidates if characters._is_prime(q)] == primes
+
+
+def test_rows_not_closed_are_checked_at_every_unit(monkeypatch):
+    """The closure argument needs the rows closed under (Z/L)^x: C2 with
+    rows (1, z8), (1, -z8) is not, so it is checked at every unit of Z/8,
+    once, and accepted."""
+    calls = _embeddings(monkeypatch)
     z8, one = CycValue.root_of_unity(8), CycValue.one(8)
     table = CharacterTable(from_permutations([[1, 0]]),
                            [Character((one, z8), 1), Character((one, -z8), 1)])
     assert table._form[5] is None
+    assert [units for _, units in calls] == [(1, 3, 5, 7)]
+
+
+def test_rows_not_closed_and_invalid_fail_like_the_reference():
+    """C2 with rows (1, z8), (1, 1 - z8) is neither closed nor orthogonal:
+    it gets the reference's message."""
+    group = from_permutations([[1, 0]])
+    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    chars = [Character((one, z8), 1), Character((one, one - z8), 1)]
+    with pytest.raises(ValidationError) as ref:
+        ReferenceCharacterTable(group, chars)
+    assert "row orthogonality fails" in str(ref.value)
+    assert _paths(group, chars) == (("ValidationError", str(ref.value)), False)
 
 
 def test_split_prime_check_reads_both_orders_of_a_pair():
     """a_ji = conj a_ij, but mod p that puts a_ji in conj P, not in P.  On
     C3 the rows (1, 1, 1) and (1, 1, -z3) have norms 3 and a_01 = 3 + z3, of
     norm 7 = p: a_01 lies in P and a_10 does not.  A check of the pairs
-    i <= j only would accept the rows in one of the two orders."""
+    i <= j only at zeta_3 -> w would accept the rows in one of the two
+    orders; the check of every ordered pair refuses both, and the full
+    check gives the reference's message."""
     group = from_permutations([[1, 2, 0]])
     one, z3 = CycValue.one(3), CycValue.root_of_unity(3)
     rows = [Character((one, one, one), 1), Character((one, one, -z3), 1)]
+    upper = []
     for chars in (rows, rows[::-1]):
         table = _Unchecked(group, chars)
         level, nums, den = characters._integer_form(table)
         distinct, index = characters._distinct(nums)
         bound = characters._row_relation_bound(group.order, distinct, den)
-        assert characters._split_prime(level, bound)[0] == 7
-        assert not characters._split_prime_check(table, level, distinct, index, den)
+        assert characters._split_primes(level, bound) == [7]
+        [image] = characters._split_prime_images(table, level, [7], (1,), distinct, index, den)
+        upper.append(characters._vanishes(*image, [(0, 0), (0, 1), (1, 1)]))
+        assert not characters._vanishes(*image, [(i, j) for i in (0, 1) for j in (0, 1)])
+        assert _paths(group, chars)[0][0] == "ValidationError"
+    assert sorted(upper) == [False, True]
+
+
+def test_entries_beyond_the_word_size_fail_like_the_reference(tmp_path, capsys):
+    """An entry of 10^15 puts B above 2^64, so several split primes prove
+    the relation: S3 with such an entry gets the reference's message, and
+    ``chartable --table`` exits 2 with it."""
+    group = from_permutations(GROUPS["S3"]())
+    blob = table_to_json(compute_character_table(group))
+    blob["chars"][2][1]["coeffs"][0] = str(10 ** 15)
+    chars = _load_chars(group, blob)
+    table = _Unchecked(group, chars)
+    level, nums, den = characters._integer_form(table)
+    bound = characters._row_relation_bound(group.order, characters._distinct(nums)[0], den)
+    assert bound > characters.SPLIT_PRIME_FLOOR and len(characters._split_primes(level, bound)) > 1
+    with pytest.raises(ValidationError) as ref:
+        ReferenceCharacterTable(group, chars)
+    assert _paths(group, chars)[0] == ("ValidationError", str(ref.value))
+
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps({"permutations": GROUPS["S3"]()}))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["chartable", "--group", str(group_path), "--table", str(table_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(ref.value) in err and "Traceback" not in err
 
 
 STRONG_PSEUDOPRIMES = (
@@ -407,20 +489,20 @@ def _outcome(build):
 def test_damaged_table_campaign_matches_the_reference(name):
     """The library checks the row relation only; the reference checks both
     relations.  Each damaged table gets the same verdict and message, and
-    an accepted one the same Galois orbits (or the same error).  The full
-    check and the pair-by-pair check agree on each, and the split prime
-    alone rejects some."""
+    an accepted one the same Galois orbits (or the same error).  The row
+    check alone agrees with the reference on each, and the one embedding of
+    a closed table rejects some."""
     table = compute_character_table(from_permutations(CAMPAIGN_GROUPS[name]()))
     rng = random.Random(f"campaign/{name}")
-    verdicts, proofs = set(), set()
+    verdicts, kinds = set(), set()
     for _ in range(CAMPAIGN[name]):
         how, chars = _damage(table, rng)
         got = _outcome(lambda: CharacterTable(table.group, chars))
         ref = _outcome(lambda: ReferenceCharacterTable(table.group, chars))
         accepted = isinstance(got, CharacterTable)
         verdicts.add(accepted)
-        paths, proved = _paths(table.group, chars)
-        proofs.add(proved)
+        paths, closed = _paths(table.group, chars)
+        kinds.add((closed, paths == "accepted"))
         if accepted or "orthogonality" in got[1]:  # not refused before the relation
             assert paths == ("accepted" if accepted else got)
         if accepted:
@@ -430,7 +512,7 @@ def test_damaged_table_campaign_matches_the_reference(name):
         else:
             assert got == ref, how
     assert verdicts == {True, False}
-    assert False in proofs
+    assert (True, False) in kinds
 
 
 # -- the class-count bound -------------------------------------------------------------

@@ -64,10 +64,10 @@ def test_containment_queries_build_each_outer_mask_once():
     table = compute_character_table(group)
     dec = JacobianDecomposer(table, orbits=galois_orbits(table))
     pairs = [(i, o) for i in range(len(dec.subgroups)) for o in range(len(dec.subgroups))]
-    first = [dec.contains(i, o) for i, o in pairs]
+    first = [dec.conjugator(i, o) for i, o in pairs]
     assert builds and len(builds) == len(set(builds))
     del builds[:]
-    assert [dec.contains(i, o) for i, o in pairs] == first
+    assert [dec.conjugator(i, o) for i, o in pairs] == first
     assert builds == []
 
 
@@ -241,15 +241,15 @@ def _arity3_decomposer():
     are pairwise disjoint."""
     dec = object.__new__(JacobianDecomposer)
     vectors = [(1, 1, 1, 1, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 1, 1, 0)]
-    dec.subgroups = [SimpleNamespace(order=1 if i == 0 else 2) for i in range(4)]
+    dec.subgroups = [SimpleNamespace(order=1 if i == 0 else 2, members=(0,) if i == 0 else (0, i))
+                     for i in range(4)]
     dec._orders = (1, 2, 2, 2)
     dec.rho = [SimpleNamespace(multiplicities=v) for v in vectors]
-    # H = {0} lies in N_i = {0, i}: bits 1-3 of its overgroup bitset, and its
-    # one conjugate mask, with conjugator 0, fits every mask
+    # H = {0} lies in N_i = {0, i}: bits 1-3 of its overgroup bitset, and
+    # conjugator 0 carries it into each
     dec._above = (0b1110, 0, 0, 0)
     dec._overgroups = {0: (1, 2, 3)}
-    dec._masks = (0b1, 0b11, 0b101, 0b1001)
-    dec._conjugate_masks = {0: ((0b1, 0),)}
+    dec.group = SimpleNamespace(conjugator_into=lambda inner, outer: 0)
     return dec
 
 

@@ -1,6 +1,6 @@
 """Source hygiene of the package: the standard library is its only
-dependency, no float enters its exact arithmetic, and importing it loads
-few modules."""
+dependency, no float enters its exact arithmetic, importing it loads few
+modules, and no import or private helper is left without a user."""
 
 import ast
 import subprocess
@@ -35,6 +35,47 @@ def test_no_floats(path):
              if (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
              or (isinstance(node, ast.Name) and node.id == "float")]
     assert found == []
+
+
+def _bound_names(node):
+    """The names an import statement binds, but ``from __future__``'s."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _references(tree):
+    """Every name the module reads, bare, as an attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """A name a module imports is read in it: the package's ``__init__``
+    re-exports, but no other module imports a name for another to use."""
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _bound_names(node)]
+    assert [name for name in imported if name not in used] == []
+
+
+def test_every_private_function_is_called():
+    """Each private module-level function is referenced somewhere in the
+    package, so a helper that nothing calls is deleted with its last caller."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    unused = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+              and node.name not in referenced]
+    assert unused == []
 
 
 def test_the_scan_sees_the_package():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+from math import prod
 from pathlib import Path
 
 from character_table_reference import _is_prime as trial_division_is_prime
@@ -21,5 +22,6 @@ def test_time_tables_reports_the_split_prime(tmp_path):
     row = report["groups"]["GL23"]
     assert (row["order"], row["classes"], row["L"]) == (48, 8, 24)
     assert row["compute_s"] >= 0 and row["validate_s"] >= 0
-    p = row["p"]
-    assert p % row["L"] == 1 and p > row["B"] and trial_division_is_prime(p)
+    primes = row["primes"]
+    assert all(p % row["L"] == 1 and trial_division_is_prime(p) for p in primes)
+    assert prod(primes) > row["B"]
