@@ -11,8 +11,9 @@ permutations, ``subgroup_classes``, ``JacobianDecomposer`` init,
 ``--runs`` runs of each.  The character table and its Galois orbits are
 computed between the lattice and the init, untimed.  It also writes the
 number of subgroup classes, a SHA-256 prefix of the ``full_report`` result
-(its repr), and the Python version and machine.  Stdlib only; everything but
-the times is deterministic.
+(its repr), and the Python version and machine.  The permutation generators
+are those of ``perfbench/inputs.py``.  Stdlib only; everything but the times
+is deterministic.
 """
 
 import argparse
@@ -24,51 +25,19 @@ import statistics
 import sys
 from time import perf_counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from isotypic import JacobianDecomposer, compute_character_table, from_permutations, galois_orbits
-
-
-def symmetric(n):
-    """S_n on n points: an n-cycle and a transposition."""
-    return [[(i + 1) % n for i in range(n)], [1, 0] + list(range(2, n))]
-
-
-def elementary_abelian2(n):
-    """C2^n as n disjoint transpositions on 2n points."""
-    return [[j ^ 1 if j // 2 == i else j for j in range(2 * n)] for i in range(n)]
-
-
-def gl2_3():
-    """GL(2,3) acting on the eight non-zero vectors of F_3^2."""
-    pts = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    index = {p: i for i, p in enumerate(pts)}
-
-    def act(m):
-        return [index[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
-                for a, b in pts]
-
-    return [act([[1, 1], [0, 1]]), act([[0, 1], [2, 0]]), act([[2, 0], [0, 1]])]
-
-
-def direct_product(*factors):
-    """Generators of the direct product acting on the disjoint union of the points."""
-    gens, offset, total = [], 0, sum(len(f[0]) for f in factors)
-    for f in factors:
-        n = len(f[0])
-        for p in f:
-            gens.append(list(range(offset)) + [offset + x for x in p]
-                        + list(range(offset + n, total)))
-        offset += n
-    return gens
-
+from perfbench.inputs import direct_product, elementary_abelian2, gl2_3, symmetric
 
 GROUPS = {
     "S4": lambda: symmetric(4),
     "S6": lambda: symmetric(6),
     "C2^6": lambda: elementary_abelian2(6),
     "GL23xS4": lambda: direct_product(gl2_3(), symmetric(4)),
-    "S4xS4xC2": lambda: direct_product(symmetric(4), symmetric(4), [[1, 0]]),
+    "S4xS4xC2": lambda: direct_product(direct_product(symmetric(4), symmetric(4)), [[1, 0]]),
 }
 DEFAULT_GROUPS = ["S6", "C2^6", "GL23xS4", "S4xS4xC2"]
 STAGES = ("build", "lattice", "init", "full_report", "isogenies")

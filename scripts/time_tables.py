@@ -10,8 +10,9 @@ For each group it builds the group and its classes (untimed), then times
 ``CharacterTable.validate`` on the computed table, each the median of
 ``--runs`` runs on a freshly built group.  It also writes the table's level
 L, the bound B of the row relation and the split primes that prove it (one
-prime above B when B < 2^64), and the Python version and machine.  Stdlib
-only; everything but the times is deterministic.
+prime above B when B < 2^64), and the Python version and machine.  The
+permutation generators are those of ``perfbench/inputs.py``.  Stdlib only;
+everything but the times is deterministic.
 """
 
 import argparse
@@ -22,31 +23,12 @@ import statistics
 import sys
 from time import perf_counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from isotypic import characters, compute_character_table, from_permutations
-
-
-def dihedral(n):
-    """The dihedral group of order 2n acting on the n-gon."""
-    return [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]]
-
-
-def symmetric(n):
-    """S_n on n points: an n-cycle and a transposition."""
-    return [[(i + 1) % n for i in range(n)], [1, 0] + list(range(2, n))]
-
-
-def gl2_3():
-    """GL(2,3) acting on the eight non-zero vectors of F_3^2."""
-    pts = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
-    index = {p: i for i, p in enumerate(pts)}
-
-    def act(m):
-        return [index[((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)]
-                for a, b in pts]
-
-    return [act([[1, 1], [0, 1]]), act([[0, 1], [2, 0]]), act([[2, 0], [0, 1]])]
+from perfbench.inputs import dihedral, gl2_3, symmetric
 
 
 # dihedral groups are named by their order

@@ -9,14 +9,7 @@ L, and decompose Jacobians, intermediate Jacobians and Prym varieties at the
 multiplicity level, classifying every isotypical factor.
 """
 
-from .cyclotomic import (
-    CycValue,
-    char_field_stabilizer,
-    cyclotomic_polynomial,
-    trace_over_stabilizer,
-    trace_to_rational,
-    unit_group,
-)
+from .cyclotomic import CycValue, cyclotomic_polynomial, unit_group
 from .decomposition import (
     ComplementWitness,
     DecompositionReport,

@@ -35,7 +35,8 @@ and so does a_ij = D^2 (sum_k |C_k| chi_i(g_k) conj chi_j(g_k) - |G| delta_ij).
   any table, damaged or not.
 - The primes.  p_1 < p_2 < ... are the least primes = 1 (mod L) above
   min(B, 2^64), as many as make their product exceed B: one prime p > B
-  when B < 2^64, and primes of about 64 bits for a larger B.  For each p,
+  when B < 2^64, and two primes of about 64 bits when B < 2^128.  A larger
+  B raises BoundExceededError before any prime is sought.  For each p,
   w = a^((p-1)/L) mod p for the least a whose w has w^(L/q) != 1 for each
   prime q | L: a primitive L-th root of unity mod p, found without
   factoring p - 1.  Primality is decided exactly by Miller-Rabin on the
@@ -121,7 +122,6 @@ class CharacterTable:
         self.classes = group.conjugacy_classes()
         self.chars = tuple(chars)
         self._fixed_dims = {}  # sorted members -> fixed_dims
-        self._class_counts = {}  # sorted members -> class_counts
         self.validate()
 
     @cached_property
@@ -176,8 +176,14 @@ def _check_orthogonality(table: CharacterTable):
     """
     level, nums, den = _integer_form(table)
     distinct, index = _distinct(nums)
+    bound = _row_relation_bound(table.group.order, distinct, den)
+    limit = SPLIT_PRIME_FLOOR ** 2  # two split primes exceed every B below it
+    if bound >= limit:
+        raise BoundExceededError(
+            f"row orthogonality bound exceeded: B has {bound.bit_length()} bits, and two "
+            f"split primes cover only B < 2^{limit.bit_length() - 1}")
     perms = _galois_permutations(level, distinct, index)
-    primes = _split_primes(level, _row_relation_bound(table.group.order, distinct, den))
+    primes = _split_primes(level, bound)
     units = unit_group(level)
     pairs = [(i, j) for i in range(len(index)) for j in range(len(index))]
     images = _split_prime_images(table, level, primes, (1,) if perms is not None else units,
@@ -225,7 +231,8 @@ def _row_relation_bound(order: int, values, den: int) -> int:
 SPLIT_PRIME_FLOOR = 1 << 64
 """Split primes are sought above min(B, SPLIT_PRIME_FLOOR): a larger bound
 takes several primes of about this size, not one prime above it, so each
-stays far below PRIME_TEST_BOUND."""
+stays far below PRIME_TEST_BOUND.  The row check refuses B at or above
+SPLIT_PRIME_FLOOR ** 2, which would take more than two."""
 
 
 def _split_primes(level: int, bound: int):
@@ -281,14 +288,6 @@ def inner_product(table: CharacterTable, a, b) -> CycValue:
     return total * Rat(1, table.group.order)
 
 
-def class_counts(table: CharacterTable, members) -> Counter:
-    """{k: |H meet C_k|} for H = the sorted tuple members; kept on the table."""
-    counts = table._class_counts.get(members)
-    if counts is None:
-        counts = table._class_counts[members] = Counter(map(table.group.class_index, members))
-    return counts
-
-
 def fixed_dims(table: CharacterTable, members):
     """dim V_i^H for every row i, H a subset of G, from the packed rows (see
     the module docstring); kept on the table under H's sorted members.  A
@@ -297,7 +296,7 @@ def fixed_dims(table: CharacterTable, members):
     dims = table._fixed_dims.get(key)
     if dims is None:
         den, packed, bits = table._form[2:5]
-        classes, counts = zip(*class_counts(table, key).items())
+        classes, counts = zip(*Counter(map(table.group.class_index, key)).items())
         half, scale = 1 << (bits - 1), len(key) * den
         dims = []
         for row in packed:

@@ -582,60 +582,3 @@ def render_cyc(v: CycValue) -> str:
     """Human form: integer/rational combination of powers of z<level>."""
     return _render_terms(v.coeffs, f"z{v.level}")
 
-
-# ---------------------------------------------------------------------------
-# stabilizers and traces
-# ---------------------------------------------------------------------------
-
-
-def char_field_stabilizer(values, level: int | None = None):
-    """Units of Z/e fixing every given value: the stabilizer of the field
-    they generate.  Gal(K/Q) is the quotient of the unit group by the result."""
-    values = list(values)
-    if level is None:
-        level = 1
-        for v in values:
-            level = level * v.level // gcd(level, v.level)
-    values = [v.to_level(level) for v in values]
-    fixers = []
-    for k in unit_group(level):
-        if all(v.galois(k) == v for v in values):
-            fixers.append(k)
-    return tuple(fixers)
-
-
-def stabilizer_coset_reps(stabilizer, level: int):
-    """Deterministic coset representatives of the stabilizer in the unit group."""
-    stab = set(stabilizer)
-    seen = set()
-    reps = []
-    for k in unit_group(level):
-        if k in seen:
-            continue
-        reps.append(k)
-        for s in stab:
-            seen.add((k * s) % level if level > 1 else 1)
-    return tuple(reps)
-
-
-def trace_over_stabilizer(a: CycValue, stabilizer) -> CycValue:
-    """Relative trace of a into the fixed field of the stabilizer."""
-    total = CycValue.zero(a.level)
-    for k in stabilizer:
-        total = total + a.galois(k)
-    return total
-
-
-def trace_to_rational(a: CycValue, stabilizer) -> Rat:
-    """Trace from the fixed field K of the stabilizer down to Q.
-
-    Requires a to lie in K; the result is the sum of the [K:Q] distinct
-    conjugates of a and is always rational.
-    """
-    for k in stabilizer:
-        if a.galois(k) != a:
-            raise ValidationError("value not in declared subfield")
-    total = CycValue.zero(a.level)
-    for rep in stabilizer_coset_reps(stabilizer, a.level):
-        total = total + a.galois(rep)
-    return total.as_rational()

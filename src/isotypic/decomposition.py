@@ -125,8 +125,7 @@ class JacobianDecomposer:
         """Least element conjugating class rep inner into class rep outer, or None."""
         if not self.contains(inner_idx, outer_idx):
             return None
-        a = self.group.conjugator_into(self.subgroups[inner_idx].members,
-                                       self.subgroups[outer_idx].members)
+        a = self.group.conjugator_into(inner_idx, outer_idx)
         if a is None:
             # unreachable: the proof in overgroup_masks gives a conjugate inside
             raise InvariantError("a lattice containment has no conjugator")  # pragma: no cover

@@ -300,9 +300,6 @@ class AlgebraElement:
     def coefficient(self, g: int):
         return self.coeffs.get(g, self.domain.zero())
 
-    def support(self):
-        return tuple(sorted(self.coeffs))
-
     # -- predicates -----------------------------------------------------------------
 
     def is_idempotent(self) -> bool:

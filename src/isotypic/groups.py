@@ -15,18 +15,21 @@ method (Butler, *Fundamental Algorithms for Permutation Groups*, 1991): a
 subgroup in progress keeps a short generating tuple, and <H, g> is the
 union of the right cosets H*r that the generators reach.  The lattice grows
 by cyclic extensions of class representatives (Holt, Eick and O'Brien,
-*Handbook of Computational Group Theory*, 2005, 4.1 and 10.1), trying one
-g per N(H)-orbit of right cosets H*g.  Each extension tried is an edge from
-the class of H to the class of <H, g>, and the transitive closure of the
-edges, one bitset per class, is the containment poset of the classes
-(``overgroup_masks``).  Conjugates are walked along the
-generators, and the Schreier elements of the walk generate the normalizer;
-the elements carrying H onto one conjugate form a coset of it, whose least
-element is the least conjugator that ``conjugator_into`` promises.
-Conjugates are compared as masks: for sets of one size, the
-sorted member tuple of A is lexicographically below that of B exactly when
-the lowest set bit of A ^ B lies in A.  DEFAULT_LATTICE_BOUND bounds the
-group order and DEFAULT_SUBGROUP_CLASS_BOUND the number of classes.
+*Handbook of Computational Group Theory*, 2005, 4.1 and 10.1), trying one g
+per N(H)-orbit of right cosets H*g.  The walk's index is kept: it maps the
+mask of every conjugate of every class to the class, so the class of a
+subgroup is one lookup (``find_class_of_subgroup``), and the
+representatives' masks are kept in class order.  Each extension tried is an
+edge from the class of H to the class of <H, g>, and the transitive closure
+of the edges, one bitset per class, is the containment poset of the classes
+(``overgroup_masks``).  Conjugates are walked along the generators, and the
+Schreier elements of the walk generate the normalizer; the elements
+carrying H onto one conjugate form a coset of it, whose least element is
+the least conjugator that ``conjugator_into`` promises.  Conjugates are
+compared as masks: for sets of one size, the sorted member tuple of A is
+lexicographically below that of B exactly when the lowest set bit of A ^ B
+lies in A.  DEFAULT_LATTICE_BOUND bounds the group order and
+DEFAULT_SUBGROUP_CLASS_BOUND the number of classes.
 """
 
 from __future__ import annotations
@@ -65,21 +68,14 @@ def _lex_least(points):
     return best
 
 
-def _transitive_closure(nodes, edges):
-    """Bitsets of the transitive closure of edges, reindexed.
-
-    nodes lists the nodes in their new order, and edges[i] holds the nodes
-    that node i points to, each later in the new order; bit r of entry s
-    is set when the node at position s reaches the one at position r.
-    """
-    position = [0] * len(nodes)
-    for r, i in enumerate(nodes):
-        position[i] = r
-    reach = [0] * len(nodes)
-    for s in reversed(range(len(nodes))):
+def _transitive_closure(edges):
+    """Bitsets of the transitive closure of edges: edges[s] holds the nodes
+    that node s points to, each later than s, and bit r of entry s is set
+    when node s reaches node r."""
+    reach = [0] * len(edges)
+    for s in reversed(range(len(edges))):
         m = 0
-        for j in edges[nodes[s]]:
-            r = position[j]
+        for r in edges[s]:
             m |= reach[r] | 1 << r
         reach[s] = m
     return tuple(reach)
@@ -95,9 +91,8 @@ class ConjugacyClass(namedtuple("ConjugacyClass", "representative members")):
     __slots__ = ()
 
 
-class Subgroup(namedtuple("Subgroup", "members canonical", defaults=(False,))):
-    """A subgroup as its sorted member tuple; canonical when it is the least
-    conjugate of its class (see ``FiniteGroup.canonical_form``)."""
+class Subgroup(namedtuple("Subgroup", "members")):
+    """A subgroup as its sorted member tuple."""
 
     __slots__ = ()
 
@@ -175,12 +170,12 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._subgroup_classes = None
+        self._class_of_mask = None  # conjugate mask -> subgroup class
+        self._class_masks = None  # the representatives' masks, in class order
         self._overgroup_masks = None
-        self._class_index = None
         self._fusion = None
         self._conj_tables = None
         self._first_conjugators = {}
-        self._member_masks = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -359,8 +354,7 @@ class FiniteGroup:
 
     def _conjugation_tables(self):
         """One (s, c_s) pair per generator s, with c_s[x] = s * x * s^-1;
-        built once and shared by the lattice, ``canonical_form`` and
-        ``conjugator_into``."""
+        built once and shared by the lattice and ``conjugator_into``."""
         if self._conj_tables is None:
             mul, inv = self._mul, self._inv
             self._conj_tables = tuple(
@@ -435,24 +429,7 @@ class FiniteGroup:
         return orbit
 
     def subgroup_generated(self, elems) -> Subgroup:
-        members = tuple(sorted(self._closure_of(elems)[0]))
-        return Subgroup(members, canonical=members == self.canonical_form(members))
-
-    def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        return self.subgroup_generated(tuple(a.members) + tuple(b.members))
-
-    def conjugate_subgroup(self, members, by: int):
-        return tuple(sorted(self.conjugate(m, by) for m in members))
-
-    def canonical_form(self, members) -> tuple[int, ...]:
-        """Lexicographically least sorted member tuple among all conjugates.
-
-        The conjugates are walked along the generators by
-        ``_conjugation_orbit`` and compared as masks by the lowest-bit rule
-        of ``_lex_least``; only the winner is sorted.
-        """
-        points, _ = self._conjugation_orbit(set(members), self._conjugation_tables())
-        return tuple(sorted(_lex_least(points)[2]))
+        return Subgroup(tuple(sorted(self._closure_of(elems)[0])))
 
     def subgroup_classes(self, bound: int = DEFAULT_LATTICE_BOUND):
         """One canonical representative per conjugacy class of subgroups.
@@ -461,11 +438,10 @@ class FiniteGroup:
         found so far, each built by ``_extend``.  A new subgroup's
         conjugates are walked along the generators by
         ``_conjugation_orbit``; the mask of every one maps to the new class
-        in the seen dict, and the lexicographically least is kept as in
-        ``canonical_form``, with its generators conjugated along.  The
-        Schreier elements of the walk, conjugated by the same element and
-        closed, give generators of the representative's normalizer (G
-        itself when the orbit is one point).
+        in the seen dict, and the lexicographically least is kept, with its
+        generators conjugated along.  The Schreier elements of the walk,
+        conjugated by the same element and closed, give generators of the
+        representative's normalizer (G itself when the orbit is one point).
 
         One g is tried per N(H)-orbit of cyclic extensions.  When H is
         extended by g, every right coset H*x with x = n g^k n^-1 is dropped,
@@ -475,9 +451,11 @@ class FiniteGroup:
         ``_cyclic_generator_orbit`` over the generators of N(H).
 
         Every extension tried is an edge from the class of H to the class
-        of <H, g>; ``overgroup_masks`` holds their transitive closure.
-        More than DEFAULT_SUBGROUP_CLASS_BOUND classes raise
-        BoundExceededError.
+        of <H, g>; ``overgroup_masks`` holds their transitive closure.  The
+        seen dict, renumbered to class order, is kept as the index that
+        ``find_class_of_subgroup`` reads, and the representatives' masks
+        for ``conjugator_into``.  More than DEFAULT_SUBGROUP_CLASS_BOUND
+        classes raise BoundExceededError.
         """
         if self._subgroup_classes is not None:
             return self._subgroup_classes
@@ -516,8 +494,16 @@ class FiniteGroup:
                         )
                 above.add(j)
         ranked = sorted(range(len(queue)), key=lambda i: (len(queue[i][0][0]), queue[i][0][0]))
-        self._subgroup_classes = tuple(Subgroup(queue[i][0][0], canonical=True) for i in ranked)
-        self._overgroup_masks = _transitive_closure(ranked, edges)
+        position = [0] * len(queue)
+        for r, i in enumerate(ranked):
+            position[i] = r
+        for m, j in seen.items():
+            seen[m] = position[j]
+        self._class_of_mask = seen
+        self._class_masks = tuple(queue[i][0][1] for i in ranked)
+        self._subgroup_classes = tuple(Subgroup(queue[i][0][0]) for i in ranked)
+        self._overgroup_masks = _transitive_closure([[position[j] for j in edges[i]]
+                                                     for i in ranked])
         return self._subgroup_classes
 
     def overgroup_masks(self):
@@ -538,26 +524,18 @@ class FiniteGroup:
         return self._overgroup_masks
 
     def find_class_of_subgroup(self, members) -> int:
-        """Index of the subgroup class containing the given subgroup."""
-        canon = self.canonical_form(members)
-        if self._class_index is None:
-            self._class_index = {s.members: i for i, s in enumerate(self.subgroup_classes())}
-        index = self._class_index.get(canon)
+        """Index of the subgroup class containing the given subgroup: one
+        lookup of its mask in the lattice walk's index."""
+        self.subgroup_classes()
+        index = self._class_of_mask.get(sum(map(self._bit.__getitem__, set(members))))
         if index is None:
             raise ValidationError("subgroup not found in lattice (is it really a subgroup?)")
         return index
 
-    def _member_mask(self, members) -> int:
-        """The mask of a member tuple, kept per tuple."""
-        mask = self._member_masks.get(members)
-        if mask is None:
-            mask = self._member_masks[members] = sum(map(self._bit.__getitem__, set(members)))
-        return mask
-
-    def _conjugate_masks(self, inner):
-        """(mask, a) for each distinct conjugate a * K * a^-1 of the member
-        tuple K = inner, with a the least element giving it, in increasing a;
-        kept per tuple.
+    def _conjugate_masks(self, inner: int):
+        """(mask, a) for each distinct conjugate a * K * a^-1 of the
+        representative K of subgroup class inner, with a the least element
+        giving it, in increasing a; kept per class.
 
         The conjugates are walked along the generators by
         ``_conjugation_orbit``.  The elements carrying K onto the point
@@ -568,7 +546,8 @@ class FiniteGroup:
         """
         firsts = self._first_conjugators.get(inner)
         if firsts is None:
-            points, schreier = self._conjugation_orbit(set(inner), self._conjugation_tables())
+            points, schreier = self._conjugation_orbit(self._subgroup_classes[inner].members,
+                                                       self._conjugation_tables())
             if len(points) == 1:
                 firsts = ((points[0][1], 0),)
             else:
@@ -580,15 +559,18 @@ class FiniteGroup:
             self._first_conjugators[inner] = firsts
         return firsts
 
-    def conjugator_into(self, inner, outer) -> int | None:
-        """Least element a with a * inner * a^-1 contained in outer, or None.
+    def conjugator_into(self, inner: int, outer: int) -> int | None:
+        """Least element a with a * H * a^-1 contained in N, or None, for H
+        and N the representatives of subgroup classes inner and outer (see
+        ``subgroup_classes``).
 
         The conjugate masks of ``_conjugate_masks`` come in order of their
-        least conjugator, so the first one inside the mask of outer gives
-        the least a: one mask AND per conjugate.
+        least conjugator, so the first one inside the mask of N gives the
+        least a: one mask AND per conjugate.
         """
-        outer_mask = self._member_mask(tuple(outer))
-        for m, a in self._conjugate_masks(tuple(inner)):
+        self.subgroup_classes()
+        outer_mask = self._class_masks[outer]
+        for m, a in self._conjugate_masks(inner):
             if m & outer_mask == m:
                 return a
         return None

@@ -3,12 +3,15 @@ split, the packed orthogonality check and the permutation-based Galois
 orbits: ``compute_character_table``, ``CharacterTable.validate`` and
 ``galois_orbits``, kept verbatim (renamed) as the differential oracle of
 ``test_character_table_oracle.py``.  Only the names and the table class
-differ from the library code they were copied from."""
+differ from the library code they were copied from.  The character-field
+stabilizer and the trace to Q by coset representatives, which the library
+replaced by ``galois_orbits``' stabilizers and its closed-form rational
+traces, are kept here too as oracles of those."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from isotypic.characters import (
     Character,
@@ -17,11 +20,56 @@ from isotypic.characters import (
     SchurStatus,
     schur_divisor_bound,
 )
-from isotypic.cyclotomic import CycValue, char_field_stabilizer, unit_group
+from isotypic.cyclotomic import CycValue, unit_group
 from isotypic.errors import InvariantError, ValidationError
 from isotypic.groups import FiniteGroup
 
 Rat = Fraction
+
+
+def char_field_stabilizer(values, level: int | None = None):
+    """Units of Z/e fixing every given value: the stabilizer of the field
+    they generate.  Gal(K/Q) is the quotient of the unit group by the result."""
+    values = list(values)
+    if level is None:
+        level = 1
+        for v in values:
+            level = level * v.level // gcd(level, v.level)
+    values = [v.to_level(level) for v in values]
+    fixers = []
+    for k in unit_group(level):
+        if all(v.galois(k) == v for v in values):
+            fixers.append(k)
+    return tuple(fixers)
+
+
+def stabilizer_coset_reps(stabilizer, level: int):
+    """Deterministic coset representatives of the stabilizer in the unit group."""
+    stab = set(stabilizer)
+    seen = set()
+    reps = []
+    for k in unit_group(level):
+        if k in seen:
+            continue
+        reps.append(k)
+        for s in stab:
+            seen.add((k * s) % level if level > 1 else 1)
+    return tuple(reps)
+
+
+def trace_to_rational(a: CycValue, stabilizer) -> Rat:
+    """Trace from the fixed field K of the stabilizer down to Q.
+
+    Requires a to lie in K; the result is the sum of the [K:Q] distinct
+    conjugates of a and is always rational.
+    """
+    for k in stabilizer:
+        if a.galois(k) != a:
+            raise ValidationError("value not in declared subfield")
+    total = CycValue.zero(a.level)
+    for rep in stabilizer_coset_reps(stabilizer, a.level):
+        total = total + a.galois(rep)
+    return total.as_rational()
 
 
 def _inner_with_conjugate(table: CharacterTable, a, conj_b) -> CycValue:

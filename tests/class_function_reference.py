@@ -11,7 +11,8 @@ them as oracles.
 
 from fractions import Fraction as Rat
 
-from isotypic.cyclotomic import CycValue, trace_to_rational
+from character_table_reference import trace_to_rational
+from isotypic.cyclotomic import CycValue
 from isotypic.errors import InvariantError, ValidationError
 from isotypic.groupalgebra import (
     RATIONALS,

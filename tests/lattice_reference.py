@@ -46,9 +46,8 @@ def canonical_form(group, members):
 
 
 def subgroup_generated(group, elems):
-    """(members, canonical) of the subgroup generated by elems."""
-    members = tuple(closure_of(group, list(elems)))
-    return members, members == canonical_form(group, members)
+    """The sorted members of the subgroup generated by elems."""
+    return tuple(closure_of(group, list(elems)))
 
 
 def subgroup_classes(group):

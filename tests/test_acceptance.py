@@ -7,12 +7,13 @@ import json
 import time
 from importlib import resources
 
+import lattice_reference
+from character_table_reference import char_field_stabilizer
 from isotypic import (
     AlgebraElement,
     JacobianDecomposer,
     assert_schur,
     averaging_idempotent,
-    char_field_stabilizer,
     compute_character_table,
     construct_primitive_system,
     diagonal_idempotents,
@@ -262,8 +263,8 @@ def test_criterion_08_quasi_prym(dec24, g24):
     cw = verdict.witness
     assert dec24.subgroups[cw.inner].members == (0,)
     x2 = g24.power(g24.generators[0], 2)
-    assert dec24.subgroups[cw.outer].members == g24.canonical_form(
-        g24.subgroup_generated([x2]).members)
+    assert dec24.subgroups[cw.outer].members == lattice_reference.canonical_form(
+        g24, g24.subgroup_generated([x2]).members)
     w1 = next(i for i, o in enumerate(dec24.orbits)
               if o.degree == 2 and len(o.char_indices) == 2)
     want = [0] * len(dec24.orbits)
@@ -324,7 +325,8 @@ def test_criterion_10_trigonal_coincidence(small_tables):
         S = dec.subgroups[s]
         if sorted(S4.elem_orders[m] for m in S.members) != [1, 2, 2, 2]:
             continue
-        if all(S4.conjugate_subgroup(S.members, a) == S.members for a in range(24)):
+        if all(lattice_reference.conjugate_subgroup(S4, S.members, a) == S.members
+               for a in range(24)):
             continue  # the normal Klein subgroup is not the right witness
         assert dec.subgroups[yp].order == 24
         hits.append(((s, r), (xp, yp)))

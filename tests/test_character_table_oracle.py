@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from math import prod
 from importlib import resources
+from time import perf_counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from character_table_reference import (
     _is_prime as trial_division_is_prime,
     reference_compute_character_table,
     reference_galois_orbits,
+    trace_to_rational,
 )
 from isotypic import (
     BoundExceededError,
@@ -33,7 +35,7 @@ from isotypic import characters
 from isotypic.characters import (
     Character, CharacterTable, RationalIrrep, SchurStatus, rational_character,
 )
-from isotypic.cyclotomic import CycValue, _cyc, _normal, trace_to_rational, unit_group
+from isotypic.cyclotomic import CycValue, _cyc, _normal, unit_group
 from isotypic.cli import main
 from isotypic.groupalgebra import invariant_idempotent, rational_central_idempotent
 from isotypic.serialize import cyc_from_json, group_from_spec, table_from_json, table_to_json
@@ -377,6 +379,34 @@ def test_entries_beyond_the_word_size_fail_like_the_reference(tmp_path, capsys):
     assert main(["chartable", "--group", str(group_path), "--table", str(table_path)]) == 2
     err = capsys.readouterr().err
     assert str(ref.value) in err and "Traceback" not in err
+
+
+def test_entries_beyond_two_split_primes_exit_4_at_once(tmp_path, capsys, monkeypatch):
+    """An entry of 10^1000 on the dihedral group of order 240 puts B far
+    above 2^128, where more than two split primes would be needed: the row
+    check refuses it, naming B's bit length, before any prime is sought,
+    and ``chartable --table`` exits 4 with that message."""
+    perms = dihedral(120)
+    group = from_permutations(perms)
+    blob = table_to_json(compute_character_table(group))
+    blob["chars"][2][1]["coeffs"][0] = str(10 ** 1000)
+    table = _Unchecked(group, _load_chars(group, blob))
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "_split_primes", None)  # seeking a prime would raise TypeError
+        start = perf_counter()
+        message = r"B has 66\d\d bits, and two split primes cover only B < 2\^128$"
+        with pytest.raises(BoundExceededError, match=message):
+            characters._check_orthogonality(table)
+        assert perf_counter() - start < 0.25
+
+    group_path = tmp_path / "group.json"
+    group_path.write_text(json.dumps({"permutations": perms}))
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["chartable", "--group", str(group_path), "--table", str(table_path)]) == 4
+    err = capsys.readouterr().err
+    assert "two split primes cover only B < 2^128" in err and "Traceback" not in err
 
 
 STRONG_PSEUDOPRIMES = (

@@ -3,16 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from isotypic import (
-    CycValue,
-    ValidationError,
+from character_table_reference import (
     char_field_stabilizer,
-    cyclotomic_polynomial,
-    trace_over_stabilizer,
+    stabilizer_coset_reps,
     trace_to_rational,
-    unit_group,
 )
-from isotypic.cyclotomic import render_cyc, stabilizer_coset_reps
+from isotypic import CycValue, ValidationError, cyclotomic_polynomial, unit_group
+from isotypic.cyclotomic import render_cyc
 
 
 def sqrt_minus5():
@@ -108,6 +105,10 @@ def test_conjugation_is_minus_one():
     assert z4.conjugate() == -z4
 
 
+# the stabilizer and trace oracles of character_table_reference.py, which
+# the character-table and class-function tests compare against
+
+
 def test_char_field_stabilizer_examples():
     # all-rational values fix the whole unit group
     vals = [CycValue.from_rational(3, 20), CycValue.from_rational(-1, 20)]
@@ -159,15 +160,6 @@ def test_trace_values_generate_trivial_extension():
     stab = char_field_stabilizer([k])
     traces = [CycValue.from_rational(trace_to_rational(1 + k, stab), 20)]
     assert char_field_stabilizer(traces, level=20) == unit_group(20)
-
-
-def test_relative_trace_lands_in_fixed_field():
-    z20 = CycValue.root_of_unity(20)
-    k = sqrt_minus5()
-    stab = char_field_stabilizer([k])
-    rel = trace_over_stabilizer(z20, stab)
-    for s in stab:
-        assert rel.galois(s) == rel
 
 
 def test_coset_reps_cover_unit_group():

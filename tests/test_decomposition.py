@@ -1,5 +1,6 @@
 import pytest
 
+import lattice_reference
 from isotypic import (
     JacobianDecomposer,
     ValidationError,
@@ -202,7 +203,7 @@ def test_prym_isogenies_trigonal(small_tables):
             S = dec.subgroups[s]
             elem_orders = sorted(S4.elem_orders[m] for m in S.members)
             is_normal = all(
-                S4.conjugate_subgroup(S.members, a) == S.members
+                lattice_reference.conjugate_subgroup(S4, S.members, a) == S.members
                 for a in range(S4.order)
             )
             if elem_orders == [1, 2, 2, 2] and not is_normal:
@@ -254,8 +255,8 @@ def test_classify_quasi_prym(dec24, g24):
     cw = verdict.witness
     assert dec24.subgroups[cw.inner].order == 1
     x2 = g24.power(g24.generators[0], 2)
-    assert dec24.subgroups[cw.outer].members == g24.canonical_form(
-        g24.subgroup_generated([x2]).members)
+    assert dec24.subgroups[cw.outer].members == lattice_reference.canonical_form(
+        g24, g24.subgroup_generated([x2]).members)
     w1 = next(i for i, o in enumerate(dec24.orbits)
               if o.degree == 2 and len(o.char_indices) == 2)
     expected = [0] * len(dec24.orbits)

@@ -57,10 +57,13 @@ class _CountingDict(dict):
         super().__setitem__(key, value)
 
 
-def test_containment_queries_build_each_outer_mask_once():
+def test_conjugate_masks_are_built_once_per_class():
+    """Each class's conjugate masks are walked at most once, however many
+    containment queries read them; the outer classes' masks are the lattice
+    walk's own and are never built."""
     builds = []
     group = GROUPS["C2^4"]()
-    group._member_masks = _CountingDict(builds)  # every mask built is stored
+    group._first_conjugators = _CountingDict(builds)  # every class walked is stored
     table = compute_character_table(group)
     dec = JacobianDecomposer(table, orbits=galois_orbits(table))
     pairs = [(i, o) for i in range(len(dec.subgroups)) for o in range(len(dec.subgroups))]
@@ -121,7 +124,8 @@ def test_decomposer_matches_reference(name, m2, relabel):
             assert dec.find_intersection_realizations(w, max_arity=arity) == \
                 reference_find_intersection_realizations(dec, vectors, w, max_arity=arity)
     for sub in dec.subgroups:
-        conjugates = {group.conjugate_subgroup(sub.members, a) for a in range(group.order)}
+        conjugates = {lattice_reference.conjugate_subgroup(group, sub.members, a)
+                      for a in range(group.order)}
         others = sorted(conjugates - {sub.members})
         for members in [sub.members] + others[:1]:
             assert dec.decompose_intermediate(members) == \

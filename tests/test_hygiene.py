@@ -1,6 +1,7 @@
 """Source hygiene of the package: the standard library is its only
 dependency, no float enters its exact arithmetic, importing it loads few
-modules, and no import or private helper is left without a user."""
+modules, and no import, private helper or public function is left without a
+user."""
 
 import ast
 import subprocess
@@ -9,7 +10,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "isotypic").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "isotypic").glob("*.py"))
+# the code that may call the package: the package itself, the scripts, the
+# demos and the benchmark, but not the tests
+CALLERS = [path for top in ("src", "scripts", "demos", "perfbench")
+           for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def _imported_modules(tree):
@@ -78,9 +84,39 @@ def test_every_private_function_is_called():
     assert unused == []
 
 
+def _public_functions(tree):
+    """(name, referenced name) of each public module-level function and each
+    public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_function_is_called():
+    """Each public function and method of the package is referenced from the
+    package, the scripts, the demos or the benchmark: by name, attribute,
+    import or string constant, as the benchmark wraps methods by name.  The
+    re-exports of the package's ``__init__`` are not references."""
+    referenced = set()
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), str(path))
+        if path != ROOT / "src" / "isotypic" / "__init__.py":
+            referenced.update(_references(tree))
+        referenced.update(node.value for node in ast.walk(tree)
+                          if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    unused = [f"{path.name}:{name}" for path in SOURCES
+              for name, ref in _public_functions(ast.parse(path.read_text(), str(path)))
+              if ref not in referenced]
+    assert unused == []
+
+
 def test_the_scan_sees_the_package():
     assert len(SOURCES) > 10
     assert any(p.name == "numberfield.py" for p in SOURCES)
+    assert {p.parent.name for p in CALLERS} >= {"isotypic", "scripts", "demos", "perfbench"}
 
 
 # what ``import isotypic`` may load besides its own modules

@@ -69,30 +69,42 @@ def relabelled(group, rng):
 
 
 def distinct_conjugates(group, members):
-    return sorted({group.conjugate_subgroup(members, a) for a in range(group.order)})
+    return sorted({ref.conjugate_subgroup(group, members, a) for a in range(group.order)})
+
+
+NOT_A_SUBGROUP = "subgroup not found in lattice (is it really a subgroup?)"
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_lattice_matches_reference(name):
+    """On the group as built and on a relabelling: the classes, the class
+    of every conjugate, the refusal of subsets that are not subgroups and
+    the least conjugator of every pair of classes."""
     rng = random.Random(name)
-    group = relabelled(GROUPS[name](), rng)
-    classes = tuple(s.members for s in group.subgroup_classes())
-    assert classes == ref.subgroup_classes(group)
-    assert all(s.canonical for s in group.subgroup_classes())
+    for group in (GROUPS[name](), relabelled(GROUPS[name](), rng)):
+        classes = tuple(s.members for s in group.subgroup_classes())
+        assert classes == ref.subgroup_classes(group)
 
-    for members in classes:
-        for conj in distinct_conjugates(group, members):
-            assert group.canonical_form(conj) == ref.canonical_form(group, conj) == members
-    for inner in classes:
-        for outer in classes:
-            assert group.conjugator_into(inner, outer) == ref.conjugator_into(group, inner, outer)
+        for members in classes:
+            for conj in distinct_conjugates(group, members):
+                found = classes[group.find_class_of_subgroup(conj)]
+                assert found == ref.canonical_form(group, conj) == members
+        subsets = [rng.sample(range(group.order), rng.randint(2, 4)) for _ in range(10)]
+        subsets = [s for s in subsets if ref.closure_of(group, s) != sorted(s)]
+        assert subsets
+        for subset in subsets:
+            with pytest.raises(ValidationError) as err:
+                group.find_class_of_subgroup(subset)
+            assert str(err.value) == NOT_A_SUBGROUP
+        for i, inner in enumerate(classes):
+            for j, outer in enumerate(classes):
+                assert group.conjugator_into(i, j) == ref.conjugator_into(group, inner, outer)
 
-    for members in classes:
-        conj = rng.choice(distinct_conjugates(group, members))
-        elems = rng.sample(conj, min(len(conj), rng.randint(1, 3)))
-        sub = group.subgroup_generated(elems)
-        assert (sub.members, sub.canonical) == ref.subgroup_generated(group, elems)
-        assert group.subgroup_generated(group._greedy_generators(conj)).members == conj
+        for members in classes:
+            conj = rng.choice(distinct_conjugates(group, members))
+            elems = rng.sample(conj, min(len(conj), rng.randint(1, 3)))
+            assert group.subgroup_generated(elems).members == ref.subgroup_generated(group, elems)
+            assert group.subgroup_generated(group._greedy_generators(conj)).members == conj
 
 
 def test_elementary_abelian_32_classes_match_reference():
@@ -159,15 +171,11 @@ def test_schreier_normalizers_match_brute_force(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_conjugate_masks_match_enumeration(name):
     """The least conjugators read off the N(K) cosets of the orbit walk
-    against conjugating by every element, for each class and for random
-    subsets, which need not be subgroups."""
-    rng = random.Random("conjugators " + name)
-    group = relabelled(GROUPS[name](), rng)
-    sets = [s.members for s in group.subgroup_classes()]
-    sets += [tuple(sorted(rng.sample(range(group.order), rng.randint(1, 3)))) for _ in range(10)]
+    against conjugating by every element, for each class."""
+    group = relabelled(GROUPS[name](), random.Random("conjugators " + name))
     tables = group._conjugation_tables()
-    for members in sets:
-        assert group._conjugate_masks(members) == ref.first_conjugators(group, members)
+    for i, s in enumerate(group.subgroup_classes()):
+        assert group._conjugate_masks(i) == ref.first_conjugators(group, s.members)
     assert group._conjugation_tables() is tables  # built once, shared with the lattice
 
 

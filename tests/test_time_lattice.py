@@ -25,3 +25,19 @@ def test_time_lattice_reports_every_stage(tmp_path):
     table = compute_character_table(from_permutations(script.symmetric(4)))
     full = JacobianDecomposer(table, orbits=galois_orbits(table)).full_report()
     assert row["full_report_sha256"] == hashlib.sha256(repr(full).encode()).hexdigest()[:16]
+
+
+def test_nested_direct_product_keeps_the_generators():
+    """S4xS4xC2 as a nested product of ``perfbench/inputs.py``: each factor's
+    generators on its own block of the ten points, fixing the rest, in
+    factor order."""
+    spec = importlib.util.spec_from_file_location(
+        "time_lattice", ROOT / "scripts" / "time_lattice.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fixed = list(range(10))
+    want = []
+    for offset, factor in ((0, script.symmetric(4)), (4, script.symmetric(4)), (8, [[1, 0]])):
+        for p in factor:
+            want.append(fixed[:offset] + [offset + x for x in p] + fixed[offset + len(p):])
+    assert script.GROUPS["S4xS4xC2"]() == want
