@@ -309,17 +309,32 @@ class AlgebraElement:
         return (self * other).is_zero() and (other * self).is_zero()
 
     def is_central(self) -> bool:
-        for g in self.group.generators:
-            b = AlgebraElement.basis(self.group, g, self.domain)
-            if b * self != self * b:
-                return False
-        return True
+        """Whether s*self == self*s for every generator s, hence for all of G.
+
+        s*a*s^-1 = sum_x a_x s x s^-1, so s*a = a*s exactly when
+        a_{s x s^-1} = a_x for every x: a is constant on the orbits of
+        conjugation by s, read from the group's conjugation tables with no
+        product built.  Conjugation permutes G, so x may run over the
+        support alone: a map of the support into itself is onto it.
+        """
+        zero, coeffs = self.domain.zero(), self.coeffs
+        get = coeffs.get
+        return all(get(c[x], zero) == v
+                   for _, c in self.group._conjugation_tables() for x, v in coeffs.items())
 
     def is_bi_invariant(self, members) -> bool:
-        """Whether h*self == self == self*h for every h in members."""
+        """Whether h*self == self == self*h for every h in members.
+
+        h*a = sum_x a_x hx and a*h = sum_x a_x xh, so this holds exactly when
+        a_{hx} = a_x = a_{xh} for every x; as in ``is_central``, translation
+        permutes G and x runs over the support alone.
+        """
+        zero, coeffs = self.domain.zero(), self.coeffs
+        get, mul = coeffs.get, self.group._mul
         for h in members:
-            b = AlgebraElement.basis(self.group, h, self.domain)
-            if b * self != self or self * b != self:
+            row = mul[h]
+            if not all(get(row[x], zero) == v and get(mul[x][h], zero) == v
+                       for x, v in coeffs.items()):
                 return False
         return True
 

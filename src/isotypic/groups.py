@@ -354,7 +354,8 @@ class FiniteGroup:
 
     def _conjugation_tables(self):
         """One (s, c_s) pair per generator s, with c_s[x] = s * x * s^-1;
-        built once and shared by the lattice and ``conjugator_into``."""
+        built once and shared by the lattice, ``conjugator_into`` and
+        ``AlgebraElement.is_central``."""
         if self._conj_tables is None:
             mul, inv = self._mul, self._inv
             self._conj_tables = tuple(

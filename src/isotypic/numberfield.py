@@ -5,9 +5,12 @@ The toolkit never searches for splitting fields: L is always user supplied,
 together with the images of t under every automorphism and the subset of
 automorphisms whose fixed field is the distinguished subfield K.
 Irreducibility of p is certified by Kronecker's method, a complete decision
-procedure, run in integers: each candidate factor interpolated through
-divisors of p's values must divide the leading coefficient and the value at
-one more point before it is trial-divided exactly in Z[t].  The rest of the
+procedure, run in integers.  A candidate factor of degree k is a tuple of
+divisors of p's values at k + 1 nodes; its leading coefficient is the k-th
+divided difference of the tuple, summed over one common denominator while
+the tuples are enumerated, and only a tuple whose sum is a nonzero integer
+dividing lead(p) is interpolated.  The interpolant must also divide p's value
+at one more point before it is trial-divided exactly in Z[t].  The rest of the
 declaration is certified by Galois theory (see ``NumField``), so no
 composition table is built and no polynomial is divided over Q.  Values share
 the integer kernel of ``cyclotomic`` and every operator of its ``_Exact``;
@@ -41,8 +44,11 @@ from .linalg import CoordinateSpan
 
 Rat = Fraction
 
-# Kronecker candidate tuples tried per factor degree; the declared fields in
-# the bundled data and the golden files need at most 960 (t^4 - 16t^2 + 144)
+# Kronecker candidate tuples enumerated per factor degree: this bounds the
+# candidate space, not the interpolations, which the leading-coefficient
+# filter cuts to 22 of the 1080 tuples of t^4 - 16t^2 + 144.  The declared
+# fields in the bundled data and the golden files need at most 960 for one
+# degree (that quartic's quadratic factors)
 KRONECKER_CANDIDATE_BOUND = 10**5
 # bit length of the largest node value whose divisors are listed: trial
 # division runs to its square root, at most 2^18 steps per value
@@ -91,12 +97,18 @@ def is_irreducible(poly) -> bool:
 
     A factor of degree k of the primitive integer polynomial P may be taken
     primitive and integral (Gauss's lemma), so its values at k + 1 integer
-    nodes divide those of P and determine it.  Each interpolated candidate q
-    must also satisfy lead(q) | lead(P) and q(x0) | P(x0) at one more point
-    x0; only then is it trial-divided, exactly in integers.  A node value
-    longer than KRONECKER_VALUE_BITS bits raises BoundExceededError before
-    its divisors are searched, and more than KRONECKER_CANDIDATE_BOUND
-    candidate tuples for one factor degree before any is built.
+    nodes divide those of P and determine it, and its leading coefficient is
+    a nonzero integer dividing lead(P).  That coefficient is the k-th divided
+    difference sum_i d_i / w_i with w_i = prod_{j != i} (x_i - x_j), so it
+    is known from the tuple (d_i) before any interpolation, and only tuples
+    that pass are interpolated.  The filter drops every candidate of degree
+    below k; those degrees were searched at their own k, and the loop returns
+    at the first factor found, so none is missed.  A survivor q must also
+    satisfy q(x0) | P(x0) at one more point x0; only then is it
+    trial-divided, exactly in integers.  A node value longer than
+    KRONECKER_VALUE_BITS bits raises BoundExceededError before its divisors
+    are searched, and more than KRONECKER_CANDIDATE_BOUND candidate tuples
+    for one factor degree before any is enumerated.
     """
     num = poly_trim(_integral(poly)[0])
     deg = len(num) - 1
@@ -126,13 +138,20 @@ def is_irreducible(poly) -> bool:
                 f"irreducibility test bound exceeded: {count} Kronecker candidates"
                 f" > {KRONECKER_CANDIDATE_BOUND}"
             )
-        # Lagrange-interpolate every candidate value tuple and trial divide
-        stack = [()]
-        for divs in divisor_lists:
-            stack = [tup + (d,) for tup in stack for d in divs]
-        for values in stack:
+        # the x^k coefficient of the interpolant, sum d_i / w_i, summed over
+        # the common denominator den while the tuples are enumerated
+        weights = [prod(x - y for y in xs if y != x) for x in xs]
+        den = lcm(*weights)
+        stack = [(0, ())]
+        for divs, w in zip(divisor_lists, weights):
+            scale = den // w
+            stack = [(top + d * scale, tup + (d,)) for top, tup in stack for d in divs]
+        for top, values in stack:
+            top, rem = divmod(top, den)
+            if rem or not top or lead % top:
+                continue
             cand = _integer_interpolant(xs, values)
-            if cand is None or len(cand) - 1 < 1 or lead % cand[-1]:
+            if cand is None:
                 continue
             at_x0 = _evaluate(cand, x0)
             if at_x0 == 0 or y0 % at_x0:

@@ -14,6 +14,12 @@ representative or size, an element index, a degree, a bound) must be a JSON
 integer, not a float or a bool.  The coordinates of cyclotomic and
 number-field values go straight between this text and the integer kernel's
 numerators over one common denominator, with no Fraction per coordinate.
+A list whose entries are all canonical small-integer strings (``str(k)``
+for |k| <= 64, every coordinate of the bundled character tables) is read in
+one pass through a fixed table of those strings: each matches the grammar
+and reads as k over 1, and the table's keys are strings alone, so no bool,
+float or JSON int can hit one.  Any other list goes entry by entry through
+the one scalar reader, which gives every error message.
 Rationals (Q coefficients, a field descriptor's minpoly and automorphism
 images, which NumField keeps as Fractions) are read by the same grammar.
 """
@@ -101,10 +107,20 @@ def scalar_from_json(c) -> tuple[int, int]:
     raise ValueError(f'{json.dumps(c)} is not an exact scalar (an integer or a "p/q" string)')
 
 
+# the canonical strings of the small integers, each mapped to its value
+_LITERALS = {str(k): k for k in range(-64, 65)}
+
+
 def scalars_from_json(cs) -> tuple[list[int], int]:
     """Integer numerators over one common denominator, from a JSON list of scalars."""
     if type(cs) is not list:
         raise ValueError(f"a list of scalars is expected, not {json.dumps(cs)}")
+    try:
+        nums = list(map(_LITERALS.get, cs))
+    except TypeError:  # an unhashable entry, refused below
+        nums = [None]
+    if None not in nums:
+        return nums, 1
     pairs = [scalar_from_json(c) for c in cs]
     den = lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den

@@ -227,6 +227,21 @@ def test_kronecker_candidate_bound(monkeypatch):
     assert is_irreducible(quartic)
 
 
+def test_kronecker_interpolates_only_leading_coefficient_survivors(monkeypatch):
+    # t^4 - 16t^2 + 144 enumerates 120 tuples for a linear factor and 960 for
+    # a quadratic one; only those whose divided difference is a unit are built
+    degrees = []
+    interpolant = numberfield._integer_interpolant
+
+    def counted(xs, ys):
+        degrees.append(len(xs) - 1)
+        return interpolant(xs, ys)
+
+    monkeypatch.setattr(numberfield, "_integer_interpolant", counted)
+    assert is_irreducible([144, 0, -16, 0, 1])
+    assert (degrees.count(1), degrees.count(2), len(degrees)) == (3, 19, 22)
+
+
 def test_kronecker_value_bound():
     from isotypic.numberfield import KRONECKER_VALUE_BITS, _int_divisors
 

@@ -9,10 +9,12 @@ as its Fraction coordinates print.
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from isotypic import CycValue
+from isotypic.errors import ValidationError
 from isotypic.fixtures import order80_field
 from isotypic.numberfield import NumFieldValue
 from isotypic.serialize import (
@@ -20,6 +22,7 @@ from isotypic.serialize import (
     cyc_to_json,
     nfv_from_json,
     nfv_to_json,
+    parsing,
     scalar_from_json,
     scalars_from_json,
 )
@@ -85,6 +88,45 @@ def test_scalar_list_must_be_a_list():
     for cs in ("12", 12, {"0": 1}, None):
         with pytest.raises(ValueError, match="a list of scalars"):
             scalars_from_json(cs)
+
+
+def _per_scalar(cs):
+    """The list reader as one scalar read per entry, with no literal table."""
+    pairs = [scalar_from_json(c) for c in cs]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+EDGE_LITERALS = ["0", "64", "-64", "65", "-65", "-0", "01", "1/1", "-1", 0, 64, -65, 7]
+
+
+def test_scalar_list_reader_equals_per_scalar_reader():
+    rng = random.Random(26)
+    lists = [[], ["0"], ["64", "-64"], ["65"], ["-65", "1"], ["-0"], ["01"], ["1/1"],
+             [0, 1, -1], [64, "64"], ["3", 3], ["2", "1/2", "-7"], EDGE_LITERALS]
+    for _ in range(300):
+        pool = EDGE_LITERALS if rng.random() < 0.5 else [str(k) for k in range(-64, 65)]
+        lists.append([rng.choice(pool) for _ in range(rng.randint(1, 9))])
+    for cs in lists:
+        nums, den = scalars_from_json(cs)
+        assert (nums, den) == _per_scalar(cs), cs
+        assert all(type(n) is int for n in nums) and type(den) is int
+
+
+@pytest.mark.parametrize("cs, message", [
+    ([[1]], '[1] is not an exact scalar (an integer or a "p/q" string)'),
+    ([{}], '{} is not an exact scalar (an integer or a "p/q" string)'),
+    ([True], 'true is not an exact scalar (an integer or a "p/q" string)'),
+    ([1.5], '1.5 is not an exact scalar (an integer or a "p/q" string)'),
+    (["1/0"], "zero denominator in the scalar '1/0'"),
+    (["1", [1]], '[1] is not an exact scalar (an integer or a "p/q" string)'),
+    (["2", True], 'true is not an exact scalar (an integer or a "p/q" string)'),
+], ids=repr)
+def test_scalar_list_reader_keeps_its_messages(cs, message):
+    with pytest.raises(ValidationError) as err:
+        with parsing("coefficients"):
+            scalars_from_json(cs)
+    assert str(err.value) == f"malformed coefficients: {message}"
 
 
 def _coords(rng, count):

@@ -1,4 +1,5 @@
-"""``scripts/time_tables.py`` runs on one small group and writes its report."""
+"""``scripts/time_tables.py`` runs on one small group, and on the JSON loads,
+and writes its report."""
 
 import importlib.util
 import json
@@ -10,11 +11,16 @@ from character_table_reference import _is_prime as trial_division_is_prime
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_time_tables_reports_the_split_prime(tmp_path):
+def _script():
     spec = importlib.util.spec_from_file_location(
         "time_tables", ROOT / "scripts" / "time_tables.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_time_tables_reports_the_split_prime(tmp_path):
+    script = _script()
     out = tmp_path / "tables.json"
     script.main(["--groups", "GL23", "--runs", "1", "--out", str(out)])
     report = json.loads(out.read_text())
@@ -25,3 +31,20 @@ def test_time_tables_reports_the_split_prime(tmp_path):
     primes = row["primes"]
     assert all(p % row["L"] == 1 and trial_division_is_prime(p) for p in primes)
     assert prod(primes) > row["B"]
+
+
+def test_time_tables_reports_the_loads(tmp_path):
+    script = _script()
+    out = tmp_path / "loads.json"
+    script.main(["--groups", "GL23", "--runs", "1", "--loads", "--out", str(out)])
+    loads = json.loads(out.read_text())["loads"]
+    counts = {name: (row["scalars"], row["kronecker_candidates"], row["interpolations"])
+              for name, row in loads.items()}
+    # 63 x 63 values at level 120, phi(120) = 32 coordinates each
+    assert counts == {
+        "field_order80": (17, 1080, 22),
+        "table_order80": (3136, 0, 0),
+        "table_D240": (63 * 63 * 32, 0, 0),
+        "manifest_order80": (1589, 1080, 22),
+    }
+    assert all(row["load_s"] >= 0 for row in loads.values())
