@@ -11,8 +11,23 @@ symmetrization.
 
 The block ideal L[G]ell_j of a diagonal idempotent is never echelonized: its
 basis is read off the representation's matrices as the matrix units
-E_1j..E_nj, because Schur orthogonality (Serre, Linear Representations of
-Finite Groups, 2.2) gives E_ij E_kl = delta_jk E_il with E_jj = ell_j.
+E_1j..E_nj.  Each identity of the construction is proved once, by a theorem
+or by exact products:
+
+(a) A MatrixRep has proved its matrices multiplicative and its trace equal
+    to psi = iota o chi, iota a ring embedding of Q(chi) into L; the
+    validated table has <chi, chi> = 1, so <psi, psi> = 1 and the rep is
+    absolutely irreducible.  Schur orthogonality (Serre, Linear
+    Representations of Finite Groups, 2.2) then gives E_ij E_kl =
+    delta_jk E_il, so the ell_j = E_jj are orthogonal idempotents, and
+    sum_j E_jj = (n/|G|) sum_g psi(g^-1) g = e_V and |G| ell_j(1) = n hold
+    by definition.  No product checks them.
+(b) The relations of the u grid are checked by exact products once, when
+    it is built; the system keeps the named results.
+(c) k_s = sum_h u_s^h, so the grid relations give k_s^2 = k_s, k_s k_t = 0
+    for s != t and sum k_s = e_V.  Only the Gal(L/K)-fixed check and
+    |G| k_s(1) = m n remain.  The f family keeps its full product suite, the
+    one check of the rep side against e_W from the table.
 
 The central idempotents are class functions: e_V = (n/|G|) sum chi(g^-1) g,
 e_W with Tr_{K/Q} chi in place of chi, and e_V over L with chi embedded in
@@ -291,8 +306,9 @@ class AlgebraElement:
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.domain, tuple(sorted(self.coeffs))))
+    def __hash__(self):
+        # __eq__ coerces across domains, which keeps the support
+        return hash(tuple(sorted(self.coeffs)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -436,8 +452,8 @@ def _trace_dim(e: AlgebraElement) -> int:
     """dim F[G]e = |G|*e(1) for an idempotent e.
 
     x -> x*e projects F[G] onto F[G]e, and its trace in the group basis is
-    |G| times the coefficient of the identity.  Callers check e*e == e
-    exactly first.
+    |G| times the coefficient of the identity.  Callers have the
+    idempotency of e checked exactly or proved first.
     """
     d = e.coefficient(0) * e.group.order
     d = d if isinstance(d, (int, Rat)) else d.as_rational()
@@ -524,9 +540,9 @@ class MatrixRep:
     multiplication table.  The trace is then a class function, so it is
     checked once per class, at the class's first element, against the linked
     character, embedded into L as ``char_values`` through the declared
-    embedding.  The rep is immutable after __init__,
-    so the diagonal suite of ``diagonal_idempotents`` runs once and its
-    result is stored on it.
+    embedding.  Both checks together prove the rep absolutely irreducible,
+    so its diagonal idempotents need no check of their own (module
+    docstring, (a)).
     """
 
     def __init__(self, group: FiniteGroup, nf: NumField, gen_matrices,
@@ -539,7 +555,6 @@ class MatrixRep:
         char = table.chars[char_index]
         self.degree = char.degree
         self.embedding = embedding if embedding is not None else CycEmbedding(nf, None, None)
-        self._diagonal = None  # (ells, e_V) once validated
 
         if group.labels is None:
             raise ValidationError("matrix representations need a group with generator words")
@@ -622,7 +637,7 @@ def central_idempotent_over_field(rep: MatrixRep) -> AlgebraElement:
 def _matrix_units(rep: MatrixRep, j: int):
     """Dense vectors of E_ij = (n/|G|) sum_g r_ji(g^-1) g, i = 1..n: a basis of
     L[G]ell_j for every MatrixRep, whose matrices are certified multiplicative
-    and whose trace is a validated irreducible character (module docstring)."""
+    and whose trace is a validated irreducible character (module docstring, (a))."""
     group = rep.group
     scale = Rat(rep.degree, group.order)
     rows = [rep.matrices[group.inv(g)][j] for g in range(group.order)]
@@ -631,30 +646,16 @@ def _matrix_units(rep: MatrixRep, j: int):
 
 def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
     """ell_j = E_jj = (dim/|G|) sum_g r_jj(g^-1) g over L."""
-    return AlgebraElement(rep.group, FieldDomain(rep.field),
-                          dict(enumerate(_matrix_units(rep, j)[j])))
-
-
-def _validated_diagonal(rep: MatrixRep):
-    """(ells, e_V) of rep, checked by the diagonal suite on first use only."""
-    if rep._diagonal is None:
-        ells = tuple(diagonal_idempotent(rep, j) for j in range(rep.degree))
-        ev = central_idempotent_over_field(rep)
-        _check_idempotent_family(ells, ev, rep.degree, "ell", ValidationError,
-                                 "representation inconsistent with character: ")
-        rep._diagonal = (ells, ev)
-    return rep._diagonal
+    group = rep.group
+    scale = Rat(rep.degree, group.order)
+    return AlgebraElement(group, FieldDomain(rep.field), {
+        g: rep.matrices[group.inv(g)][j][j] * scale for g in range(group.order)})
 
 
 def diagonal_idempotents(rep: MatrixRep):
-    """All ell_j, with the idempotent/orthogonality/sum/primitivity suite.
-
-    Primitivity is dim L[G]ell_j = |G|*ell_j(1) = n, read off after the exact
-    idempotency check.  The suite runs the first time a rep is asked; later
-    calls, and validate_schur_from_rep and construct_primitive_system on the
-    same rep, reuse the stored result.
-    """
-    return list(_validated_diagonal(rep)[0])
+    """All ell_j: orthogonal idempotents summing to e_V over L, each with a
+    left ideal of dimension n, by Schur orthogonality (module docstring, (a))."""
+    return [diagonal_idempotent(rep, j) for j in range(rep.degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +701,13 @@ class IdempotentSystem:
 
     u_grid[s][h] is the primitive idempotent in the h-th Galois translate of
     the s-th selected left ideal; e_central is e_V over L and e_rational
-    e_W over Q; k elements live in K[G], f elements in Q[G].  The Galois
-    data records Gal(L/K) as automorphism indices of the declared field.
+    e_W over Q; checks holds the named grid results of the construction.
+    The Galois data records Gal(L/K) as automorphism indices of the declared
+    field.
     """
 
     def __init__(self, group: FiniteGroup, nf: NumField, ells, selected, u_grid,
-                 e_central: AlgebraElement, e_rational: AlgebraElement,
-                 k_elements=(), f_elements=()):
+                 e_central: AlgebraElement, e_rational: AlgebraElement, checks):
         self.group = group
         self.nf = nf
         self.ells = ells
@@ -714,8 +715,7 @@ class IdempotentSystem:
         self.u_grid = u_grid
         self.e_central = e_central
         self.e_rational = e_rational
-        self.k_elements = k_elements
-        self.f_elements = f_elements
+        self.checks = checks
 
     @property
     def schur_m(self) -> int:
@@ -734,9 +734,9 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     lies outside the span accumulated so far; each kept ideal contributes
     its full Galois orbit of left ideals to the span, as the tau_h-images of
     its matrix units.  The coordinates of the central idempotent with respect
-    to the assembled basis give the primitive idempotents u_s^h, which are
-    then validated against the whole expected relation suite.  A given ells
-    must be the rep's diagonal idempotents.
+    to the assembled basis give the primitive idempotents u_s^h; their
+    relations are checked here by exact products, once, and the system keeps
+    the named results.  A given ells must be the rep's diagonal idempotents.
     """
     nf = rep.field
     group = rep.group
@@ -750,9 +750,10 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
             f"declared field degree {len(nf.automorphisms)} does not equal "
             f"[L:K]*[K:Q] = {m}*{orbit.field_degree}"
         )
-    diagonal, e_central = _validated_diagonal(rep)
-    if ells is not None and list(ells) != list(diagonal):
+    diagonal = diagonal_idempotents(rep)
+    if ells is not None and list(ells) != diagonal:
         raise ValidationError("ells are not the diagonal idempotents of the representation")
+    e_central = central_idempotent_over_field(rep)
     dom = FieldDomain(nf)
     zero, one = dom.zero(), dom.one()
 
@@ -789,83 +790,78 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
                 for g in range(group.order)}))
         u_grid.append(tuple(row))
 
-    e_rational = rational_central_idempotent(rep.table, orbit)
-    system = IdempotentSystem(
-        group=group, nf=nf, ells=diagonal, selected=tuple(selected),
-        u_grid=tuple(u_grid), e_central=e_central, e_rational=e_rational,
-    )
-    failures = [name for name, ok in system_grid_checks(system) if not ok]
+    checks = _grid_checks(u_grid, fixers, e_central)
+    failures = [name for name, ok in checks if not ok]
     if failures:
         raise InvariantError(f"basis assembly failed: {failures[0]}")
-    return system
+    return IdempotentSystem(
+        group=group, nf=nf, ells=tuple(diagonal), selected=tuple(selected),
+        u_grid=tuple(u_grid), e_central=e_central,
+        e_rational=rational_central_idempotent(rep.table, orbit), checks=tuple(checks),
+    )
 
 
-def system_grid_checks(system: IdempotentSystem):
-    """Named pass/fail results for the u-grid conclusions."""
-    checks = []
-    fixers = system.nf.subfield_fixers
-    grid = system.u_grid
-    n_over_m = len(grid)
-    for s in range(n_over_m):
-        u1 = grid[s][0]
-        for hi, h in enumerate(fixers):
-            checks.append(
-                (f"u[{s+1}][{hi+1}] = tau_{hi+1}(u[{s+1}][1])", u1.apply_galois(h) == grid[s][hi]))
-    total = AlgebraElement.zero(system.group, grid[0][0].domain)
-    for s in range(n_over_m):
-        for hi in range(len(fixers)):
-            total = total + grid[s][hi]
-    checks.append(("sum of u grid equals the central idempotent", total == system.e_central))
-    product_failures = []
-    for s in range(n_over_m):
-        for hi in range(len(fixers)):
-            for t in range(n_over_m):
-                for li in range(len(fixers)):
-                    prod = grid[s][hi] * grid[t][li]
-                    if s == t and hi == li:
-                        ok = prod == grid[s][hi]
-                    else:
-                        ok = prod.is_zero()
-                    if not ok:
-                        product_failures.append(
-                            (f"grid product rule at ({s+1},{hi+1})x({t+1},{li+1})", False))
+def _grid_checks(grid, fixers, e_central):
+    """Named pass/fail results for the u-grid relations, by exact products."""
+    checks = [(f"u[{s+1}][{hi+1}] = tau_{hi+1}(u[{s+1}][1])", row[0].apply_galois(h) == row[hi])
+              for s, row in enumerate(grid) for hi, h in enumerate(fixers)]
+    cells = [((s + 1, hi + 1), u) for s, row in enumerate(grid) for hi, u in enumerate(row)]
+    total = sum((u for _, u in cells), AlgebraElement.zero(e_central.group, e_central.domain))
+    checks.append(("sum of u grid equals the central idempotent", total == e_central))
+    product_failures = [(f"grid product rule at ({a[0]},{a[1]})x({b[0]},{b[1]})", False)
+                        for a, u in cells for b, v in cells
+                        if u * v != (u if a == b else 0)]
     checks.extend(product_failures)
     checks.append(("grid product rule", not product_failures))
     return checks
 
 
-def _check_idempotent_family(elems, target, want_dim, name, error, prefix=""):
-    """Raise error unless elems are orthogonal idempotents summing to target,
-    each with a left ideal of dimension want_dim (read off as |G|*e(1))."""
+def system_grid_checks(system: IdempotentSystem):
+    """Named pass/fail results for the u-grid relations, kept from the exact
+    products made when the system was built (module docstring, (b))."""
+    return list(system.checks)
+
+
+def _check_idempotent_family(elems, target, want_dim, name):
+    """Raise unless elems are orthogonal idempotents summing to target, each
+    with a left ideal of dimension want_dim (read off as |G|*e(1))."""
     for s, e in enumerate(elems):
         if not e.is_idempotent():
-            raise error(f"{prefix}{name}_{s+1} is not idempotent")
+            raise InvariantError(f"{name}_{s+1} is not idempotent")
     for s in range(len(elems)):
         for t in range(s + 1, len(elems)):
             if not elems[s].is_orthogonal_to(elems[t]):
-                raise error(f"{prefix}{name}_{s+1} and {name}_{t+1} are not orthogonal")
+                raise InvariantError(f"{name}_{s+1} and {name}_{t+1} are not orthogonal")
     if sum(elems, AlgebraElement.zero(target.group, target.domain)) != target:
-        raise error(f"{prefix}the {name} elements do not sum to the central idempotent")
+        raise InvariantError(f"the {name} elements do not sum to the central idempotent")
     for s, e in enumerate(elems):
         d = _trace_dim(e)
         if d != want_dim:
-            raise error(f"{prefix}{name}_{s+1} is not primitive: ideal dim {d} != {want_dim}")
+            raise InvariantError(f"{name}_{s+1} is not primitive: ideal dim {d} != {want_dim}")
 
 
 def symmetrize_to_subfield(system: IdempotentSystem):
-    """k_s = sum over Gal(L/K) of tau(u_s^1): primitive idempotents in K[G]."""
+    """k_s = sum over Gal(L/K) of tau(u_s^1): primitive idempotents in K[G].
+
+    The grid relations prove them orthogonal idempotents summing to e_V
+    (module docstring, (c)); each is checked to be fixed by Gal(L/K) and to
+    have |G|*k_s(1) = m*n.
+    """
+    n = system.blocks * system.schur_m
+    want = system.schur_m * n
     ks = [sum(row[1:], row[0]) for row in system.u_grid]
     for s, k in enumerate(ks):
         if not all(k.fixed_by_galois(h) for h in system.nf.subfield_fixers):
             raise InvariantError(f"k_{s+1} is not fixed by Gal(L/K)")
-    n = system.blocks * system.schur_m
-    _check_idempotent_family(ks, system.e_central, system.schur_m * n, "k", InvariantError)
-    system.k_elements = tuple(ks)
-    return list(ks)
+        d = _trace_dim(k)
+        if d != want:
+            raise InvariantError(f"k_{s+1} is not primitive: ideal dim {d} != {want}")
+    return ks
 
 
 def symmetrize_to_rational(system: IdempotentSystem):
-    """f_s = sum over Gal(L/Q) of sigma(u_s^1): primitive idempotents in Q[G]."""
+    """f_s = sum over Gal(L/Q) of sigma(u_s^1): primitive idempotents in Q[G],
+    checked by the full product suite against e_W (module docstring, (c))."""
     autos = range(len(system.nf.automorphisms))
     fs = []
     for s, row in enumerate(system.u_grid):
@@ -876,9 +872,8 @@ def symmetrize_to_rational(system: IdempotentSystem):
         fs.append(f.to_domain(RATIONALS))
     # m * n * [K:Q] with n = blocks * m and [K:Q] = [L:Q] / m
     want = system.blocks * system.schur_m * len(autos)
-    _check_idempotent_family(fs, system.e_rational, want, "f", InvariantError)
-    system.f_elements = tuple(fs)
-    return list(fs)
+    _check_idempotent_family(fs, system.e_rational, want, "f")
+    return fs
 
 
 def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
@@ -886,10 +881,10 @@ def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
 
     Checks the orbit analysis of every diagonal idempotent's ideal, on its
     matrix units, and the divisibility of every subgroup multiplicity by m;
-    returns m.  The diagonal suite runs only if the rep has not passed it yet.
+    returns m.  The diagonal idempotents themselves need no check (module
+    docstring, (a)).
     """
     m = len(rep.field.subfield_fixers)
-    _validated_diagonal(rep)
     for j in range(rep.degree):
         verdict = _orbit_verdict(rep.field, _matrix_units(rep, j))
         if not (verdict["stabilizer_trivial"] and verdict["direct"]):

@@ -21,7 +21,6 @@ from isotypic import (
     SchurStatus,
     ValidationError,
     compute_character_table,
-    diagonal_idempotents,
     from_permutations,
     galois_orbits,
     orbit_index,
@@ -187,11 +186,10 @@ def test_init_counts_classes_once_per_subgroup(monkeypatch, dec80, rep80, quad80
     assert len(calls) <= sum(s.order for s in dec.subgroups)
     # the fixed dimensions kept on the table serve a second decomposer, and
     # the Schur suite of the order-80 rep once a decomposer has run on its
-    # table (its diagonal suite, which evaluates characters, runs first)
+    # table
     calls.clear()
     JacobianDecomposer(table, orbits=orbits)
     assert calls == []
-    diagonal_idempotents(rep80)
     calls80 = _count_class_lookups(monkeypatch, dec80.group)
     assert validate_schur_from_rep(rep80, quad80) == 2
     assert calls80 == []

@@ -378,19 +378,81 @@ def test_orbit_module_check_matches_per_translate_reference(rep80, small_groups,
         assert passes == [element]   # one set of |G| translates, whatever m is
 
 
-def test_diagonal_suite_runs_once_per_rep(small_groups, small_tables, monkeypatch):
+def _count_products(monkeypatch):
     calls = []
-    real = ga.central_idempotent_over_field
-    monkeypatch.setattr(ga, "central_idempotent_over_field",
-                        lambda rep: calls.append(rep) or real(rep))
+    real = ga._packed_product
+    monkeypatch.setattr(ga, "_packed_product", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def test_primitive_path_makes_each_product_once(small_groups, small_tables, monkeypatch,
+                                                capsys):
+    from isotypic.cli import main
+
+    # order 80, n = 4, m = 2: the 2x2 grid's 16 products and the f suite's 4
+    # (2 squares, 1 orthogonal pair both ways); the diagonal suite, a second
+    # grid pass and the k suite would add 16, 16 and 4
+    calls = _count_products(monkeypatch)
+    assert main(["idempotents", "primitive", "--group", "bundled:group_order80.json",
+                 "--rep", "bundled:rep_order80.json"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(calls) == 20
+    monkeypatch.undo()
+
+    # Q8, n = m = 2: the 1x2 grid's 4 products and f_1 * f_1, on the same
+    # calls as the command line's primitive path
     rep = q8_rep(small_groups, small_tables)
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
-    m = validate_schur_from_rep(rep, orbit)
-    system = construct_primitive_system(rep, assert_schur(orbit, m))
-    assert calls == [rep]
+    calls = _count_products(monkeypatch)
+    orbit = assert_schur(orbit, validate_schur_from_rep(rep, orbit))
+    system = construct_primitive_system(rep, orbit)
+    symmetrize_to_subfield(system)
+    symmetrize_to_rational(system)
+    assert all(ok for _, ok in system_grid_checks(system))
+    assert len(calls) == 5
     assert diagonal_idempotents(rep) == list(system.ells)
-    assert system.e_central == real(rep)
-    assert calls == [rep]
+    assert system.e_central == central_idempotent_over_field(rep)
+
+
+def _idempotent_suite(elems, target, want_dim):
+    """The product checks that Schur orthogonality and the grid relations
+    prove: orthogonal idempotents summing to target, of ideal dimension want_dim."""
+    assert all(e.is_idempotent() for e in elems)
+    for e, f in itertools.combinations(elems, 2):
+        assert e.is_orthogonal_to(f)
+    assert sum(elems[1:], elems[0]) == target
+    assert all(ga._trace_dim(e) == want_dim for e in elems)
+
+
+def _primitive_cases(small_groups, small_tables, rep80, quad80):
+    q8_orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
+    s3_orbit = next(o for o in galois_orbits(small_tables["S3"]) if o.degree == 2)
+    return [(s3_standard_rep(small_groups, small_tables), assert_schur(s3_orbit, 1)),
+            (q8_rep(small_groups, small_tables), assert_schur(q8_orbit, 2)),
+            (rep80, assert_schur(quad80, 2))]
+
+
+def test_diagonal_idempotents_satisfy_the_suite_schur_proves(small_groups, small_tables,
+                                                               rep80, quad80):
+    for rep, _ in _primitive_cases(small_groups, small_tables, rep80, quad80):
+        _idempotent_suite(diagonal_idempotents(rep), central_idempotent_over_field(rep),
+                          rep.degree)
+
+
+def test_k_elements_satisfy_the_suite_the_grid_proves(small_groups, small_tables,
+                                                       rep80, quad80):
+    for rep, orbit in _primitive_cases(small_groups, small_tables, rep80, quad80):
+        system = construct_primitive_system(rep, orbit)
+        _idempotent_suite(symmetrize_to_subfield(system), system.e_central,
+                          system.schur_m * rep.degree)
+
+
+def test_hash_agrees_with_equality_across_domains(small_groups):
+    S3 = small_groups["S3"]
+    one_q, one_cyc = AlgebraElement.one(S3), AlgebraElement.one(S3, ga.CyclotomicDomain(4))
+    assert one_q == one_cyc and hash(one_q) == hash(one_cyc)
+    assert len({one_q, one_cyc}) == 1
+    assert len({one_q, AlgebraElement.basis(S3, S3.generators[0])}) == 2
 
 
 def test_galois_translate_generates_same_module(rep80, field80):
