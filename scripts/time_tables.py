@@ -19,9 +19,10 @@ JSON readers: ``field_from_json`` on the order-80 manifest's field,
 ``table_from_json`` on the bundled order-80 table and on a dumped table of
 D240 (each on a freshly built group whose classes are already known), and
 ``ManifestRunner`` on the order-80 manifest.  Beside each time it writes the
-number of scalars read and of candidates interpolated, counted in one more
-run, and the number of Kronecker candidate tuples enumerated to certify the
-field.  Stdlib only; everything but the times is deterministic.
+number of scalars actually read (a table or a manifest reads each distinct
+coefficient once, so a repeated one is not counted again) and of candidates
+interpolated, counted in one more run, and the number of Kronecker candidate
+tuples enumerated to certify the field.  Stdlib only; everything but the times is deterministic.
 """
 
 import argparse
@@ -98,7 +99,8 @@ def kronecker_candidates(minpoly):
 
 
 def _counted(load, arg):
-    """The scalars read and the candidates interpolated by load(arg)."""
+    """The scalars read and the candidates interpolated by load(arg): every
+    call of the list and scalar readers, which a memo hit does not make."""
     counts = {"scalars": 0, "interpolations": 0}
     read_list, read_one = serialize.scalars_from_json, serialize.rational_from_json
     interpolant = numberfield._integer_interpolant

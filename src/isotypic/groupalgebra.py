@@ -307,8 +307,9 @@ class AlgebraElement:
         return a.coeffs == b.coeffs
 
     def __hash__(self):
-        # __eq__ coerces across domains, which keeps the support
-        return hash(tuple(sorted(self.coeffs)))
+        # __eq__ coerces across domains, which keeps the support, and makes
+        # the zero element equal to the int 0
+        return hash(tuple(sorted(self.coeffs))) if self.coeffs else hash(0)
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -22,6 +22,28 @@ float or JSON int can hit one.  Any other list goes entry by entry through
 the one scalar reader, which gives every error message.
 Rationals (Q coefficients, a field descriptor's minpoly and automorphism
 images, which NumField keeps as Fractions) are read by the same grammar.
+
+The coefficients of a document repeat (the order-80 manifest's 388
+coordinate lists hold 138 distinct ones, the bundled order-80 table's 196
+values 13), so the readers of algebra elements and character tables read
+each distinct coefficient text once per document and reuse the immutable
+value they built.  A memo lives exactly as long as its document: one per
+``table_from_json`` call, one per ``cache`` that a caller passes to
+``element_from_json`` for all elements of one document (``ManifestRunner``
+passes one per manifest), and one per ``element_from_json`` call without
+it; there is no module-level memo.  Keys are type-exact: a coefficient has
+a key only when it is a string (over Q), a list of strings (number-field
+coordinates) or an object whose ``level`` is a JSON integer and whose
+``coeffs`` is a list of strings (a cyclotomic value).  A tuple of strings
+never equals one holding a bool, a float or an int, and ``"1000"`` never
+equals ``("1", "0", "0", "0")``, so such coefficients, and nested or
+unhashable ones, miss the memo and go through the one reader, which keeps
+every refusal; only a successful read is stored.  Keys are domain-qualified:
+each coefficient domain of a document (Q, a cyclotomic level, a number
+field object) has its own memo, so one text in two fields reads as two
+values, and a value is never shared between two field objects.  An
+element's memo stores a coefficient that reads as zero as a marker, so the
+zero filter runs once per distinct text.
 """
 
 from __future__ import annotations
@@ -44,6 +66,7 @@ from .groupalgebra import (
     FieldDomain,
     MatrixRep,
     RATIONALS,
+    _element,
 )
 from .numberfield import CycEmbedding, NumField, NumFieldValue
 
@@ -145,6 +168,37 @@ def cyc_to_json(v: CycValue) -> dict:
     return {"level": v.level, "coeffs": _scalar_strings(v.num, v.den)}
 
 
+# what an element's memo stores for a coefficient that reads as zero
+_ZERO = object()
+
+
+def _literal_key(c):
+    """The memo key of a JSON coefficient, or None when it has none: the
+    string itself, the tuple of a list of strings, or (level, tuple of
+    coeffs) for an object with a JSON-integer level and a list of strings."""
+    if type(c) is str:
+        return c
+    if type(c) is list:
+        return tuple(c) if all(type(x) is str for x in c) else None
+    if type(c) is dict:
+        level, coeffs = c.get("level"), c.get("coeffs")
+        if type(level) is int and type(coeffs) is list and all(type(x) is str for x in coeffs):
+            return level, tuple(coeffs)
+    return None
+
+
+def _memoized(memo: dict, c, read):
+    """read(c), read once per key: a coefficient without a key, or one whose
+    read raises, is never stored."""
+    key = _literal_key(c)
+    if key is None:
+        return read(c)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = read(c)
+    return value
+
+
 def cyc_from_json(d) -> CycValue:
     return CycValue(json_level(d["level"], "level"), *scalars_from_json(d["coeffs"]))
 
@@ -238,8 +292,13 @@ def table_from_json(group: FiniteGroup, d) -> CharacterTable:
                     f"(rep {cls.representative}, size {len(cls.members)})"
                 )
         chars = []
+        memo = {}  # this document's values, each at the table level
+
+        def read(v):
+            return cyc_from_json(v).to_level(level)
+
         for row in d["chars"]:
-            values = tuple(cyc_from_json(v).to_level(level) for v in row)
+            values = tuple([_memoized(memo, v, read) for v in row])
             deg = values[0]
             if not deg.is_rational() or deg.den != 1:
                 raise ValidationError("character degree is not an integer")
@@ -259,23 +318,22 @@ def domain_to_json(domain) -> object:
 
 
 def field_key(d) -> str:
-    """The key of a field descriptor in a ``field_cache``."""
+    """The key of a field descriptor in a document's ``cache``."""
     return json.dumps(d, sort_keys=True)
 
 
-def domain_from_json(d, field_cache: dict | None = None):
+def domain_from_json(d, cache: dict):
+    """The coefficient domain a descriptor names; a number field is read
+    once per ``cache``, the per-document dict of fields and memos."""
     if d == "Q":
         return RATIONALS
     if isinstance(d, dict) and "cyclotomic" in d:
         return CyclotomicDomain(json_level(d["cyclotomic"], "cyclotomic level"))
     if isinstance(d, dict) and "minpoly" in d:
         key = field_key(d)
-        if field_cache is not None and key in field_cache:
-            return FieldDomain(field_cache[key])
-        nf = field_from_json(d)
-        if field_cache is not None:
-            field_cache[key] = nf
-        return FieldDomain(nf)
+        if key not in cache:
+            cache[key] = field_from_json(d)
+        return FieldDomain(cache[key])
     raise ValidationError(f"unknown coefficient field descriptor {d!r}")
 
 
@@ -293,21 +351,48 @@ def element_to_json(el: AlgebraElement) -> dict:
     return {"field": domain_to_json(dom), "coeffs": coeffs}
 
 
-def element_from_json(group: FiniteGroup, d, field_cache: dict | None = None) -> AlgebraElement:
+def _domain_memo(cache: dict, dom) -> dict:
+    """The memo of dom's coefficients in a document's cache: one for Q, one
+    per cyclotomic level and one per field object.  A value read in one of
+    two equal fields is not the other's (``apply_auto`` takes only its own
+    field's values), so a field is named by its id; the cache holds every
+    field it names, so no other field takes that id while the memo lives."""
+    if dom.kind == "numberfield":
+        return cache.setdefault(("literals", id(dom.field)), {})
+    return cache.setdefault(("literals", dom), {})
+
+
+def element_from_json(group: FiniteGroup, d, cache: dict | None = None) -> AlgebraElement:
+    """An element from JSON; the elements of one document share its ``cache``
+    (fields and coefficient memos), a call without one reads alone."""
+    cache = {} if cache is None else cache
     with parsing("algebra element"):
-        dom = domain_from_json(d["field"], field_cache)
+        dom = domain_from_json(d["field"], cache)
+        memo = _domain_memo(cache, dom)
+        zero = dom.zero()
+        if dom.kind == "Q":
+            read = rational_from_json
+        elif dom.kind == "cyclotomic":
+            read = cyc_from_json
+        else:
+            def read(c):
+                return nfv_from_json(dom.field, c)
+
+        def read_nonzero(c):
+            value = read(c)
+            return value if value != zero else _ZERO
+
         out = {}
         for g, c in d["coeffs"]:
             g = json_int(g, "element index")
             if not 0 <= g < group.order:
                 raise ValidationError(f"element index {g} out of range")
-            if dom.kind == "Q":
-                out[g] = rational_from_json(c)
-            elif dom.kind == "cyclotomic":
-                out[g] = cyc_from_json(c)
+            value = _memoized(memo, c, read_nonzero)
+            if value is _ZERO:
+                out.pop(g, None)
             else:
-                out[g] = nfv_from_json(dom.field, c)
-    return AlgebraElement(group, dom, out)
+                out[g] = value
+    return _element(group, dom, out)
 
 
 # -- matrix representations --------------------------------------------------------------

@@ -69,16 +69,16 @@ class ManifestRunner:
             with parsing("manifest field"):
                 self.field = field_from_json(manifest["field"])
         self._elements = {}
+        # the manifest's fields and coefficient memos, shared by its elements;
         # elements with "field": "L" reuse the certified manifest field
-        self._field_cache = {} if self.field is None else {
-            field_key(manifest["field"]): self.field}
+        self._cache = {} if self.field is None else {field_key(manifest["field"]): self.field}
         with parsing("manifest elements"):
             for name, spec in manifest.get("elements", {}).items():
                 if "derive" in spec:
                     continue
                 if spec.get("field") == "L":  # reference to the manifest-level field
                     spec = dict(spec, field=manifest["field"])
-                self._elements[name] = element_from_json(self.group, spec, self._field_cache)
+                self._elements[name] = element_from_json(self.group, spec, self._cache)
             self._derived = {name: spec["derive"] for name, spec in
                              manifest.get("elements", {}).items() if "derive" in spec}
         self._deriving = []

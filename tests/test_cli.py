@@ -8,7 +8,7 @@ import pytest
 
 from isotypic import RATIONALS, ValidationError, compute_character_table
 from isotypic.cli import main
-from isotypic.fixtures import order80_element, presentation_spec
+from isotypic.fixtures import order80_element, order80_field, presentation_spec
 from isotypic.serialize import (
     dumps,
     element_from_json,
@@ -238,6 +238,28 @@ def _q_element_manifest(coeff, **derived):
     return {"group": S3_SPEC, "elements": elements, "checks": [{"check": "zero", "of": "b"}]}
 
 
+L80 = field_to_json(order80_field())
+FIRST_LIST = ["1", "0", "-1/80", "0"]
+
+
+def _l_element_manifest(repeat, first=FIRST_LIST):
+    """An S3 manifest with one element over the order-80 field L whose first
+    coefficients are a valid coordinate list, in strings and with JSON ints,
+    and whose last repeats it in the form given."""
+    ints = [json.loads(x) if "/" not in x else x for x in first]
+    return {"group": S3_SPEC, "field": L80, "elements": {"e": {
+        "field": "L", "coeffs": [[0, first], [1, ints], [2, repeat]]}}, "checks": []}
+
+
+def _s3_table_repeating(level):
+    """The S3 table document whose trivial degree is written at level 1 and
+    whose second character's degree repeats it at the level given."""
+    blob = table_to_json(compute_character_table(group_from_spec(S3_SPEC)))
+    blob["chars"][0][0] = {"level": 1, "coeffs": ["1"]}
+    blob["chars"][1][0] = {"level": level, "coeffs": ["1"]}
+    return blob
+
+
 MALFORMED_DOCUMENTS = {
     # name: (command, document, key or text the message must name)
     "check-without-of": ("verify", {"group": S3_SPEC, "checks": [{"check": "idempotent"}]},
@@ -295,6 +317,30 @@ MALFORMED_DOCUMENTS = {
     "field-automorphism-bool": ("verify", {"group": S3_SPEC, "field": {
         "minpoly": [0, 1], "automorphisms": [[False]]}, "checks": []},
         "false is not an exact scalar"),
+    # a coefficient read once is reused only for the same text of the same
+    # type: a repeat that differs in type is read, and refused, on its own
+    "repeated-list-with-bool": ("verify", _l_element_manifest([True, "0", "-1/80", "0"]),
+                                "error: malformed algebra element: true is not an exact "
+                                'scalar (an integer or a "p/q" string)\n'),
+    "repeated-list-with-float": ("verify", _l_element_manifest([1.0, "0", "-1/80", "0"]),
+                                 "error: malformed algebra element: 1.0 is not an exact "
+                                 'scalar (an integer or a "p/q" string)\n'),
+    "repeated-list-nested": ("verify", _l_element_manifest([FIRST_LIST]),
+                             'error: malformed algebra element: ["1", "0", "-1/80", "0"] '
+                             'is not an exact scalar (an integer or a "p/q" string)\n'),
+    "repeated-list-with-unhashable-entry": (
+        "verify", _l_element_manifest([{"1": 1}, "0", "-1/80", "0"]),
+        'error: malformed algebra element: {"1": 1} is not an exact scalar '
+        '(an integer or a "p/q" string)\n'),
+    "repeated-list-as-bare-string": (
+        "verify", _l_element_manifest("1000", ["1", "0", "0", "0"]),
+        'error: malformed algebra element: a list of scalars is expected, not "1000"\n'),
+    "table-repeated-value-level-bool": ("chartable", _s3_table_repeating(True),
+                                        "error: malformed character table: level must be an "
+                                        "integer, not true\n"),
+    "table-repeated-value-level-float": ("chartable", _s3_table_repeating(1.0),
+                                         "error: malformed character table: level must be an "
+                                         "integer, not 1.0\n"),
     # integer fields: a JSON int, never a float (6.9 was read as 6) or a bool
     "table-level-float": ("chartable", dict(_s3_table_with("1"), level=6.9),
                           "malformed character table: level must be an integer, not 6.9"),
@@ -344,6 +390,33 @@ def test_cli_malformed_document_exit_2(tmp_path, name):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert named in proc.stderr
+
+
+def test_repeated_list_as_json_ints_reads_the_same_value():
+    runner = ManifestRunner(_l_element_manifest(FIRST_LIST))
+    first, ints, repeat = (runner._elements["e"].coeffs[g] for g in (0, 1, 2))
+    assert first == ints == repeat and first is repeat and ints is not first
+    assert (ints.num, ints.den) == ((80, 0, -1, 0), 80)
+
+
+def test_one_list_under_two_fields_reads_as_two_values(tmp_path):
+    # ["0", "1"] is sqrt(2) in the manifest field and i in the inline one
+    sqrt2 = {"minpoly": ["-2", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]]}
+    qi = {"minpoly": ["1", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]]}
+    manifest = {"group": S3_SPEC, "field": sqrt2, "elements": {
+        "r": {"field": "L", "coeffs": [[0, ["0", "1"]]]},
+        "i": {"field": qi, "coeffs": [[0, ["0", "1"]]]},
+        "two": {"field": "Q", "coeffs": [[0, "2"]]},
+        "minus_one": {"field": "Q", "coeffs": [[0, "-1"]]},
+        "r2": {"derive": {"op": "mul", "args": ["r", "r"]}},
+        "i2": {"derive": {"op": "mul", "args": ["i", "i"]}},
+    }, "checks": [{"check": "equal", "left": "r2", "right": "two"},
+                  {"check": "equal", "left": "i2", "right": "minus_one"}]}
+    path = tmp_path / "two_fields.json"
+    path.write_text(json.dumps(manifest))
+    proc = run_cli_process("verify", str(path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("[pass]") == 2, proc.stdout
 
 
 BAD_ARGUMENTS = {

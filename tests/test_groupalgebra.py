@@ -455,6 +455,15 @@ def test_hash_agrees_with_equality_across_domains(small_groups):
     assert len({one_q, AlgebraElement.basis(S3, S3.generators[0])}) == 2
 
 
+def test_zero_element_hashes_as_the_int_it_equals(small_groups):
+    S3 = small_groups["S3"]
+    zero_q, zero_cyc = AlgebraElement.zero(S3), AlgebraElement.zero(S3, ga.CyclotomicDomain(4))
+    assert zero_q == 0 and hash(zero_q) == hash(0)
+    assert len({zero_q, 0}) == 1
+    assert zero_q == zero_cyc and hash(zero_q) == hash(zero_cyc)
+    assert len({zero_q, zero_cyc, 0}) == 1
+
+
 def test_galois_translate_generates_same_module(rep80, field80):
     # tau(l1) generates a different minimal ideal inside the same M
     ells = diagonal_idempotents(rep80)

@@ -40,11 +40,15 @@ def test_time_tables_reports_the_loads(tmp_path):
     loads = json.loads(out.read_text())["loads"]
     counts = {name: (row["scalars"], row["kronecker_candidates"], row["interpolations"])
               for name, row in loads.items()}
-    # 63 x 63 values at level 120, phi(120) = 32 coordinates each
+    # each distinct coefficient is read once per document: the order-80 table
+    # has 13 distinct values of 16 coordinates, D240's 63 x 63 table 61 distinct
+    # values at level 120 (phi(120) = 32 coordinates each), and the manifest
+    # reads its field (17), 138 distinct lists of 4 coordinates and 4 distinct
+    # rationals
     assert counts == {
         "field_order80": (17, 1080, 22),
-        "table_order80": (3136, 0, 0),
-        "table_D240": (63 * 63 * 32, 0, 0),
-        "manifest_order80": (1589, 1080, 22),
+        "table_order80": (13 * 16, 0, 0),
+        "table_D240": (61 * 32, 0, 0),
+        "manifest_order80": (17 + 138 * 4 + 4, 1080, 22),
     }
     assert all(row["load_s"] >= 0 for row in loads.values())
