@@ -11,8 +11,10 @@ For each group it builds the group and its classes (untimed), then times
 ``CharacterTable.validate`` on the computed table, each the median of
 ``--runs`` runs on a freshly built group.  It also writes the table's level
 L, the bound B of the row relation and the split primes that prove it (one
-prime above B when B < 2^64), and the Python version and machine.  The
-permutation generators are those of ``perfbench/inputs.py``.
+prime above B when B < 2^64), the class-sum matrices the split built and
+the rows it lifted (one per Galois orbit), counted in one more run, and the
+Python version and machine.  The permutation generators are those of
+``perfbench/inputs.py``.
 
 With ``--loads`` it also times, each the median of ``--runs`` runs, the
 JSON readers: ``field_from_json`` on the order-80 manifest's field,
@@ -81,7 +83,29 @@ def time_group(name, runs):
         "L": level,
         "B": bound,
         "primes": characters._split_primes(level, bound),
+        **_split_counts(_group(name)),
     }
+
+
+def _split_counts(group):
+    """The class-sum matrices built and the rows lifted by one compute."""
+    counts = {"class_sums": 0, "lifted": 0}
+    class_sum, lift_row = characters._class_sum, characters._lift_row
+
+    def counted_class_sum(*args):
+        counts["class_sums"] += 1
+        return class_sum(*args)
+
+    def counted_lift_row(*args):
+        counts["lifted"] += 1
+        return lift_row(*args)
+
+    characters._class_sum, characters._lift_row = counted_class_sum, counted_lift_row
+    try:
+        compute_character_table(group)
+    finally:
+        characters._class_sum, characters._lift_row = class_sum, lift_row
+    return counts
 
 
 def kronecker_candidates(minpoly):

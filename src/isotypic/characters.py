@@ -1,20 +1,38 @@
 """Exact character tables and rational irreducibles.
 
 The table is computed by the modular method of Dixon (Numer. Math. 10,
-1967) as revised by Schneider (J. Symbolic Comput. 9, 1990): the class-sum
-structure constants act on F_p^r for a prime p = 1 (mod e) with
-p > 2*sqrt(|G|), and F_p^r is split into their common eigenspaces.  Each
-eigenspace is kept as a basis that is the identity at its pivot columns,
-basis[a][pivots[b]] = (a == b), so a vector of its span has its coordinates
-at the pivots: the restricted action of a class sum is read off the pivot
-entries of the images, each a short sum over a sparse row of the class-sum
-matrix, with no elimination.  A class sum that acts on an eigenspace as a
-scalar leaves it whole.  Otherwise the restricted action is brought to
-upper Hessenberg form mod p once; its characteristic polynomial is read
-off, its roots are found by Horner evaluation at the p points of F_p, and
-nullspaces are taken at those roots only, by one F_p elimination with
-unit-vector tails.  A tail is 1 at its own dependent column and 0 at the
-others, so the eigenvectors it combines are again the identity at pivots.
+1967) as revised by Schneider (J. Symbolic Comput. 9, 1990), on the centre
+Z of F_pG for a prime p = 1 (mod e) with p > 2*sqrt(|G|).  An element of Z
+is written in class-sum coordinates, and the class sum K_i acts on it by
+the structure constants.  p does not divide |G| and F_p holds the e-th
+roots of unity, so Z is split semisimple: Z = sum_chi F_p e_chi, and K_i
+acts on e_chi as the scalar omega_chi(K_i) = |C_i| chi(g_i) / chi(1).
+
+- The split.  The identity, (1, 0, ..., 0), is split into the central
+  primitive idempotents e_chi by the class sums in class order.  For an
+  idempotent E not yet known to be primitive, the Krylov vectors E, K_i E,
+  K_i^2 E, ... are eliminated over F_p with unit-vector tails until the
+  first dependence, whose tail is the minimal polynomial m of K_i on Z E
+  (Z is commutative).  E is a sum of some e_chi, so m is the product of
+  t - omega over their distinct values omega = omega_chi(K_i): its roots,
+  found by Horner evaluation at the p points of F_p, are distinct, and for
+  each root mu, P_mu E = q_mu(K_i) E / q_mu(mu) with q_mu = m / (t - mu) is
+  exactly the sum of the e_chi in E with omega_chi(K_i) = mu.  The P_mu E
+  are combinations of the Krylov vectors already found.  The split stops at
+  r idempotents, and only the class sums it reaches are built.
+- The trace test.  The trace of x -> E x on Z is dim Z E mod p, and it is
+  sum_i E_i tr(K_i), with tr(K_i) = sum_k #{u in C_i : u^-1 w_k in C_k} read
+  in one pass over G.  When r <= p a value of 1 proves E primitive, as
+  1 <= dim Z E <= r, and E is split no further.  When r > p (C2^4 has r = 16
+  and p = 11) a dimension p + 1 would pass too, and the test is not made.
+- The row.  e_chi = (chi(1) / |G|) sum_g chi(g^-1) g, so e_chi[k] =
+  chi(1) chi(g_k^-1) / |G|: chi(1)^2 = |G| e_chi[0], and chi(1) < p / 2 is
+  its square root; then chi(g_k) = |G| e_chi[class of g_k^-1] / chi(1).
+- The Galois orbits.  For a unit u of Z/e, chi^sigma_u(g) = chi(g^u), so
+  e_(chi^sigma_u) is e_chi read through the power map k -> class(g_k^u),
+  and distinct characters have distinct idempotents.  One row per orbit is
+  lifted; each conjugate is found by its idempotent, and its exact values
+  are the lifted row read through the same map.
 
 Character values are lifted to Q(zeta_e) by discrete Fourier inversion on
 the power map, once per rational class: the multiplicity m_i of zeta_o^i as
@@ -102,8 +120,9 @@ from .groups import FiniteGroup
 Rat = Fraction
 
 CLASS_COUNT_BOUND = 500
-"""Most conjugacy classes a character table is computed for: the split and
-the validation grow as the cube of the class count."""
+"""Most conjugacy classes a character table is computed for: the Krylov
+eliminations of the split and the validation grow as the cube of the class
+count."""
 
 
 class Character(namedtuple("Character", "values degree")):
@@ -397,82 +416,6 @@ def _root_of_unity(p: int, n: int) -> int:
     raise InvariantError("no primitive root of unity found")  # pragma: no cover
 
 
-def _eliminate_mod(vectors, p):
-    """Gaussian elimination over F_p with unit-vector tails (Cohen, GTM 138, 2.3).
-
-    Vector k, with the k-th unit vector appended, is reduced against the
-    pivot-normalized rows kept so far, and kept as a row if its head does
-    not vanish.  Returns one entry per vector: None for a kept vector, else
-    the reduced tail t, with sum_i t[i] vectors[i] = 0.  These tails are a
-    basis of the vanishing combinations of the vectors.
-    """
-    width, count = len(vectors[0]), len(vectors)
-    rows, pivots, tails = [], [], []
-    for k, vec in enumerate(vectors):
-        vec = [x % p for x in vec] + [0] * count
-        vec[width + k] = 1
-        for row, piv in zip(rows, pivots):
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-        piv = next((j for j in range(width) if vec[j]), None)
-        if piv is None:
-            tails.append(vec[width:])
-            continue
-        inv = pow(vec[piv], p - 2, p)
-        rows.append([x * inv % p for x in vec])
-        pivots.append(piv)
-        tails.append(None)
-    return tails
-
-
-def _nullspace_mod(matrix, p):
-    """Basis of the right nullspace of matrix over F_p: the vanishing
-    combinations of its columns."""
-    return [t for t in _eliminate_mod(list(zip(*matrix)), p) if t is not None]
-
-
-def _charpoly_mod(mat, p):
-    """det(x - mat) over F_p, constant term first: mat is brought to upper
-    Hessenberg form H by similarity, then p_m = (x - H[m][m]) p_(m-1) -
-    sum_(i<m) H[i][m] H[i+1][i]...H[m][m-1] p_(i-1) (Cohen, GTM 138, 2.2.9)."""
-    n = len(mat)
-    h = [list(row) for row in mat]
-    for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        inv = pow(h[m][m - 1], p - 2, p)
-        hm = h[m]
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * inv % p
-            if u:
-                # row i -= u * row m, then column m += u * column i
-                h[i] = [(a - u * b) % p for a, b in zip(h[i], hm)]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % p
-    polys = [[1]]
-    for m in range(n):
-        prev = polys[m]
-        new = [0] + prev
-        c = h[m][m]
-        for k, a in enumerate(prev):
-            new[k] -= c * a
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            coef = h[i][m] * t % p
-            if coef:
-                for k, a in enumerate(polys[i]):
-                    new[k] -= coef * a
-        polys.append([x % p for x in new])
-    return polys[n]
-
-
 def _roots_mod(poly, p):
     """The roots in F_p of a polynomial (constant term first), in increasing
     order, by Horner evaluation at every point."""
@@ -487,6 +430,112 @@ def _roots_mod(poly, p):
     return roots
 
 
+def _class_sum(group: FiniteGroup, members, reps):
+    """Multiplication by the class sum K of members on Z(F_pG), in class-sum
+    coordinates, as sparse rows: rows[k] lists the (j, c) with
+    c = #{u in K : u^-1 w_k in C_j} > 0, w_k = reps[k]."""
+    class_of, mul_table, inv = group._class_of, group._mul, group._inv
+    inv_rows = [mul_table[inv[u]] for u in members]
+    return [list(Counter([class_of[x[wk]] for x in inv_rows]).items()) for wk in reps]
+
+
+def _class_sum_traces(group: FiniteGroup, classes):
+    """tr(K_j) on Z(F_pG) for every class j: sum_k #{u in C_j : u^-1 w_k in
+    C_k}, which is #{v in C_k : w_k v^-1 in C_j} summed over k, one pass
+    over G."""
+    class_of, mul_table, inv = group._class_of, group._mul, group._inv
+    traces = [0] * len(classes)
+    for cls in classes:
+        row = mul_table[cls.representative]
+        for v in cls.members:
+            traces[class_of[row[inv[v]]]] += 1
+    return traces
+
+
+def _krylov_mod(rows, start, p):
+    """(vectors, poly): vectors[k] = M^k start for k < d, with M given by
+    its sparse rows, and poly the minimal polynomial of M on start, monic of
+    degree d, constant term first.
+
+    Each new vector, with the unit vector of its place as its tail, is
+    reduced against the pivot-normalized vectors before it (Cohen, GTM 138,
+    2.3), and the first that vanishes ends the walk: its tail is 1 at its
+    own place, so it is the monic relation sum_k poly[k] M^k start = 0.
+    """
+    vectors, echelon = [], []
+    vec = start
+    while True:
+        head, tail = vec, [0] * len(vectors) + [1]
+        for piv, row, row_tail in echelon:
+            c = head[piv]
+            if c:
+                head = [(a - c * b) % p for a, b in zip(head, row)]
+                tail[:len(row_tail)] = [(a - c * b) % p for a, b in zip(tail, row_tail)]
+        piv = next((j for j, x in enumerate(head) if x), None)
+        if piv is None:
+            return vectors, tail
+        inv = pow(head[piv], p - 2, p)
+        echelon.append((piv, [x * inv % p for x in head], [x * inv % p for x in tail]))
+        vectors.append(vec)
+        vec = [sum([c * vec[j] for j, c in row]) % p for row in rows]
+
+
+def _projections(vectors, poly, p):
+    """P_mu start = q_mu(M) start / q_mu(mu) for each root mu of poly, in
+    increasing order, with q_mu = poly / (t - mu) and vectors, poly as
+    ``_krylov_mod`` returns them.  When poly is a product of distinct
+    linear factors over F_p these are the projections of start onto the
+    eigenspaces of M, and they sum to start; otherwise the split fails."""
+    roots = _roots_mod(poly, p)
+    if len(roots) != len(poly) - 1:
+        raise InvariantError("splitting failure")
+    columns = list(zip(*vectors))
+    parts = []
+    for mu in roots:
+        q, acc = [], 0
+        for c in reversed(poly[1:]):  # synthetic division, top term first
+            acc = (acc * mu + c) % p
+            q.append(acc)
+        q.reverse()
+        at_mu = 0
+        for c in reversed(q):
+            at_mu = (at_mu * mu + c) % p
+        scale = pow(at_mu, p - 2, p)
+        parts.append([sum(map(mul, q, col)) * scale % p for col in columns])
+    return parts
+
+
+def _central_idempotents(group: FiniteGroup, classes, p):
+    """The central primitive idempotents e_chi of F_pG in class-sum
+    coordinates, split off 1 by the spectral projectors of the class sums
+    in class order (see the module docstring).  Only the class sums the
+    split reaches are built."""
+    r = len(classes)
+    reps = [c.representative for c in classes]
+    traces = _class_sum_traces(group, classes) if r <= p else None
+    done, pending = [], [[1] + [0] * (r - 1)]
+    for cls in classes[1:]:
+        if len(done) + len(pending) == r:
+            break
+        rows = _class_sum(group, cls.members, reps)
+        split = []
+        for idem in pending:
+            vectors, poly = _krylov_mod(rows, idem, p)
+            if len(poly) == 2:  # K acts on Z idem as a scalar
+                split.append(idem)
+                continue
+            for part in _projections(vectors, poly, p):
+                # the trace of x -> part x on Z is dim Z part mod p
+                if traces is not None and sum(map(mul, part, traces)) % p == 1:
+                    done.append(part)
+                else:
+                    split.append(part)
+        pending = split
+    if len(done) + len(pending) != r:
+        raise InvariantError("splitting failure")  # pragma: no cover
+    return done + pending
+
+
 def compute_character_table(group: FiniteGroup) -> CharacterTable:
     """Exact irreducible character table, rows sorted by (degree, values)."""
     classes = group.conjugacy_classes()
@@ -495,61 +544,20 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
         raise BoundExceededError(
             f"{r} conjugacy classes exceed the class-count bound {CLASS_COUNT_BOUND}"
         )
-    n = group.order
-    e = group.exponent
-    p = _dixon_prime(n, e)
-    sizes = [len(c.members) for c in classes]
-    reps = [c.representative for c in classes]
+    p = _dixon_prime(group.order, group.exponent)
+    chars = _orbit_rows(group, _central_idempotents(group, classes, p), p)
+    return CharacterTable(group, sorted(chars, key=Character.sort_key))
+
+
+def _orbit_rows(group: FiniteGroup, idempotents, p):
+    """The character of each central primitive idempotent mod p, in their
+    order: one row per Galois orbit is lifted, and each conjugate is read
+    off it through the power map (see the module docstring)."""
+    classes = group.conjugacy_classes()
+    n, e = group.order, group.exponent
     class_of, mul_table, inv = group._class_of, group._mul, group._inv
+    reps = [c.representative for c in classes]
     inv_class = [class_of[inv[rep]] for rep in reps]
-
-    # structure constants, row by row: mats[i][k] lists the (j, c) with
-    # c = #{u in C_i : u^-1 * w_k in C_j} > 0
-    mats = []
-    for cls in classes:
-        inv_rows = [mul_table[inv[u]] for u in cls.members]
-        mats.append([list(Counter([class_of[x[wk]] for x in inv_rows]).items())
-                     for wk in reps])
-
-    # split F_p^r into common eigenspaces of all class-sum matrices, each kept
-    # as a basis that is the identity at its pivot columns
-    subspaces = [([[int(c == j) for c in range(r)] for j in range(r)], list(range(r)))]
-    for rows in mats[1:]:
-        if all(len(pivots) == 1 for _, pivots in subspaces):
-            break
-        new_spaces = []
-        for basis, pivots in subspaces:
-            d = len(pivots)
-            if d == 1:
-                new_spaces.append((basis, pivots))
-                continue
-            act_t = _restricted_action(rows, basis, pivots, p)
-            lam = act_t[0][0]
-            if act_t == [[lam if a == b else 0 for b in range(d)] for a in range(d)]:
-                new_spaces.append((basis, pivots))  # one eigenvalue: nothing to split
-                continue
-            cols = list(zip(*basis))
-            found = 0
-            for lam in _roots_mod(_charpoly_mod(act_t, p), p):
-                shifted = [
-                    [(act_t[a][b] - (lam if a == b else 0)) % p for b in range(d)]
-                    for a in range(d)
-                ]
-                # a tail is 1 at its dependent column q and 0 after q and at
-                # the other dependent columns: its vector is 1 at pivots[q]
-                # and 0 at the other new pivots
-                null = _nullspace_mod(shifted, p)
-                sub = [[sum(map(mul, coefs, col)) % p for col in cols] for coefs in null]
-                sub_pivots = [pivots[d - 1 - t[::-1].index(1)] for t in null]
-                new_spaces.append((sub, sub_pivots))
-                found += len(null)
-            if found != d:
-                raise InvariantError("splitting failure")  # pragma: no cover
-        subspaces = new_spaces
-    if any(len(pivots) != 1 for _, pivots in subspaces):
-        raise InvariantError("splitting failure")  # pragma: no cover
-
-    # recover normalized character values mod p from eigenvalues
     z = _root_of_unity(p, e)  # fixed primitive e-th root of unity mod p
     power_class = []
     for g in reps:
@@ -559,49 +567,45 @@ def compute_character_table(group: FiniteGroup) -> CharacterTable:
             x = mul_table[x][g]
         power_class.append(powers)
     lifts, images = _lift_plan(power_class, z, e, p)
+
+    # sigma_u reads a row, and its idempotent, through k -> class(g_k^u)
+    maps = dict.fromkeys(tuple([powers[u % len(powers)] for powers in power_class])
+                         for u in unit_group(e))
+    position = {tuple(idem): a for a, idem in enumerate(idempotents)}
+    rows = [None] * len(idempotents)
+    for a, idem in enumerate(idempotents):
+        if rows[a] is not None:
+            continue
+        char = _lift_row(idem, n, inv_class, p, lifts, images, e)
+        for m in maps:
+            b = position.get(tuple([idem[k] for k in m]))
+            if b is None:
+                raise InvariantError("splitting failure")  # pragma: no cover
+            if rows[b] is None:
+                rows[b] = Character(tuple([char.values[k] for k in m]), char.degree)
+    return rows
+
+
+def _lift_row(idem, order, inv_class, p, lifts, images, e):
+    """The character whose central idempotent mod p is idem, lifted to
+    Q(zeta_e): e_chi[k] = chi(1) chi(g_k^-1) / |G|, so chi(1)^2 = |G| e_chi[0]
+    and chi(g_k) = |G| e_chi[class of g_k^-1] / chi(1) mod p, and the values
+    are lifted by the plan of ``_lift_plan``."""
+    deg_sq = order * idem[0] % p
+    deg = next((s for s in range(1, p // 2 + 1) if s * s % p == deg_sq), None)
+    if deg is None:
+        raise InvariantError("splitting failure")  # pragma: no cover
+    scale = order * pow(deg, p - 2, p) % p
+    vals_mod = [scale * idem[k] % p for k in inv_class]
+    # the multiplicity of zeta_o^i as an eigenvalue of g is
+    # (1/o) sum_k chi(g^k) zeta_o^(-ik), lifted from F_p
+    mults = [
+        [sum([vals_mod[cls] * w for cls, w in row]) * inv_o % p for row in weights]
+        for inv_o, weights in lifts
+    ]
     phi = _level(e).phi
-
-    chars = []
-    for (v,), (j0,) in subspaces:
-        # v[j0] = 1, so omega_i = (M_i v)[j0]
-        omegas = [sum([c * v[j] for j, c in mats[i][j0]]) % p for i in range(r)]
-        # chi(g_i)/chi(1) = omega_i / |C_i|
-        ratio = [
-            (omegas[i] * pow(sizes[i] % p, p - 2, p)) % p for i in range(r)
-        ]
-        denom = sum(
-            ratio[i] * ratio[inv_class[i]] * sizes[i] for i in range(r)
-        ) % p
-        deg_sq = (n * pow(denom, p - 2, p)) % p
-        deg = next(
-            (s for s in range(1, p // 2 + 1) if (s * s) % p == deg_sq), None
-        )
-        if deg is None:
-            raise InvariantError("splitting failure")  # pragma: no cover
-        vals_mod = [(deg * ratio[i]) % p for i in range(r)]
-
-        # the multiplicity of zeta_o^i as an eigenvalue of g is
-        # (1/o) sum_k chi(g^k) zeta_o^(-ik), lifted from F_p
-        mults = [
-            [sum([vals_mod[cls] * w for cls, w in row]) * inv_o % p for row in weights]
-            for inv_o, weights in lifts
-        ]
-        values = tuple(_cyc(e, tuple(_combine(mults[a], fold, phi)), 1) for a, fold in images)
-        chars.append(Character(values, deg))
-
-    chars.sort(key=Character.sort_key)
-    return CharacterTable(group, chars)
-
-
-def _restricted_action(rows, basis, pivots, p):
-    """The transposed matrix of a class sum on the span of basis.
-
-    basis[a][pivots[b]] = (a == b), so a vector of the span has its
-    coordinates at the pivots, and entry (a, b) is entry pivots[a] of the
-    image of basis[b].  rows[k] lists the (j, c) with c != 0 in row k of
-    the class-sum matrix; the span must be invariant.
-    """
-    return [[sum([c * vec[j] for j, c in rows[k]]) % p for vec in basis] for k in pivots]
+    return Character(tuple(_cyc(e, tuple(_combine(mults[a], fold, phi)), 1)
+                           for a, fold in images), deg)
 
 
 def _lift_plan(power_class, z, e, p):

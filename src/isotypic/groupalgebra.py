@@ -641,7 +641,7 @@ def _matrix_units(rep: MatrixRep, j: int):
     and whose trace is a validated irreducible character (module docstring, (a))."""
     group = rep.group
     scale = Rat(rep.degree, group.order)
-    rows = [rep.matrices[group.inv(g)][j] for g in range(group.order)]
+    rows = [rep.matrix(group.inv(g))[j] for g in range(group.order)]
     return [[row[i] * scale for row in rows] for i in range(rep.degree)]
 
 
@@ -650,7 +650,7 @@ def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
     group = rep.group
     scale = Rat(rep.degree, group.order)
     return AlgebraElement(group, FieldDomain(rep.field), {
-        g: rep.matrices[group.inv(g)][j][j] * scale for g in range(group.order)})
+        g: rep.matrix(group.inv(g))[j][j] * scale for g in range(group.order)})
 
 
 def diagonal_idempotents(rep: MatrixRep):

@@ -310,7 +310,9 @@ class NumField:
     # -- Galois action -------------------------------------------------------
 
     def apply_auto(self, index: int, v: "NumFieldValue") -> "NumFieldValue":
-        if v.field is not self:
+        """The image of v, a value of this field or of an equal one, under
+        automorphism index, as a value of this field."""
+        if v.field is not self and v.field != self:
             raise ValidationError("value belongs to a different field")
         rows, den = self._auto_maps[index]
         return _nfv(self, *_normal(_combine(v.num, rows, self.degree), v.den * den))

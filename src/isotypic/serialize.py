@@ -354,9 +354,10 @@ def element_to_json(el: AlgebraElement) -> dict:
 def _domain_memo(cache: dict, dom) -> dict:
     """The memo of dom's coefficients in a document's cache: one for Q, one
     per cyclotomic level and one per field object.  A value read in one of
-    two equal fields is not the other's (``apply_auto`` takes only its own
-    field's values), so a field is named by its id; the cache holds every
-    field it names, so no other field takes that id while the memo lives."""
+    two equal fields is not shared with the other, so every coefficient of
+    an element lies in its own field object: a field is named by its id,
+    and the cache holds every field it names, so no other field takes that
+    id while the memo lives."""
     if dom.kind == "numberfield":
         return cache.setdefault(("literals", id(dom.field)), {})
     return cache.setdefault(("literals", dom), {})

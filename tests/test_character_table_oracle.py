@@ -1,7 +1,8 @@
-"""The characteristic-polynomial split, the packed orthogonality check and
-the permutation-based Galois orbits checked against the code they replaced
+"""The idempotent split, the packed orthogonality check and the
+permutation-based Galois orbits checked against the code they replaced
 (``character_table_reference.py``), on the groups and on seeded
-relabellings; the split-prime proof of the row relation against the
+relabellings; the class sums the split builds, the rows it lifts and its
+trace test; the split-prime proof of the row relation against the
 reference, and the split primes and the exact primality test against trial
 division;
 the table's integer form and its closed-form traces checked against the
@@ -199,15 +200,118 @@ def _conjugated(mat, i, j, c, p):
 
 
 def test_charpoly_roots_are_the_eigenvalues():
+    """The Krylov walk of a cyclic vector under a matrix with a Jordan block
+    returns its characteristic polynomial, whose roots are the eigenvalues;
+    a repeated root is refused as a splitting failure."""
     p = 13
     mat = [[2, 1, 0, 7], [0, 2, 3, 0], [0, 0, 5, 1], [0, 0, 0, 0]]
     for i, j, c in ((3, 0, 4), (2, 1, 6), (1, 3, 9), (3, 1, 2)):
         mat = _conjugated(mat, i, j, c, p)
     assert any(mat[i][j] for i in range(2, 4) for j in range(i - 1))  # not Hessenberg
-    poly = characters._charpoly_mod(mat, p)
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in mat]
+    vectors, poly = characters._krylov_mod(rows, [1, 0, 0, 0], p)
     # (x - 2)^2 (x - 5) x
     assert poly == [0, (-20) % p, 24 % p, (-9) % p, 1]
     assert characters._roots_mod(poly, p) == [0, 2, 5]
+    with pytest.raises(InvariantError, match="splitting failure"):
+        characters._projections(vectors, poly, p)
+
+
+# -- the idempotent split: class sums built, rows lifted, the trace test -----------
+
+
+COUNTED = {**GROUPS, "D500": lambda: dihedral(250)}
+# (rows lifted, rows): one lift per Galois orbit
+LIFTS = {"D48": (10, 15), "C11x5": (3, 7), "Dic7": (5, 10), "D500": (10, 128)}
+# the split stops at r idempotents: S5's first class sum, the transpositions,
+# separates all 7 characters
+CLASS_SUMS = {"S5": 1, "D48": 11, "D500": 28}
+
+
+def _spied(monkeypatch, *names):
+    """The arguments of every call of the named ``characters`` helpers from
+    now on, by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(characters, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(characters, name, spy)
+    return calls
+
+
+def _orbit_count(table):
+    """The number of orbits of the rows under the table's Galois permutations."""
+    perms = table._form[5].values()
+    return len({frozenset(perm[i] for perm in perms) for i in range(len(table.chars))})
+
+
+@pytest.mark.parametrize("name", sorted(set(LIFTS) | set(CLASS_SUMS)))
+def test_one_lift_per_galois_orbit_and_only_the_class_sums_used(name, monkeypatch):
+    group = from_permutations(COUNTED[name]())
+    calls = _spied(monkeypatch, "_lift_row", "_class_sum")
+    table = compute_character_table(group)
+    lifted = len(calls["_lift_row"])
+    assert lifted == _orbit_count(table)
+    if name in LIFTS:
+        assert (lifted, len(table.chars)) == LIFTS[name]
+    if name in CLASS_SUMS:
+        assert len(calls["_class_sum"]) == CLASS_SUMS[name]
+
+
+def _reduced(value, z, p):
+    """A value of Q(zeta_e) at its level e, mapped to F_p by zeta_e -> z."""
+    return sum(c * pow(z, j, p) for j, c in enumerate(value.num)) * pow(value.den, -1, p) % p
+
+
+@pytest.mark.parametrize("name", ["GL23", "C11x5", "Dic7", "D48", "S5"])
+def test_each_row_is_the_character_of_its_idempotent(name):
+    """Row b of the orbit lift, a lifted row or a conjugate read through the
+    power map, is the character of idempotent b: its values mod p are
+    |G| e_b[class of g_k^-1] / chi(1)."""
+    group = from_permutations(GROUPS[name]())
+    classes = group.conjugacy_classes()
+    n, e = group.order, group.exponent
+    p = characters._dixon_prime(n, e)
+    idempotents = characters._central_idempotents(group, classes, p)
+    rows = characters._orbit_rows(group, idempotents, p)
+    z = characters._root_of_unity(p, e)
+    inv_class = [group.class_index(group.inv(c.representative)) for c in classes]
+    for idem, char in zip(idempotents, rows):
+        assert char.degree ** 2 % p == n * idem[0] % p
+        scale = n * pow(char.degree, -1, p) % p
+        assert [_reduced(v, z, p) for v in char.values] == [scale * idem[k] % p for k in inv_class]
+
+
+def test_trace_test_skips_primitive_idempotents_only_when_r_at_most_p(monkeypatch):
+    """On D48 (r = 15 <= p = 73) the trace test marks each central primitive
+    idempotent as it appears, so no Krylov walk starts from one, although
+    without the test some would.  On C2^4 (r = 16 > p = 11) the traces are
+    never read."""
+    group = from_permutations(GROUPS["D48"]())
+    classes = group.conjugacy_classes()
+    p = characters._dixon_prime(group.order, group.exponent)
+    assert len(classes) <= p
+    primitive = {tuple(e) for e in characters._central_idempotents(group, classes, p)}
+
+    calls = _spied(monkeypatch, "_krylov_mod", "_class_sum_traces")
+    table = compute_character_table(group)
+    assert len(calls["_class_sum_traces"]) == 1
+    assert not primitive & {tuple(args[1]) for args in calls["_krylov_mod"]}
+
+    untested = _spied(monkeypatch, "_krylov_mod")
+    monkeypatch.setattr(characters, "_class_sum_traces", lambda group, classes: [0] * len(classes))
+    assert compute_character_table(group).chars == table.chars
+    assert primitive & {tuple(args[1]) for args in untested["_krylov_mod"]}
+
+    group = from_permutations(GROUPS["C2_4"]())
+    assert len(group.conjugacy_classes()) > characters._dixon_prime(group.order, group.exponent)
+    calls = _spied(monkeypatch, "_class_sum_traces")
+    compute_character_table(group)
+    assert calls["_class_sum_traces"] == []
 
 
 # -- the split-prime proof against the reference ----------------------------------

@@ -419,6 +419,28 @@ def test_one_list_under_two_fields_reads_as_two_values(tmp_path):
     assert proc.stdout.count("[pass]") == 2, proc.stdout
 
 
+def test_galois_of_a_sum_over_equal_fields_written_apart(tmp_path):
+    # f's field is the manifest field with its minpoly in JSON ints: an equal
+    # field read as a second object, so e + f carries values of both, and
+    # the automorphism must accept each
+    manifest = _load_bundled("manifest_order80.json")
+    l_ints = dict(manifest["field"], minpoly=[144, 0, -16, 0, 1])
+    t = ["0", "1", "0", "0"]
+    manifest["elements"] = {
+        "e": {"field": "L", "coeffs": [[0, t]]},
+        "f": {"field": l_ints, "coeffs": [[1, t]]},
+        "f_in_L": {"field": "L", "coeffs": [[1, t]]},
+        "g": {"derive": {"op": "galois", "arg": {"op": "add", "args": ["e", "f"]}, "auto": 1}},
+        "h": {"derive": {"op": "galois", "arg": {"op": "add", "args": ["e", "f_in_L"]},
+                         "auto": 1}}}
+    manifest["checks"] = [{"check": "equal", "left": "g", "right": "h"}]
+    path = tmp_path / "equal_fields.json"
+    path.write_text(json.dumps(manifest))
+    proc = run_cli_process("verify", str(path))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("[pass]") == 1, proc.stdout
+
+
 BAD_ARGUMENTS = {
     # name: (command words, options, text the message must name)
     "schur-m-not-an-integer": (["decompose", "jacobian"], ["--assert-schur", "2=x"], "2=x"),

@@ -1,7 +1,8 @@
 """CoordinateSpan checked against the solver it replaced
-(``linalg_reference.solve_in_span``), and the restricted action and the
-nullspaces of the Dixon split against the ``_solve_action`` and
-``_nullspace_mod`` they replaced (``character_table_reference.py``)."""
+(``linalg_reference.solve_in_span``), and the Krylov walk and the spectral
+projectors of the Dixon split against the restricted action and the
+eigenspaces of the split they replaced (``_solve_action`` and
+``_nullspace_mod`` of ``character_table_reference.py``)."""
 
 import random
 from fractions import Fraction
@@ -108,74 +109,87 @@ def test_coordinates_match_solve_in_span_over_order80_field(rep80):
     assert span.coordinates(outside) is None
 
 
-def _echelon_basis(rng, count, width, p):
-    """A random reduced echelon basis and its pivot columns."""
-    pivots = sorted(rng.sample(range(width), count))
-    basis = []
-    for piv in pivots:
-        vec = [0] * width
-        vec[piv] = 1
-        for j in range(piv + 1, width):
-            if j not in pivots:
-                vec[j] = rng.randrange(p)
-        basis.append(vec)
-    return basis, pivots
+def _similar(rng, diagonal, p, jordan=False):
+    """A random matrix similar over F_p to diag(diagonal), as dense rows: a
+    1 above each repeated diagonal entry when jordan, then random
+    elementary similarities E mat E^-1, E = 1 + c e_ij."""
+    d = len(diagonal)
+    mat = [[diagonal[i] if i == j else 0 for j in range(d)] for i in range(d)]
+    if jordan:
+        for i in range(d - 1):
+            if diagonal[i] == diagonal[i + 1]:
+                mat[i][i + 1] = 1
+    for _ in range(3 * d if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randrange(1, p)
+        mat[i] = [(a + c * b) % p for a, b in zip(mat[i], mat[j])]
+        for row in mat:
+            row[j] = (row[j] - c * row[i]) % p
+    return mat
+
+
+def _sparse(mat):
+    return [[(j, c) for j, c in enumerate(row) if c] for row in mat]
+
+
+def _apply(mat, vec, p):
+    return [sum(a * x for a, x in zip(row, vec)) % p for row in mat]
+
+
+def _spectrum(rng, d, p):
+    """d eigenvalues from a few, so that most repeat, in random order."""
+    few = rng.sample(range(p), rng.randint(1, min(d, 4)))
+    return [rng.choice(few) for _ in range(d)]
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_solve_action_matches_reference(seed):
-    """The restricted action read off the pivots of an echelon basis, from
-    the sparse rows of a matrix that keeps its span, against the solver it
-    replaced."""
+    """The Krylov vectors of a start vector span a space the matrix keeps,
+    and its action there, solved by the reference, is the companion matrix
+    of the minimal polynomial the walk returns; Jordan blocks included."""
     rng = random.Random(200 + seed)
     p = rng.choice((31, 101, 241, 1009))
-    d = rng.randint(1, 6)
-    width = d + rng.randint(0, 4)
-    basis, pivots = _echelon_basis(rng, d, width, p)
-    action = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-    images = [[sum(c * b[t] for c, b in zip(row, basis)) % p for t in range(width)]
-              for row in action]
-    # M x = sum_b x[pivots[b]] images[b] + R (x - sum_b x[pivots[b]] basis[b]):
-    # M basis[b] = images[b], and the random R acts off the span
-    noise = [[rng.randrange(p) for _ in range(width)] for _ in range(width)]
-    at_pivot = {piv: b for b, piv in enumerate(pivots)}
-    matrix = []
-    for k in range(width):
-        row = []
-        for j in range(width):
-            b = at_pivot.get(j)
-            off = [int(t == j) - (basis[b][t] if b is not None else 0) for t in range(width)]
-            x = sum(r * y for r, y in zip(noise[k], off))
-            row.append((x + (images[b][k] if b is not None else 0)) % p)
-        matrix.append(row)
-    rows = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
-    got = characters._restricted_action(rows, basis, pivots, p)
-    assert got == [list(col) for col in zip(*ref._solve_action(basis, images, p))]
-    assert got == [list(col) for col in zip(*action)]
+    d = rng.randint(1, 7)
+    mat = _similar(rng, _spectrum(rng, d, p), p, jordan=seed % 2 == 1)
+    start = [rng.randrange(p) for _ in range(d)]
+    if not any(start):
+        start[0] = 1
+    vectors, poly = characters._krylov_mod(_sparse(mat), start, p)
+    k = len(vectors)
+    assert vectors[0] == start and len(poly) == k + 1 and poly[k] == 1
+    for a in range(1, k):
+        assert vectors[a] == _apply(mat, vectors[a - 1], p)
+    images = [_apply(mat, v, p) for v in vectors]
+    # raises InvariantError when the vectors are dependent or the images
+    # leave their span
+    action = ref._solve_action(vectors, images, p)
+    companion = [[int(b == a + 1) for b in range(k)] for a in range(k - 1)]
+    companion.append([-c % p for c in poly[:k]])
+    assert action == companion
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_nullspace_matches_reference_as_a_space(seed):
+    """The spectral projections of a start vector under a diagonalizable
+    matrix with repeated eigenvalues: one per eigenvalue, in increasing
+    order, each in the eigenspace that the reference nullspace spans, and
+    summing to the start vector."""
     rng = random.Random(300 + seed)
     p = rng.choice((31, 101, 241, 1009))
     d = rng.randint(1, 7)
-    rank = rng.randint(0, d)
-    # a d x d matrix of rank at most `rank`, as a product of random factors
-    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(d)]
-    right = [[rng.randrange(p) for _ in range(d)] for _ in range(rank)]
-    matrix = [[sum(left[i][k] * right[k][j] for k in range(rank)) % p for j in range(d)]
-              for i in range(d)]
-    new = characters._nullspace_mod(matrix, p)
-    old = ref._nullspace_mod(matrix, p)
-    assert len(new) == len(old)
-    for vec in new:
-        assert all(sum(a * x for a, x in zip(row, vec)) % p == 0 for row in matrix)
-    if old:
-        # every new vector is a combination of the old basis (the old solver
-        # raises InvariantError otherwise), and the new basis is independent
-        ref._solve_action(old, new, p)
-        ref._solve_action(new, old, p)
-    # the tail of a dependent column is 1 there, 0 at the other dependent
-    # columns: the reduced basis that Gauss-Jordan reads off, so even the
-    # vectors agree
-    assert new == old
+    spectrum = _spectrum(rng, d, p)
+    mat = _similar(rng, spectrum, p)
+    start = [rng.randrange(p) for _ in range(d)]
+    if not any(start):
+        start[0] = 1
+    vectors, poly = characters._krylov_mod(_sparse(mat), start, p)
+    parts = characters._projections(vectors, poly, p)
+    roots = characters._roots_mod(poly, p)
+    assert len(parts) == len(roots) == len(poly) - 1
+    assert [sum(xs) % p for xs in zip(*parts)] == start
+    for mu, part in zip(roots, parts):
+        assert mu in spectrum and any(part)
+        assert _apply(mat, part, p) == [mu * x % p for x in part]
+        null = ref._nullspace_mod([[(a - (mu if i == j else 0)) % p for j, a in enumerate(row)]
+                                   for i, row in enumerate(mat)], p)
+        ref._solve_action(null, [part], p)  # raises InvariantError outside the span

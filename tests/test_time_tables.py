@@ -52,3 +52,18 @@ def test_time_tables_reports_the_loads(tmp_path):
         "manifest_order80": (17 + 138 * 4 + 4, 1080, 22),
     }
     assert all(row["load_s"] >= 0 for row in loads.values())
+
+
+# (class-sum matrices built, rows lifted): the split stops at r idempotents,
+# and one row is lifted per Galois orbit
+SPLIT_COUNTS = {"D120": (17, 14), "D240": (31, 18), "D500": (28, 10), "S5": (1, 7),
+                "GL23": (6, 7)}
+
+
+def test_time_tables_reports_the_split_counts(tmp_path):
+    script = _script()
+    out = tmp_path / "split.json"
+    script.main(["--groups", *SPLIT_COUNTS, "--runs", "1", "--out", str(out)])
+    groups = json.loads(out.read_text())["groups"]
+    assert {name: (row["class_sums"], row["lifted"]) for name, row in groups.items()} \
+        == SPLIT_COUNTS
