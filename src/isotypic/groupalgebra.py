@@ -28,6 +28,25 @@ or by exact products:
     for s != t and sum k_s = e_V.  Only the Gal(L/K)-fixed check and
     |G| k_s(1) = m n remain.  The f family keeps its full product suite, the
     one check of the rep side against e_W from the table.
+(d) Linear algebra over L does only the work its answer needs.  The
+    translates tau_h(b_i) of a block's k basis vectors are the m k rows of
+    a matrix whose column g holds their entries at g; a column is built
+    when it is read, with the factor n/|G| of the matrix units left out, as
+    a nonzero scalar changes no rank or span.  Row rank equals column rank
+    and neither exceeds the row count, so the column echelon stops once its
+    rank equals the row count; if it never does, every column is read and
+    the rank is exact.  When the rows are independent, the accepted (pivot)
+    columns form a nonsingular minor B_P, so x B_P = v_P has one solution,
+    and v lies in the row space exactly when x B = v on every column (with
+    dependent rows, x vanishes off the pivot rows and the test still holds:
+    restriction to P is one-to-one on the row space).  For e_V that
+    comparison is the grid check "sum of u grid equals the central
+    idempotent", so coordinates on the minor give the u grid a full solve
+    would, and the check proves them on all |G| columns.  Once every tau_h
+    fixes psi, and so e_V, each translate of a matrix unit lies in
+    L[G]e_V, by (a); a span of rank n^2 is then all of L[G]e_V, holds every
+    later ell_j, and the block scan stops.  A zero entry contributes no
+    product, here and in the matrix products of a MatrixRep.
 
 The central idempotents are class functions: e_V = (n/|G|) sum chi(g^-1) g,
 e_W with Tr_{K/Q} chi in place of chi, and e_V over L with chi embedded in
@@ -56,7 +75,7 @@ from .characters import CharacterTable, RationalIrrep, _checked, _rational_trace
 from .cyclotomic import CycValue, _Exact, _normal, _pack, _unpacker
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
-from .linalg import CoordinateSpan, Echelon
+from .linalg import Echelon, column_echelon
 from .numberfield import CycEmbedding, NumField, NumFieldValue
 
 Rat = Fraction
@@ -373,13 +392,6 @@ class AlgebraElement:
 
     # -- vector view -------------------------------------------------------------------
 
-    def dense(self):
-        zero = self.domain.zero()
-        vec = [zero] * self.group.order
-        for g, c in self.coeffs.items():
-            vec[g] = c
-        return vec
-
     def left_translates(self):
         """Dense vectors of g*a for every g, in element order."""
         mul = self.group._mul
@@ -569,9 +581,8 @@ class MatrixRep:
             mats.append(tuple(tuple(self._entry(x) for x in row) for row in m))
         self.gen_matrices = tuple(mats)
 
-        ident = tuple(
-            tuple(nf.one() if i == j else nf.zero() for j in range(n)) for i in range(n)
-        )
+        zero = nf.zero()
+        ident = tuple(tuple(nf.one() if i == j else zero for j in range(n)) for i in range(n))
         # multiplicativity at every (element, generator) pair certifies the table
         matrices = [ident] + [None] * (group.order - 1)
         for a in range(group.order):
@@ -579,7 +590,7 @@ class MatrixRep:
                 raise InvariantError("group elements are not numbered breadth-first")
             for gi, gelem in enumerate(group.generators):
                 b = group.mul(a, gelem)
-                prod = _mat_mul(matrices[a], self.gen_matrices[gi])
+                prod = _mat_mul(matrices[a], self.gen_matrices[gi], zero)
                 if matrices[b] is None:
                     matrices[b] = prod
                 elif prod != matrices[b]:
@@ -615,17 +626,17 @@ class MatrixRep:
         return self.matrices[g]
 
 
-def _mat_mul(a, b):
-    n = len(a)
+def _mat_mul(a, b, zero):
+    """a b for square matrices over L; a zero entry contributes no product."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, n):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc = [None] * len(row)
+        for x, brow in zip(row, b):
+            if not x.is_zero():
+                for j, y in enumerate(brow):
+                    if not y.is_zero():
+                        acc[j] = x * y if acc[j] is None else acc[j] + x * y
+        out.append(tuple(zero if c is None else c for c in acc))
     return tuple(out)
 
 
@@ -635,22 +646,33 @@ def central_idempotent_over_field(rep: MatrixRep) -> AlgebraElement:
                                    Rat(rep.degree, rep.group.order))
 
 
-def _matrix_units(rep: MatrixRep, j: int):
-    """Dense vectors of E_ij = (n/|G|) sum_g r_ji(g^-1) g, i = 1..n: a basis of
-    L[G]ell_j for every MatrixRep, whose matrices are certified multiplicative
-    and whose trace is a validated irreducible character (module docstring, (a))."""
-    group = rep.group
-    scale = Rat(rep.degree, group.order)
-    rows = [rep.matrix(group.inv(g))[j] for g in range(group.order)]
-    return [[row[i] * scale for row in rows] for i in range(rep.degree)]
+def _translates(nf: NumField, fixers, entries):
+    """The entries followed by their tau_h images for h in fixers[1:], fixers[0]
+    being the identity: the column at one element g of the vectors tau_h(b_i),
+    given the entries b_i(g)."""
+    out = list(entries)
+    for h in fixers[1:]:
+        out += [c if c.is_zero() else nf.apply_auto(h, c) for c in entries]
+    return out
+
+
+def _unit_entries(rep: MatrixRep, j: int):
+    """g -> the entries at g of the matrix units E_1j..E_nj times |G|/n: row j
+    of r(g^-1).  The E_ij = (n/|G|) sum_g r_ji(g^-1) g are a basis of
+    L[G]ell_j for every MatrixRep, whose matrices are certified
+    multiplicative and whose trace is a validated irreducible character
+    (module docstring, (a))."""
+    matrices, inv = rep.matrices, rep.group.inv
+    return lambda g: matrices[inv(g)][j]
 
 
 def diagonal_idempotent(rep: MatrixRep, j: int) -> AlgebraElement:
     """ell_j = E_jj = (dim/|G|) sum_g r_jj(g^-1) g over L."""
     group = rep.group
     scale = Rat(rep.degree, group.order)
-    return AlgebraElement(group, FieldDomain(rep.field), {
-        g: rep.matrix(group.inv(g))[j][j] * scale for g in range(group.order)})
+    entries = ((g, rep.matrix(group.inv(g))[j][j]) for g in range(group.order))
+    return _element(group, FieldDomain(rep.field),
+                    {g: c * scale for g, c in entries if not c.is_zero()})
 
 
 def diagonal_idempotents(rep: MatrixRep):
@@ -676,23 +698,31 @@ def orbit_module_check(element: AlgebraElement) -> dict:
     if element.domain.kind != "numberfield":
         raise ValidationError("orbit analysis needs an element over a declared field")
     rows = _echelon(element.domain, element.left_translates()).rows
-    return _orbit_verdict(element.domain.field, rows)
+    return _orbit_verdict(element.domain.field, len(rows), element.group.order,
+                          lambda g: [row[g] for row in rows])
 
 
-def _orbit_verdict(nf: NumField, rows) -> dict:
-    """orbit_module_check for the ideal with the independent rows as basis.
+def _orbit_verdict(nf: NumField, base_dim: int, order: int, entries) -> dict:
+    """orbit_module_check for the ideal with base_dim independent basis
+    vectors b_i, whose entries at element g are entries(g).
 
-    A direct sum of nonzero blocks shows that no tau_h fixes the first block,
-    so the pairwise echelons run only if the sum is not direct or is zero.
+    The rank of the translates tau_h(b_i) is read off the columns of the
+    matrix they are the rows of, one column per element, built when it is
+    read (module docstring, (d)).  A direct sum of nonzero blocks shows that
+    no tau_h fixes the first block, so the pairwise ranks are read only if
+    the sum is not direct or is zero; each needs to know only whether it
+    exceeds base_dim.
     """
-    dom = FieldDomain(nf)
-    bases = [[[nf.apply_auto(h, c) for c in row] for row in rows] for h in nf.subfield_fixers]
-    base_dim = len(rows)
-    total = _echelon(dom, [v for b in bases for v in b]).rank
-    direct = total == base_dim * len(bases)
-    # tau_h moves the ideal iff its rows enlarge the span of the first block
+    def rank(fixers, stop):
+        columns = ((g, _translates(nf, fixers, entries(g))) for g in range(order))
+        return column_echelon(columns, len(fixers) * base_dim, nf.zero(), stop).rank
+
+    fixers = nf.subfield_fixers
+    total = rank(fixers, len(fixers) * base_dim)
+    direct = total == base_dim * len(fixers)
+    # tau_h moves the ideal iff its vectors enlarge the span of the first block
     stab_trivial = (direct and base_dim > 0) or all(
-        [_echelon(dom, bases[0] + b).rank > base_dim for b in bases[1:]])
+        rank((0, h), base_dim + 1) > base_dim for h in fixers[1:])
     return {"stabilizer_trivial": stab_trivial, "direct": direct, "dim": total,
             "block_dim": base_dim}
 
@@ -734,10 +764,13 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     Scans the diagonal idempotents in index order, keeping ell_j whenever it
     lies outside the span accumulated so far; each kept ideal contributes
     its full Galois orbit of left ideals to the span, as the tau_h-images of
-    its matrix units.  The coordinates of the central idempotent with respect
-    to the assembled basis give the primitive idempotents u_s^h; their
-    relations are checked here by exact products, once, and the system keeps
-    the named results.  A given ells must be the rep's diagonal idempotents.
+    its matrix units.  Once the span has rank n^2 and every tau_h fixes e_V,
+    it is all of L[G]e_V and the scan stops (module docstring, (d)).  The
+    coordinates of the central idempotent with respect to the assembled
+    basis, solved on a nonsingular minor, give the primitive idempotents
+    u_s^h; their relations are checked here by exact products, once, and
+    the system keeps the named results.  A given ells must be the rep's
+    diagonal idempotents.
     """
     nf = rep.field
     group = rep.group
@@ -756,43 +789,48 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
         raise ValidationError("ells are not the diagonal idempotents of the representation")
     e_central = central_idempotent_over_field(rep)
     dom = FieldDomain(nf)
-    zero, one = dom.zero(), dom.one()
+    zero = dom.zero()
+    order = group.order
 
-    span = CoordinateSpan(zero, one)
+    # tau_h(e_V) = e_V puts every translate of a matrix unit in L[G]e_V
+    closed = all(nf.apply_auto(h, v) == v for h in fixers[1:] for v in rep.char_values)
     selected = []
-    block_bases = []  # [s][h] -> dense basis vectors of J_s^h
-    for j, ell in enumerate(diagonal):
-        if span.coordinates(ell.dense()) is not None:
-            continue
-        column = _matrix_units(rep, j)
-        per_tau = [[[nf.apply_auto(h, c) for c in vec] for vec in column] for h in fixers]
-        for vec in [v for tau_column in per_tau for v in tau_column]:
-            span.add(vec)
+    tables = []  # [s][g] -> the entries at g of the tau_h(E_ij) of block s, times |G|/n
+    ech = None
+    for j in range(n):
+        unit_at = _unit_entries(rep, j)
+        if ech is not None:
+            if closed and ech.rank == n * n:
+                break
+            # ell_j times |G|/n, whose entries are the diagonal of the matrices
+            if _in_span(ech, tables, lambda g: unit_at(g)[j], order, zero):
+                continue
+        tables.append([_translates(nf, fixers, unit_at(g)) for g in range(order)])
         selected.append(j)
-        block_bases.append(per_tau)
+        ech = column_echelon(_columns(tables, order), len(tables) * m * n, zero)
 
     if len(selected) != n // m:
         raise InvariantError("field degree inconsistent with Schur index")
-    if span.rank != n * n:
+    if ech.rank != n * n:
         raise InvariantError("basis assembly failed: span does not fill the simple block")
 
-    # the n^2 basis vectors were all accepted, so coordinates follow their order
-    coords = span.coordinates(e_central.dense())
-    if coords is None:
-        raise InvariantError("basis assembly failed: central idempotent not expressible")
-
+    # n^2 independent basis vectors: the coordinates on the minor are unique
+    coords = ech.solve([e_central.coefficient(g) for g in ech.keys])
     u_grid, pos = [], 0
-    for per_tau in block_bases:
+    for table in tables:
         row = []
-        for tau_column in per_tau:
+        for lo in range(0, m * n, n):
             cs, pos = coords[pos:pos + n], pos + n
-            row.append(AlgebraElement(group, dom, {
-                g: sum((c * vec[g] for c, vec in zip(cs, tau_column)), zero)
-                for g in range(group.order)}))
+            sums = ((g, _dot(cs, col[lo:lo + n], zero)) for g, col in enumerate(table))
+            row.append(_element(group, dom, {g: c for g, c in sums if not c.is_zero()}))
         u_grid.append(tuple(row))
 
     checks = _grid_checks(u_grid, fixers, e_central)
     failures = [name for name, ok in checks if not ok]
+    # the grid sums to the coordinates' combination of the basis on every
+    # column, which misses e_V exactly when e_V lies outside the span
+    if _GRID_SUM in failures:
+        raise InvariantError("basis assembly failed: central idempotent not expressible")
     if failures:
         raise InvariantError(f"basis assembly failed: {failures[0]}")
     return IdempotentSystem(
@@ -802,13 +840,38 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     )
 
 
+def _columns(tables, order):
+    """(g, column g) of the basis whose blocks' columns are the tables."""
+    return ((g, [c for table in tables for c in table[g]]) for g in range(order))
+
+
+def _dot(xs, ys, zero):
+    """sum x y over the pairs with no zero factor."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not x.is_zero() and not y.is_zero():
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
+
+
+def _in_span(ech, tables, target, order, zero) -> bool:
+    """Whether the vector with entries target(g) lies in the span of the
+    basis with the echelon ech: the solution on the pivot minor, compared
+    on every column (module docstring, (d))."""
+    coords = ech.solve([target(g) for g in ech.keys])
+    return all(_dot(coords, col, zero) == target(g) for g, col in _columns(tables, order))
+
+
+_GRID_SUM = "sum of u grid equals the central idempotent"
+
+
 def _grid_checks(grid, fixers, e_central):
     """Named pass/fail results for the u-grid relations, by exact products."""
     checks = [(f"u[{s+1}][{hi+1}] = tau_{hi+1}(u[{s+1}][1])", row[0].apply_galois(h) == row[hi])
               for s, row in enumerate(grid) for hi, h in enumerate(fixers)]
     cells = [((s + 1, hi + 1), u) for s, row in enumerate(grid) for hi, u in enumerate(row)]
     total = sum((u for _, u in cells), AlgebraElement.zero(e_central.group, e_central.domain))
-    checks.append(("sum of u grid equals the central idempotent", total == e_central))
+    checks.append((_GRID_SUM, total == e_central))
     product_failures = [(f"grid product rule at ({a[0]},{a[1]})x({b[0]},{b[1]})", False)
                         for a, u in cells for b, v in cells
                         if u * v != (u if a == b else 0)]
@@ -887,7 +950,7 @@ def validate_schur_from_rep(rep: MatrixRep, orbit: RationalIrrep) -> int:
     """
     m = len(rep.field.subfield_fixers)
     for j in range(rep.degree):
-        verdict = _orbit_verdict(rep.field, _matrix_units(rep, j))
+        verdict = _orbit_verdict(rep.field, rep.degree, rep.group.order, _unit_entries(rep, j))
         if not (verdict["stabilizer_trivial"] and verdict["direct"]):
             raise InvariantError(
                 f"orbit analysis failed for ell_{j+1}: {verdict}"

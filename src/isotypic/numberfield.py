@@ -262,6 +262,11 @@ class NumField:
                 if (image.num, image.den) not in fixed:
                     raise ValidationError("subfield fixers are not closed under composition")
         self.subfield_fixers = fixers
+        # equality and hashing read one key of integers, built once; the
+        # name is not part of it
+        num, den = _integral(self.minpoly)
+        self._key = (tuple(num), den, tuple((v.num, v.den) for v in images), fixers)
+        self._hash = hash(self._key)
 
     # -- integer tables, built on first use ------------------------------------
 
@@ -318,15 +323,10 @@ class NumField:
         return _nfv(self, *_normal(_combine(v.num, rows, self.degree), v.den * den))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, NumField)
-            and self.minpoly == other.minpoly
-            and self.automorphisms == other.automorphisms
-            and self.subfield_fixers == other.subfield_fixers
-        )
+        return self is other or isinstance(other, NumField) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.minpoly, self.automorphisms, self.subfield_fixers))
+        return self._hash
 
     def __repr__(self):
         return f"NumField(deg {self.degree}, {len(self.automorphisms)} autos)"

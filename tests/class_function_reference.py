@@ -11,6 +11,7 @@ them as oracles.
 
 from fractions import Fraction as Rat
 
+from algebra_reference import reference_mat_mul
 from character_table_reference import trace_to_rational
 from isotypic.cyclotomic import CycValue
 from isotypic.errors import InvariantError, ValidationError
@@ -19,7 +20,6 @@ from isotypic.groupalgebra import (
     AlgebraElement,
     CyclotomicDomain,
     FieldDomain,
-    _mat_mul,
 )
 from isotypic.numberfield import NumFieldValue
 
@@ -96,11 +96,11 @@ def reference_matrices(group, nf, gen_matrices, char, embedding):
         prev = group.evaluate_word([w + 1 for w in word[:-1]])
         if matrices[prev] is None:
             raise InvariantError("group words are not prefix closed")
-        matrices[g] = _mat_mul(matrices[prev], gens[word[-1]])
+        matrices[g] = reference_mat_mul(matrices[prev], gens[word[-1]])
 
     for a in range(group.order):
         for gi, gelem in enumerate(group.generators):
-            prod = _mat_mul(matrices[a], gens[gi])
+            prod = reference_mat_mul(matrices[a], gens[gi])
             if prod != matrices[group.mul(a, gelem)]:
                 raise ValidationError(
                     f"representation inconsistent with character: "

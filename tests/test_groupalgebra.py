@@ -100,7 +100,8 @@ def test_full_table_multiplicativity_spot_check(rep80, g80):
     for _ in range(20):
         a = rng.randrange(g80.order)
         b = rng.randrange(g80.order)
-        assert _mat_mul(rep80.matrix(a), rep80.matrix(b)) == rep80.matrix(g80.mul(a, b))
+        assert (_mat_mul(rep80.matrix(a), rep80.matrix(b), rep80.field.zero())
+                == rep80.matrix(g80.mul(a, b)))
 
 
 # -- central idempotents ------------------------------------------------------------
@@ -472,9 +473,16 @@ def test_galois_translate_generates_same_module(rep80, field80):
     assert orbit_module_check(tau_l1)["dim"] == orbit_module_check(l1)["dim"]
 
 
+def _unit_vectors(rep, j):
+    """Dense vectors of E_1j..E_nj times |G|/n, from the entries the library reads."""
+    entries = ga._unit_entries(rep, j)
+    return [[entries(g)[i] for g in range(rep.group.order)] for i in range(rep.degree)]
+
+
 def _unit_elements(rep, j):
-    return [AlgebraElement(rep.group, FieldDomain(rep.field), dict(enumerate(vec)))
-            for vec in ga._matrix_units(rep, j)]
+    scale = F(rep.degree, rep.group.order)
+    return [AlgebraElement(rep.group, FieldDomain(rep.field), dict(enumerate(vec))) * scale
+            for vec in _unit_vectors(rep, j)]
 
 
 def test_matrix_units_multiply_as_matrix_units(small_groups, small_tables):
@@ -495,11 +503,13 @@ def test_matrix_unit_column_spans_the_ideal_of_ell(rep80, small_groups, small_ta
     for rep in reps:
         dom = FieldDomain(rep.field)
         for j, ell in enumerate(diagonal_idempotents(rep)):
-            column = ga._matrix_units(rep, j)
+            column = _unit_vectors(rep, j)
             translates = ga._echelon(dom, ell.left_translates())
             assert ga._echelon(dom, column).rank == translates.rank == rep.degree
             assert ga._echelon(dom, translates.rows + column).rank == rep.degree  # the union
-            assert ga._orbit_verdict(rep.field, column) == orbit_module_check(ell)
+            verdict = ga._orbit_verdict(rep.field, rep.degree, rep.group.order,
+                                        ga._unit_entries(rep, j))
+            assert verdict == orbit_module_check(ell)
 
 
 def test_primitive_pipeline_never_calls_left_translates(g80, t80, field80, quad80,

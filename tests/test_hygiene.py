@@ -50,11 +50,13 @@ def _bound_names(node):
     return [alias.asname or alias.name.split(".")[0] for alias in node.names]
 
 
-def _references(tree):
-    """Every name the module reads, bare, as an attribute or by import."""
+def _references(tree, bare=True):
+    """Every name the module reads as an attribute or by import, and, when
+    bare, as a bare name too."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            if bare:
+                yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
         elif isinstance(node, ast.ImportFrom):
@@ -85,31 +87,34 @@ def test_every_private_function_is_called():
 
 
 def _public_functions(tree):
-    """(name, referenced name) of each public module-level function and each
-    public method of a module-level class."""
+    """(name, referenced name, is a method) of each public module-level
+    function and each public method of a module-level class."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield node.name, node.name
+            yield node.name, node.name, False
         elif isinstance(node, ast.ClassDef):
-            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+            yield from ((f"{node.name}.{item.name}", item.name, True) for item in node.body
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
 def test_every_public_function_is_called():
     """Each public function and method of the package is referenced from the
-    package, the scripts, the demos or the benchmark: by name, attribute,
-    import or string constant, as the benchmark wraps methods by name.  The
-    re-exports of the package's ``__init__`` are not references."""
-    referenced = set()
+    package, the scripts, the demos or the benchmark: by attribute, import or
+    string constant, as the benchmark wraps methods by name, and a function
+    also by bare name.  A bare name never counts for a method: a local
+    variable ``matrix`` does not call ``MatrixRep.matrix``.  The re-exports
+    of the package's ``__init__`` are not references."""
+    named, bare = set(), set()
     for path in CALLERS:
         tree = ast.parse(path.read_text(), str(path))
         if path != ROOT / "src" / "isotypic" / "__init__.py":
-            referenced.update(_references(tree))
-        referenced.update(node.value for node in ast.walk(tree)
-                          if isinstance(node, ast.Constant) and isinstance(node.value, str))
+            named.update(_references(tree, bare=False))
+            bare.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+        named.update(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str))
     unused = [f"{path.name}:{name}" for path in SOURCES
-              for name, ref in _public_functions(ast.parse(path.read_text(), str(path)))
-              if ref not in referenced]
+              for name, ref, method in _public_functions(ast.parse(path.read_text(), str(path)))
+              if ref not in named and (method or ref not in bare)]
     assert unused == []
 
 

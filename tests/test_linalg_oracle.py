@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 import character_table_reference as ref
+from algebra_reference import reference_matrix_units
 from isotypic import characters
-from isotypic.groupalgebra import _matrix_units
 from isotypic.linalg import CoordinateSpan
 from linalg_reference import solve_in_span
 
@@ -93,7 +93,7 @@ def test_coordinates_match_solve_in_span_over_order80_field(rep80):
     E_i1 spanning the ideal of ell_1 and their Gal(L/K) translates, vectors
     of length 80 over L."""
     nf = rep80.field
-    column = _matrix_units(rep80, 0)
+    column = reference_matrix_units(rep80, 0)
     vecs = [[nf.apply_auto(h, c) for c in vec] for h in nf.subfield_fixers for vec in column]
     zero, one = nf.zero(), nf.one()
     span, rejected = _span(vecs, zero, one)

@@ -352,3 +352,34 @@ def test_long_coefficient_lists_fold_like_the_reference(name):
         value = nf.value(coeffs)
         assert value.coeffs == ref.NumFieldValue(nf.minpoly, nf.automorphisms, coeffs).coeffs
         assert all(type(c) is F for c in value.coeffs)
+
+
+def _zeta8(autos=((0, 1), (0, 0, 0, 1), (0, -1), (0, 0, 0, -1)), fixers=(0, 3), name="L"):
+    """Q(zeta_8) = Q[t]/(t^4 + 1), automorphisms t -> t, t^3, t^5, t^7 by default."""
+    return NumField([1, 0, 0, 0, 1], [list(a) for a in autos], fixers, name=name)
+
+
+def test_equal_declarations_give_equal_fields_that_hash_alike():
+    a, b = _zeta8(), _zeta8(name="another name")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same field written with Fractions and a different identity position
+    c = NumField([F(1), 0, 0, 0, F(1)], [[0, 0, 0, 1], [0, F(1)], [0, -1], [0, 0, 0, -1]],
+                 (0, 3))
+    assert c == a and hash(c) == hash(a)
+    assert a != "L" and a != order80_field()
+
+
+def test_one_changed_declaration_entry_makes_fields_unequal():
+    base = _zeta8()
+    # one minimal-polynomial coefficient, with the same automorphisms t -> +-t
+    qi = NumField([1, 0, 1], [[0, 1], [0, -1]], (0, 1))
+    q_sqrt_minus2 = NumField([2, 0, 1], [[0, 1], [0, -1]], (0, 1))
+    assert qi != q_sqrt_minus2 and q_sqrt_minus2 != qi
+    # one automorphism entry: t^3 and t^5 listed in the other order
+    swapped = _zeta8(autos=((0, 1), (0, -1), (0, 0, 0, 1), (0, 0, 0, -1)), fixers=(0, 3))
+    assert swapped != base
+    # the fixer set: Gal(L/Q(sqrt 2)) = {t, t^7} against Gal(L/Q(i)) = {t, t^5}
+    # and Gal(L/Q(sqrt -2)) = {t, t^3}
+    assert _zeta8(fixers=(0, 2)) != base and _zeta8(fixers=(0, 1)) != base
+    assert _zeta8(fixers=(0, 3)) == base
