@@ -33,7 +33,6 @@ import pathlib
 import platform
 import statistics
 import sys
-from importlib import resources
 from math import gcd, prod
 from time import perf_counter
 
@@ -43,6 +42,7 @@ sys.path.insert(0, str(ROOT))
 
 from isotypic import characters, compute_character_table, from_permutations, numberfield, serialize
 from isotypic.cyclotomic import _integral
+from isotypic.fixtures import bundled
 from isotypic.verify import ManifestRunner
 from perfbench.inputs import dihedral, gl2_3, symmetric
 
@@ -167,15 +167,11 @@ def time_load(prepare, load, runs, minpoly=None):
     }
 
 
-def _bundled(name):
-    return json.loads(resources.files("isotypic.data").joinpath(name).read_text())
-
-
 def time_loads(runs):
-    manifest = _bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     field = manifest["field"]
     minpoly = [serialize.rational_from_json(c) for c in field["minpoly"]]
-    spec80, table80 = _bundled("group_order80.json"), _bundled("table_order80.json")
+    spec80, table80 = bundled("group_order80.json"), bundled("table_order80.json")
     table240 = serialize.table_to_json(compute_character_table(_group("D240")))
 
     def group80():

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from .characters import (
     assert_schur,
@@ -23,6 +22,7 @@ from .characters import (
 from .cyclotomic import render_cyc
 from .decomposition import JacobianDecomposer
 from .errors import BoundExceededError, InvariantError, ValidationError
+from .fixtures import DATA
 from .groups import DEFAULT_LATTICE_BOUND
 from .groupalgebra import (
     central_idempotent,
@@ -50,7 +50,7 @@ Rat = Fraction
 
 def _load_json(path: str):
     if path.startswith("bundled:"):
-        text = resources.files("isotypic.data").joinpath(path.split(":", 1)[1]).read_text()
+        text = (DATA / path.split(":", 1)[1]).read_text()
     else:
         with open(path) as fh:
             text = fh.read()

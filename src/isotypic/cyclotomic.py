@@ -477,12 +477,6 @@ class CycValue(_Exact):
         return _cyc(level, (q.numerator,) + (0,) * (euler_phi(level) - 1), q.denominator)
 
     @staticmethod
-    def root_of_unity(level: int, power: int = 1) -> "CycValue":
-        """zeta_level ** power."""
-        euler_phi(level)  # refuses a level below 1 before it is used as a modulus
-        return CycValue(level, [0] * (power % level) + [1])
-
-    @staticmethod
     def zero(level: int = 1) -> "CycValue":
         return _cyc(level, (0,) * euler_phi(level), 1)
 

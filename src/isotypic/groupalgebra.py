@@ -266,10 +266,6 @@ class AlgebraElement:
     def one(group, domain=RATIONALS):
         return AlgebraElement(group, domain, {0: domain.one()})
 
-    @staticmethod
-    def basis(group, g: int, domain=RATIONALS):
-        return AlgebraElement(group, domain, {g: domain.one()})
-
     def to_domain(self, domain, embedding: CycEmbedding | None = None):
         if domain == self.domain:
             return self

@@ -236,21 +236,6 @@ class FiniteGroup:
 
     # -- words and labels ------------------------------------------------------
 
-    def evaluate_word(self, word) -> int:
-        """Word = iterable of signed 1-based generator letters (-2 = y^-1)."""
-        g = 0
-        for letter in word:
-            if letter == 0:
-                raise ValidationError("word letters are signed 1-based indices")
-            idx = abs(letter) - 1
-            if idx >= len(self.generators):
-                raise ValidationError(f"word uses generator {idx} but group has {len(self.generators)}")
-            h = self.generators[idx]
-            if letter < 0:
-                h = self._inv[h]
-            g = self._mul[g][h]
-        return g
-
     def label_of(self, g: int) -> str:
         if g == 0:
             return "1"

@@ -1,5 +1,5 @@
-"""JSON round-tripping for groups, fields, tables, algebra elements and
-representations.
+"""JSON round-tripping for groups, fields, tables and algebra elements;
+matrix representations are only read.
 
 Scalars serialize as exact strings ("3/4"), cyclotomic values as
 {"level", "coeffs"}, number-field values as coefficient lists.  All writers
@@ -397,23 +397,6 @@ def element_from_json(group: FiniteGroup, d, cache: dict | None = None) -> Algeb
 
 
 # -- matrix representations --------------------------------------------------------------
-
-
-def rep_to_json(rep: MatrixRep) -> dict:
-    d = {
-        "field": field_to_json(rep.field),
-        "degree": rep.degree,
-        "generators": [
-            [[nfv_to_json(x) for x in row] for row in mat] for mat in rep.gen_matrices
-        ],
-        "character_values": [cyc_to_json(v) for v in rep.table.chars[rep.char_index].values],
-    }
-    if rep.embedding.generator is not None:
-        d["embedding"] = {
-            "generator": cyc_to_json(rep.embedding.generator),
-            "image": nfv_to_json(rep.embedding.image),
-        }
-    return d
 
 
 def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:

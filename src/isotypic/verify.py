@@ -58,6 +58,15 @@ def parse_subgroup(group: FiniteGroup, spec) -> tuple[int, ...]:
 # -- manifest evaluation ---------------------------------------------------------
 
 
+def manifest_element(group: FiniteGroup, manifest: dict, name: str, cache: dict) -> AlgebraElement:
+    """The stored element ``name`` of a manifest, read into ``cache``; an
+    element with "field": "L" lies in the manifest's field."""
+    spec = manifest["elements"][name]
+    if spec.get("field") == "L":
+        spec = dict(spec, field=manifest["field"])
+    return element_from_json(group, spec, cache)
+
+
 class ManifestRunner:
     def __init__(self, manifest: dict):
         if not isinstance(manifest, dict) or "group" not in manifest:
@@ -74,11 +83,8 @@ class ManifestRunner:
         self._cache = {} if self.field is None else {field_key(manifest["field"]): self.field}
         with parsing("manifest elements"):
             for name, spec in manifest.get("elements", {}).items():
-                if "derive" in spec:
-                    continue
-                if spec.get("field") == "L":  # reference to the manifest-level field
-                    spec = dict(spec, field=manifest["field"])
-                self._elements[name] = element_from_json(self.group, spec, self._cache)
+                if "derive" not in spec:
+                    self._elements[name] = manifest_element(self.group, manifest, name, self._cache)
             self._derived = {name: spec["derive"] for name, spec in
                              manifest.get("elements", {}).items() if "derive" in spec}
         self._deriving = []

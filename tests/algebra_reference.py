@@ -17,6 +17,7 @@ coordinates of ``construct_primitive_system`` by one ``CoordinateSpan``.
 
 from fractions import Fraction
 
+from builders import basis
 from isotypic.characters import _checked, fixed_dims
 from isotypic.errors import InvariantError, ValidationError
 from isotypic.groupalgebra import (
@@ -49,7 +50,7 @@ def reference_product(left, right):
 def reference_is_central(a):
     """Whether s*a == a*s for every generator s, by two products each."""
     for s in a.group.generators:
-        b = AlgebraElement.basis(a.group, s, a.domain)
+        b = basis(a.group, s, a.domain)
         if reference_product(b, a) != reference_product(a, b):
             return False
     return True
@@ -58,7 +59,7 @@ def reference_is_central(a):
 def reference_is_bi_invariant(a, members):
     """Whether h*a == a == a*h for every h in members, by two products each."""
     for h in members:
-        b = AlgebraElement.basis(a.group, h, a.domain)
+        b = basis(a.group, h, a.domain)
         if reference_product(b, a) != a or reference_product(a, b) != a:
             return False
     return True

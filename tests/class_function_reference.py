@@ -12,6 +12,7 @@ them as oracles.
 from fractions import Fraction as Rat
 
 from algebra_reference import reference_mat_mul
+from builders import evaluate_word
 from character_table_reference import trace_to_rational
 from isotypic.cyclotomic import CycValue
 from isotypic.errors import InvariantError, ValidationError
@@ -93,7 +94,7 @@ def reference_matrices(group, nf, gen_matrices, char, embedding):
         if matrices[g] is not None:
             continue
         word = group.labels[g]
-        prev = group.evaluate_word([w + 1 for w in word[:-1]])
+        prev = evaluate_word(group, [w + 1 for w in word[:-1]])
         if matrices[prev] is None:
             raise InvariantError("group words are not prefix closed")
         matrices[g] = reference_mat_mul(matrices[prev], gens[word[-1]])

@@ -9,13 +9,8 @@ from isotypic import (
     compute_character_table,
     galois_orbits,
 )
-from isotypic.fixtures import (
-    corpus,
-    order24_group,
-    order80_field,
-    order80_group,
-    order80_rep,
-)
+from isotypic.fixtures import corpus, order24_group, order80_group
+from worked_examples import order80_field, order80_rep
 
 
 HANG_SECONDS = 60

@@ -3,11 +3,10 @@ budget and exact (zero-tolerance) assertions.  Run with -rA (or -s) to see
 the one-line pass report per criterion.
 """
 
-import json
 import time
-from importlib import resources
 
 import lattice_reference
+from builders import evaluate_word, root_of_unity
 from character_table_reference import char_field_stabilizer
 from isotypic import (
     AlgebraElement,
@@ -28,16 +27,10 @@ from isotypic import (
     validate_schur_from_rep,
 )
 from isotypic.cyclotomic import CycValue
-from isotypic.fixtures import (
-    order80_table_transcription,
-    sqrt_minus5_cyclotomic,
-)
+from isotypic.fixtures import bundled
 from isotypic.serialize import rep_from_json
 from isotypic.verify import ManifestRunner
-
-
-def _bundled(name):
-    return json.loads(resources.files("isotypic.data").joinpath(name).read_text())
+from worked_examples import order80_element, order80_table_transcription, sqrt_minus5_cyclotomic
 
 
 def report(n, elapsed, detail):
@@ -94,7 +87,7 @@ def test_criterion_03_galois_orbits(g80, t80, orbits80):
     pairs = [o for o in orbits80 if len(o.char_indices) == 2]
     assert len(singles) == 6
     assert len(pairs) == 4
-    i4 = CycValue.root_of_unity(4).to_level(t80.level)
+    i4 = root_of_unity(4).to_level(t80.level)
     kc = sqrt_minus5_cyclotomic(t80.level)
     gauss = [o for o in pairs if o.stabilizer == char_field_stabilizer([i4])]
     quad = [o for o in pairs if o.stabilizer == char_field_stabilizer([kc])]
@@ -110,14 +103,14 @@ def test_criterion_04_multiplicities(g80, t80, quad80):
     assert fixed_dim(t80, chi, (0,)) == 4
     x10 = g80.power(g80.generators[0], 10)
     assert fixed_dim(t80, chi, g80.subgroup_generated([x10]).members) == 0
-    xy2 = g80.evaluate_word([1, 2, 2])
+    xy2 = evaluate_word(g80, [1, 2, 2])
     assert fixed_dim(t80, chi, g80.subgroup_generated([xy2]).members) == 2
     report(4, time.monotonic() - t0, "<rho_1,V> = 4, <rho_<x^10>,V> = 0, <rho_<xy^2>,V> = 2")
 
 
 def test_criterion_05_fixture_verification():
     t0 = time.monotonic()
-    runner = ManifestRunner(_bundled("manifest_order80.json"))
+    runner = ManifestRunner(bundled("manifest_order80.json"))
     results = runner.run()
     elapsed = time.monotonic() - t0
     failed = [name for name, ok in results if not ok]
@@ -129,7 +122,7 @@ def test_criterion_05_fixture_verification():
 def test_criterion_06_construction_pipeline(g80, t80, orbits80, quad80,
                                             small_groups, small_tables):
     t0 = time.monotonic()
-    rep = rep_from_json(g80, t80, _bundled("rep_order80.json"))
+    rep = rep_from_json(g80, t80, bundled("rep_order80.json"))
     ells = diagonal_idempotents(rep)
     m = validate_schur_from_rep(rep, quad80)
     assert m == 2
@@ -138,7 +131,6 @@ def test_criterion_06_construction_pipeline(g80, t80, orbits80, quad80,
     assert system.blocks == 2 and system.schur_m == 2
     assert all(ok for _, ok in system_grid_checks(system))
     # the deterministic construction reproduces the transcribed grid exactly
-    from isotypic.fixtures import order80_element
     nf = rep.field
     assert system.u_grid[0][0] == order80_element(g80, nf, "u11")
     assert system.u_grid[1][0] == order80_element(g80, nf, "u21")
@@ -183,7 +175,7 @@ def test_criterion_07_decomposition_report(g80, t80, dec80):
     x5 = g80.power(x, 5)
     level = t80.level
     one = CycValue.one(level)
-    i4 = CycValue.root_of_unity(4).to_level(level)
+    i4 = root_of_unity(4).to_level(level)
     kc = sqrt_minus5_cyclotomic(level)
 
     def row(degree, checks):
@@ -193,7 +185,7 @@ def test_criterion_07_decomposition_report(g80, t80, dec80):
         return hits[0]
 
     # identify the transcribed rows by their values
-    y2 = g80.evaluate_word([2, 2])
+    y2 = evaluate_word(g80, [2, 2])
     printed = {
         "V2": row(1, [(x, -one), (y, -one)]),
         "V3": row(1, [(x, -one), (y, one)]),
@@ -214,7 +206,7 @@ def test_criterion_07_decomposition_report(g80, t80, dec80):
     }
     cls = {"G": dec80.subgroup_class_of(tuple(range(g80.order)))}
     for name, gens in words.items():
-        sub = g80.subgroup_generated([g80.evaluate_word(w) for w in gens])
+        sub = g80.subgroup_generated([evaluate_word(g80, w) for w in gens])
         cls[name] = dec80.subgroup_class_of(sub.members)
 
     jac, verdicts = dec80.full_report()

@@ -12,11 +12,11 @@ import json
 import random
 from fractions import Fraction
 from math import prod
-from importlib import resources
 from time import perf_counter
 
 import pytest
 
+from builders import root_of_unity
 from character_table_reference import (
     ReferenceCharacterTable,
     _is_prime as trial_division_is_prime,
@@ -38,6 +38,7 @@ from isotypic.characters import (
 )
 from isotypic.cyclotomic import CycValue, _cyc, _normal, unit_group
 from isotypic.cli import main
+from isotypic.fixtures import bundled
 from isotypic.groupalgebra import invariant_idempotent, rational_central_idempotent
 from isotypic.serialize import cyc_from_json, group_from_spec, table_from_json, table_to_json
 from test_lattice_oracle import (
@@ -134,7 +135,7 @@ def test_traces_refuse_values_outside_the_exponent_field():
     permute its rows, and so does each trace.  C2 with rows (1, z4), (1, -z4)
     is closed under (Z/4)^x, but sigma_3, which is 1 mod 2, swaps its rows."""
     group = from_permutations([[1, 0]])
-    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    z8, one = root_of_unity(8), CycValue.one(8)
     table = CharacterTable(group, [Character((one, z8), 1), Character((one, -z8), 1)])
     with pytest.raises(ValidationError, match="not closed under the Galois action"):
         galois_orbits(table)
@@ -144,7 +145,7 @@ def test_traces_refuse_values_outside_the_exponent_field():
             rational_character(table, orbit)
         with pytest.raises(ValidationError, match="level 8 may lie outside Q.zeta_2."):
             rational_central_idempotent(table, orbit)
-    z4, one = CycValue.root_of_unity(4), CycValue.one(4)
+    z4, one = root_of_unity(4), CycValue.one(4)
     table = CharacterTable(group, [Character((one, z4), 1), Character((one, -z4), 1)])
     with pytest.raises(ValidationError, match="level 4 lie outside Q.zeta_2."):
         galois_orbits(table)
@@ -174,15 +175,13 @@ BUNDLED_TABLES = {"order80": "group_order80.json", "S3": "group_s3.json",
                   "S4": "group_s4.json", "Q8": "group_q8.json", "SL23": "group_order24.json"}
 
 
-def _bundled(name):
-    data = resources.files("isotypic.data")
-    group = group_from_spec(json.loads(data.joinpath(BUNDLED_TABLES[name]).read_text()))
-    return group, json.loads(data.joinpath(f"table_{name.lower()}.json").read_text())
+def _group_and_table(name):
+    return group_from_spec(bundled(BUNDLED_TABLES[name])), bundled(f"table_{name.lower()}.json")
 
 
 @pytest.mark.parametrize("name", BUNDLED_TABLES)
 def test_integer_form_of_bundled_tables(name):
-    _check_form(table_from_json(*_bundled(name)))
+    _check_form(table_from_json(*_group_and_table(name)))
 
 
 def test_integer_form_of_the_small_corpus(small_tables):
@@ -368,7 +367,7 @@ def test_split_prime_proves_every_computed_table(name, monkeypatch):
 
 @pytest.mark.parametrize("name", BUNDLED_TABLES)
 def test_split_prime_proves_every_bundled_table(name, monkeypatch):
-    group, blob = _bundled(name)
+    group, blob = _group_and_table(name)
     assert _paths(group, _load_chars(group, blob)) == ("accepted", True)
     calls = _embeddings(monkeypatch)
     table_from_json(group, blob)
@@ -416,7 +415,7 @@ def test_rows_not_closed_are_checked_at_every_unit(monkeypatch):
     rows (1, z8), (1, -z8) is not, so it is checked at every unit of Z/8,
     once, and accepted."""
     calls = _embeddings(monkeypatch)
-    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    z8, one = root_of_unity(8), CycValue.one(8)
     table = CharacterTable(from_permutations([[1, 0]]),
                            [Character((one, z8), 1), Character((one, -z8), 1)])
     assert table._form[5] is None
@@ -427,7 +426,7 @@ def test_rows_not_closed_and_invalid_fail_like_the_reference():
     """C2 with rows (1, z8), (1, 1 - z8) is neither closed nor orthogonal:
     it gets the reference's message."""
     group = from_permutations([[1, 0]])
-    z8, one = CycValue.root_of_unity(8), CycValue.one(8)
+    z8, one = root_of_unity(8), CycValue.one(8)
     chars = [Character((one, z8), 1), Character((one, one - z8), 1)]
     with pytest.raises(ValidationError) as ref:
         ReferenceCharacterTable(group, chars)
@@ -443,7 +442,7 @@ def test_split_prime_check_reads_both_orders_of_a_pair():
     orders; the check of every ordered pair refuses both, and the full
     check gives the reference's message."""
     group = from_permutations([[1, 2, 0]])
-    one, z3 = CycValue.one(3), CycValue.root_of_unity(3)
+    one, z3 = CycValue.one(3), root_of_unity(3)
     rows = [Character((one, one, one), 1), Character((one, one, -z3), 1)]
     upper = []
     for chars in (rows, rows[::-1]):
@@ -597,7 +596,7 @@ def _damage(table, rng):
     how = rng.randrange(5)
     i, j, k = rng.randrange(r), rng.randrange(r), rng.randrange(r)
     if how == 0:
-        rows[i][k] = rows[i][k] + CycValue.root_of_unity(e, rng.randrange(e))
+        rows[i][k] = rows[i][k] + root_of_unity(e, rng.randrange(e))
     elif how == 1:
         a, b = rng.sample(range(1, r), 2)
         for row in rows:

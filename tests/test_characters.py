@@ -1,5 +1,6 @@
 import pytest
 
+from builders import evaluate_word
 from isotypic import (
     CycValue,
     InvariantError,
@@ -13,7 +14,7 @@ from isotypic import (
     rho_decomposition,
     schur_divisor_bound,
 )
-from isotypic.fixtures import (
+from worked_examples import (
     classical_table,
     order80_table_transcription,
     sqrt_minus5_cyclotomic,
@@ -110,7 +111,7 @@ def test_fixed_dim_worked_example(g80, t80, quad80):
     assert fixed_dim(t80, chi, (0,)) == 4
     x10 = g80.power(g80.generators[0], 10)
     assert fixed_dim(t80, chi, g80.subgroup_generated([x10]).members) == 0
-    xy2 = g80.evaluate_word([1, 2, 2])
+    xy2 = evaluate_word(g80, [1, 2, 2])
     assert fixed_dim(t80, chi, g80.subgroup_generated([xy2]).members) == 2
 
 
@@ -239,7 +240,7 @@ def test_rho_inconsistent_schur_detected(g80, t80, orbits80, quad80):
     # <rho_H, V> = 2 exposes the non-exact division
     bad = quad80._replace(schur=SchurStatus("asserted", 4, 2, "forced"))
     bad_orbits = tuple(bad if o is quad80 else o for o in orbits80)
-    xy2 = g80.evaluate_word([1, 2, 2])
+    xy2 = evaluate_word(g80, [1, 2, 2])
     members = g80.subgroup_generated([xy2]).members
     with pytest.raises(InvariantError, match="Schur index inconsistent"):
         rho_decomposition(t80, bad_orbits, members)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from builders import basis
 from class_function_reference import (
     reference_central_idempotent,
     reference_central_idempotent_over_field,
@@ -31,9 +32,10 @@ from isotypic import (
     rational_central_idempotent,
 )
 from isotypic.cli import main
-from isotypic.fixtures import corpus, order80_rep
+from isotypic.fixtures import corpus
 from isotypic.numberfield import CycEmbedding
 from isotypic.serialize import element_to_json, table_from_json, table_to_json
+from worked_examples import order80_rep
 
 
 def _d4_x_s3():
@@ -243,6 +245,6 @@ def test_bi_invariance_predicate(small_groups):
     p = averaging_idempotent(S4, sub)
     assert p.is_bi_invariant(sub)
     assert AlgebraElement.zero(S4).is_bi_invariant(sub)
-    assert not AlgebraElement.basis(S4, 0).is_bi_invariant(sub)
+    assert not basis(S4, 0).is_bi_invariant(sub)
     assert (p * F(1, 2)).is_bi_invariant(sub)
-    assert not (p + AlgebraElement.basis(S4, 0)).is_bi_invariant(sub)
+    assert not (p + basis(S4, 0)).is_bi_invariant(sub)

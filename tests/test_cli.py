@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from builders import evaluate_word
 from isotypic import RATIONALS, ValidationError, compute_character_table
 from isotypic.cli import main
-from isotypic.fixtures import order80_element, order80_field, presentation_spec
+from isotypic.fixtures import bundled, presentation_spec
 from isotypic.serialize import (
     dumps,
     element_from_json,
@@ -17,11 +18,12 @@ from isotypic.serialize import (
     field_to_json,
     group_from_spec,
     rep_from_json,
-    rep_to_json,
     table_from_json,
     table_to_json,
 )
 from isotypic.verify import ManifestRunner, parse_subgroup, parse_word
+from serialize_reference import rep_to_json
+from worked_examples import order80_element, order80_field
 
 
 # -- serialization round trips -----------------------------------------------------
@@ -82,7 +84,7 @@ def test_dumps_deterministic(small_tables):
 def test_parse_word(g80):
     x, y = g80.generators
     assert parse_word(g80, "x") == x
-    assert parse_word(g80, "x*y^2") == g80.evaluate_word([1, 2, 2])
+    assert parse_word(g80, "x*y^2") == evaluate_word(g80, [1, 2, 2])
     assert parse_word(g80, "x^-1*x") == 0
     assert parse_word(g80, "1") == 0
     with pytest.raises(ValidationError):
@@ -97,14 +99,8 @@ def test_parse_subgroup(g80):
 # -- manifests --------------------------------------------------------------------------
 
 
-def _load_bundled(name):
-    from importlib import resources
-
-    return json.loads(resources.files("isotypic.data").joinpath(name).read_text())
-
-
 def test_bundled_manifests_pass():
-    runner = ManifestRunner(_load_bundled("manifest_order24.json"))
+    runner = ManifestRunner(bundled("manifest_order24.json"))
     results = runner.run()
     assert results and all(ok for _, ok in results)
 
@@ -120,7 +116,7 @@ def test_manifest_field_is_certified_once(monkeypatch):
         return original(poly)
 
     monkeypatch.setattr(numberfield, "is_irreducible", counting)
-    manifest = _load_bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     assert sum(spec.get("field") == "L" for spec in manifest["elements"].values()) > 1
     runner = ManifestRunner(manifest)
     assert len(calls) == 1
@@ -129,7 +125,7 @@ def test_manifest_field_is_certified_once(monkeypatch):
 
 
 def test_rep_degree_must_match_the_character(capsys, tmp_path):
-    rep = _load_bundled("rep_order80.json")
+    rep = bundled("rep_order80.json")
     rep["degree"] = 2
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(rep))
@@ -140,7 +136,7 @@ def test_rep_degree_must_match_the_character(capsys, tmp_path):
 
 
 def test_manifest_detects_corruption():
-    blob = _load_bundled("manifest_order24.json")
+    blob = bundled("manifest_order24.json")
     coeffs = blob["elements"]["eW"]["coeffs"]
     coeffs[0][1] = "1/7"
     runner = ManifestRunner(blob)
@@ -423,7 +419,7 @@ def test_galois_of_a_sum_over_equal_fields_written_apart(tmp_path):
     # f's field is the manifest field with its minpoly in JSON ints: an equal
     # field read as a second object, so e + f carries values of both, and
     # the automorphism must accept each
-    manifest = _load_bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     l_ints = dict(manifest["field"], minpoly=[144, 0, -16, 0, 1])
     t = ["0", "1", "0", "0"]
     manifest["elements"] = {
@@ -476,9 +472,9 @@ def test_word_exponents_are_powers(g80, capsys):
     assert parse_word(g80, f"x^{huge}") == g80.power(x, huge % g80.elem_orders[x])
     assert parse_word(g80, "y^-1000000001*x^3") == g80.mul(g80.power(y, -1000000001),
                                                           g80.power(x, 3))
-    assert parse_word(g80, " x ^ 2 * y ") == g80.evaluate_word([1, 1, 2])
+    assert parse_word(g80, " x ^ 2 * y ") == evaluate_word(g80, [1, 1, 2])
     s4 = "bundled:group_s4.json"
-    g = group_from_spec(_load_bundled("group_s4.json"))
+    g = group_from_spec(bundled("group_s4.json"))
     order = g.elem_orders[g.generators[0]]
     huge_run = run_cli(capsys, "decompose", "intermediate", "--group", s4, "--H", f"x^{huge}")
     small_run = run_cli(capsys, "decompose", "intermediate", "--group", s4,
@@ -502,7 +498,7 @@ def test_cli_bound_exit_4(capsys, tmp_path):
 
 
 def test_cli_verify_kronecker_bound_exit_4(tmp_path):
-    blob = _load_bundled("manifest_order80.json")
+    blob = bundled("manifest_order80.json")
     blob["field"]["minpoly"] = ["720720", "0", "0", "0", "0", "0", "0", "0", "1"]
     path = tmp_path / "big_field.json"
     path.write_text(json.dumps(blob))
@@ -537,7 +533,7 @@ def test_cli_level_bound_exit_4_at_once(tmp_path, command, level):
     # Euler's phi is linear in the level: 10^8 did not finish in 20 s, 10^7 took 2.2 s
     path = tmp_path / "input.json"
     if command == "chartable":
-        blob = _load_bundled("table_s4.json")
+        blob = bundled("table_s4.json")
         blob["chars"][1][1] = {"level": level, "coeffs": ["1"]}
         argv = ["chartable", "--group", "bundled:group_s4.json", "--table", str(path)]
     else:
@@ -670,7 +666,7 @@ def test_cli_verify_bundled(capsys):
 
 
 def test_cli_verify_corrupted_exit_3(capsys, tmp_path):
-    blob = _load_bundled("manifest_order24.json")
+    blob = bundled("manifest_order24.json")
     blob["elements"]["eW"]["coeffs"][0][1] = "1/7"
     path = tmp_path / "bad_manifest.json"
     path.write_text(json.dumps(blob))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from builders import root_of_unity
 from character_table_reference import (
     char_field_stabilizer,
     stabilizer_coset_reps,
@@ -10,11 +11,7 @@ from character_table_reference import (
 )
 from isotypic import CycValue, ValidationError, cyclotomic_polynomial, unit_group
 from isotypic.cyclotomic import render_cyc
-
-
-def sqrt_minus5():
-    w = CycValue.root_of_unity(20)
-    return w + w ** 9 - w ** 13 - w ** 17
+from worked_examples import sqrt_minus5_cyclotomic
 
 
 def random_value(rng, level):
@@ -36,22 +33,22 @@ def test_cyclotomic_polynomials():
 
 
 def test_fourth_root_squares_to_minus_one():
-    z4 = CycValue.root_of_unity(4)
+    z4 = root_of_unity(4)
     assert z4 * z4 == -1
 
 
 def test_sqrt_minus_five_combination():
-    k = sqrt_minus5()
+    k = sqrt_minus5_cyclotomic(20)
     assert k * k == -5
 
 
 def test_third_root_product_identity():
-    z3 = CycValue.root_of_unity(3)
+    z3 = root_of_unity(3)
     assert (1 + z3) * (1 + z3 ** 2) == 1
 
 
 def test_division_and_inverse():
-    z5 = CycValue.root_of_unity(5)
+    z5 = root_of_unity(5)
     v = 1 + z5 + z5 ** 3
     assert v / v == 1
     with pytest.raises(ZeroDivisionError):
@@ -72,8 +69,8 @@ def test_ring_axioms_randomized():
 
 
 def test_level_promotion_consistency():
-    z3 = CycValue.root_of_unity(3)
-    z6 = CycValue.root_of_unity(6)
+    z3 = root_of_unity(3)
+    z6 = root_of_unity(6)
     assert z3 == z6 * z6  # zeta_6^2 = zeta_3
     assert z3 + z6 == z6 * z6 + z6
 
@@ -95,13 +92,13 @@ def test_galois_composition_is_multiplicative():
 
 
 def test_galois_rejects_non_units():
-    z = CycValue.root_of_unity(12)
+    z = root_of_unity(12)
     with pytest.raises(ValidationError):
         z.galois(4)
 
 
 def test_conjugation_is_minus_one():
-    z4 = CycValue.root_of_unity(4)
+    z4 = root_of_unity(4)
     assert z4.conjugate() == -z4
 
 
@@ -114,26 +111,26 @@ def test_char_field_stabilizer_examples():
     vals = [CycValue.from_rational(3, 20), CycValue.from_rational(-1, 20)]
     assert char_field_stabilizer(vals, level=20) == unit_group(20)
     # sqrt(-5): index-2 stabilizer in (Z/20)*
-    stab = char_field_stabilizer([sqrt_minus5()])
+    stab = char_field_stabilizer([sqrt_minus5_cyclotomic(20)])
     assert len(unit_group(20)) // len(stab) == 2
     # faithful character of Z/5: trivial stabilizer
-    z5 = CycValue.root_of_unity(5)
+    z5 = root_of_unity(5)
     assert char_field_stabilizer([z5]) == (1,)
 
 
 def test_traces():
-    z4 = CycValue.root_of_unity(4)
+    z4 = root_of_unity(4)
     stab4 = char_field_stabilizer([z4])
     assert trace_to_rational(z4, stab4) == 0
-    k = sqrt_minus5()
+    k = sqrt_minus5_cyclotomic(20)
     stab = char_field_stabilizer([k])
     assert trace_to_rational(CycValue.from_rational(4, 20), stab) == 8
     assert trace_to_rational(k, stab) == 0
 
 
 def test_trace_requires_membership():
-    k = sqrt_minus5()
-    z20 = CycValue.root_of_unity(20)
+    k = sqrt_minus5_cyclotomic(20)
+    z20 = root_of_unity(20)
     stab = char_field_stabilizer([k])
     with pytest.raises(ValidationError, match="not in declared subfield"):
         trace_to_rational(z20, stab)
@@ -141,7 +138,7 @@ def test_trace_requires_membership():
 
 def test_trace_linearity_and_rationality():
     rng = random.Random(17)
-    k = sqrt_minus5()
+    k = sqrt_minus5_cyclotomic(20)
     stab = char_field_stabilizer([k])
     for _ in range(10):
         a = F(rng.randint(-5, 5)) + F(rng.randint(-5, 5)) * k
@@ -156,14 +153,14 @@ def test_trace_linearity_and_rationality():
 
 
 def test_trace_values_generate_trivial_extension():
-    k = sqrt_minus5()
+    k = sqrt_minus5_cyclotomic(20)
     stab = char_field_stabilizer([k])
     traces = [CycValue.from_rational(trace_to_rational(1 + k, stab), 20)]
     assert char_field_stabilizer(traces, level=20) == unit_group(20)
 
 
 def test_coset_reps_cover_unit_group():
-    k = sqrt_minus5()
+    k = sqrt_minus5_cyclotomic(20)
     stab = char_field_stabilizer([k])
     reps = stabilizer_coset_reps(stab, 20)
     cover = {(r * s) % 20 for r in reps for s in stab}
@@ -172,13 +169,13 @@ def test_coset_reps_cover_unit_group():
 
 
 def test_render_forms():
-    z4 = CycValue.root_of_unity(4)
+    z4 = root_of_unity(4)
     assert render_cyc(z4 * 2 + 1) == "1+2*z4"
     assert render_cyc(CycValue.from_rational(F(-3, 2), 4)) == "-3/2"
 
 
 def test_hash_agrees_with_equality_across_levels():
-    a = CycValue.root_of_unity(3)
+    a = root_of_unity(3)
     b = a.to_level(6)
     assert a == b
     assert hash(a) == hash(b)
@@ -193,7 +190,7 @@ def test_hash_agrees_with_equality_across_levels():
 def test_level_must_be_positive(level):
     for build in (lambda: CycValue(level, []), lambda: CycValue.zero(level),
                   lambda: CycValue.one(level), lambda: CycValue.from_rational(2, level),
-                  lambda: CycValue.root_of_unity(level)):
+                  lambda: root_of_unity(level)):
         with pytest.raises(ValidationError, match="cyclotomic level must be positive"):
             build()
 
@@ -203,11 +200,11 @@ def test_level_bound_raises_before_building_a_table(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "DEFAULT_LEVEL_BOUND", 50)
     monkeypatch.setattr(cyclotomic, "_LEVELS", {})
-    z = CycValue.root_of_unity(60)
+    z = root_of_unity(60)
     with pytest.raises(BoundExceededError, match="level bound 50"):
         z * z
     assert 60 not in cyclotomic._LEVELS
-    assert CycValue.root_of_unity(12) ** 12 == 1
+    assert root_of_unity(12) ** 12 == 1
 
 
 def test_level_bound_exits_4_from_the_cli(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 import lattice_reference
+from builders import evaluate_word
 from isotypic import (
     JacobianDecomposer,
     ValidationError,
@@ -20,7 +21,7 @@ def worked_example_subgroup_classes(g80, dec):
     }
     out = {"G": dec.subgroup_class_of(tuple(range(g80.order)))}
     for name, gens in words.items():
-        sub = g80.subgroup_generated([g80.evaluate_word(w) for w in gens])
+        sub = g80.subgroup_generated([evaluate_word(g80, w) for w in gens])
         out[name] = dec.subgroup_class_of(sub.members)
     return out
 
@@ -70,7 +71,7 @@ def test_intermediate_whole_and_trivial(dec80):
 
 
 def test_intermediate_worked_example(g80, dec80, quad80):
-    xy2 = g80.evaluate_word([1, 2, 2])
+    xy2 = evaluate_word(g80, [1, 2, 2])
     rep = dec80.decompose_intermediate(g80.subgroup_generated([xy2]).members)
     qi = dec80.orbits.index(next(o for o in dec80.orbits
                                  if o.degree == 4 and len(o.char_indices) == 2))
@@ -87,8 +88,8 @@ def test_prym_degenerate_cases(dec80, g80):
 
 
 def test_prym_requires_containment(dec80, g80):
-    H3 = g80.subgroup_generated([g80.evaluate_word([2, 2]), g80.generators[0]])
-    H1 = g80.subgroup_generated([g80.evaluate_word([1, 1]), g80.evaluate_word([1, 2])])
+    H3 = g80.subgroup_generated([evaluate_word(g80, [2, 2]), g80.generators[0]])
+    H1 = g80.subgroup_generated([evaluate_word(g80, [1, 1]), evaluate_word(g80, [1, 2])])
     with pytest.raises(ValidationError, match="contained"):
         dec80.decompose_prym(H3.members, H1.members)
 

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import worked_examples as we
+from builders import basis, evaluate_word, root_of_unity
 from isotypic import (
     AlgebraElement,
     FieldDomain,
@@ -29,9 +31,9 @@ from isotypic import (
     system_grid_checks,
     validate_schur_from_rep,
 )
-from isotypic import fixtures as fx
 from isotypic import groupalgebra as ga
 from isotypic.linalg import Echelon
+from test_class_functions import q8_rep
 
 
 def s3_standard_rep(small_groups, small_tables):
@@ -45,15 +47,6 @@ def s3_standard_rep(small_groups, small_tables):
     )
 
 
-def q8_rep(small_groups, small_tables):
-    Q8 = small_groups["Q8"]
-    t = small_tables["Q8"]
-    QI = NumField([1, 0, 1], [[0, 1], [0, -1]], subfield_fixers=(0, 1))
-    i = QI.gen()
-    two = next(idx for idx, c in enumerate(t.chars) if c.degree == 2)
-    return MatrixRep(Q8, QI, [[[i, 0], [0, -i]], [[0, 1], [-1, 0]]], t, two)
-
-
 # -- arithmetic ---------------------------------------------------------------
 
 
@@ -63,7 +56,7 @@ def test_averaging_is_idempotent(small_groups):
             p = averaging_idempotent(group, s.members)
             assert p.is_idempotent()
             for h in s.members:
-                b = AlgebraElement.basis(group, h)
+                b = basis(group, h)
                 assert b * p == p and p * b == p
 
 
@@ -139,12 +132,12 @@ def test_rational_central_idempotents_sum_to_one(small_tables):
 
 
 def test_transcribed_central_elements(g80, t80, quad80, g24, t24):
-    L = fx.order80_field()
-    eW = fx.order80_element(g80, L, "eW")
+    L = we.order80_field()
+    eW = we.order80_element(g80, L, "eW")
     assert eW.to_domain(RATIONALS) == rational_central_idempotent(t80, quad80)
     orbits24 = galois_orbits(t24)
     w = next(o for o in orbits24 if o.degree == 2 and len(o.char_indices) == 1)
-    assert fx.order24_eW(g24) == rational_central_idempotent(t24, w)
+    assert we.order24_eW(g24) == rational_central_idempotent(t24, w)
 
 
 def test_central_idempotents_of_conjugate_rows_annihilate(t80, quad80):
@@ -159,10 +152,10 @@ def test_central_idempotents_of_conjugate_rows_annihilate(t80, quad80):
 
 
 def test_invariant_idempotent_worked_example(g80, t80, quad80):
-    xy2 = g80.evaluate_word([1, 2, 2])
+    xy2 = evaluate_word(g80, [1, 2, 2])
     members = g80.subgroup_generated([xy2]).members
     f = invariant_idempotent(t80, quad80, members)
-    assert f == fx.order80_pHeW(g80)
+    assert f == we.order80_pHeW(g80)
     assert f.is_idempotent()
     # vanishes exactly when the subgroup has no fixed vectors
     x10 = g80.power(g80.generators[0], 10)
@@ -235,10 +228,10 @@ def test_ideal_dim_of_block(small_groups, small_tables):
 
 
 def test_transcribed_ideal_dims(g80):
-    L = fx.order80_field()
-    l1 = fx.order80_element(g80, L, "l1")
+    L = we.order80_field()
+    l1 = we.order80_element(g80, L, "l1")
     assert ideal_dim(l1) == 4
-    f1 = fx.order80_element(g80, L, "f1").to_domain(RATIONALS)
+    f1 = we.order80_element(g80, L, "f1").to_domain(RATIONALS)
     assert ideal_dim(f1) == 16  # m * n * [K:Q] = 2*4*2
 
 
@@ -253,11 +246,11 @@ def test_trace_formula_matches_echelon_rank(small_groups, small_tables, g80, fie
         AlgebraElement.one(S3),
         central_idempotent(t, std.char_indices[0]),                # e_V over Q(zeta_3)
         central_idempotent(small_tables["Q8"], q8_two),            # e_V over Q(zeta_4)
-        fx.order80_element(g80, field80, "l1"),
-        fx.order80_element(g80, field80, "k1"),
-        fx.order80_element(g80, field80, "f1"),
-        fx.order80_element(g80, field80, "f1").to_domain(RATIONALS),
-        fx.order80_pHeW(g80),                                       # f_H
+        we.order80_element(g80, field80, "l1"),
+        we.order80_element(g80, field80, "k1"),
+        we.order80_element(g80, field80, "f1"),
+        we.order80_element(g80, field80, "f1").to_domain(RATIONALS),
+        we.order80_pHeW(g80),                                       # f_H
         invariant_idempotent(t, std, S3.subgroup_generated([S3.generators[0]]).members),
     ] + symmetrize_to_rational(s3_system)                          # the S3 f_s
     for e in idempotents:
@@ -276,7 +269,7 @@ def test_ideal_dim_of_non_idempotent_uses_echelon(small_groups, small_tables, mo
     S3 = small_groups["S3"]
     rep = s3_standard_rep(small_groups, small_tables)
     twice_ev = central_idempotent_over_field(rep) * 2
-    one_plus_g = AlgebraElement.one(S3) + AlgebraElement.basis(S3, S3.generators[0])
+    one_plus_g = AlgebraElement.one(S3) + basis(S3, S3.generators[0])
     assert not twice_ev.is_idempotent() and not one_plus_g.is_idempotent()
     assert ga.ideal_dim(twice_ev) == 4
     assert ga.ideal_dim(one_plus_g) == 3      # (1 + g)/2 projects onto |G|/2 dimensions
@@ -315,7 +308,7 @@ def test_wrong_matrices_rejected(small_groups, small_tables):
 
 
 def test_transcribed_l1_equals_rep_diagonal(g80, rep80, field80):
-    l1 = fx.order80_element(g80, field80, "l1")
+    l1 = we.order80_element(g80, field80, "l1")
     assert l1 == diagonal_idempotent(rep80, 0)
 
 
@@ -363,7 +356,7 @@ def _orbit_module_reference(element):
 def test_orbit_module_check_matches_per_translate_reference(rep80, small_groups, small_tables,
                                                             monkeypatch):
     l1 = diagonal_idempotents(rep80)[0]
-    q8_ell = diagonal_idempotents(q8_rep(small_groups, small_tables))[0]
+    q8_ell = diagonal_idempotents(q8_rep(small_tables["Q8"]))[0]
     for element in (l1, l1.apply_galois(1), q8_ell):
         bases, want = _orbit_module_reference(element)
         # the transported rows are the rows of each translate's own Echelon pass
@@ -402,7 +395,7 @@ def test_primitive_path_makes_each_product_once(small_groups, small_tables, monk
 
     # Q8, n = m = 2: the 1x2 grid's 4 products and f_1 * f_1, on the same
     # calls as the command line's primitive path
-    rep = q8_rep(small_groups, small_tables)
+    rep = q8_rep(small_tables["Q8"])
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     calls = _count_products(monkeypatch)
     orbit = assert_schur(orbit, validate_schur_from_rep(rep, orbit))
@@ -429,7 +422,7 @@ def _primitive_cases(small_groups, small_tables, rep80, quad80):
     q8_orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     s3_orbit = next(o for o in galois_orbits(small_tables["S3"]) if o.degree == 2)
     return [(s3_standard_rep(small_groups, small_tables), assert_schur(s3_orbit, 1)),
-            (q8_rep(small_groups, small_tables), assert_schur(q8_orbit, 2)),
+            (q8_rep(small_tables["Q8"]), assert_schur(q8_orbit, 2)),
             (rep80, assert_schur(quad80, 2))]
 
 
@@ -453,7 +446,7 @@ def test_hash_agrees_with_equality_across_domains(small_groups):
     one_q, one_cyc = AlgebraElement.one(S3), AlgebraElement.one(S3, ga.CyclotomicDomain(4))
     assert one_q == one_cyc and hash(one_q) == hash(one_cyc)
     assert len({one_q, one_cyc}) == 1
-    assert len({one_q, AlgebraElement.basis(S3, S3.generators[0])}) == 2
+    assert len({one_q, basis(S3, S3.generators[0])}) == 2
 
 
 def test_zero_element_hashes_as_the_int_it_equals(small_groups):
@@ -486,7 +479,7 @@ def _unit_elements(rep, j):
 
 
 def test_matrix_units_multiply_as_matrix_units(small_groups, small_tables):
-    for rep in (s3_standard_rep(small_groups, small_tables), q8_rep(small_groups, small_tables)):
+    for rep in (s3_standard_rep(small_groups, small_tables), q8_rep(small_tables["Q8"])):
         n = rep.degree
         # units[j][i] = E_ij
         units = [_unit_elements(rep, j) for j in range(n)]
@@ -499,7 +492,7 @@ def test_matrix_units_multiply_as_matrix_units(small_groups, small_tables):
 
 
 def test_matrix_unit_column_spans_the_ideal_of_ell(rep80, small_groups, small_tables):
-    reps = (rep80, q8_rep(small_groups, small_tables), s3_standard_rep(small_groups, small_tables))
+    reps = (rep80, q8_rep(small_tables["Q8"]), s3_standard_rep(small_groups, small_tables))
     for rep in reps:
         dom = FieldDomain(rep.field)
         for j, ell in enumerate(diagonal_idempotents(rep)):
@@ -519,9 +512,9 @@ def test_primitive_pipeline_never_calls_left_translates(g80, t80, field80, quad8
         raise AssertionError("left translates echelonized")
 
     monkeypatch.setattr(AlgebraElement, "left_translates", refuse)
-    q8 = q8_rep(small_groups, small_tables)
+    q8 = q8_rep(small_tables["Q8"])
     q8_orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
-    for rep, orbit in ((q8, q8_orbit), (fx.order80_rep(g80, t80, field80), quad80)):
+    for rep, orbit in ((q8, q8_orbit), (we.order80_rep(g80, t80, field80), quad80)):
         m = validate_schur_from_rep(rep, orbit)
         assert m == 2
         system = construct_primitive_system(rep, assert_schur(orbit, m))
@@ -538,7 +531,7 @@ def test_orbit_module_check_edge_cases(g80, rep80, field80):
 
 
 def test_construct_primitive_system_takes_only_the_reps_ells(small_groups, small_tables):
-    rep = q8_rep(small_groups, small_tables)
+    rep = q8_rep(small_tables["Q8"])
     orbit = assert_schur(next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2), 2)
     ells = diagonal_idempotents(rep)
     with pytest.raises(ValidationError, match="not the diagonal idempotents"):
@@ -563,7 +556,7 @@ def test_s3_primitive_system(small_groups, small_tables):
 
 
 def test_q8_primitive_system(small_groups, small_tables):
-    rep = q8_rep(small_groups, small_tables)
+    rep = q8_rep(small_tables["Q8"])
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     m = validate_schur_from_rep(rep, orbit)
     assert m == 2
@@ -577,7 +570,7 @@ def test_q8_primitive_system(small_groups, small_tables):
 
 
 def test_galois_product_rule_for_k_elements(small_groups, small_tables):
-    rep = q8_rep(small_groups, small_tables)
+    rep = q8_rep(small_tables["Q8"])
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     system = construct_primitive_system(rep, assert_schur(orbit, 2))
     ks = symmetrize_to_subfield(system)
@@ -606,9 +599,9 @@ def test_incompatible_fields_need_embedding(g80, small_groups):
     from isotypic import CycValue
     from isotypic.groupalgebra import CyclotomicDomain
 
-    L = fx.order80_field()
-    a = fx.order80_element(g80, L, "eW")
-    z = AlgebraElement(g80, CyclotomicDomain(4), {0: CycValue.root_of_unity(4)})
+    L = we.order80_field()
+    a = we.order80_element(g80, L, "eW")
+    z = AlgebraElement(g80, CyclotomicDomain(4), {0: root_of_unity(4)})
     with pytest.raises(ValidationError, match="embedding"):
         a * z
 
@@ -619,7 +612,7 @@ def test_coefficient_coercion_table(g80, field80, rep80):
 
     L, E = field80, ValidationError
     other = NumField([-2, 0, 1], [[0, 1], [0, -1]])
-    i4, z8 = CycValue.root_of_unity(4), CycValue.root_of_unity(8)
+    i4, z8 = root_of_unity(4), root_of_unity(8)
     Q, C4, C8, FL = RATIONALS, CyclotomicDomain(4), CyclotomicDomain(8), FieldDomain(L)
     table = [  # scalar, {target domain: expected coefficient or E}
         (F(1, 2), {Q: F(1, 2), C4: F(1, 2), C8: F(1, 2), FL: F(1, 2)}),
@@ -682,7 +675,7 @@ def test_coefficient_coercion_table(g80, field80, rep80):
     moved = el.to_domain(FL, emb)
     assert moved.domain == FL and moved.coeffs == {1: emb.image, 2: L.from_rational(F(1, 3))}
     with pytest.raises(ValidationError, match="outside the declared embedded subfield"):
-        ga._coerce(FL, CycValue.root_of_unity(40), emb)
+        ga._coerce(FL, root_of_unity(40), emb)
     with pytest.raises(ValidationError, match="embedding required"):
         el.to_domain(FL)
     # rationality looks at every coefficient kind

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from builders import evaluate_word
 from isotypic import (
     BoundExceededError,
     FiniteGroup,
@@ -287,7 +288,7 @@ def test_subgroup_classes_contain_worked_example_list(g80):
     ]
     classes = g80.subgroup_classes()
     for gens in words:
-        sub = g80.subgroup_generated([g80.evaluate_word(w) for w in gens])
+        sub = g80.subgroup_generated([evaluate_word(g80, w) for w in gens])
         found = classes[g80.find_class_of_subgroup(sub.members)]
         assert found.members == lattice_reference.canonical_form(g80, sub.members)
 
@@ -366,8 +367,8 @@ def test_labels_and_words(g24):
     assert g24.label_of(0) == "1"
     x = g24.generators[0]
     assert g24.label_of(x) == "x"
-    assert g24.evaluate_word([1, 1]) == g24.power(x, 2)
-    assert g24.evaluate_word([-1, 1]) == 0
+    assert evaluate_word(g24, [1, 1]) == g24.power(x, 2)
+    assert evaluate_word(g24, [-1, 1]) == 0
 
 
 def test_sl23_equals_order24(small_groups, g24):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from builders import root_of_unity
 from isotypic import (
     BoundExceededError,
     CycEmbedding,
@@ -16,7 +17,7 @@ from isotypic import (
 )
 from isotypic import numberfield
 from isotypic.cyclotomic import _Exact
-from isotypic.fixtures import order80_field, order80_k_and_l, sqrt_minus5_cyclotomic
+from worked_examples import order80_field, order80_k_and_l, sqrt_minus5_cyclotomic
 
 
 def test_irreducibility_decision():
@@ -130,7 +131,7 @@ def test_embedding_of_character_values():
     assert emb.embed(CycValue.from_rational(F(5, 3))) == L.from_rational(F(5, 3))
     # a value outside Q(k) is rejected
     with pytest.raises(ValidationError):
-        emb.embed(CycValue.root_of_unity(40))
+        emb.embed(root_of_unity(40))
 
 
 def test_embedding_validates_conjugate():
@@ -265,7 +266,7 @@ def test_irreducibility_matches_fraction_reference():
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 def test_values_of_different_fields_do_not_combine(op):
-    z, t = CycValue.root_of_unity(8), order80_field().gen()
+    z, t = root_of_unity(8), order80_field().gen()
     other = NumField([F(-2), F(0), F(1)], [[0, 1], [0, -1]]).gen()
     for a, b in ((z, t), (t, z), (t, other), (other, t)):
         with pytest.raises(ValidationError, match="different"):

@@ -7,12 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from algebra_reference import reference_product
+from builders import root_of_unity
 from isotypic import AlgebraElement, CycValue, NumField, RATIONALS
 from isotypic.cyclotomic import euler_phi
-from isotypic.fixtures import order80_element, order80_field
 from isotypic.groupalgebra import CyclotomicDomain, FieldDomain
 from isotypic.numberfield import NumFieldValue
 from isotypic.serialize import element_to_json
+from worked_examples import order80_element, order80_field
 
 
 def _nonintegral_field():
@@ -133,7 +134,7 @@ def test_packed_product_across_domains(g24):
             assert _check(a, b).domain == joined
     # coefficients that are not native to the element's domain
     ints = AlgebraElement(g24, RATIONALS, {1: 3, 2: -5, 5: F(1, 2)})
-    low = AlgebraElement(g24, c40, {1: CycValue.root_of_unity(8), 3: F(2, 3), 4: 5})
+    low = AlgebraElement(g24, c40, {1: root_of_unity(8), 3: F(2, 3), 4: 5})
     for a in (ints, low):
         got, want = a * a, reference_product(a, a)
         assert got.coeffs == want.coeffs

@@ -15,7 +15,6 @@ import pytest
 
 from isotypic import CycValue
 from isotypic.errors import ValidationError
-from isotypic.fixtures import order80_field
 from isotypic.numberfield import NumFieldValue
 from isotypic.serialize import (
     cyc_from_json,
@@ -26,6 +25,7 @@ from isotypic.serialize import (
     scalar_from_json,
     scalars_from_json,
 )
+from worked_examples import order80_field
 
 
 def _literal(rng):

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 import fraction_reference as ref
+from builders import root_of_unity
 from isotypic import CycValue, NumField
 from isotypic import cyclotomic
 from isotypic.cyclotomic import euler_phi, unit_group
 from isotypic.errors import InvariantError
-from isotypic.fixtures import order80_field
+from worked_examples import order80_field
 
 
 def _coeff(rng):
@@ -179,7 +180,7 @@ def test_number_field_inverse_of_random_values(name):
 
 def test_inverse_checks_the_norm_is_rational():
     # with one conjugate of zeta_5 left out, the product is not the norm
-    z = CycValue.root_of_unity(5)
+    z = root_of_unity(5)
     with pytest.raises(InvariantError, match="norm"):
         cyclotomic._inverse(z, [z.galois(2), z.galois(3)], CycValue.one(5))
     assert cyclotomic._inverse(z, [z.galois(k) for k in (2, 3, 4)], CycValue.one(5)) == z ** 4

@@ -3,7 +3,6 @@ document, and load the same values as the memo-free readers of
 ``serialize_reference.py``."""
 
 import json
-from importlib import resources
 
 import pytest
 
@@ -11,13 +10,10 @@ from isotypic import compute_character_table, from_permutations, serialize
 from isotypic.serialize import (
     element_from_json, field_from_json, group_from_spec, table_from_json, table_to_json,
 )
+from isotypic.fixtures import bundled
 from isotypic.verify import ManifestRunner
 from serialize_reference import reference_element, reference_table_values
 from test_lattice_oracle import dihedral
-
-
-def _bundled(name):
-    return json.loads(resources.files("isotypic.data").joinpath(name).read_text())
 
 
 def _list_reads(monkeypatch):
@@ -35,7 +31,7 @@ def _list_reads(monkeypatch):
 
 @pytest.mark.parametrize("name", ["manifest_order24.json", "manifest_order80.json"])
 def test_manifest_loads_the_reference_values(name):
-    manifest = _bundled(name)
+    manifest = bundled(name)
     runner = ManifestRunner(manifest)
     field = field_from_json(manifest["field"]) if "field" in manifest else None
     for key, spec in manifest["elements"].items():
@@ -48,7 +44,7 @@ def test_manifest_loads_the_reference_values(name):
 
 
 def test_standalone_element_reads_alone_and_loads_the_reference_values(g80, monkeypatch):
-    manifest = _bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     calls = _list_reads(monkeypatch)
     for spec in manifest["elements"].values():
         if spec.get("field") == "L":
@@ -60,16 +56,16 @@ def test_standalone_element_reads_alone_and_loads_the_reference_values(g80, monk
 
 
 def test_tables_load_the_reference_values():
-    group80 = group_from_spec(_bundled("group_order80.json"))
+    group80 = group_from_spec(bundled("group_order80.json"))
     d240 = from_permutations(dihedral(120))
-    for group, doc in [(group80, _bundled("table_order80.json")),
+    for group, doc in [(group80, bundled("table_order80.json")),
                        (d240, table_to_json(compute_character_table(d240)))]:
         table = table_from_json(group, doc)
         assert [ch.values for ch in table.chars] == reference_table_values(doc)
 
 
 def test_manifest_reads_each_distinct_list_once(monkeypatch):
-    manifest = _bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     lists = [c for spec in manifest["elements"].values() for _, c in spec.get("coeffs", ())
              if isinstance(c, list) and all(isinstance(x, str) for x in c)]
     distinct = {tuple(c) for c in lists}
@@ -80,7 +76,7 @@ def test_manifest_reads_each_distinct_list_once(monkeypatch):
 
 
 def test_each_table_load_reads_each_distinct_value_once(monkeypatch):
-    doc, group = _bundled("table_order80.json"), group_from_spec(_bundled("group_order80.json"))
+    doc, group = bundled("table_order80.json"), group_from_spec(bundled("group_order80.json"))
     distinct = {json.dumps(v, sort_keys=True) for row in doc["chars"] for v in row}
     assert len(distinct) == 13
     calls = _list_reads(monkeypatch)
@@ -93,7 +89,7 @@ def test_each_table_load_reads_each_distinct_value_once(monkeypatch):
 def test_equal_fields_written_apart_keep_their_own_values():
     # the manifest field again with a minpoly of JSON ints: an equal field,
     # read as a second object, whose values its automorphisms must accept
-    manifest = _bundled("manifest_order80.json")
+    manifest = bundled("manifest_order80.json")
     l_ints = dict(manifest["field"], minpoly=[144, 0, -16, 0, 1])
     spec = manifest["elements"]["eW"]
     manifest["elements"] = {

@@ -15,8 +15,8 @@ import pytest
 
 from algebra_reference import reference_is_bi_invariant, reference_is_central
 from isotypic import AlgebraElement, CycValue, RATIONALS
-from isotypic.fixtures import order80_field
 from isotypic.groupalgebra import CyclotomicDomain, FieldDomain
+from worked_examples import order80_field
 
 GROUPS = ["S3", "S4", "order24", "order80"]
 DOMAINS = ["Q", "zeta8", "L"]
