@@ -75,7 +75,7 @@ from .characters import CharacterTable, RationalIrrep, _checked, _rational_trace
 from .cyclotomic import CycValue, _Exact, _normal, _pack, _unpacker
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
-from .linalg import Echelon, column_echelon
+from .linalg import Echelon, column_echelon, dot
 from .numberfield import CycEmbedding, NumField, NumFieldValue
 
 Rat = Fraction
@@ -799,7 +799,8 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
             if closed and ech.rank == n * n:
                 break
             # ell_j times |G|/n, whose entries are the diagonal of the matrices
-            if _in_span(ech, tables, lambda g: unit_at(g)[j], order, zero):
+            ell = [unit_at(g)[j] for g in range(order)]
+            if ech.coordinates(ell, _columns(tables, order)) is not None:
                 continue
         tables.append([_translates(nf, fixers, unit_at(g)) for g in range(order)])
         selected.append(j)
@@ -817,7 +818,7 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
         row = []
         for lo in range(0, m * n, n):
             cs, pos = coords[pos:pos + n], pos + n
-            sums = ((g, _dot(cs, col[lo:lo + n], zero)) for g, col in enumerate(table))
+            sums = ((g, dot(cs, col[lo:lo + n], zero)) for g, col in enumerate(table))
             row.append(_element(group, dom, {g: c for g, c in sums if not c.is_zero()}))
         u_grid.append(tuple(row))
 
@@ -839,23 +840,6 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
 def _columns(tables, order):
     """(g, column g) of the basis whose blocks' columns are the tables."""
     return ((g, [c for table in tables for c in table[g]]) for g in range(order))
-
-
-def _dot(xs, ys, zero):
-    """sum x y over the pairs with no zero factor."""
-    acc = None
-    for x, y in zip(xs, ys):
-        if not x.is_zero() and not y.is_zero():
-            acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
-
-
-def _in_span(ech, tables, target, order, zero) -> bool:
-    """Whether the vector with entries target(g) lies in the span of the
-    basis with the echelon ech: the solution on the pivot minor, compared
-    on every column (module docstring, (d))."""
-    coords = ech.solve([target(g) for g in ech.keys])
-    return all(_dot(coords, col, zero) == target(g) for g, col in _columns(tables, order))
 
 
 _GRID_SUM = "sum of u grid equals the central idempotent"

@@ -1,13 +1,9 @@
 """Exact echelon forms over any exact field-like scalar type.
 
-Scalars must support +, -, *, /, and ==.  Pivoting is first-nonzero only,
-so every result is deterministic for a fixed insertion order.
-
 Echelon keeps the pivot-normalized rows of a span and answers rank and
-membership.  CoordinateSpan also reads coordinates off the same echelon
-form by the augmented-matrix method (Cohen, GTM 138, 2.3): the k-th
-accepted vector is echelonized with the k-th unit vector appended, so the
-tail of a residual is minus the coordinates of what its head removed.
+membership.  Its scalars must support +, -, *, /, and ==.  Pivoting is
+first-nonzero only, so every result is deterministic for a fixed insertion
+order.
 
 ColumnEchelon reads a matrix the other way round, one column at a time,
 for callers that want a rank or the coordinates of one vector: column rank
@@ -15,7 +11,11 @@ equals row rank and neither exceeds the row count, so the reading stops
 there.  A pivot entry is inverted only when a later column or a solve
 uses it, and the pivot columns it accepts are a nonsingular minor when the
 rows are independent, on which ``solve`` finds coordinates by one back
-substitution.
+substitution.  ``coordinates`` then compares them with the target on every
+column: a vector lies in the row space exactly when its solution on the
+minor reproduces it there (with dependent rows the solution vanishes off
+the pivot rows, and restriction to the pivot columns is still one-to-one on
+the row space).
 """
 
 from __future__ import annotations
@@ -57,38 +57,6 @@ class Echelon:
         self.rows.append([c * inv for c in vec])
         self.pivot_cols.append(piv)
         return True
-
-
-class CoordinateSpan:
-    """Span of independent vectors that also gives coordinates in them.
-
-    The k-th accepted vector is stored with a unit tail of length k + 1, so
-    every stored row is its head written as a combination of the accepted
-    vectors, and heads keep the pivots that Echelon would give them.
-    """
-
-    def __init__(self, zero, one):
-        self.ech = Echelon(zero, one)
-
-    @property
-    def rank(self) -> int:
-        return self.ech.rank
-
-    def add(self, vec) -> bool:
-        """Accept a vector outside the span (True); reject one inside it."""
-        ech = self.ech
-        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
-        if all(c == ech.zero for c in res[:len(vec)]):
-            return False
-        return ech.add(res + [ech.one])
-
-    def coordinates(self, vec):
-        """Coefficients of vec in the accepted vectors, or None outside the span."""
-        ech = self.ech
-        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
-        if any(c != ech.zero for c in res[:len(vec)]):
-            return None
-        return [ech.zero - c for c in res[len(vec):]]
 
 
 class ColumnEchelon:
@@ -166,6 +134,25 @@ class ColumnEchelon:
             if not acc.is_zero():
                 x[self.pivot_rows[k]] = acc * self._inverse(k)
         return x
+
+    def coordinates(self, target, columns):
+        """The solution x on the pivot minor of the vector with entries
+        target[key], or None if x . column != target[key] for some (key,
+        column) pair of columns, that is, if the vector lies outside the row
+        space when columns are all the columns of the matrix."""
+        x = self.solve([target[key] for key in self.keys])
+        if all(dot(x, col, self.zero) == target[key] for key, col in columns):
+            return x
+        return None
+
+
+def dot(xs, ys, zero):
+    """sum x y over the pairs with no zero factor."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not x.is_zero() and not y.is_zero():
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
 
 
 def column_echelon(columns, height, zero, stop=None) -> ColumnEchelon:

@@ -38,9 +38,10 @@ from .cyclotomic import (
     _power_table,
     _render_terms,
     poly_trim,
+    unit_group,
 )
 from .errors import BoundExceededError, ValidationError
-from .linalg import CoordinateSpan
+from .linalg import column_echelon
 
 Rat = Fraction
 
@@ -415,10 +416,14 @@ RATIONAL_FIELD = NumField([Rat(0), Rat(1)], [[Rat(0)]], (0,), name="Q")
 class CycEmbedding:
     """Q-linear embedding of the field generated by one cyclotomic value.
 
-    Declared by a generator g (a CycValue) and its image in L; any value
-    lying in Q(g) embeds by solving for its coordinates in the power basis
-    of g and mapping.  Validated by checking the minimal polynomial of g
-    annihilates the image.
+    Declared by a generator g (a CycValue) and its image in L.  The degree
+    d = [Q(g):Q] is the size of the Galois orbit of g, so g^0, ..., g^(d-1)
+    are independent; as the rows of the matrix of their cyclotomic
+    coordinates, the pivot columns of its column echelon are a nonsingular
+    d x d minor.  A value embeds by solving for its coordinates in the power
+    basis of g on that minor, checking them on every coordinate, and mapping.
+    Validated by checking the minimal polynomial of g, read the same way
+    from g^d, annihilates the image.
     """
 
     def __init__(self, field: NumField, generator: CycValue | None, image: NumFieldValue | None):
@@ -430,22 +435,22 @@ class CycEmbedding:
         if image is None or image.field != field:
             raise ValidationError("embedding image must live in the target field")
         self.image = image
-        # power basis of Q(g) inside the cyclotomic field: g^0, ..., g^(d-1)
-        # span it, and g^d has the coordinates of the minimal polynomial
-        self._span = span = CoordinateSpan(Rat(0), Rat(1))
-        top = CycValue.one(generator.level)
-        while span.add(list(top.coeffs)):
-            top = top * generator
+        degree = len({generator.galois(k) for k in unit_group(generator.level)})
+        powers = [CycValue.one(generator.level)]
+        for _ in range(degree):
+            powers.append(powers[-1] * generator)
+        rows = [_rationals(p) for p in powers]
+        # column j holds coordinate j of g^0, ..., g^(d-1)
+        self._columns = list(enumerate(zip(*rows[:-1])))
+        self._ech = column_echelon(self._columns, degree, RATIONAL_FIELD.zero())
         # image^0, ..., image^d: the images of the power basis, then of g^d
         images = [field.one()]
-        for _ in range(span.rank):
+        for _ in range(degree):
             images.append(images[-1] * image)
         self._images = images[:-1]
-        coords = span.coordinates(list(top.coeffs))
-        # validate: minpoly(image) == 0 in L
         acc = images[-1]
-        for c, p in zip(coords, images):
-            acc = acc - p * c
+        for c, p in zip(self._ech.solve([rows[-1][j] for j in self._ech.keys]), images):
+            acc = acc - p * c.as_rational()
         if not acc.is_zero():
             raise ValidationError(
                 "declared embedding is inconsistent: image is not a conjugate of the generator"
@@ -456,12 +461,17 @@ class CycEmbedding:
             return self.field.from_rational(v.as_rational())
         if self.generator is None:
             raise ValidationError("no embedding declared for irrational cyclotomic values")
-        target = v.to_level(self.generator.level)
-        coords = self._span.coordinates(list(target.coeffs))
+        coords = self._ech.coordinates(_rationals(v.to_level(self.generator.level)),
+                                       self._columns)
         if coords is None:
             raise ValidationError("value lies outside the declared embedded subfield")
         acc = self.field.zero()
         for c, p in zip(coords, self._images):
-            if c:
-                acc = acc + p * c
+            if not c.is_zero():
+                acc = acc + p * c.as_rational()
         return acc
+
+
+def _rationals(v: CycValue) -> list[NumFieldValue]:
+    """The coordinates of v as values of RATIONAL_FIELD."""
+    return [_nfv(RATIONAL_FIELD, *_normal((x,), v.den)) for x in v.num]

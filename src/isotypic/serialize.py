@@ -417,11 +417,10 @@ def rep_from_json(group: FiniteGroup, table: CharacterTable, d) -> MatrixRep:
                 f"character has degree {degree}"
             )
         if "embedding" in d:
-            emb = CycEmbedding(
-                nf,
-                cyc_from_json(d["embedding"]["generator"]),
-                nfv_from_json(nf, d["embedding"]["image"]),
-            )
+            # at a level both the generator's and the table's divide
+            gen = cyc_from_json(d["embedding"]["generator"])
+            gen = gen.to_level(lcm(gen.level, table.level))
+            emb = CycEmbedding(nf, gen, nfv_from_json(nf, d["embedding"]["image"]))
         else:
             emb = CycEmbedding(nf, None, None)
         gens = [

@@ -27,7 +27,8 @@ from isotypic.groupalgebra import (
     central_idempotent_over_field,
     diagonal_idempotents,
 )
-from isotypic.linalg import CoordinateSpan, Echelon
+from isotypic.linalg import Echelon
+from linalg_reference import CoordinateSpan
 
 
 def reference_product(left, right):

@@ -1,8 +1,25 @@
-"""``linalg.solve_in_span`` as it was before ``CoordinateSpan`` read
-coordinates off one echelon form, kept verbatim as the differential oracle
-of ``test_linalg_oracle.py``."""
+"""Solvers the library no longer uses, kept as differential oracles.
+
+``solve_in_span`` is ``linalg.solve_in_span`` as it was before
+``CoordinateSpan`` read coordinates off one echelon form, kept verbatim.
+``CoordinateSpan`` is that echelon form as ``linalg`` had it before
+``CycEmbedding`` read its coordinates on a nonsingular minor through
+``column_echelon``: the augmented-matrix method (Cohen, GTM 138, 2.3), in
+which the k-th accepted vector is echelonized with the k-th unit vector
+appended, so the tail of a residual is minus the coordinates of what its
+head removed.  ``CoordinateSpanEmbedding`` is that ``CycEmbedding``.
+``test_linalg_oracle.py`` compares the library's solve on a minor with
+``solve_in_span`` and the embedding with ``CoordinateSpanEmbedding``;
+``algebra_reference.py`` builds its block selection on ``CoordinateSpan``.
+"""
 
 from __future__ import annotations
+
+from fractions import Fraction
+
+from isotypic.cyclotomic import CycValue
+from isotypic.errors import ValidationError
+from isotypic.linalg import Echelon
 
 
 def solve_in_span(basis, target, zero, one):
@@ -46,3 +63,76 @@ def solve_in_span(basis, target, zero, one):
     if any(c != zero for c in red):
         return None
     return [zero - c for c in combo]
+
+
+class CoordinateSpan:
+    """Span of independent vectors that also gives coordinates in them.
+
+    The k-th accepted vector is stored with a unit tail of length k + 1, so
+    every stored row is its head written as a combination of the accepted
+    vectors, and heads keep the pivots that Echelon would give them.
+    """
+
+    def __init__(self, zero, one):
+        self.ech = Echelon(zero, one)
+
+    @property
+    def rank(self) -> int:
+        return self.ech.rank
+
+    def add(self, vec) -> bool:
+        """Accept a vector outside the span (True); reject one inside it."""
+        ech = self.ech
+        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
+        if all(c == ech.zero for c in res[:len(vec)]):
+            return False
+        return ech.add(res + [ech.one])
+
+    def coordinates(self, vec):
+        """Coefficients of vec in the accepted vectors, or None outside the span."""
+        ech = self.ech
+        res = ech.residual(list(vec) + [ech.zero] * ech.rank)
+        if any(c != ech.zero for c in res[:len(vec)]):
+            return None
+        return [ech.zero - c for c in res[len(vec):]]
+
+
+class CoordinateSpanEmbedding:
+    """``numberfield.CycEmbedding`` as it stood on ``CoordinateSpan``: the
+    degree found by multiplying powers of the generator until one falls in
+    the span of those before it, and every coordinate read off the
+    augmented echelon form."""
+
+    def __init__(self, field, generator, image):
+        self.field = field
+        self.generator = generator
+        self.image = image
+        self._span = span = CoordinateSpan(Fraction(0), Fraction(1))
+        top = CycValue.one(generator.level)
+        while span.add(list(top.coeffs)):
+            top = top * generator
+        images = [field.one()]
+        for _ in range(span.rank):
+            images.append(images[-1] * image)
+        self._images = images[:-1]
+        coords = span.coordinates(list(top.coeffs))
+        acc = images[-1]
+        for c, p in zip(coords, images):
+            acc = acc - p * c
+        if not acc.is_zero():
+            raise ValidationError(
+                "declared embedding is inconsistent: image is not a conjugate of the generator"
+            )
+
+    def embed(self, v):
+        if v.is_rational():
+            return self.field.from_rational(v.as_rational())
+        target = v.to_level(self.generator.level)
+        coords = self._span.coordinates(list(target.coeffs))
+        if coords is None:
+            raise ValidationError("value lies outside the declared embedded subfield")
+        acc = self.field.zero()
+        for c, p in zip(coords, self._images):
+            if c:
+                acc = acc + p * c
+        return acc

@@ -637,6 +637,52 @@ def test_cli_every_schur_assertion_is_checked_in_order(capsys):
             "conditional": False} in json.loads(out)["factors"]
 
 
+PRIMITIVE_80 = ["idempotents", "primitive", "--group", "bundled:group_order80.json",
+                "--table", "bundled:table_order80.json"]
+
+
+def _rep80_with_embedding(tmp_path, generator, image):
+    """A copy of the bundled order-80 rep file with the embedding replaced."""
+    doc = bundled("rep_order80.json")
+    doc["embedding"] = {"generator": generator, "image": image}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_embedding_generator_at_a_divisor_level(capsys, tmp_path, fmt):
+    """sqrt(-5) written at level 20, where the table's values are at level
+    40, embeds as the bundled level-40 generator does."""
+    sqrt_minus5_at_20 = {"level": 20, "coeffs": ["0", "0", "0", "2", "0", "-1", "0", "2"]}
+    path = _rep80_with_embedding(tmp_path, sqrt_minus5_at_20,
+                                 bundled("rep_order80.json")["embedding"]["image"])
+    outs = []
+    for rep in ("bundled:rep_order80.json", path):
+        code, out, err = run_cli(capsys, *PRIMITIVE_80, "--rep", rep, "--format", fmt)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("generator,image,message", [
+    (None, ["0", "1", "0", "0"],
+     "declared embedding is inconsistent: image is not a conjugate of the generator"),
+    ({"level": 1, "coeffs": ["1"]}, ["1", "0", "0", "0"],
+     "value lies outside the declared embedded subfield"),
+    ({"level": 40, "coeffs": ["1"] + ["0"] * 15}, ["1", "0", "0", "0"],
+     "value lies outside the declared embedded subfield"),
+], ids=["image-t", "generator-1-level-1", "generator-1-level-40"])
+def test_cli_embedding_refusals_exit_2(tmp_path, generator, image, message):
+    """The image t is not a square root of -5; the generator 1 embeds only
+    Q, and the character's value sqrt(-5) lies outside it."""
+    if generator is None:
+        generator = bundled("rep_order80.json")["embedding"]["generator"]
+    proc = run_cli_process(*PRIMITIVE_80, "--rep", _rep80_with_embedding(tmp_path, generator, image))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n" and "Traceback" not in proc.stderr
+
+
 def test_cli_full_report_order80(capsys, tmp_path):
     gpath = tmp_path / "g80.json"
     gpath.write_text(json.dumps(presentation_spec("order80")))

@@ -1,7 +1,9 @@
-"""CoordinateSpan checked against the solver it replaced
-(``linalg_reference.solve_in_span``), and the Krylov walk and the spectral
-projectors of the Dixon split against the restricted action and the
-eigenspaces of the split they replaced (``_solve_action`` and
+"""The solve on a nonsingular minor (``ColumnEchelon.coordinates``) checked
+against the solver it replaced (``linalg_reference.solve_in_span``),
+``CycEmbedding`` against the embedding it replaced on ``CoordinateSpan``
+(``linalg_reference.CoordinateSpanEmbedding``), and the Krylov walk and the
+spectral projectors of the Dixon split against the restricted action and
+the eigenspaces of the split they replaced (``_solve_action`` and
 ``_nullspace_mod`` of ``character_table_reference.py``)."""
 
 import random
@@ -11,21 +13,44 @@ import pytest
 
 import character_table_reference as ref
 from algebra_reference import reference_matrix_units
+from builders import root_of_unity
+from isotypic import RATIONAL_FIELD
 from isotypic import characters
-from isotypic.linalg import CoordinateSpan
-from linalg_reference import solve_in_span
+from isotypic.cyclotomic import CycValue, cyclotomic_polynomial, euler_phi, unit_group
+from isotypic.errors import ValidationError
+from isotypic.linalg import column_echelon
+from isotypic.numberfield import CycEmbedding, NumField
+from linalg_reference import CoordinateSpanEmbedding, solve_in_span
+from worked_examples import order80_field, order80_k_and_l, sqrt_minus5_cyclotomic
 
 F = Fraction
+Q = RATIONAL_FIELD.from_rational
 
 
-def _span(basis, zero, one):
-    """A CoordinateSpan of the basis, and the index of the first vector it
-    rejects (None if it accepts them all)."""
-    span = CoordinateSpan(zero, one)
-    for i, vec in enumerate(basis):
-        if not span.add(vec):
-            return span, i
-    return span, None
+def _columns(basis):
+    """(g, column g) of the matrix whose rows are the basis vectors."""
+    return [(g, [vec[g] for vec in basis]) for g in range(len(basis[0]))]
+
+
+def _rank(basis, zero):
+    return column_echelon(_columns(basis), len(basis), zero).rank
+
+
+def _coordinates(basis, target, zero):
+    """The coordinates of target in the independent basis, solved on the
+    pivot minor of its column echelon and checked on every column, or None
+    outside the span."""
+    columns = _columns(basis)
+    ech = column_echelon(columns, len(basis), zero)
+    assert ech.rank == len(basis)
+    return ech.coordinates(target, columns)
+
+
+def _rejects_at(basis, zero):
+    """The index of the first vector that depends on those before it, read
+    off the ranks of the column echelons of the leading vectors (None if the
+    basis is independent)."""
+    return next((i for i in range(len(basis)) if _rank(basis[:i + 1], zero) == i), None)
 
 
 def _reference_rejects_at(basis, zero, one):
@@ -50,6 +75,10 @@ def _combination(rng, basis, zero):
     return vec
 
 
+def _over_q(vec):
+    return [Q(c) for c in vec]
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_coordinates_match_solve_in_span_on_fractions(seed):
     rng = random.Random(seed)
@@ -59,16 +88,18 @@ def test_coordinates_match_solve_in_span_on_fractions(seed):
         basis = [_random_vec(rng, width) for _ in range(rng.randint(1, width))]
         if _reference_rejects_at(basis, zero, one) is None:
             break
-    span, rejected = _span(basis, zero, one)
-    assert rejected is None and span.rank == len(basis)
+    basis_q = [_over_q(vec) for vec in basis]
+    assert _rejects_at(basis_q, Q(0)) is None
     targets = [_combination(rng, basis, zero) for _ in range(4)]
     targets += [_random_vec(rng, width) for _ in range(4)]
     targets.append([zero] * width)
     for t in targets:
-        assert span.coordinates(t) == solve_in_span(basis, t, zero, one)
+        coords = _coordinates(basis_q, _over_q(t), Q(0))
+        expected = solve_in_span(basis, t, zero, one)
+        assert (None if coords is None else [c.as_rational() for c in coords]) == expected
     if len(basis) < width:
         # a vector outside the span exists; both must answer None on one
-        assert any(span.coordinates(t) is None for t in
+        assert any(_coordinates(basis_q, _over_q(t), Q(0)) is None for t in
                    [[one if j == k else zero for j in range(width)] for k in range(width)])
 
 
@@ -83,9 +114,9 @@ def test_dependent_basis_rejected_where_solve_in_span_raised(seed):
     basis += [_random_vec(rng, width) for _ in range(2)]
     expected = _reference_rejects_at(basis, zero, one)
     assert expected is not None
-    span, rejected = _span(basis, zero, one)
-    assert rejected == expected
-    assert span.rank == expected  # a rejected vector leaves the span as it was
+    basis_q = [_over_q(vec) for vec in basis]
+    assert _rejects_at(basis_q, Q(0)) == expected
+    assert _rank(basis_q[:expected], Q(0)) == expected
 
 
 def test_coordinates_match_solve_in_span_over_order80_field(rep80):
@@ -96,8 +127,7 @@ def test_coordinates_match_solve_in_span_over_order80_field(rep80):
     column = reference_matrix_units(rep80, 0)
     vecs = [[nf.apply_auto(h, c) for c in vec] for h in nf.subfield_fixers for vec in column]
     zero, one = nf.zero(), nf.one()
-    span, rejected = _span(vecs, zero, one)
-    assert rejected is None
+    assert _rejects_at(vecs, zero) is None
     rng = random.Random(7)
     t = nf.gen()
     inside = [sum((v[j] * (t * rng.randint(-2, 2) + rng.randint(-2, 2)) for v in vecs), zero)
@@ -105,8 +135,97 @@ def test_coordinates_match_solve_in_span_over_order80_field(rep80):
     outside = list(inside)
     outside[0] = outside[0] + one
     for target in (inside, outside, vecs[3], [zero] * len(inside)):
-        assert span.coordinates(target) == solve_in_span(vecs, target, zero, one)
-    assert span.coordinates(outside) is None
+        assert _coordinates(vecs, target, zero) == solve_in_span(vecs, target, zero, one)
+    assert _coordinates(vecs, outside, zero) is None
+
+
+def _cyclotomic_field(m):
+    """Q(zeta_m) declared as L = Q[t]/(Phi_m), t -> t^k for the units k."""
+    return NumField(cyclotomic_polynomial(m),
+                    [root_of_unity(m, k).coeffs for k in unit_group(m)])
+
+
+def _outcome(make, *args):
+    """What make(*args) returns, or the message of the ValidationError it raises."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_embeddings_agree(field, generator, image, values):
+    """The embedding and its CoordinateSpan reference are refused with one
+    message or built with one degree, and give each value one image or one
+    refusal; returns the embedding (None if refused)."""
+    new = _outcome(CycEmbedding, field, generator, image)
+    old = _outcome(CoordinateSpanEmbedding, field, generator, image)
+    if isinstance(old, str):
+        assert new == old
+        return None
+    assert len(new._images) == len(old._images)
+    for v in values:
+        assert _outcome(new.embed, v) == _outcome(old.embed, v)
+    return new
+
+
+# declared fields L = Q(zeta_m) for generators written at level n: all of
+# Q(zeta_n) when m = n, a subfield otherwise
+EMBEDDING_LEVELS = [(8, 8), (12, 12), (20, 20), (40, 40), (40, 8), (105, 7), (105, 15),
+                    (105, 21)]
+
+
+@pytest.mark.parametrize("level,m", EMBEDDING_LEVELS, ids=lambda x: str(x))
+def test_embedding_matches_coordinate_span(level, m):
+    """Generators a*eta + b, eta the period of zeta_m over a random subgroup
+    of units (zeta_m itself for the trivial one, which generates Q(zeta_m),
+    and a rational for the whole group), embedded by t -> t^k, or by a
+    damaged image.  Values: polynomials in the generator, zeta_level and
+    random values of Q(zeta_level)."""
+    rng = random.Random(level * 1000 + m)
+    field = _cyclotomic_field(m)
+    units = unit_group(m)
+    zeta = root_of_unity(level)
+    for subgroup_generator in (1, units[-1], *rng.sample(units, min(3, len(units))), None):
+        if subgroup_generator is None:  # the whole group: a rational generator
+            subgroup = units
+        else:
+            subgroup = {pow(subgroup_generator, i, m) for i in range(euler_phi(m))}
+        eta = sum((root_of_unity(m, h) for h in subgroup), CycValue.zero(m))
+        g = eta * rng.randint(1, 3) + rng.randint(-2, 2)
+        k = rng.choice(units)
+        image = field.value(g.galois(k).coeffs)
+        g = g.to_level(level)
+        polys = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)] for _ in range(3)]
+        values = [sum((g ** i * c for i, c in enumerate(cs)), CycValue.zero(level))
+                  for cs in polys]
+        values += [zeta, zeta ** 3 + 1, CycValue(level, _random_vec(rng, euler_phi(level)))]
+        emb = _assert_embeddings_agree(field, g, image, values)
+        assert emb is not None
+        degree = len(emb._images)
+        if subgroup_generator == 1 and m == level:
+            assert degree == euler_phi(level)
+        if subgroup is units:
+            assert degree == 1
+        for v, cs in zip(values, polys):  # a polynomial in g maps to one in the image
+            assert emb.embed(v) == sum((image ** i * c for i, c in enumerate(cs)), field.zero())
+        if degree < euler_phi(level):
+            assert _outcome(emb.embed, zeta) == "value lies outside the declared embedded subfield"
+        assert _assert_embeddings_agree(field, g, image + 1, values) is None
+
+
+def test_sqrt_minus5_embedding_matches_coordinate_span():
+    """sqrt(-5) at level 40 into the order-80 field, by its image k = sqrt(-5)
+    and by l = sqrt(-2), which is not a conjugate."""
+    field = order80_field()
+    k, l = order80_k_and_l(field)
+    g = sqrt_minus5_cyclotomic(40)
+    zeta = root_of_unity(40)
+    values = [g, g * 3 - 7, g ** 5, CycValue.from_rational(F(5, 3)), zeta, zeta ** 4 + g]
+    emb = _assert_embeddings_agree(field, g, k, values)
+    assert [emb.embed(v) for v in values[:4]] == [k, k * 3 - 7, k ** 5, field.from_rational(F(5, 3))]
+    assert _assert_embeddings_agree(field, g, l, values) is None
+    assert _outcome(CycEmbedding, field, g, l) == (
+        "declared embedding is inconsistent: image is not a conjugate of the generator")
 
 
 def _similar(rng, diagonal, p, jordan=False):
