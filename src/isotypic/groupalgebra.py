@@ -35,14 +35,16 @@ or by exact products:
     a nonzero scalar changes no rank or span.  Row rank equals column rank
     and neither exceeds the row count, so the column echelon stops once its
     rank equals the row count; if it never does, every column is read and
-    the rank is exact.  When the rows are independent, the accepted (pivot)
-    columns form a nonsingular minor B_P, so x B_P = v_P has one solution,
-    and v lies in the row space exactly when x B = v on every column (with
-    dependent rows, x vanishes off the pivot rows and the test still holds:
-    restriction to P is one-to-one on the row space).  For e_V that
-    comparison is the grid check "sum of u grid equals the central
-    idempotent", so coordinates on the minor give the u grid a full solve
-    would, and the check proves them on all |G| columns.  Once every tau_h
+    the rank is exact.  ideal_dim and orbit_module_check read the matrix
+    whose row h is h*a the same way, column g holding a(h^-1 g).  When the
+    rows are independent, the accepted (pivot) columns form a nonsingular
+    minor B_P, so x B_P = v_P has one solution, and v lies in the row space
+    exactly when x B = v on every column (with dependent rows, x vanishes
+    off the pivot rows and the test still holds: restriction to P is
+    one-to-one on the row space).  For e_V that comparison is the grid
+    check "sum of u grid equals the central idempotent", so coordinates on
+    the minor give the u grid a full solve would, and the check proves them
+    on all |G| columns.  Once every tau_h
     fixes psi, and so e_V, each translate of a matrix unit lies in
     L[G]e_V, by (a); a span of rank n^2 is then all of L[G]e_V, holds every
     later ell_j, and the block scan stops.  A zero entry contributes no
@@ -75,8 +77,8 @@ from .characters import CharacterTable, RationalIrrep, _checked, _rational_trace
 from .cyclotomic import CycValue, _Exact, _normal, _pack, _unpacker
 from .errors import InvariantError, ValidationError
 from .groups import FiniteGroup
-from .linalg import Echelon, column_echelon, dot
-from .numberfield import CycEmbedding, NumField, NumFieldValue
+from .linalg import column_echelon, dot
+from .numberfield import RATIONAL_FIELD, CycEmbedding, NumField, NumFieldValue
 
 Rat = Fraction
 
@@ -386,20 +388,6 @@ class AlgebraElement:
     def fixed_by_galois(self, index) -> bool:
         return self.apply_galois(index) == self
 
-    # -- vector view -------------------------------------------------------------------
-
-    def left_translates(self):
-        """Dense vectors of g*a for every g, in element order."""
-        mul = self.group._mul
-        zero = self.domain.zero()
-        items = list(self.coeffs.items())
-        for g in range(self.group.order):
-            row = mul[g]
-            vec = [zero] * self.group.order
-            for h, c in items:
-                vec[row[h]] = c
-            yield vec
-
     def __repr__(self):
         return f"AlgebraElement({len(self.coeffs)} terms over {self.domain!r})"
 
@@ -471,23 +459,31 @@ def _trace_dim(e: AlgebraElement) -> int:
     return int(d)
 
 
-def _echelon(domain, vectors) -> Echelon:
-    """Echelon of the vectors, inserted in order."""
-    ech = Echelon(domain.zero(), domain.one())
-    for vec in vectors:
-        ech.add(vec)
-    return ech
+def _translate_entries(a: AlgebraElement, hs):
+    """g -> [a(h^-1 g) for h in hs], the entries at g of the translates h*a."""
+    get, zero, mul, inv = a.coeffs.get, a.domain.zero(), a.group._mul, a.group.inv
+    rows = [mul[inv(h)] for h in hs]
+    return lambda g: [get(row[g], zero) for row in rows]
+
+
+def _translate_echelon(a: AlgebraElement):
+    """The column echelon of the matrix whose row h is h*a (docstring, (d))."""
+    if a.domain.kind == "Q":  # Fractions have no inverse(); RATIONAL_FIELD values do
+        a = a.to_domain(FieldDomain(RATIONAL_FIELD))
+    order = a.group.order
+    entries = _translate_entries(a, range(order))
+    return column_echelon(((g, entries(g)) for g in range(order)), order, a.domain.zero())
 
 
 def ideal_dim(a: AlgebraElement) -> int:
     """Dimension over the coefficient field of the left ideal F[G]*a.
 
     An idempotent (checked exactly) gets the closed form |G|*a(1); any
-    other element the rank of its left translates.
+    other element the rank of its left translates, read by columns.
     """
     if a.is_idempotent():
         return _trace_dim(a)
-    return _echelon(a.domain, a.left_translates()).rank
+    return _translate_echelon(a).rank
 
 
 # ---------------------------------------------------------------------------
@@ -687,15 +683,17 @@ def orbit_module_check(element: AlgebraElement) -> dict:
 
     Computes M = sum of the left ideals generated by the Gal(L/K)-translates
     of the element; reports whether the stabilizer of the ideal is trivial,
-    whether the sum is direct, and the dimension of M.  Only the element's
-    own left translates are echelonized: tau(g*a) = g*tau(a), so tau maps a
-    basis of the ideal of a onto one of the ideal of tau(a).
+    whether the sum is direct, and the dimension of M.  The translates h*a
+    at the pivot rows P of their column echelon are a basis of the ideal:
+    column operations keep the dependences among the rows, the minor on P
+    is nonsingular and |P| is the rank.  tau(g*a) = g*tau(a), so tau maps
+    it onto a basis of the ideal of tau(a).
     """
     if element.domain.kind != "numberfield":
         raise ValidationError("orbit analysis needs an element over a declared field")
-    rows = _echelon(element.domain, element.left_translates()).rows
-    return _orbit_verdict(element.domain.field, len(rows), element.group.order,
-                          lambda g: [row[g] for row in rows])
+    pivots = _translate_echelon(element).pivot_rows
+    return _orbit_verdict(element.domain.field, len(pivots), element.group.order,
+                          _translate_entries(element, pivots))
 
 
 def _orbit_verdict(nf: NumField, base_dim: int, order: int, entries) -> dict:

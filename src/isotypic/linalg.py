@@ -1,28 +1,27 @@
 """Exact echelon forms over any exact field-like scalar type.
 
-Echelon keeps the pivot-normalized rows of a span and answers rank and
-membership.  Its scalars must support +, -, *, /, and ==.  Pivoting is
-first-nonzero only, so every result is deterministic for a fixed insertion
-order.
+ColumnEchelon, the package's one elimination over Q, Q(zeta) or L, reads a
+matrix by columns, for callers that want a rank, a basis among the rows or
+the coordinates of one vector: column rank equals row rank and neither
+exceeds the row count, so the reading stops there.  A pivot entry is
+inverted only when a later column or a solve uses it, and the pivot columns
+it accepts are a nonsingular minor when the rows are independent, on which
+``solve`` finds coordinates by one back substitution.  ``coordinates`` then
+compares them with the target on every column: a vector lies in the row
+space exactly when its solution on the minor reproduces it there (with
+dependent rows the solution vanishes off the pivot rows, and restriction to
+the pivot columns is still one-to-one on the row space).
 
-ColumnEchelon reads a matrix the other way round, one column at a time,
-for callers that want a rank or the coordinates of one vector: column rank
-equals row rank and neither exceeds the row count, so the reading stops
-there.  A pivot entry is inverted only when a later column or a solve
-uses it, and the pivot columns it accepts are a nonsingular minor when the
-rows are independent, on which ``solve`` finds coordinates by one back
-substitution.  ``coordinates`` then compares them with the target on every
-column: a vector lies in the row space exactly when its solution on the
-minor reproduces it there (with dependent rows the solution vanishes off
-the pivot rows, and restriction to the pivot columns is still one-to-one on
-the row space).
+Echelon keeps the pivot-normalized rows of a span (scalars with +, -, *, /
+and ==, first-nonzero pivots).  No library path calls it: it is the tests'
+row-echelon reference and the benchmark's linalg hook.
 """
 
 from __future__ import annotations
 
 
 class Echelon:
-    """Incremental pivot-normalized row store; rows are lists of scalars."""
+    """Incremental pivot-normalized row store, kept for the tests and the benchmark."""
 
     def __init__(self, zero, one):
         self.zero = zero

@@ -423,7 +423,8 @@ class CycEmbedding:
     d x d minor.  A value embeds by solving for its coordinates in the power
     basis of g on that minor, checking them on every coordinate, and mapping.
     Validated by checking the minimal polynomial of g, read the same way
-    from g^d, annihilates the image.
+    from g^d, annihilates the image.  A value at a level that the level of
+    g does not divide promotes g, once, to the lcm of the two levels.
     """
 
     def __init__(self, field: NumField, generator: CycValue | None, image: NumFieldValue | None):
@@ -461,6 +462,9 @@ class CycEmbedding:
             return self.field.from_rational(v.as_rational())
         if self.generator is None:
             raise ValidationError("no embedding declared for irrational cyclotomic values")
+        level = self.generator.level
+        if level % v.level:  # declared anew at a level that v's divides
+            self.__init__(self.field, self.generator.to_level(lcm(level, v.level)), self.image)
         coords = self._ech.coordinates(_rationals(v.to_level(self.generator.level)),
                                        self._columns)
         if coords is None:

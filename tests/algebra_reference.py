@@ -8,16 +8,17 @@ predicates below are ``is_central`` and ``is_bi_invariant`` as they were
 before they read coefficient permutations: they build the products, and
 ``test_translation_predicates.py`` compares the two.
 
-The rest is the linear algebra over L as it stood before ranks were read
-off columns: the dense matrix product, the scaled matrix units, the orbit
-verdict by row echelons over all |G| columns, and the block selection and
-coordinates of ``construct_primitive_system`` by one ``CoordinateSpan``.
+The rest is the linear algebra as it stood before ranks were read off
+columns: the dense matrix product, the scaled matrix units, the dimension
+of a left ideal and the orbit verdict by row echelons of dense translates
+over all |G| columns, and the block selection and coordinates of
+``construct_primitive_system`` by one ``CoordinateSpan``.
 ``test_algebra_oracle.py`` compares them with the library.
 """
 
 from fractions import Fraction
 
-from builders import basis
+from builders import basis, left_translates
 from isotypic.characters import _checked, fixed_dims
 from isotypic.errors import InvariantError, ValidationError
 from isotypic.groupalgebra import (
@@ -94,8 +95,9 @@ def _dense(element):
     return [element.coefficient(g) for g in range(element.group.order)]
 
 
-def _echelon(nf, vectors):
-    ech = Echelon(nf.zero(), nf.one())
+def row_echelon(dom, vectors):
+    """The Echelon of the vectors over a field or domain, inserted in order."""
+    ech = Echelon(dom.zero(), dom.one())
     for vec in vectors:
         ech.add(vec)
     return ech
@@ -106,16 +108,21 @@ def reference_orbit_verdict(nf, rows):
     by row echelons of the translated rows over all |G| columns."""
     bases = [[[nf.apply_auto(h, c) for c in row] for row in rows] for h in nf.subfield_fixers]
     base_dim = len(rows)
-    total = _echelon(nf, [v for b in bases for v in b]).rank
+    total = row_echelon(nf, [v for b in bases for v in b]).rank
     direct = total == base_dim * len(bases)
     stab_trivial = (direct and base_dim > 0) or all(
-        [_echelon(nf, bases[0] + b).rank > base_dim for b in bases[1:]])
+        [row_echelon(nf, bases[0] + b).rank > base_dim for b in bases[1:]])
     return {"stabilizer_trivial": stab_trivial, "direct": direct, "dim": total,
             "block_dim": base_dim}
 
 
+def reference_ideal_dim(element):
+    """dim F[G]a as the rank of the row Echelon of all |G| left translates."""
+    return row_echelon(element.domain, left_translates(element)).rank
+
+
 def reference_orbit_module_check(element):
-    rows = _echelon(element.domain.field, element.left_translates()).rows
+    rows = row_echelon(element.domain.field, left_translates(element)).rows
     return reference_orbit_verdict(element.domain.field, rows)
 
 

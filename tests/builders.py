@@ -1,6 +1,7 @@
 """Constructors that only the tests call: roots of unity, basis elements of a
-group algebra and words in a group's generators.  The package keeps no
-public function without a caller outside the tests, so these live here."""
+group algebra, words in a group's generators and the dense left translates
+of an element.  The package keeps no public function without a caller
+outside the tests, so these live here."""
 
 from isotypic.cyclotomic import CycValue, euler_phi
 from isotypic.groupalgebra import RATIONALS, AlgebraElement
@@ -24,3 +25,16 @@ def evaluate_word(group, word) -> int:
         h = group.generators[abs(letter) - 1]
         g = group.mul(g, h if letter > 0 else group.inv(h))
     return g
+
+
+def left_translates(element):
+    """Dense vectors of g*a for every g, in element order."""
+    mul = element.group._mul
+    zero = element.domain.zero()
+    items = list(element.coeffs.items())
+    for g in range(element.group.order):
+        row = mul[g]
+        vec = [zero] * element.group.order
+        for h, c in items:
+            vec[row[h]] = c
+        yield vec

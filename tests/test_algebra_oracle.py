@@ -1,4 +1,4 @@
-"""The linear algebra over L against the row-echelon code it replaced.
+"""The linear algebra against the row-echelon code it replaced.
 
 ``algebra_reference`` keeps the dense matrix product, the scaled matrix
 units, the orbit verdict by row echelons over all |G| columns, and the block
@@ -10,28 +10,42 @@ the same matrices, orbit verdicts, Schur index, selected blocks, u grid and
 checks; on each failure input, the same exception and message.  The one
 exception is pinned last: a rep whose diagonal entries were altered after
 certification, where the rank-n^2 stop, a theorem only for certified
-matrices, ends the scan before the reference does.
+matrices, ends the scan before the reference does.  ``ideal_dim`` and
+``orbit_module_check`` of elements that are not idempotent, over Q, a
+cyclotomic field and L, must equal the rank and the verdict of the row
+echelon of all |G| dense left translates.
 """
 
 import importlib.util
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import algebra_reference as ref
+from builders import basis, root_of_unity
 from class_function_reference import reference_matrices
 from isotypic import (
+    RATIONALS,
+    AlgebraElement,
+    FieldDomain,
     InvariantError,
     MatrixRep,
     NumField,
     ValidationError,
     assert_schur,
+    averaging_idempotent,
+    central_idempotent,
+    central_idempotent_over_field,
     compute_character_table,
     construct_primitive_system,
     diagonal_idempotents,
     from_permutations,
     galois_orbits,
+    ideal_dim,
     orbit_module_check,
+    rational_central_idempotent,
     system_grid_checks,
     validate_schur_from_rep,
 )
@@ -310,3 +324,79 @@ def test_schur_reads_eight_of_80_columns_per_ell_on_order80(rep80, quad80, monke
     calls = _count_column_reads(monkeypatch)
     assert validate_schur_from_rep(rep80, quad80) == 2
     assert rep80.group.order == 80 and len(calls) == 8 * rep80.degree
+
+
+# -- left ideals of elements that are not idempotent ------------------------------------
+
+
+def _top_degree(table):
+    return max(range(len(table.chars)), key=lambda k: table.chars[k].degree)
+
+
+def _involution(group):
+    return next(g for g in range(1, group.order) if group.power(g, 2) == 0)
+
+
+def _under(group, e_v):
+    """p_t e_V for an involution t, or p_t where that is zero."""
+    p_t = averaging_idempotent(group, [0, _involution(group)])
+    return p_t if (p_t * e_v).is_zero() else p_t * e_v
+
+
+@pytest.fixture(scope="module")
+def ideal_cases(small_groups, small_tables, t24, rep80):
+    """name -> (group, domain, random nonzero scalar, e_V, an idempotent f),
+    f the first diagonal idempotent l1 over L."""
+    out = {}
+    for name, table in (("S3", small_tables["S3"]), ("Q8", small_tables["Q8"]),
+                        ("order24", t24)):
+        orbit = next(o for o in galois_orbits(table) if _top_degree(table) in o.char_indices)
+        e_v = rational_central_idempotent(table, orbit)
+        out[f"Q-{name}"] = (table.group, RATIONALS,
+                            lambda rng: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                 rng.randint(1, 2)),
+                            e_v, _under(table.group, e_v))
+    for name, level in (("S3", 3), ("Q8", 4)):
+        table = small_tables[name]
+        e_v = central_idempotent(table, _top_degree(table))
+        out[f"cyclotomic-{name}"] = (
+            table.group, e_v.domain,
+            lambda rng, level=level: root_of_unity(level, rng.randrange(level)) * rng.randint(1, 3),
+            e_v, _under(table.group, e_v))
+    for name, rep in (("order80", rep80), ("Q8", q8_case(small_groups, small_tables)[0])):
+        nf = rep.field
+        out[f"L-{name}"] = (rep.group, FieldDomain(nf),
+                            lambda rng, nf=nf: nf.gen() * rng.randint(1, 3) + rng.randint(-2, 2),
+                            central_idempotent_over_field(rep), diagonal_idempotents(rep)[0])
+    return out
+
+
+IDEAL_CASES = ["Q-S3", "Q-Q8", "Q-order24", "cyclotomic-S3", "cyclotomic-Q8", "L-order80",
+               "L-Q8"]
+
+
+@pytest.mark.parametrize("name", IDEAL_CASES)
+def test_ideal_dims_and_orbit_verdicts_match_the_row_echelon(ideal_cases, name):
+    """The zero element, a unit 2 + x, three seeded sparse elements
+    (1 + t)(c + d y), y not 1 or t, whose ideals lie in the one of 1 + t,
+    2e_V and 3f + e_V."""
+    group, domain, scalar, e_v, f = ideal_cases[name]
+    rng = random.Random(name)
+
+    def b(g):
+        return basis(group, g, domain)
+
+    t = _involution(group)
+    others = [g for g in range(1, group.order) if g != t]
+    elements = [AlgebraElement.zero(group, domain), b(0) * 2 + b(group.generators[0])]
+    elements += [(b(0) + b(t)) * (b(0) * scalar(rng) + b(rng.choice(others)) * scalar(rng))
+                 for _ in range(3)]
+    elements += [e_v * 2, f * 3 + e_v]
+    dims = []
+    for a in elements:
+        assert a.is_zero() or not a.is_idempotent()
+        dims.append(ref.reference_ideal_dim(a))
+        assert ideal_dim(a) == dims[-1]
+        if domain.kind == "numberfield":
+            assert orbit_module_check(a) == ref.reference_orbit_module_check(a)
+    assert dims[:2] == [0, group.order] and all(0 < d <= group.order // 2 for d in dims[2:5])

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 import worked_examples as we
-from builders import basis, evaluate_word, root_of_unity
+from algebra_reference import row_echelon
+from builders import basis, evaluate_word, left_translates, root_of_unity
 from isotypic import (
     AlgebraElement,
     FieldDomain,
@@ -256,16 +257,15 @@ def test_trace_formula_matches_echelon_rank(small_groups, small_tables, g80, fie
     for e in idempotents:
         assert e.is_idempotent()
         ech = Echelon(e.domain.zero(), e.domain.one())
-        for vec in e.left_translates():
+        for vec in left_translates(e):
             ech.add(vec)
         assert ga._trace_dim(e) == ech.rank == ideal_dim(e)
 
 
 def test_ideal_dim_of_non_idempotent_uses_echelon(small_groups, small_tables, monkeypatch):
     calls = []
-    real = AlgebraElement.left_translates
-    monkeypatch.setattr(AlgebraElement, "left_translates",
-                        lambda self: calls.append(self) or real(self))
+    real = ga._translate_echelon
+    monkeypatch.setattr(ga, "_translate_echelon", lambda a: calls.append(a) or real(a))
     S3 = small_groups["S3"]
     rep = s3_standard_rep(small_groups, small_tables)
     twice_ev = central_idempotent_over_field(rep) * 2
@@ -334,7 +334,7 @@ def _orbit_module_reference(element):
     bases = []
     for h in fixers:
         ech = Echelon(zero, one)
-        for vec in element.apply_galois(h).left_translates():
+        for vec in left_translates(element.apply_galois(h)):
             ech.add(vec)
         bases.append(ech.rows)
     stab_trivial = True
@@ -364,9 +364,8 @@ def test_orbit_module_check_matches_per_translate_reference(rep80, small_groups,
                        for h in element.domain.field.subfield_fixers]
         assert transported == bases
         passes = []
-        real = AlgebraElement.left_translates
-        monkeypatch.setattr(AlgebraElement, "left_translates",
-                            lambda self: passes.append(self) or real(self))
+        real = ga._translate_echelon
+        monkeypatch.setattr(ga, "_translate_echelon", lambda a: passes.append(a) or real(a))
         assert orbit_module_check(element) == want
         monkeypatch.undo()
         assert passes == [element]   # one set of |G| translates, whatever m is
@@ -497,9 +496,9 @@ def test_matrix_unit_column_spans_the_ideal_of_ell(rep80, small_groups, small_ta
         dom = FieldDomain(rep.field)
         for j, ell in enumerate(diagonal_idempotents(rep)):
             column = _unit_vectors(rep, j)
-            translates = ga._echelon(dom, ell.left_translates())
-            assert ga._echelon(dom, column).rank == translates.rank == rep.degree
-            assert ga._echelon(dom, translates.rows + column).rank == rep.degree  # the union
+            translates = row_echelon(dom, left_translates(ell))
+            assert row_echelon(dom, column).rank == translates.rank == rep.degree
+            assert row_echelon(dom, translates.rows + column).rank == rep.degree  # the union
             verdict = ga._orbit_verdict(rep.field, rep.degree, rep.group.order,
                                         ga._unit_entries(rep, j))
             assert verdict == orbit_module_check(ell)
@@ -508,10 +507,10 @@ def test_matrix_unit_column_spans_the_ideal_of_ell(rep80, small_groups, small_ta
 def test_primitive_pipeline_never_calls_left_translates(g80, t80, field80, quad80,
                                                         small_groups, small_tables,
                                                         monkeypatch):
-    def refuse(self):
+    def refuse(a, hs):
         raise AssertionError("left translates echelonized")
 
-    monkeypatch.setattr(AlgebraElement, "left_translates", refuse)
+    monkeypatch.setattr(ga, "_translate_entries", refuse)
     q8 = q8_rep(small_tables["Q8"])
     q8_orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
     for rep, orbit in ((q8, q8_orbit), (we.order80_rep(g80, t80, field80), quad80)):

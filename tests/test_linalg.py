@@ -1,8 +1,11 @@
 """ColumnEchelon: its rank is the row rank, its solve on the pivot minor
 decides row-space membership as Echelon does, and it reads no column after
-the rank reaches the row count."""
+the rank reaches the row count.  Echelon is the row-echelon reference here
+and no module of the package but ``linalg`` names it."""
 
+import ast
 import random
+from pathlib import Path
 
 from isotypic import RATIONAL_FIELD, NumField
 from isotypic.linalg import Echelon, column_echelon
@@ -59,3 +62,16 @@ def test_column_echelon_stops_at_the_row_count():
     assert ech.rank == 2 and ech.keys == [1, 2] and reads == [0, 1, 2]
     assert column_echelon(columns(), 2, RATIONAL_FIELD.zero(), stop=1).keys == [1]
     assert column_echelon(iter([]), 0, RATIONAL_FIELD.zero()).rank == 0
+
+
+def test_only_linalg_names_echelon():
+    """Every elimination over Q, Q(zeta) or L goes through column_echelon:
+    no other module imports, calls or mentions the row Echelon in its code."""
+    package = Path(__file__).resolve().parents[1] / "src" / "isotypic"
+    naming = sorted(path.name for path in package.glob("*.py")
+                    if any(isinstance(node, ast.Name) and node.id == "Echelon"
+                           or isinstance(node, ast.Attribute) and node.attr == "Echelon"
+                           or isinstance(node, ast.alias) and node.name == "Echelon"
+                           or isinstance(node, ast.ClassDef) and node.name == "Echelon"
+                           for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+    assert naming == ["linalg.py"]

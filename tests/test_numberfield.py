@@ -134,6 +134,29 @@ def test_embedding_of_character_values():
         emb.embed(root_of_unity(40))
 
 
+def test_embedding_promotes_its_generator_to_a_finer_level():
+    """A generator written at level 20 embeds a value written at level 40 as
+    the level-40 generator does, and stays promoted."""
+    L = order80_field()
+    k, _ = order80_k_and_l(L)
+    at_20 = CycEmbedding(L, sqrt_minus5_cyclotomic(20), k)
+    at_40 = CycEmbedding(L, sqrt_minus5_cyclotomic(40), k)
+    for v in (sqrt_minus5_cyclotomic(40), sqrt_minus5_cyclotomic(40) * 3 - 7):
+        assert at_20.embed(v) == at_40.embed(v)
+    assert at_20.embed(sqrt_minus5_cyclotomic(40)) == k
+    assert at_20.generator == sqrt_minus5_cyclotomic(40) and at_20.generator.level == 40
+    assert at_20.embed(sqrt_minus5_cyclotomic(20)) == k  # a coarser level needs no promotion
+
+
+def test_promoted_embedding_refuses_a_value_outside_its_subfield():
+    L = order80_field()
+    k, _ = order80_k_and_l(L)
+    for v in (root_of_unity(40), root_of_unity(40) + 1):
+        with pytest.raises(ValidationError,
+                           match="value lies outside the declared embedded subfield"):
+            CycEmbedding(L, sqrt_minus5_cyclotomic(20), k).embed(v)
+
+
 def test_embedding_validates_conjugate():
     L = order80_field()
     k, l = order80_k_and_l(L)
