@@ -383,11 +383,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _dixon_prime(order: int, exponent: int) -> int:
-    p = max(2 * isqrt(order), 2)
-    while True:
-        p += 1
-        if (p - 1) % exponent == 0 and _is_prime(p):
-            return p
+    return _split_primes(exponent, max(2 * isqrt(order), 2))[0]
 
 
 def _prime_factors(m: int):

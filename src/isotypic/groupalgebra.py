@@ -214,12 +214,12 @@ def _join_domains(a, b):
     )
 
 
-def _coerce(domain, c, embedding=None):
+def _coerce(domain, c):
     """The scalar c as a coefficient of domain.
 
     A rational goes anywhere.  A cyclotomic value goes to Q if it is
-    rational, to a level its own level divides, or into a number field
-    through a declared embedding.  A number-field value goes to Q if it is
+    rational, or to a level its own level divides; it reaches a number field
+    only through a ``CycEmbedding``.  A number-field value goes to Q if it is
     rational, or stays in its own field.  Anything else is rejected.
     """
     if isinstance(c, (int, Rat)):
@@ -229,11 +229,9 @@ def _coerce(domain, c, embedding=None):
             return c.as_rational()
         if domain.kind == "cyclotomic":
             return c.to_level(domain.level)
-        if embedding is None:
-            raise ValidationError(
-                "embedding required to move cyclotomic coefficients into a number field"
-            )
-        return embedding.embed(c)
+        raise ValidationError(
+            "embedding required to move cyclotomic coefficients into a number field"
+        )
     if isinstance(c, NumFieldValue):
         if domain.kind == "Q":
             return c.as_rational()
@@ -268,11 +266,11 @@ class AlgebraElement:
     def one(group, domain=RATIONALS):
         return AlgebraElement(group, domain, {0: domain.one()})
 
-    def to_domain(self, domain, embedding: CycEmbedding | None = None):
+    def to_domain(self, domain):
         if domain == self.domain:
             return self
         return AlgebraElement(self.group, domain, {
-            g: _coerce(domain, c, embedding) for g, c in self.coeffs.items()
+            g: _coerce(domain, c) for g, c in self.coeffs.items()
         })
 
     # -- ring operations ---------------------------------------------------------

@@ -219,7 +219,7 @@ class NumField:
     an arbitrary subset, are checked for closure.
     """
 
-    def __init__(self, minpoly, automorphisms, subfield_fixers=(0,), name="L"):
+    def __init__(self, minpoly, automorphisms, subfield_fixers=(0,)):
         minpoly = [Rat(c) for c in minpoly]
         poly_trim(minpoly)
         if not minpoly or minpoly[-1] != 1:
@@ -230,7 +230,6 @@ class NumField:
         if not is_irreducible(minpoly):
             raise ValidationError("not a field: minimal polynomial is reducible over Q")
         self.minpoly = tuple(minpoly)
-        self.name = name
 
         images = [NumFieldValue(self, img) for img in automorphisms]
         if len(images) != self.degree:
@@ -263,8 +262,7 @@ class NumField:
                 if (image.num, image.den) not in fixed:
                     raise ValidationError("subfield fixers are not closed under composition")
         self.subfield_fixers = fixers
-        # equality and hashing read one key of integers, built once; the
-        # name is not part of it
+        # equality and hashing read one key of integers, built once
         num, den = _integral(self.minpoly)
         self._key = (tuple(num), den, tuple((v.num, v.den) for v in images), fixers)
         self._hash = hash(self._key)
@@ -404,7 +402,7 @@ def render_nf(v: NumFieldValue) -> str:
     return _render_terms(v.coeffs, "t")
 
 
-RATIONAL_FIELD = NumField([Rat(0), Rat(1)], [[Rat(0)]], (0,), name="Q")
+RATIONAL_FIELD = NumField([Rat(0), Rat(1)], [[Rat(0)]], (0,))
 """Degree-1 field Q itself, for uniform treatment of the split case."""
 
 

@@ -3,8 +3,8 @@ permutation-based Galois orbits checked against the code they replaced
 (``character_table_reference.py``), on the groups and on seeded
 relabellings; the class sums the split builds, the rows it lifts and its
 trace test; the split-prime proof of the row relation against the
-reference, and the split primes and the exact primality test against trial
-division;
+reference, the split primes and the exact primality test against trial
+division, and the Dixon prime against the reference search;
 the table's integer form and its closed-form traces checked against the
 values and ``trace_to_rational``; and the class-count bound."""
 
@@ -19,6 +19,7 @@ import pytest
 from builders import root_of_unity
 from character_table_reference import (
     ReferenceCharacterTable,
+    _dixon_prime as reference_dixon_prime,
     _is_prime as trial_division_is_prime,
     reference_compute_character_table,
     reference_galois_orbits,
@@ -390,6 +391,14 @@ def test_split_prime_search():
         assert p == _least_split_prime(level, bound)
         w = characters._root_of_unity(p, level)
         assert [m for m in range(1, level + 1) if pow(w, m, p) == 1] == [level]
+
+
+def test_dixon_prime_matches_reference():
+    """The Dixon prime, found by the split-prime search, is the prime the
+    reference finds by stepping one at a time."""
+    for n in range(1, 3000, 7):
+        for e in (1, 2, 3, 4, 6, 8, 12, 24, 30, 60, 97, 120, 250, 420, 500):
+            assert characters._dixon_prime(n, e) == reference_dixon_prime(n, e), (n, e)
 
 
 def test_split_primes_multiply_past_the_bound():

@@ -262,7 +262,7 @@ def _spectrum(rng, d, p):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_solve_action_matches_reference(seed):
+def test_krylov_vectors_span_an_invariant_space(seed):
     """The Krylov vectors of a start vector span a space the matrix keeps,
     and its action there, solved by the reference, is the companion matrix
     of the minimal polynomial the walk returns; Jordan blocks included."""
@@ -288,7 +288,7 @@ def test_solve_action_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_nullspace_matches_reference_as_a_space(seed):
+def test_projections_lie_in_eigenspaces_and_sum_to_start(seed):
     """The spectral projections of a start vector under a diagonalizable
     matrix with repeated eigenvalues: one per eigenvalue, in increasing
     order, each in the eigenspace that the reference nullspace spans, and
