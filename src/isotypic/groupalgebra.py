@@ -22,12 +22,24 @@ or by exact products:
     delta_jk E_il, so the ell_j = E_jj are orthogonal idempotents, and
     sum_j E_jj = (n/|G|) sum_g psi(g^-1) g = e_V and |G| ell_j(1) = n hold
     by definition.  No product checks them.
-(b) The relations of the u grid are checked by exact products once, when
-    it is built; the system keeps the named results.
+(b) The trace lemma: if u_1..u_k in L[G], L of characteristic 0, are
+    idempotents whose sum e is an idempotent, then u_i u_j = 0 for i != j.
+    Right multiplication R_u : x -> xu has trace |G| u(1) in the group
+    basis, which for an idempotent u is its rank.  So sum_i rank R_{u_i} =
+    rank R_e, while im R_e lies in sum_i im R_{u_i}; that sum is therefore
+    direct and equal to im R_e.  For v in im R_{u_j}, v = v e = sum_i v u_i
+    with v u_j = v, and directness gives v u_i = 0 for i != j; take v = u_j.
+    e_V over L is an idempotent by (a), from the validated table and the
+    ring embedding alone, so this holds even on matrices altered after
+    certification.  The relations of the u grid are checked once, when it
+    is built, by the tau_h translates, the sum and the n squares; the
+    system keeps the named results.
 (c) k_s = sum_h u_s^h, so the grid relations give k_s^2 = k_s, k_s k_t = 0
     for s != t and sum k_s = e_V.  Only the Gal(L/K)-fixed check and
-    |G| k_s(1) = m n remain.  The f family keeps its full product suite, the
-    one check of the rep side against e_W from the table.
+    |G| k_s(1) = m n remain.  The f_s are checked against e_W from the
+    table, the one check of the rep side against it: each square, the sum
+    and |G| f_s(1); e_W is an idempotent by character theory, so the
+    lemma of (b) makes them orthogonal.
 (d) Linear algebra over L does only the work its answer needs.  The
     translates tau_h(b_i) of a block's k basis vectors are the m k rows of
     a matrix whose column g holds their entries at g; a column is built
@@ -760,9 +772,9 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     it is all of L[G]e_V and the scan stops (module docstring, (d)).  The
     coordinates of the central idempotent with respect to the assembled
     basis, solved on a nonsingular minor, give the primitive idempotents
-    u_s^h; their relations are checked here by exact products, once, and
-    the system keeps the named results.  A given ells must be the rep's
-    diagonal idempotents.
+    u_s^h; their relations are checked here, once, by the sum and the
+    squares (module docstring, (b)), and the system keeps the named
+    results.  A given ells must be the rep's diagonal idempotents.
     """
     nf = rep.field
     group = rep.group
@@ -842,15 +854,18 @@ _GRID_SUM = "sum of u grid equals the central idempotent"
 
 
 def _grid_checks(grid, fixers, e_central):
-    """Named pass/fail results for the u-grid relations, by exact products."""
+    """Named pass/fail results for the u-grid relations: n squares and the
+    sum, which give every product by the trace lemma (module docstring, (b)).
+    Only on a failure are all ordered pairs multiplied, to name the first."""
     checks = [(f"u[{s+1}][{hi+1}] = tau_{hi+1}(u[{s+1}][1])", row[0].apply_galois(h) == row[hi])
               for s, row in enumerate(grid) for hi, h in enumerate(fixers)]
     cells = [((s + 1, hi + 1), u) for s, row in enumerate(grid) for hi, u in enumerate(row)]
     total = sum((u for _, u in cells), AlgebraElement.zero(e_central.group, e_central.domain))
-    checks.append((_GRID_SUM, total == e_central))
-    product_failures = [(f"grid product rule at ({a[0]},{a[1]})x({b[0]},{b[1]})", False)
-                        for a, u in cells for b, v in cells
-                        if u * v != (u if a == b else 0)]
+    summed = total == e_central
+    checks.append((_GRID_SUM, summed))
+    product_failures = [] if summed and all(u.is_idempotent() for _, u in cells) else [
+        (f"grid product rule at ({a[0]},{a[1]})x({b[0]},{b[1]})", False)
+        for a, u in cells for b, v in cells if u * v != (u if a == b else 0)]
     checks.extend(product_failures)
     checks.append(("grid product rule", not product_failures))
     return checks
@@ -858,21 +873,24 @@ def _grid_checks(grid, fixers, e_central):
 
 def system_grid_checks(system: IdempotentSystem):
     """Named pass/fail results for the u-grid relations, kept from the exact
-    products made when the system was built (module docstring, (b))."""
+    checks made when the system was built (module docstring, (b))."""
     return list(system.checks)
 
 
 def _check_idempotent_family(elems, target, want_dim, name):
-    """Raise unless elems are orthogonal idempotents summing to target, each
-    with a left ideal of dimension want_dim (read off as |G|*e(1))."""
+    """Raise unless elems are orthogonal idempotents summing to the
+    idempotent target, each with a left ideal of dimension want_dim (read
+    off as |G|*e(1)).  Idempotents summing to target are orthogonal by the
+    trace lemma (module docstring, (b)), so the pairs are multiplied only
+    when the sum fails, to name a pair that is not orthogonal first."""
     for s, e in enumerate(elems):
         if not e.is_idempotent():
             raise InvariantError(f"{name}_{s+1} is not idempotent")
-    for s in range(len(elems)):
-        for t in range(s + 1, len(elems)):
-            if not elems[s].is_orthogonal_to(elems[t]):
-                raise InvariantError(f"{name}_{s+1} and {name}_{t+1} are not orthogonal")
     if sum(elems, AlgebraElement.zero(target.group, target.domain)) != target:
+        for s in range(len(elems)):
+            for t in range(s + 1, len(elems)):
+                if not elems[s].is_orthogonal_to(elems[t]):
+                    raise InvariantError(f"{name}_{s+1} and {name}_{t+1} are not orthogonal")
         raise InvariantError(f"the {name} elements do not sum to the central idempotent")
     for s, e in enumerate(elems):
         d = _trace_dim(e)
@@ -901,7 +919,7 @@ def symmetrize_to_subfield(system: IdempotentSystem):
 
 def symmetrize_to_rational(system: IdempotentSystem):
     """f_s = sum over Gal(L/Q) of sigma(u_s^1): primitive idempotents in Q[G],
-    checked by the full product suite against e_W (module docstring, (c))."""
+    checked by their squares and sum against e_W (module docstring, (c))."""
     autos = range(len(system.nf.automorphisms))
     fs = []
     for s, row in enumerate(system.u_grid):

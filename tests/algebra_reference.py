@@ -12,7 +12,9 @@ The rest is the linear algebra as it stood before ranks were read off
 columns: the dense matrix product, the scaled matrix units, the dimension
 of a left ideal and the orbit verdict by row echelons of dense translates
 over all |G| columns, and the block selection and coordinates of
-``construct_primitive_system`` by one ``CoordinateSpan``.
+``construct_primitive_system`` by one ``CoordinateSpan``.  The grid and
+idempotent-family checks multiply every ordered pair, as they did before
+orthogonality was read off the squares and the sum by the trace lemma.
 ``test_algebra_oracle.py`` compares them with the library.
 """
 
@@ -22,9 +24,10 @@ from builders import basis, left_translates
 from isotypic.characters import _checked, fixed_dims
 from isotypic.errors import InvariantError, ValidationError
 from isotypic.groupalgebra import (
+    _GRID_SUM,
     AlgebraElement,
     FieldDomain,
-    _grid_checks,
+    _trace_dim,
     central_idempotent_over_field,
     diagonal_idempotents,
 )
@@ -191,8 +194,41 @@ def reference_construct(rep, orbit):
                 g: sum((c * vec[g] for c, vec in zip(cs, tau_column)), zero)
                 for g in range(group.order)}))
         u_grid.append(tuple(row))
-    checks = _grid_checks(u_grid, fixers, e_central)
+    checks = reference_grid_checks(u_grid, fixers, e_central)
     failures = [name for name, ok in checks if not ok]
     if failures:
         raise InvariantError(f"basis assembly failed: {failures[0]}")
     return tuple(selected), tuple(u_grid), tuple(checks)
+
+
+def reference_grid_checks(grid, fixers, e_central):
+    """Named pass/fail results for the u-grid relations, by exact products."""
+    checks = [(f"u[{s+1}][{hi+1}] = tau_{hi+1}(u[{s+1}][1])", row[0].apply_galois(h) == row[hi])
+              for s, row in enumerate(grid) for hi, h in enumerate(fixers)]
+    cells = [((s + 1, hi + 1), u) for s, row in enumerate(grid) for hi, u in enumerate(row)]
+    total = sum((u for _, u in cells), AlgebraElement.zero(e_central.group, e_central.domain))
+    checks.append((_GRID_SUM, total == e_central))
+    product_failures = [(f"grid product rule at ({a[0]},{a[1]})x({b[0]},{b[1]})", False)
+                        for a, u in cells for b, v in cells
+                        if u * v != (u if a == b else 0)]
+    checks.extend(product_failures)
+    checks.append(("grid product rule", not product_failures))
+    return checks
+
+
+def reference_check_idempotent_family(elems, target, want_dim, name):
+    """Raise unless elems are orthogonal idempotents summing to target, each
+    with a left ideal of dimension want_dim, every pair multiplied both ways."""
+    for s, e in enumerate(elems):
+        if not e.is_idempotent():
+            raise InvariantError(f"{name}_{s+1} is not idempotent")
+    for s in range(len(elems)):
+        for t in range(s + 1, len(elems)):
+            if not elems[s].is_orthogonal_to(elems[t]):
+                raise InvariantError(f"{name}_{s+1} and {name}_{t+1} are not orthogonal")
+    if sum(elems, AlgebraElement.zero(target.group, target.domain)) != target:
+        raise InvariantError(f"the {name} elements do not sum to the central idempotent")
+    for s, e in enumerate(elems):
+        d = _trace_dim(e)
+        if d != want_dim:
+            raise InvariantError(f"{name}_{s+1} is not primitive: ideal dim {d} != {want_dim}")

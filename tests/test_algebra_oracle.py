@@ -13,7 +13,10 @@ certification, where the rank-n^2 stop, a theorem only for certified
 matrices, ends the scan before the reference does.  ``ideal_dim`` and
 ``orbit_module_check`` of elements that are not idempotent, over Q, a
 cyclotomic field and L, must equal the rank and the verdict of the row
-echelon of all |G| dense left translates.
+echelon of all |G| dense left translates.  The grid and idempotent-family
+checks, which multiply pairs only when a square or the sum fails (the trace
+lemma), must give the pairwise suite's results and messages on seeded
+perturbations of the Q8 and order-80 systems.
 """
 
 import importlib.util
@@ -46,6 +49,7 @@ from isotypic import (
     ideal_dim,
     orbit_module_check,
     rational_central_idempotent,
+    symmetrize_to_rational,
     system_grid_checks,
     validate_schur_from_rep,
 )
@@ -286,7 +290,7 @@ def test_the_rank_stop_rests_on_certified_matrices(small_groups, small_tables, g
     lie in L[G]e_V.  A diagonal entry altered after certification breaks
     that: where the reference goes on to select ell_2 and finds too many
     blocks, the library stops, and either finds e_V outside the span or
-    returns a system whose every grid relation it proved by exact products."""
+    returns a system whose every grid relation it proved by exact checks."""
     rep, orbit = _q8_over(NumField([1, 0, 1], [[0, 1], [0, -1]], subfield_fixers=(0, 1)),
                           small_groups, small_tables)
     orbit = assert_schur(orbit, 2)
@@ -301,6 +305,85 @@ def test_the_rank_stop_rests_on_certified_matrices(small_groups, small_tables, g
                        "basis assembly failed: central idempotent not expressible")
     else:
         assert new[0] == "ok" and new[1][0] == (0,) and all(ok for _, ok in new[1][2])
+
+
+# -- the trace lemma against the pairwise suite ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def lemma_cases(cases):
+    """name -> (system, family (name, elements, target, ideal dim)).  Q8 has
+    one f_s, so its family is its two u cells, against e_V over L."""
+    out = {}
+    for name in ("Q8", "order80"):
+        rep, orbit = cases[name]
+        m = len(rep.field.subfield_fixers)
+        system = construct_primitive_system(rep, assert_schur(orbit, m))
+        if system.blocks == 1:
+            family = ("u", system.u_grid[0], system.e_central, rep.degree)
+        else:
+            want = system.blocks * m * len(rep.field.automorphisms)
+            family = ("f", symmetrize_to_rational(system), system.e_rational, want)
+        out[name] = system, family
+    return out
+
+
+def _perturbed(cells, kind, rng):
+    """A copy of the cells with one seeded perturbation: swap two cells,
+    double one, u_a + n and u_b - n with n = u_a x u_b (sum and squares
+    kept), u_a + x u_b and u_b - x u_b (sum kept), or u_b := u_a."""
+    cells = list(cells)
+    a, b = rng.sample(range(len(cells)), 2)
+    u, v = cells[a], cells[b]
+    group, domain = u.group, u.domain
+    x = basis(group, rng.randrange(group.order), domain) * rng.choice([-2, -1, 1, 3])
+    if domain.kind == "numberfield":
+        x = x * (domain.field.gen() + rng.randint(-1, 1))
+    if kind == "swap":
+        cells[a], cells[b] = v, u
+    elif kind == "double":
+        cells[a] = u * 2
+    elif kind == "nilpotent":
+        nil = u * x * v
+        cells[a], cells[b] = u + nil, v - nil
+    elif kind == "shift":
+        cells[a], cells[b] = u + x * v, v - x * v
+    else:
+        cells[b] = u
+    return cells
+
+
+PERTURBATIONS = ["swap", "double", "nilpotent", "shift", "duplicate"]
+
+
+@pytest.mark.parametrize("name", ["Q8", "order80"])
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+def test_grid_checks_match_the_pairwise_suite(lemma_cases, name, kind):
+    system, _ = lemma_cases[name]
+    grid, fixers, e_central = system.u_grid, system.nf.subfield_fixers, system.e_central
+    rng = random.Random(f"{name}-{kind}")
+    width = len(grid[0])
+    grids = [grid]
+    for _ in range(2):
+        cells = _perturbed([u for row in grid for u in row], kind, rng)
+        grids.append(tuple(tuple(cells[i:i + width]) for i in range(0, len(cells), width)))
+    for g in grids:
+        assert ga._grid_checks(g, fixers, e_central) == ref.reference_grid_checks(
+            g, fixers, e_central)
+
+
+@pytest.mark.parametrize("name", ["Q8", "order80"])
+@pytest.mark.parametrize("kind", PERTURBATIONS + ["drop"])
+def test_idempotent_family_fails_as_the_pairwise_suite(lemma_cases, name, kind):
+    _, (label, elems, target, want) = lemma_cases[name]
+    rng = random.Random(f"{name}-family-{kind}")
+    family = list(elems[1:]) if kind == "drop" else _perturbed(elems, kind, rng)
+    new = _outcome(lambda: ga._check_idempotent_family(family, target, want, label))
+    assert new == _outcome(
+        lambda: ref.reference_check_idempotent_family(family, target, want, label))
+    if kind == "duplicate":
+        # idempotent, summing wrong, and not orthogonal: the pair is named first
+        assert new == ("InvariantError", f"{label}_1 and {label}_2 are not orthogonal")
 
 
 # -- the columns the early stop reads ---------------------------------------------------

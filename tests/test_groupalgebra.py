@@ -382,17 +382,18 @@ def test_primitive_path_makes_each_product_once(small_groups, small_tables, monk
                                                 capsys):
     from isotypic.cli import main
 
-    # order 80, n = 4, m = 2: the 2x2 grid's 16 products and the f suite's 4
-    # (2 squares, 1 orthogonal pair both ways); the diagonal suite, a second
-    # grid pass and the k suite would add 16, 16 and 4
+    # order 80, n = 4, m = 2: the 2x2 grid's 4 squares and f_1 * f_1, f_2 * f_2;
+    # both sums hold, so the trace lemma gives every other product.  The
+    # pairwise diagonal suite, a second grid pass and the k squares would add
+    # 16, 4 and 2
     calls = _count_products(monkeypatch)
     assert main(["idempotents", "primitive", "--group", "bundled:group_order80.json",
                  "--rep", "bundled:rep_order80.json"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert len(calls) == 20
+    assert len(calls) == 6
     monkeypatch.undo()
 
-    # Q8, n = m = 2: the 1x2 grid's 4 products and f_1 * f_1, on the same
+    # Q8, n = m = 2: the 1x2 grid's 2 squares and f_1 * f_1, on the same
     # calls as the command line's primitive path
     rep = q8_rep(small_tables["Q8"])
     orbit = next(o for o in galois_orbits(small_tables["Q8"]) if o.degree == 2)
@@ -402,7 +403,7 @@ def test_primitive_path_makes_each_product_once(small_groups, small_tables, monk
     symmetrize_to_subfield(system)
     symmetrize_to_rational(system)
     assert all(ok for _, ok in system_grid_checks(system))
-    assert len(calls) == 5
+    assert len(calls) == 3
     assert diagonal_idempotents(rep) == list(system.ells)
     assert system.e_central == central_idempotent_over_field(rep)
 
