@@ -26,13 +26,20 @@ of ``perfbench/inputs.py``.
   Galois orbit), counted in one more run.
 
 With ``--loads`` it also times the JSON readers: ``field_from_json`` on the
-order-80 manifest's field, ``table_from_json`` on the bundled order-80 table
-and on a dumped table of D240 (each on a freshly built group whose classes
-are already known), and ``ManifestRunner`` on the order-80 manifest.  Beside
+order-80 manifest's field and on the four fields of perfbench's construct
+workload (Q(zeta_4), Q(zeta_6), Q(zeta_10), Q(zeta_14), the fields of its
+Dic_n reps), ``rep_from_json`` on the bundled order-80 rep (its group and
+table built untimed), ``table_from_json`` on the bundled order-80 table and
+on a dumped table of D240 (each on a freshly built group whose classes are
+already known), and ``ManifestRunner`` on the order-80 manifest.  Beside
 each time it writes the number of scalars actually read (a table or a
 manifest reads each distinct coefficient once, so a repeated one is not
 counted again) and of candidates interpolated, counted in one more run, and
-the number of Kronecker candidate tuples enumerated to certify the field.
+the number of Kronecker candidate tuples enumerated to certify the fields.
+The stage ``embed_construct`` times building the ``CycEmbedding`` of each
+Dic_n rep and embedding its character's values (fields and values read
+untimed), with the number of embeddings declared by a generator and of
+values embedded.
 
 The report also has the Python version and machine.  Stdlib only;
 everything but the times is deterministic.
@@ -58,7 +65,8 @@ from isotypic import (JacobianDecomposer, characters, compute_character_table, f
 from isotypic.cyclotomic import _integral
 from isotypic.fixtures import bundled
 from isotypic.verify import ManifestRunner
-from perfbench.inputs import dihedral, direct_product, elementary_abelian2, gl2_3, symmetric
+from perfbench.inputs import (dicyclic, dicyclic_rep, dihedral, direct_product, elementary_abelian2,
+                              gl2_3, symmetric)
 
 
 def _timed(times, stage, fn, *args):
@@ -178,23 +186,46 @@ def kronecker_candidates(minpoly):
     return total
 
 
-def time_load(prepare, load, runs, minpoly=None):
+def time_load(prepare, load, runs, minpolys=()):
     """The median time of load(prepare()), prepare untimed, the scalars read
-    and the candidates interpolated by one more run (every call of the list
-    and scalar readers, which a memo hit does not make), and the candidates
-    for minpoly, the field the load certifies."""
+    and the candidates interpolated by one more load (every call of the list
+    and scalar readers, which a memo hit does not make; prepare's are not
+    counted), and the candidates for minpolys, the fields the load
+    certifies."""
     def one_pass():
         times = {}
         _timed(times, "load", load, prepare())
         return times, None
 
     times, _ = median_times(runs, one_pass)
+    prepared = prepare()
     with counting((serialize, "scalars_from_json", "scalars", len),
                   (serialize, "rational_from_json", "scalars", _once),
                   (numberfield, "_integer_interpolant", "interpolations", _once)) as counts:
-        load(prepare())
+        load(prepared)
     return {**times, **counts,
-            "kronecker_candidates": 0 if minpoly is None else kronecker_candidates(minpoly)}
+            "kronecker_candidates": sum(kronecker_candidates(p) for p in minpolys)}
+
+
+def dicyclic_reps():
+    """The representation documents of Dic_n, n = 2, 3, 5, 7, that
+    perfbench's construct workload loads, each with its group's exponent."""
+    reps = []
+    for n in (2, 3, 5, 7):
+        perms = dicyclic(n)
+        group = from_permutations(perms)
+        words = [group.labels[c.representative] for c in group.conjugacy_classes()]
+        reps.append((dicyclic_rep(n, perms, words, group.exponent), group.exponent))
+    return reps
+
+
+def embed_characters(cases):
+    """Each case's CycEmbedding, and the image of each character value."""
+    out = []
+    for field, generator, image, values in cases:
+        embedding = numberfield.CycEmbedding(field, generator, image)
+        out.append([embedding.embed(v) for v in values])
+    return out
 
 
 def time_loads(runs):
@@ -202,21 +233,55 @@ def time_loads(runs):
     field = manifest["field"]
     minpoly = [serialize.rational_from_json(c) for c in field["minpoly"]]
     spec80, table80 = bundled("group_order80.json"), bundled("table_order80.json")
+    rep80 = bundled("rep_order80.json")
     d240 = GROUPS["D240"][0]()
     table240 = serialize.table_to_json(compute_character_table(_group(d240)))
+    reps = dicyclic_reps()
+    fields = [doc["field"] for doc, _ in reps]
 
     def group80():
         group = serialize.group_from_spec(spec80)
         group.conjugacy_classes()
         return group
 
+    def group_and_table80():
+        group = group80()
+        return group, serialize.table_from_json(group, table80)
+
+    # (field, generator, image, character values at the table level) of each
+    # rep, read untimed; Dic_2 and Dic_3 have rational characters and no generator
+    cases = []
+    for doc, exponent in reps:
+        nf = serialize.field_from_json(doc["field"])
+        generator = image = None
+        if "embedding" in doc:
+            generator = serialize.cyc_from_json(doc["embedding"]["generator"])
+            image = serialize.nfv_from_json(nf, doc["embedding"]["image"])
+        values = [serialize.cyc_from_json(v).to_level(exponent) for v in doc["character_values"]]
+        cases.append((nf, generator, image, values))
+
+    def embed_pass():
+        times = {}
+        _timed(times, "load", embed_characters, cases)
+        return times, None
+
+    embed_times, _ = median_times(runs, embed_pass)
     return {
-        "field_order80": time_load(lambda: field, serialize.field_from_json, runs, minpoly),
+        "field_order80": time_load(lambda: field, serialize.field_from_json, runs, [minpoly]),
+        "fields_construct": time_load(
+            lambda: fields, lambda docs: [serialize.field_from_json(d) for d in docs], runs,
+            [[serialize.rational_from_json(c) for c in d["minpoly"]] for d in fields]),
+        "embed_construct": {**embed_times,
+                            "embeddings": sum(c[1] is not None for c in cases),
+                            "values": sum(len(c[3]) for c in cases)},
+        "rep_order80": time_load(
+            group_and_table80, lambda loaded: serialize.rep_from_json(*loaded, rep80), runs,
+            [minpoly]),
         "table_order80": time_load(
             group80, lambda group: serialize.table_from_json(group, table80), runs),
         "table_D240": time_load(
             lambda: _group(d240), lambda group: serialize.table_from_json(group, table240), runs),
-        "manifest_order80": time_load(lambda: manifest, ManifestRunner, runs, minpoly),
+        "manifest_order80": time_load(lambda: manifest, ManifestRunner, runs, [minpoly]),
     }
 
 

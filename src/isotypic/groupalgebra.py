@@ -198,7 +198,7 @@ class FieldDomain(_ExactDomain):
         return isinstance(other, FieldDomain) and self.field == other.field
 
     def __hash__(self):
-        return hash(("nf", self.field.minpoly))
+        return hash(("nf", self.field))
 
     def __repr__(self):
         return f"Field({self.field!r})"
@@ -783,9 +783,9 @@ def construct_primitive_system(rep: MatrixRep, orbit: RationalIrrep,
     n = rep.degree
     if n % m != 0:
         raise InvariantError("field degree inconsistent with Schur index")
-    if len(nf.automorphisms) != m * orbit.field_degree:
+    if nf.degree != m * orbit.field_degree:
         raise ValidationError(
-            f"declared field degree {len(nf.automorphisms)} does not equal "
+            f"declared field degree {nf.degree} does not equal "
             f"[L:K]*[K:Q] = {m}*{orbit.field_degree}"
         )
     diagonal = diagonal_idempotents(rep)
@@ -920,7 +920,7 @@ def symmetrize_to_subfield(system: IdempotentSystem):
 def symmetrize_to_rational(system: IdempotentSystem):
     """f_s = sum over Gal(L/Q) of sigma(u_s^1): primitive idempotents in Q[G],
     checked by their squares and sum against e_W (module docstring, (c))."""
-    autos = range(len(system.nf.automorphisms))
+    autos = range(system.nf.degree)
     fs = []
     for s, row in enumerate(system.u_grid):
         zero = AlgebraElement.zero(system.group, row[0].domain)

@@ -5,19 +5,15 @@ The toolkit never searches for splitting fields: L is always user supplied,
 together with the images of t under every automorphism and the subset of
 automorphisms whose fixed field is the distinguished subfield K.
 Irreducibility of p is certified by Kronecker's method, a complete decision
-procedure, run in integers.  A candidate factor of degree k is a tuple of
-divisors of p's values at k + 1 nodes; its leading coefficient is the k-th
-divided difference of the tuple, summed over one common denominator while
-the tuples are enumerated, and only a tuple whose sum is a nonzero integer
-dividing lead(p) is interpolated.  The interpolant must also divide p's value
-at one more point before it is trial-divided exactly in Z[t].  The rest of the
-declaration is certified by Galois theory (see ``NumField``), so no
-composition table is built and no polynomial is divided over Q.  Values share
-the integer kernel of ``cyclotomic`` and every operator of its ``_Exact``;
-``NumFieldValue`` supplies the four hooks: ``_make``, ``_pair`` (a same-field
-check), ``_reduction`` (the rows of t^k mod p) and ``_images`` (the declared
+procedure (``is_irreducible``), and the rest of the declaration by Galois
+theory (``NumField``), both in integers: no composition table is built and
+no polynomial is divided over Q.  Values share the integer kernel of
+``cyclotomic`` and every operator of its ``_Exact``; ``NumFieldValue``
+supplies the four hooks: ``_make``, ``_pair`` (a same-field check),
+``_reduction`` (the rows of t^k mod p) and ``_images`` (the declared
 automorphisms other than the identity, whose product over the norm is the
-inverse).
+inverse).  ``CycEmbedding`` maps cyclotomic values into L by integer linear
+algebra on a nonsingular minor.
 """
 
 from __future__ import annotations
@@ -29,6 +25,7 @@ from math import gcd, isqrt, lcm, prod
 from .cyclotomic import (
     CycValue,
     _combine,
+    _convolve,
     _Exact,
     _exact_quotient,
     _fold,
@@ -41,7 +38,6 @@ from .cyclotomic import (
     unit_group,
 )
 from .errors import BoundExceededError, ValidationError
-from .linalg import column_echelon
 
 Rat = Fraction
 
@@ -68,29 +64,15 @@ def _int_divisors(n: int):
             f"irreducibility test bound exceeded: a node value of {n.bit_length()} bits"
             f" > {KRONECKER_VALUE_BITS}"
         )
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _interp_points(ipoly, count):
     """count nodes 0, 1, -1, 2, ... with their values, or None at a rational root."""
-    pts = []
-    x = 0
-    while len(pts) < count:
-        for cand in ([x] if x == 0 else [x, -x]):
-            val = _evaluate(ipoly, cand)
-            if val == 0:
-                return None
-            pts.append((cand, val))
-            if len(pts) == count:
-                break
-        x += 1
-    return pts
+    nodes = [0] + [s * x for x in range(1, count) for s in (1, -1)]
+    pts = [(x, _evaluate(ipoly, x)) for x in nodes[:count]]
+    return None if any(val == 0 for _, val in pts) else pts
 
 
 def is_irreducible(poly) -> bool:
@@ -113,10 +95,8 @@ def is_irreducible(poly) -> bool:
     """
     num = poly_trim(_integral(poly)[0])
     deg = len(num) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
+    if deg <= 1:
+        return deg == 1
     content = gcd(*num)
     ipoly = [c // content for c in num]
     lead = ipoly[-1]
@@ -125,14 +105,10 @@ def is_irreducible(poly) -> bool:
         if pts is None:
             return False
         (x0, y0), pts = pts[-1], pts[:-1]
-        xs = [p[0] for p in pts]
-        divisor_lists = []
-        for idx, (_, val) in enumerate(pts):
-            divs = _int_divisors(val)
-            if idx == 0:
-                divisor_lists.append(divs)  # sign fixed: -q divides iff q does
-            else:
-                divisor_lists.append([d for dd in divs for d in (dd, -dd)])
+        xs = [x for x, _ in pts]
+        # the first sign is fixed: -q divides iff q does
+        divisor_lists = [_int_divisors(pts[0][1])] + [
+            [d for dd in _int_divisors(val) for d in (dd, -dd)] for _, val in pts[1:]]
         count = prod(map(len, divisor_lists))
         if count > KRONECKER_CANDIDATE_BOUND:
             raise BoundExceededError(
@@ -152,10 +128,8 @@ def is_irreducible(poly) -> bool:
             if rem or not top or lead % top:
                 continue
             cand = _integer_interpolant(xs, values)
-            if cand is None:
-                continue
-            at_x0 = _evaluate(cand, x0)
-            if at_x0 == 0 or y0 % at_x0:
+            at_x0 = None if cand is None else _evaluate(cand, x0)
+            if not at_x0 or y0 % at_x0:
                 continue
             if _exact_quotient(ipoly, cand) is not None:
                 return False
@@ -187,15 +161,9 @@ def _integer_interpolant(xs, ys):
         newton.append(diffs[0])
     # c0 + (x - x0)(c1 + (x - x1)(c2 + ...)), expanded from the inside out
     acc = [newton[-1]]
-    for k in range(n - 2, -1, -1):
-        nxt = [0] + acc
-        for i, c in enumerate(acc):
-            nxt[i] -= xs[k] * c
-        nxt[0] += newton[k]
-        acc = nxt
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
+    for c, x in zip(newton[-2::-1], xs[-2::-1]):
+        acc = [c - x * acc[0]] + [a - x * b for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    return poly_trim(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -216,44 +184,64 @@ class NumField:
     |Aut(L/Q)| <= [L:Q] = d, d pairwise-distinct declared roots are all of
     Aut(L/Q): L/Q is Galois, the identity (the image equal to t) is among
     them and they are closed under composition.  Only the subfield fixers,
-    an arbitrary subset, are checked for closure.
+    an arbitrary subset, are checked for closure.  In integers: F^0, ..., F^d
+    are built once per image F, p(F) is read off them, and F^0, ..., F^(d-1)
+    are kept as the matrix of the automorphism, which ``apply_auto`` applies.
     """
 
     def __init__(self, minpoly, automorphisms, subfield_fixers=(0,)):
-        minpoly = [Rat(c) for c in minpoly]
-        poly_trim(minpoly)
-        if not minpoly or minpoly[-1] != 1:
-            raise ValidationError("minimal polynomial must be monic")
-        self.degree = len(minpoly) - 1
-        if self.degree < 1:
-            raise ValidationError("minimal polynomial must have positive degree")
-        if not is_irreducible(minpoly):
-            raise ValidationError("not a field: minimal polynomial is reducible over Q")
-        self.minpoly = tuple(minpoly)
+        self._certify(_integral(minpoly), (_integral(img) for img in automorphisms),
+                      subfield_fixers)
 
-        images = [NumFieldValue(self, img) for img in automorphisms]
-        if len(images) != self.degree:
+    @classmethod
+    def from_integers(cls, minpoly, automorphisms, subfield_fixers=(0,)) -> "NumField":
+        """``NumField`` with minpoly and each image as (numerators, denominator)."""
+        nf = cls.__new__(cls)
+        nf._certify(minpoly, automorphisms, subfield_fixers)
+        return nf
+
+    def _certify(self, minpoly, automorphisms, subfield_fixers):
+        num, den = minpoly
+        num = poly_trim(list(num))
+        if not num or num[-1] != den:
+            raise ValidationError("minimal polynomial must be monic")
+        self.degree = d = len(num) - 1
+        if d < 1:
+            raise ValidationError("minimal polynomial must have positive degree")
+        if not is_irreducible(num):
+            raise ValidationError("not a field: minimal polynomial is reducible over Q")
+        self._minpoly = _normal(num, den)
+        rows, scale = self._powers(2 * d - 1)
+        self._power_rows = rows, d, scale  # D * (t^k mod p), k < 2d - 1: a product's fold
+
+        images = [NumFieldValue(self, num, den) for num, den in automorphisms]
+        if len(images) != d:
             raise ValidationError(
-                f"L/Q not Galois as declared: need {self.degree} automorphisms, got {len(images)}"
+                f"L/Q not Galois as declared: need {d} automorphisms, got {len(images)}"
             )
-        if len({(v.num, v.den) for v in images}) != len(images):
+        if len({(v.num, v.den) for v in images}) != d:
             raise ValidationError("L/Q not Galois as declared: repeated automorphism")
+        low, lead = self._minpoly[0][:d], self._minpoly[1]
+        maps = []
         for image in images:
-            acc = self.zero()
-            for c in reversed(minpoly):
-                acc = acc * image + c
-            if not acc.is_zero():
+            *powers, (top, top_den) = _power_list(image, d + 1)
+            scale = lcm(*(den for _, den in powers))
+            rows = [tuple((j, x * (scale // den)) for j, x in enumerate(num) if x)
+                    for num, den in powers]
+            # p(F) lead = sum_{k<d} p_k F^k + lead F^d, p being monic
+            if any(x * top_den + lead * y * scale
+                   for x, y in zip(_combine(low, rows, d), top)):
                 raise ValidationError(
                     "L/Q not Galois as declared: image is not a root of the minimal polynomial"
                 )
-        identity = self.gen()
-        images.remove(identity)
-        self._image_values = images = (identity, *images)
-        self.automorphisms = tuple(tuple(poly_trim(list(v.coeffs))) for v in images)
+            maps.append((rows, scale))
+        first = images.index(self.gen())
+        self._images = images = (images[first], *images[:first], *images[first + 1:])
+        self._auto_maps = (maps[first], *maps[:first], *maps[first + 1:])
 
         fixers = tuple(sorted(set(int(i) for i in subfield_fixers) | {0}))
         for i in fixers:
-            if not 0 <= i < len(images):
+            if not 0 <= i < d:
                 raise ValidationError("subfield fixer index out of range")
         fixed = {(images[i].num, images[i].den) for i in fixers}
         for i in fixers[1:]:
@@ -263,35 +251,23 @@ class NumField:
                     raise ValidationError("subfield fixers are not closed under composition")
         self.subfield_fixers = fixers
         # equality and hashing read one key of integers, built once
-        num, den = _integral(self.minpoly)
-        self._key = (tuple(num), den, tuple((v.num, v.den) for v in images), fixers)
+        self._key = (*self._minpoly, tuple((v.num, v.den) for v in images), fixers)
         self._hash = hash(self._key)
 
-    # -- integer tables, built on first use ------------------------------------
+    @cached_property
+    def minpoly(self):
+        """The declaration as Fractions, for ``field_to_json``."""
+        num, den = self._minpoly
+        return tuple(Rat(x, den) for x in num)
+
+    @cached_property
+    def automorphisms(self):
+        return tuple(tuple(poly_trim(list(v.coeffs))) for v in self._images)
 
     def _powers(self, count):
         """(rows, D): rows[k] is D * (t^k mod p) for k < count."""
-        low, low_den = _integral(self.minpoly[:self.degree])
-        return _power_table(low, low_den, count)
-
-    @cached_property
-    def _power_rows(self):
-        """(rows, deg, D): rows[k] is D * (t^k mod p) for k < 2 deg - 1."""
-        rows, scale = self._powers(2 * self.degree - 1)
-        return rows, self.degree, scale
-
-    @cached_property
-    def _auto_maps(self):
-        """Per automorphism (rows, D): rows[j] is D * sigma(t^j) mod p."""
-        maps = []
-        for image in self._image_values:
-            powers = [self.one()]
-            for _ in range(self.degree - 1):
-                powers.append(powers[-1] * image)
-            den = lcm(*(v.den for v in powers))
-            maps.append(([tuple((j, x * (den // v.den)) for j, x in enumerate(v.num) if x)
-                          for v in powers], den))
-        return tuple(maps)
+        num, den = self._minpoly
+        return _power_table(num[:self.degree], den, count)
 
     # -- element constructors ----------------------------------------------
 
@@ -328,7 +304,7 @@ class NumField:
         return self._hash
 
     def __repr__(self):
-        return f"NumField(deg {self.degree}, {len(self.automorphisms)} autos)"
+        return f"NumField(deg {self.degree}, {self.degree} autos)"
 
 
 class NumFieldValue(_Exact):
@@ -397,6 +373,17 @@ def _nfv(field, num, den) -> NumFieldValue:
     return v
 
 
+def _power_list(value: _Exact, count):
+    """(num, den) of value^0, ..., value^(count - 1), each normalized."""
+    rows, width, scale = value._reduction()
+    powers = [((1,) + (0,) * (width - 1), 1)]
+    for _ in range(count - 1):
+        num, den = powers[-1]
+        powers.append(_normal(_fold(_convolve(num, value.num), rows, width, scale),
+                              den * value.den * scale))
+    return powers
+
+
 def render_nf(v: NumFieldValue) -> str:
     """Human form: rational combination of powers of the generator t."""
     return _render_terms(v.coeffs, "t")
@@ -415,14 +402,14 @@ class CycEmbedding:
     """Q-linear embedding of the field generated by one cyclotomic value.
 
     Declared by a generator g (a CycValue) and its image in L.  The degree
-    d = [Q(g):Q] is the size of the Galois orbit of g, so g^0, ..., g^(d-1)
-    are independent; as the rows of the matrix of their cyclotomic
-    coordinates, the pivot columns of its column echelon are a nonsingular
-    d x d minor.  A value embeds by solving for its coordinates in the power
-    basis of g on that minor, checking them on every coordinate, and mapping.
-    Validated by checking the minimal polynomial of g, read the same way
-    from g^d, annihilates the image.  A value at a level that the level of
-    g does not divide promotes g, once, to the lcm of the two levels.
+    d = [Q(g):Q] is the size of the Galois orbit of g, so the integer rows B
+    of the coordinates of g^0, ..., g^(d-1) have a nonsingular minor M.
+    Gauss-Jordan turns [B | I], I the rows of their images in L, into
+    M^-1 [B | I] once, in integers.  A value v embeds by one product
+    v_M M^-1 [B | I]: its B part is checked to be v on every coordinate, its
+    I part is the image.  Validated by checking the minimal polynomial of g,
+    read the same way from g^d, annihilates the image.  A value at a level
+    that the level of g does not divide promotes g, once, to the lcm.
     """
 
     def __init__(self, field: NumField, generator: CycValue | None, image: NumFieldValue | None):
@@ -435,25 +422,28 @@ class CycEmbedding:
             raise ValidationError("embedding image must live in the target field")
         self.image = image
         degree = len({generator.galois(k) for k in unit_group(generator.level)})
-        powers = [CycValue.one(generator.level)]
-        for _ in range(degree):
-            powers.append(powers[-1] * generator)
-        rows = [_rationals(p) for p in powers]
-        # column j holds coordinate j of g^0, ..., g^(d-1)
-        self._columns = list(enumerate(zip(*rows[:-1])))
-        self._ech = column_echelon(self._columns, degree, RATIONAL_FIELD.zero())
-        # image^0, ..., image^d: the images of the power basis, then of g^d
-        images = [field.one()]
-        for _ in range(degree):
-            images.append(images[-1] * image)
-        self._images = images[:-1]
-        acc = images[-1]
-        for c, p in zip(self._ech.solve([rows[-1][j] for j in self._ech.keys]), images):
-            acc = acc - p * c.as_rational()
-        if not acc.is_zero():
+        *powers, top = _power_list(generator, degree + 1)
+        *images, image_top = _power_list(image, degree + 1)
+        s, t = (lcm(*(den for _, den in pairs)) for pairs in (powers, images))
+        # rows [s g^k | s t image(g^k)]: for v = num / den in Q(g) the product is D (num | den t v)
+        self._pivots, self._rows, self._scale = _gauss_jordan(
+            [[x * (s // den) for x in num] + [y * (s * t // image_den) for y in image_num]
+             for (num, den), (image_num, image_den) in zip(powers, images)], len(top[0]))
+        self._den = self._scale * t
+        if self._image(*top) != image_top:
             raise ValidationError(
                 "declared embedding is inconsistent: image is not a conjugate of the generator"
             )
+
+    def _image(self, num, den):
+        """(num, den) in L of num / den at g's level, refused outside Q(g)."""
+        out = [0] * len(self._rows[0])
+        for j, row in zip(self._pivots, self._rows):
+            if num[j]:
+                out = [a + num[j] * b for a, b in zip(out, row)]
+        if any(a != self._scale * x for a, x in zip(out, num)):
+            raise ValidationError("value lies outside the declared embedded subfield")
+        return _normal(out[len(num):], den * self._den)
 
     def embed(self, v: CycValue) -> NumFieldValue:
         if v.is_rational():
@@ -463,17 +453,26 @@ class CycEmbedding:
         level = self.generator.level
         if level % v.level:  # declared anew at a level that v's divides
             self.__init__(self.field, self.generator.to_level(lcm(level, v.level)), self.image)
-        coords = self._ech.coordinates(_rationals(v.to_level(self.generator.level)),
-                                       self._columns)
-        if coords is None:
-            raise ValidationError("value lies outside the declared embedded subfield")
-        acc = self.field.zero()
-        for c, p in zip(coords, self._images):
-            if not c.is_zero():
-                acc = acc + p * c.as_rational()
-        return acc
+        v = v.to_level(self.generator.level)
+        return _nfv(self.field, *self._image(v.num, v.den))
 
 
-def _rationals(v: CycValue) -> list[NumFieldValue]:
-    """The coordinates of v as values of RATIONAL_FIELD."""
-    return [_nfv(RATIONAL_FIELD, *_normal((x,), v.den)) for x in v.num]
+def _gauss_jordan(rows, width):
+    """(pivots, rows, D) for integer rows independent on their first width
+    columns: the first of those that raise the rank, and the combinations of
+    the rows that are D at pivots[i] and 0 at the others (fraction-free)."""
+    free, pivots = list(range(len(rows))), []
+    for j in range(width):
+        r = next((i for i in free if rows[i][j]), None)
+        if r is not None:
+            free.remove(r)
+            pivots.append((j, r))
+            for i, row in enumerate(rows):
+                a, c = rows[r][j], row[j]
+                if c and i != r:
+                    row = [a * x - c * y for x, y in zip(row, rows[r])]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row]
+    den = lcm(*(rows[r][j] for j, r in pivots))
+    return ([j for j, _ in pivots],
+            [[x * (den // rows[r][j]) for x in rows[r]] for j, r in pivots], den)

@@ -12,16 +12,16 @@ float, a bool, "0.5", "1e3", " 1", "+1", "1/0") is refused with a
 ValidationError that names it.  An integer field (a level, a class
 representative or size, an element index, a degree, a bound) must be a JSON
 integer, not a float or a bool.  The coordinates of cyclotomic and
-number-field values go straight between this text and the integer kernel's
-numerators over one common denominator, with no Fraction per coordinate.
+number-field values, and a field descriptor's minpoly and images (certified
+by ``NumField.from_integers``), go straight between this text and the
+integer kernel's numerators over one denominator, with no Fraction each.
 A list whose entries are all canonical small-integer strings (``str(k)``
 for |k| <= 64, every coordinate of the bundled character tables) is read in
 one pass through a fixed table of those strings: each matches the grammar
 and reads as k over 1, and the table's keys are strings alone, so no bool,
 float or JSON int can hit one.  Any other list goes entry by entry through
 the one scalar reader, which gives every error message.
-Rationals (Q coefficients, a field descriptor's minpoly and automorphism
-images, which NumField keeps as Fractions) are read by the same grammar.
+Q coefficients are read by the same grammar.
 
 The coefficients of a document repeat (the order-80 manifest's 388
 coordinate lists hold 138 distinct ones, the bundled order-80 table's 196
@@ -225,9 +225,9 @@ def field_to_json(nf: NumField) -> dict:
 def field_from_json(d) -> NumField:
     if not isinstance(d, dict):
         raise ValidationError(f"a field descriptor is an object with a minpoly, not {d!r}")
-    return NumField(
-        [rational_from_json(c) for c in d["minpoly"]],
-        [[rational_from_json(c) for c in img] for img in d["automorphisms"]],
+    return NumField.from_integers(
+        scalars_from_json(d["minpoly"]),
+        [scalars_from_json(img) for img in d["automorphisms"]],
         tuple(json_int(k, "subfield fixer") for k in d.get("subfield_fixers", (0,))),
     )
 

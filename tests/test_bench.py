@@ -78,19 +78,30 @@ def test_table_row_reports_the_split_prime(report):
 
 
 def test_loads_report_the_scalars_read(report):
+    loads = dict(report["loads"])
+    embed = loads.pop("embed_construct")
     counts = {name: (row["scalars"], row["kronecker_candidates"], row["interpolations"])
-              for name, row in report["loads"].items()}
+              for name, row in loads.items()}
     # each distinct coefficient is read once per document: the order-80 table
     # has 13 distinct values of 16 coordinates, D240's 63 x 63 table 61 distinct
     # values at level 120 (phi(120) = 32 coordinates each), and the manifest
     # reads its field (17), 138 distinct lists of 4 coordinates and 4 distinct
-    # rationals
+    # rationals.  A field Q(zeta_m) of degree d reads d + 1 + d^2 scalars
+    # (d = 2, 2, 4, 6 for m = 4, 6, 10, 14).  The order-80 rep reads its field
+    # (17), its embedding (a generator of 16 coordinates at level 40 and an
+    # image of 4), 14 character values at level 40 (16 each) and two 4 x 4
+    # generator matrices of 4 coordinates each.
     assert counts == {
         "field_order80": (17, 1080, 22),
+        "fields_construct": (3 + 3 + 5 + 7 + 4 + 4 + 16 + 36, 58, 10),
+        "rep_order80": (17 + 16 + 4 + 14 * 16 + 2 * 16 * 4, 1080, 22),
         "table_order80": (13 * 16, 0, 0),
         "table_D240": (61 * 32, 0, 0),
         "manifest_order80": (17 + 138 * 4 + 4, 1080, 22),
     }
+    # Dic_5 and Dic_7 declare embeddings; the four reps have 5 + 6 + 8 + 10
+    # classes
+    assert (embed["embeddings"], embed["values"]) == (2, 29)
     assert all(row["load_s"] >= 0 for row in report["loads"].values())
 
 

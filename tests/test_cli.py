@@ -388,6 +388,54 @@ def test_cli_malformed_document_exit_2(tmp_path, name):
     assert named in proc.stderr
 
 
+SQRT2 = {"minpoly": ["-2", "0", "1"], "automorphisms": [["0", "1"], ["0", "-1"]]}
+MALFORMED = 'is not an exact scalar (an integer or a "p/q" string)'
+
+MALFORMED_FIELDS = {
+    # name: (manifest field descriptor, the whole of stderr)
+    "minpoly-bool": (dict(SQRT2, minpoly=["-2", "0", True]), f"true {MALFORMED}"),
+    "image-float": (dict(SQRT2, automorphisms=[["0", "1"], [0.0, "-1"]]), f"0.0 {MALFORMED}"),
+    "minpoly-nested": (dict(SQRT2, minpoly=[["-2"], "0", "1"]), f'["-2"] {MALFORMED}'),
+    "image-nested": (dict(SQRT2, automorphisms=[["0", "1"], [["0"], "-1"]]), f'["0"] {MALFORMED}'),
+    # a string or a number in place of a list is refused whole: a string was
+    # read one character at a time, a number failed as not iterable
+    "image-string": (dict(SQRT2, automorphisms=[["0", "1"], "0,-1"]),
+                     'a list of scalars is expected, not "0,-1"'),
+    "images-string": (dict(SQRT2, automorphisms="0,1"), 'a list of scalars is expected, not "0"'),
+    "minpoly-string": (dict(SQRT2, minpoly="1"), 'a list of scalars is expected, not "1"'),
+    "minpoly-number": (dict(SQRT2, minpoly=5), "a list of scalars is expected, not 5"),
+    "image-number": (dict(SQRT2, automorphisms=[["0", "1"], 5]),
+                     "a list of scalars is expected, not 5"),
+    "image-zero-denominator": (dict(SQRT2, automorphisms=[["0", "1"], ["0", "-1/0"]]),
+                               "zero denominator in the scalar '-1/0'"),
+    "without-automorphisms": ({"minpoly": ["-2", "0", "1"]},
+                              "error: manifest field lacks the key 'automorphisms'\n"),
+    "fixer-out-of-range": (dict(SQRT2, subfield_fixers=[0, 2]),
+                           "error: subfield fixer index out of range\n"),
+    "non-monic": (dict(SQRT2, minpoly=["-2", "0", "2"]),
+                  "error: minimal polynomial must be monic\n"),
+    "reducible": (dict(SQRT2, minpoly=["-1", "0", "1"]),
+                  "error: not a field: minimal polynomial is reducible over Q\n"),
+    "repeated-image": (dict(SQRT2, automorphisms=[["0", "1"], ["0", "1"]]),
+                       "error: L/Q not Galois as declared: repeated automorphism\n"),
+    "non-root-image": (dict(SQRT2, automorphisms=[["0", "1"], ["1", "1"]]),
+                       "error: L/Q not Galois as declared: image is not a root of the minimal "
+                       "polynomial\n"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FIELDS)
+def test_malformed_field_descriptor_exit_2(capsys, tmp_path, name):
+    """Each malformed declared field exits 2 with exactly this message; a
+    parse error is reported as a malformed manifest field."""
+    field, message = MALFORMED_FIELDS[name]
+    if not message.startswith("error: "):
+        message = f"error: malformed manifest field: {message}\n"
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"group": S3_SPEC, "field": field, "checks": []}))
+    assert run_cli(capsys, "verify", str(path)) == (2, "", message)
+
+
 def test_repeated_list_as_json_ints_reads_the_same_value():
     runner = ManifestRunner(_l_element_manifest(FIRST_LIST))
     first, ints, repeat = (runner._elements["e"].coeffs[g] for g in (0, 1, 2))

@@ -162,7 +162,7 @@ def _assert_embeddings_agree(field, generator, image, values):
     if isinstance(old, str):
         assert new == old
         return None
-    assert len(new._images) == len(old._images)
+    assert len(new._pivots) == len(old._images)
     for v in values:
         assert _outcome(new.embed, v) == _outcome(old.embed, v)
     return new
@@ -201,7 +201,7 @@ def test_embedding_matches_coordinate_span(level, m):
         values += [zeta, zeta ** 3 + 1, CycValue(level, _random_vec(rng, euler_phi(level)))]
         emb = _assert_embeddings_agree(field, g, image, values)
         assert emb is not None
-        degree = len(emb._images)
+        degree = len(emb._pivots)
         if subgroup_generator == 1 and m == level:
             assert degree == euler_phi(level)
         if subgroup is units:

@@ -16,13 +16,17 @@ from serialize_reference import reference_element, reference_table_values
 from test_lattice_oracle import dihedral
 
 
-def _list_reads(monkeypatch):
-    """The arguments of every call of the coordinate-list reader."""
+def _list_reads(monkeypatch, field=None):
+    """The arguments of every call of the coordinate-list reader that reads
+    a coefficient: the lists of the field descriptor given, its minpoly and
+    its images, are read by the same reader and are not counted."""
     calls = []
     original = serialize.scalars_from_json
+    declared = set() if field is None else {id(field["minpoly"]), *map(id, field["automorphisms"])}
 
     def counting(cs):
-        calls.append(cs)
+        if id(cs) not in declared:
+            calls.append(cs)
         return original(cs)
 
     monkeypatch.setattr(serialize, "scalars_from_json", counting)
@@ -45,7 +49,7 @@ def test_manifest_loads_the_reference_values(name):
 
 def test_standalone_element_reads_alone_and_loads_the_reference_values(g80, monkeypatch):
     manifest = bundled("manifest_order80.json")
-    calls = _list_reads(monkeypatch)
+    calls = _list_reads(monkeypatch, manifest["field"])
     for spec in manifest["elements"].values():
         if spec.get("field") == "L":
             spec = dict(spec, field=manifest["field"])
@@ -70,7 +74,7 @@ def test_manifest_reads_each_distinct_list_once(monkeypatch):
              if isinstance(c, list) and all(isinstance(x, str) for x in c)]
     distinct = {tuple(c) for c in lists}
     assert len(lists) == 388 and len(distinct) == 138
-    calls = _list_reads(monkeypatch)
+    calls = _list_reads(monkeypatch, manifest["field"])
     ManifestRunner(manifest)
     assert sorted(tuple(c) for c in calls) == sorted(distinct)
 
