@@ -41,6 +41,12 @@ Dic_n rep and embedding its character's values (fields and values read
 untimed), with the number of embeddings declared by a generator and of
 values embedded.
 
+The stage ``checks_order80`` times ``ManifestRunner.run`` on the whole
+order-80 manifest, each run on a runner built untimed, with the number of
+checks, of failed checks and of runs of the packed product kernel
+(``groupalgebra._packed_sums``, which products and the idempotency and
+orthogonality predicates share), counted in one more run.
+
 The report also has the Python version and machine.  Stdlib only;
 everything but the times is deterministic.
 """
@@ -61,7 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from isotypic import (JacobianDecomposer, characters, compute_character_table, from_permutations,
-                      galois_orbits, numberfield, serialize)
+                      galois_orbits, groupalgebra, numberfield, serialize)
 from isotypic.cyclotomic import _integral
 from isotypic.fixtures import bundled
 from isotypic.verify import ManifestRunner
@@ -228,6 +234,21 @@ def embed_characters(cases):
     return out
 
 
+def time_checks(manifest, runs):
+    """The median time of ManifestRunner(manifest).run(), the runner built
+    untimed, the checks run and failed, and the kernel runs of one more run."""
+    def one_pass():
+        times = {}
+        runner = ManifestRunner(manifest)
+        return times, _timed(times, "run", runner.run)
+
+    times, results = median_times(runs, one_pass)
+    runner = ManifestRunner(manifest)
+    with counting((groupalgebra, "_packed_sums", "kernel_runs", _once)) as counts:
+        runner.run()
+    return {**times, "checks": len(results), "failed": sum(not ok for _, ok in results), **counts}
+
+
 def time_loads(runs):
     manifest = bundled("manifest_order80.json")
     field = manifest["field"]
@@ -282,6 +303,7 @@ def time_loads(runs):
         "table_D240": time_load(
             lambda: _group(d240), lambda group: serialize.table_from_json(group, table240), runs),
         "manifest_order80": time_load(lambda: manifest, ManifestRunner, runs, [minpoly]),
+        "checks_order80": time_checks(manifest, runs),
     }
 
 

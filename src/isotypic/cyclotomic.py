@@ -303,6 +303,9 @@ class _Exact:
     def is_zero(self) -> bool:
         return not any(self.num)
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 

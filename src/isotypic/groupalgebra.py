@@ -72,9 +72,15 @@ Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009).  Each
 operand is brought to integer numerator vectors over one common
 denominator (Cohen, GTM 138, section 4.2), of width 1 over Q, phi(e) over
 Q(zeta_e) and [L:Q] over L, and each vector is packed into one Python int
-with B-bit signed slots.  The bigint products of all pairs (g, h) are summed
-per output gh, and each sum is unpacked and folded through the domain's
-reduction rows once.  A slot of an output sums at most
+with B-bit signed slots; a square reads and packs its one operand once.  The
+bigint products of all pairs (g, h) are summed per output gh, in a list
+indexed by the output element.  The product unpacks each sum, folds it
+through the domain's reduction rows once and builds its value.
+is_idempotent and is_orthogonal_to read the same sums and build no value:
+the folded sum U_x of a square, over D^2 times the reduction's
+denominator, equals a(x) = v_x / D exactly when U_x is D times that
+denominator times v_x, and a product vanishes exactly when every U_x
+does.  A slot of an output sums at most
 min(|supp a|, |supp b|) * width products of two numerators, so B is chosen
 with 2^(B-1) > min(|supp a|, |supp b|) * width * max|a_i| * max|b_j|: no
 slot can overflow, and the packing is exact by construction.
@@ -265,8 +271,7 @@ class AlgebraElement:
     def __init__(self, group: FiniteGroup, domain, coeffs):
         self.group = group
         self.domain = domain
-        zero = domain.zero()
-        self.coeffs = {g: c for g, c in coeffs.items() if c != zero}
+        self.coeffs = {g: c for g, c in coeffs.items() if c}
 
     # -- constructors --------------------------------------------------------
 
@@ -347,10 +352,25 @@ class AlgebraElement:
     # -- predicates -----------------------------------------------------------------
 
     def is_idempotent(self) -> bool:
-        return self * self == self
+        """Whether self*self == self, read off the packed sums of the square
+        with no value built (module docstring): over the denominator den the
+        square's numerators at x must be den / D times self's, D being
+        self's common denominator, and zero off the support."""
+        sums, read, den, (den_a, vecs) = _packed_sums(self, self)
+        factor = den // den_a
+        want = dict(vecs)
+        for x, total in enumerate(sums):
+            v = want.get(x)
+            if v is None:
+                if total and any(read(total)):
+                    return False
+            elif read(total) != [factor * c for c in v]:
+                return False
+        return True
 
     def is_orthogonal_to(self, other) -> bool:
-        return (self * other).is_zero() and (other * self).is_zero()
+        a, b = self._pair(other)
+        return _vanishes(a, b) and _vanishes(b, a)
 
     def is_central(self) -> bool:
         """Whether s*self == self*s for every generator s, hence for all of G.
@@ -417,42 +437,58 @@ def _numerators(domain, coeffs):
                  for g, num, d in parts]
 
 
-def _packed_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """a*b for two elements over one domain, by Kronecker substitution.
+def _packed_sums(a: AlgebraElement, b: AlgebraElement):
+    """The product a*b of two elements over one domain as packed sums, by
+    Kronecker substitution: (sums, read, den, (D, vecs)).
 
-    Slot k of the sum for an output x is sum over gh = x and i + j = k of
-    a_g[i] * b_h[j]: at most min(|supp a|, |supp b|) * width terms, which
-    bounds it as the module docstring says.
+    sums[x] is the packed sum for the output x, accumulated in a list
+    indexed by element, and 0 where no pair gh = x occurs; its slot k sums
+    a_g[i] * b_h[j] over gh = x and i + j = k, at most min(|supp a|,
+    |supp b|) * width terms, which bounds it as the module docstring says.
+    read(sums[x]) is the slots folded through the domain's reduction rows:
+    the numerators of (a*b)(x) over den.  (D, vecs) are a's numerators as
+    ``_numerators`` gives them.  A square (b is a) reads and packs its
+    operand once.
     """
     domain = a.domain
-    width, rows, scale, build = domain.packing()
+    width, rows, scale, _ = domain.packing()
     den_a, vecs_a = _numerators(domain, a.coeffs)
-    den_b, vecs_b = _numerators(domain, b.coeffs)
-    if not vecs_a or not vecs_b:
-        return _element(a.group, domain, {})
-    top_a = max(abs(x) for _, v in vecs_a for x in v)
-    top_b = max(abs(x) for _, v in vecs_b for x in v)
-    bits = (min(len(vecs_a), len(vecs_b)) * width * top_a * top_b).bit_length() + 1
-    packed_b = [(h, _pack(v, bits)) for h, v in vecs_b]
-    mul = a.group._mul
-    sums = {}
-    for g, v in vecs_a:
-        x = _pack(v, bits)
-        row = mul[g]
-        for h, y in packed_b:
-            k = row[h]
-            if k in sums:
-                sums[k] += x * y
-            else:
-                sums[k] = x * y
-    unpack = _unpacker(bits, 2 * width - 1, rows, width, scale)
-    den = den_a * den_b * scale
+    den_b, vecs_b = (den_a, vecs_a) if b is a else _numerators(domain, b.coeffs)
+    sums, read = [0] * a.group.order, None
+    if vecs_a and vecs_b:
+        top_a = max(abs(x) for _, v in vecs_a for x in v)
+        top_b = top_a if b is a else max(abs(x) for _, v in vecs_b for x in v)
+        bits = (min(len(vecs_a), len(vecs_b)) * width * top_a * top_b).bit_length() + 1
+        packed_a = [(g, _pack(v, bits)) for g, v in vecs_a]
+        packed_b = packed_a if b is a else [(h, _pack(v, bits)) for h, v in vecs_b]
+        mul = a.group._mul
+        for g, x in packed_a:
+            row = mul[g]
+            for h, y in packed_b:
+                sums[row[h]] += x * y
+        read = _unpacker(bits, 2 * width - 1, rows, width, scale)
+    return sums, read, den_a * den_b * scale, (den_a, vecs_a)
+
+
+def _packed_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """a*b for two elements over one domain: each nonzero packed sum read
+    and built into a value."""
+    sums, read, den, _ = _packed_sums(a, b)
+    build = a.domain.packing()[3]
     coeffs = {}
-    for k, total in sums.items():
-        num = unpack(total)
-        if any(num):
-            coeffs[k] = build(*_normal(num, den))
-    return _element(a.group, domain, coeffs)
+    for x, total in enumerate(sums):
+        if total:
+            num = read(total)
+            if any(num):
+                coeffs[x] = build(*_normal(num, den))
+    return _element(a.group, a.domain, coeffs)
+
+
+def _vanishes(a: AlgebraElement, b: AlgebraElement) -> bool:
+    """Whether a*b = 0 for two elements over one domain, read off the packed
+    sums with no value built."""
+    sums, read, _, _ = _packed_sums(a, b)
+    return not any(any(read(total)) for total in sums if total)
 
 
 def _trace_dim(e: AlgebraElement) -> int:

@@ -97,6 +97,15 @@ def json_int(x, name: str) -> int:
     return x
 
 
+def _json_list(x, what: str) -> list:
+    """x itself when it is a JSON list; a ValueError naming what the list
+    holds otherwise, so a string or an object is refused whole rather than
+    read by its characters or keys."""
+    if type(x) is not list:
+        raise ValueError(f"a list of {what} is expected, not {json.dumps(x)}")
+    return x
+
+
 def json_level(x, name: str) -> int:
     """A cyclotomic level, refused below 1 or above the level bound before any
     value is built at it (Euler's phi alone is linear in the level)."""
@@ -136,10 +145,8 @@ _LITERALS = {str(k): k for k in range(-64, 65)}
 
 def scalars_from_json(cs) -> tuple[list[int], int]:
     """Integer numerators over one common denominator, from a JSON list of scalars."""
-    if type(cs) is not list:
-        raise ValueError(f"a list of scalars is expected, not {json.dumps(cs)}")
     try:
-        nums = list(map(_LITERALS.get, cs))
+        nums = list(map(_LITERALS.get, _json_list(cs, "scalars")))
     except TypeError:  # an unhashable entry, refused below
         nums = [None]
     if None not in nums:
@@ -225,11 +232,12 @@ def field_to_json(nf: NumField) -> dict:
 def field_from_json(d) -> NumField:
     if not isinstance(d, dict):
         raise ValidationError(f"a field descriptor is an object with a minpoly, not {d!r}")
+    minpoly = scalars_from_json(d["minpoly"])
+    images = _json_list(d["automorphisms"], "automorphism images")
+    images = [scalars_from_json(img) for img in images]
+    fixers = _json_list(d.get("subfield_fixers", [0]), "subfield fixers")
     return NumField.from_integers(
-        scalars_from_json(d["minpoly"]),
-        [scalars_from_json(img) for img in d["automorphisms"]],
-        tuple(json_int(k, "subfield fixer") for k in d.get("subfield_fixers", (0,))),
-    )
+        minpoly, images, tuple(json_int(k, "subfield fixer") for k in fixers))
 
 
 # -- groups --------------------------------------------------------------------
@@ -370,7 +378,6 @@ def element_from_json(group: FiniteGroup, d, cache: dict | None = None) -> Algeb
     with parsing("algebra element"):
         dom = domain_from_json(d["field"], cache)
         memo = _domain_memo(cache, dom)
-        zero = dom.zero()
         if dom.kind == "Q":
             read = rational_from_json
         elif dom.kind == "cyclotomic":
@@ -381,7 +388,7 @@ def element_from_json(group: FiniteGroup, d, cache: dict | None = None) -> Algeb
 
         def read_nonzero(c):
             value = read(c)
-            return value if value != zero else _ZERO
+            return value if value else _ZERO
 
         out = {}
         for g, c in d["coeffs"]:

@@ -80,6 +80,7 @@ def test_table_row_reports_the_split_prime(report):
 def test_loads_report_the_scalars_read(report):
     loads = dict(report["loads"])
     embed = loads.pop("embed_construct")
+    loads.pop("checks_order80")
     counts = {name: (row["scalars"], row["kronecker_candidates"], row["interpolations"])
               for name, row in loads.items()}
     # each distinct coefficient is read once per document: the order-80 table
@@ -102,7 +103,17 @@ def test_loads_report_the_scalars_read(report):
     # Dic_5 and Dic_7 declare embeddings; the four reps have 5 + 6 + 8 + 10
     # classes
     assert (embed["embeddings"], embed["values"]) == (2, 29)
-    assert all(row["load_s"] >= 0 for row in report["loads"].values())
+    assert all(row["load_s"] >= 0 for row in loads.values())
+    assert embed["load_s"] >= 0
+
+
+def test_checks_report_the_kernel_runs(report):
+    row = report["loads"]["checks_order80"]
+    assert list(row) == ["run_s", "checks", "failed", "kernel_runs"]
+    assert row["run_s"] >= 0
+    # 9 idempotent checks, 6 orthogonal pairs of two products each, and 4
+    # ideal_dim checks, each of which tests idempotency first
+    assert (row["checks"], row["failed"], row["kernel_runs"]) == (31, 0, 9 + 6 * 2 + 4)
 
 
 # (class-sum matrices built, rows lifted): the split stops at r idempotents,

@@ -401,7 +401,15 @@ MALFORMED_FIELDS = {
     # read one character at a time, a number failed as not iterable
     "image-string": (dict(SQRT2, automorphisms=[["0", "1"], "0,-1"]),
                      'a list of scalars is expected, not "0,-1"'),
-    "images-string": (dict(SQRT2, automorphisms="0,1"), 'a list of scalars is expected, not "0"'),
+    # the same holds for the list of images and the list of fixers
+    "images-string": (dict(SQRT2, automorphisms="0,1"),
+                      'a list of automorphism images is expected, not "0,1"'),
+    "images-number": (dict(SQRT2, automorphisms=5),
+                      "a list of automorphism images is expected, not 5"),
+    "images-object": (dict(SQRT2, automorphisms={"0": "1"}),
+                      'a list of automorphism images is expected, not {"0": "1"}'),
+    "fixers-string": (dict(SQRT2, subfield_fixers="01"),
+                      'a list of subfield fixers is expected, not "01"'),
     "minpoly-string": (dict(SQRT2, minpoly="1"), 'a list of scalars is expected, not "1"'),
     "minpoly-number": (dict(SQRT2, minpoly=5), "a list of scalars is expected, not 5"),
     "image-number": (dict(SQRT2, automorphisms=[["0", "1"], 5]),

@@ -372,10 +372,25 @@ def test_orbit_module_check_matches_per_translate_reference(rep80, small_groups,
 
 
 def _count_products(monkeypatch):
+    """Products counted as runs of the packed kernel, which both the product
+    and the idempotency and orthogonality predicates read."""
     calls = []
-    real = ga._packed_product
-    monkeypatch.setattr(ga, "_packed_product", lambda a, b: calls.append(1) or real(a, b))
+    real = ga._packed_sums
+    monkeypatch.setattr(ga, "_packed_sums", lambda a, b: calls.append(1) or real(a, b))
     return calls
+
+
+def test_predicates_read_the_kernel_and_build_no_product(g80, field80, monkeypatch):
+    u11, u21 = (we.order80_element(g80, field80, name) for name in ("u11", "u21"))
+    calls = _count_products(monkeypatch)
+    built = []
+    real = ga._packed_product
+    monkeypatch.setattr(ga, "_packed_product", lambda a, b: built.append(1) or real(a, b))
+    # one square, then u11 * u21 and u21 * u11
+    assert u11.is_idempotent() and u11.is_orthogonal_to(u21)
+    assert (len(calls), built) == (3, [])
+    assert u11 * u11 == u11
+    assert (len(calls), built) == (4, [1])
 
 
 def test_primitive_path_makes_each_product_once(small_groups, small_tables, monkeypatch,

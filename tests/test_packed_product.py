@@ -1,5 +1,7 @@
-"""Differential tests of the packed group-algebra product against the
-term-by-term loop in ``algebra_reference.py``, on seeded random elements."""
+"""Differential tests of the packed group-algebra product, and of the
+idempotency and orthogonality predicates that read its packed sums, against
+the term-by-term loop in ``algebra_reference.py``, on seeded random elements,
+seeded idempotents and their near misses."""
 
 import random
 from fractions import Fraction as F
@@ -8,7 +10,8 @@ import pytest
 
 from algebra_reference import reference_product
 from builders import root_of_unity
-from isotypic import AlgebraElement, CycValue, NumField, RATIONALS
+from isotypic import (AlgebraElement, CycValue, NumField, RATIONALS, averaging_idempotent,
+                      galois_orbits, rational_central_idempotent)
 from isotypic.cyclotomic import euler_phi
 from isotypic.groupalgebra import CyclotomicDomain, FieldDomain
 from isotypic.numberfield import NumFieldValue
@@ -156,3 +159,112 @@ def test_field_product_makes_no_scalar_products(g80, field80, monkeypatch):
     assert "__mul__" in AlgebraElement.__dict__
     assert u * u == want
     assert calls == []
+
+
+# -- the idempotency and orthogonality predicates ------------------------------
+
+
+def _reference_idempotent(a):
+    return reference_product(a, a) == a
+
+
+def _reference_orthogonal(a, b):
+    return reference_product(a, b).is_zero() and reference_product(b, a).is_zero()
+
+
+def _generator(domain):
+    """A value of the domain off the rational line, or None over Q."""
+    if domain.kind == "Q":
+        return None
+    if domain.kind == "cyclotomic":
+        return root_of_unity(domain.level)
+    return domain.field.gen()
+
+
+def _lifted(e, a):
+    """e + (1 - e) a e, an idempotent for every a when e is one; it kills
+    1 - e on the right but not, in general, on the left."""
+    one = AlgebraElement.one(e.group, e.domain)
+    return e + reference_product(reference_product(one - e, a), e)
+
+
+def _near_misses(a, rng):
+    """a with one coefficient moved by +1, -1 or a 200-bit integer, with one
+    support element dropped, doubled, zero, and (off Q) a times the domain's
+    generator and one coefficient moved by it, which leave the first
+    coordinate of every coefficient as it was."""
+    g = rng.choice(sorted(a.coeffs))
+    c = a.coeffs[g]
+
+    def moved(value):
+        return AlgebraElement(a.group, a.domain, {**a.coeffs, g: value})
+
+    dropped = AlgebraElement(a.group, a.domain, {h: v for h, v in a.coeffs.items() if h != g})
+    out = [moved(c + 1), moved(c - 1), moved(c + 2 ** 200 + 1), dropped, a * 2,
+           AlgebraElement.zero(a.group, a.domain)]
+    gen = _generator(a.domain)
+    if gen is not None:
+        out += [a * gen, moved(c + gen)]
+    return out
+
+
+def _predicate_cases(group, table, domain, rng):
+    """(seeded idempotents, partners): the averaging idempotents of three
+    subgroup classes, the rational central idempotents and two lifts by
+    random elements with 200-bit numerators, all over domain; the partners
+    are each seed's complement over Q or over domain, and the lifts' one-sided
+    complements, which _pair must promote or which kill one side only."""
+    rational = [averaging_idempotent(group, s.members) for s in group.subgroup_classes()[1:4]]
+    rational += [rational_central_idempotent(table, o) for o in galois_orbits(table)[:3]]
+    one_q = AlgebraElement.one(group, RATIONALS)
+    seeds = [e.to_domain(domain) for e in rational]
+    partners = [one_q - e for e in rational]
+    for e in rational[:2]:
+        e = e.to_domain(domain)
+        big = _random_element(group, domain, rng, 4) * (2 ** 200 + 1)
+        seeds.append(_lifted(e, big))
+        partners.append(AlgebraElement.one(group, domain) - e)
+    return seeds, partners
+
+
+def _check_predicates(elements, partners, verdicts):
+    """Each predicate equals the reference on every element and pair; the
+    (predicate, verdict) pairs seen are added to verdicts."""
+    idempotent = [a.is_idempotent() for a in elements]
+    assert idempotent == [_reference_idempotent(a) for a in elements]
+    pairs = [(a, b) for a in elements for b in partners]
+    orthogonal = [a.is_orthogonal_to(b) for a, b in pairs]
+    assert orthogonal == [_reference_orthogonal(a, b) for a, b in pairs]
+    verdicts.update(("idempotent", v) for v in idempotent)
+    verdicts.update(("orthogonal", v) for v in orthogonal)
+
+
+BOTH_VERDICTS = {(p, v) for p in ("idempotent", "orthogonal") for v in (True, False)}
+
+
+@pytest.mark.parametrize("name", ["L80", "nonintegral", "zeta8", "zeta40", "Q"])
+def test_predicates_match_reference(name, g24, t24):
+    domain = _domains()[name]
+    rng = random.Random(f"predicates-{name}")
+    seeds, partners = _predicate_cases(g24, t24, domain, rng)
+    if name == "zeta40":  # a partner over Q(zeta_8), promoted to level 40
+        low = CyclotomicDomain(8)
+        e = seeds[0].to_domain(RATIONALS).to_domain(low)
+        partners.append(_lifted(e, _random_element(g24, low, rng, 3)))
+    verdicts = set()
+    for seed, partner in zip(seeds, partners):
+        _check_predicates([seed, *_near_misses(seed, rng)], [seed, partner], verdicts)
+    _check_predicates(seeds, partners, verdicts)
+    assert verdicts == BOTH_VERDICTS
+
+
+def test_predicates_match_reference_on_transcribed_elements(g80, field80):
+    rng = random.Random(80)
+    u11, u21, l1, f1, f2 = (order80_element(g80, field80, n)
+                            for n in ("u11", "u21", "l1", "f1", "f2"))
+    f1, f2 = f1.to_domain(RATIONALS), f2.to_domain(RATIONALS)  # promoted to L in each pair
+    one = AlgebraElement.one(g80, u11.domain)
+    verdicts = set()
+    for seed, partner in ((u11, u21), (l1, one - l1), (f1, f2)):
+        _check_predicates([seed, *_near_misses(seed, rng)], [partner], verdicts)
+    assert verdicts == BOTH_VERDICTS
