@@ -24,11 +24,16 @@ of ``perfbench/inputs.py``.
   and the split primes that prove it (one prime above B when B < 2^64), and
   the class-sum matrices the split built and the rows it lifted (one per
   Galois orbit), counted in one more run.
+- Ingestion groups (C1000, C2000: each generated by one n-cycle, defined
+  here by ``cyclic``): the build from permutations and ``conjugacy_classes`` on the group just built.
+  The row also has ``build_peak_mb``, the ``tracemalloc`` peak of one more
+  build, in MiB.
 
-With ``--loads`` it also times the JSON readers: ``field_from_json`` on the
-order-80 manifest's field and on the four fields of perfbench's construct
-workload (Q(zeta_4), Q(zeta_6), Q(zeta_10), Q(zeta_14), the fields of its
-Dic_n reps), ``rep_from_json`` on the bundled order-80 rep (its group and
+With ``--loads`` it also times the JSON readers: ``group_from_spec`` on the
+bundled order-80 presentation, ``field_from_json`` on the order-80
+manifest's field and on the four fields of perfbench's construct workload
+(Q(zeta_4), Q(zeta_6), Q(zeta_10), Q(zeta_14), the fields of its Dic_n
+reps), ``rep_from_json`` on the bundled order-80 rep (its group and
 table built untimed), ``table_from_json`` on the bundled order-80 table and
 on a dumped table of D240 (each on a freshly built group whose classes are
 already known), and ``ManifestRunner`` on the order-80 manifest.  Beside
@@ -58,6 +63,7 @@ import pathlib
 import platform
 import statistics
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from math import gcd, prod
 from time import perf_counter
@@ -161,6 +167,27 @@ def table_row(perms, runs):
             "primes": characters._split_primes(level, bound), **counts}
 
 
+def ingest_row(perms, runs):
+    def one_pass():
+        times = {}
+        group = _timed(times, "build", from_permutations, perms)
+        _timed(times, "classes", group.conjugacy_classes)
+        return times, group.order
+
+    times, order = median_times(runs, one_pass)
+    tracemalloc.start()
+    try:
+        from_permutations(perms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"order": order, **times, "build_peak_mb": round(peak / 2**20, 1)}
+
+
+def cyclic(n):
+    return [[(i + 1) % n for i in range(n)]]
+
+
 # each group's permutations and the row of stages it is timed on
 GROUPS = {
     "S4": (lambda: symmetric(4), lattice_row),
@@ -174,6 +201,8 @@ GROUPS = {
     "D500": (lambda: dihedral(250), table_row),
     "S5": (lambda: symmetric(5), table_row),
     "GL23": (gl2_3, table_row),
+    "C1000": (lambda: cyclic(1000), ingest_row),
+    "C2000": (lambda: cyclic(2000), ingest_row),
 }
 DEFAULT_GROUPS = [name for name in GROUPS if name != "S4"]
 
@@ -288,6 +317,7 @@ def time_loads(runs):
 
     embed_times, _ = median_times(runs, embed_pass)
     return {
+        "group_order80": time_load(lambda: spec80, serialize.group_from_spec, runs),
         "field_order80": time_load(lambda: field, serialize.field_from_json, runs, [minpoly]),
         "fields_construct": time_load(
             lambda: fields, lambda docs: [serialize.field_from_json(d) for d in docs], runs,

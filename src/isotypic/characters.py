@@ -315,7 +315,9 @@ def fixed_dims(table: CharacterTable, members):
     dims = table._fixed_dims.get(key)
     if dims is None:
         den, packed, bits = table._form[2:5]
-        classes, counts = zip(*Counter(map(table.group.class_index, key)).items())
+        table.group.conjugacy_classes()
+        class_of = table.group._class_of
+        classes, counts = zip(*Counter(map(class_of.__getitem__, key)).items())
         half, scale = 1 << (bits - 1), len(key) * den
         dims = []
         for row in packed:

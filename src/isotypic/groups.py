@@ -7,7 +7,13 @@ generators in input order, so every downstream computation is reproducible.
 Every table is certified on construction by Light's associativity test over
 a generating set, which is a complete proof (Clifford and Preston, *The
 Algebraic Theory of Semigroups* I, 1.2); that the generators generate is
-checked by the same closure that finds greedy generators.
+checked by the same closure that finds greedy generators.  The scan of
+every entry's type and range runs on the tables a caller hands in
+(``FiniteGroup(...)``, ``from_cayley_table``); a table the library builds
+holds element indices by construction and goes straight to Light's
+certificate.  Permutation input takes one BFS over the elements, whose
+numbering, words and parents build the table, and each conjugacy class is
+walked from its least element along the generators.
 
 The subgroup layer works on bitmasks: a subset of the group is the Python
 int with bit g set for each member g.  Closures are built by Dimino's coset
@@ -109,31 +115,50 @@ class FiniteGroup:
 
     The table is certified on construction: a two-sided identity at 0,
     two-sided inverses, generators (greedy when none are given) whose closure
-    is the whole table, and Light's associativity test over them.
+    is the whole table, and Light's associativity test over them.  A table
+    handed in here is first scanned entry by entry (an ``int`` in range); the
+    tables the library builds skip the scan (``_built``) and go straight to
+    Light's certificate.  Permutation input is numbered by one BFS, and the
+    conjugacy classes are walked along the generators.
     """
 
     def __init__(self, mul_table, labels=None, generators=None):
         n = len(mul_table)
         if n == 0 or any(len(row) != n for row in mul_table):
             raise ValidationError("not a group table: table is not square")
-        self.order = n
-        self._mul = tuple(map(tuple, mul_table))
-        for row in self._mul:
+        mul = tuple(map(tuple, mul_table))
+        for row in mul:
             if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
                 x = next(x for x in row if type(x) is not int or not 0 <= x < n)
                 raise ValidationError(f"not a group table: entry {x!r} " + (
                     "out of range" if type(x) is int else "is not an integer"))
+        self._certify(mul, labels, generators)
 
+    @classmethod
+    def _built(cls, mul, labels, generators):
+        """The group of a table the library built itself: a square tuple of
+        tuples whose entries are element indices by construction, so it goes
+        straight to the certificate of ``_certify`` without the entry scan."""
+        group = cls.__new__(cls)
+        group._certify(mul, labels, generators)
+        return group
+
+    def _certify(self, mul, labels, generators):
+        """Certify the square table mul of element indices: a two-sided
+        identity at 0, two-sided inverses, generators whose closure is the
+        whole table and Light's test over them; then the element orders."""
+        n = self.order = len(mul)
+        self._mul = mul
         identity = tuple(range(n))
-        if self._mul[0] != identity or tuple([row[0] for row in self._mul]) != identity:
+        if mul[0] != identity or tuple([row[0] for row in mul]) != identity:
             raise ValidationError("not a group table: index 0 is not a two-sided identity")
 
         inv = []
-        for a, row in enumerate(self._mul):
+        for a, row in enumerate(mul):
             if 0 not in row:
                 raise ValidationError(f"not a group table: element {a} has no inverse")
             b = row.index(0)
-            if self._mul[b][a] != 0:
+            if mul[b][a] != 0:
                 raise ValidationError(
                     f"not a group table: {b} is a right but not left inverse of {a}"
                 )
@@ -153,13 +178,18 @@ class FiniteGroup:
         self.generators = greedy if generators is None else generators
         self._check_associativity_light()
 
-        orders = []
+        # one walk a, a^2, ..., a^o = 1 per cyclic subgroup <a> gives every
+        # power its order: ord(a^k) = o / gcd(k, o)
+        orders = [0] * n
         for a in range(n):
-            k, cur = 1, a
-            while cur != 0:
-                cur = self._mul[cur][a]
-                k += 1
-            orders.append(k)
+            if not orders[a]:
+                powers, cur = [a], a
+                while cur:
+                    cur = mul[cur][a]
+                    powers.append(cur)
+                o = len(powers)
+                for k, x in enumerate(powers, 1):
+                    orders[x] = o // gcd(k, o)
         self.elem_orders = tuple(orders)
         exponent = 1
         for o in orders:
@@ -256,21 +286,30 @@ class FiniteGroup:
     # -- conjugacy structure -----------------------------------------------------
 
     def conjugacy_classes(self):
+        """The conjugacy classes, ordered by element order and then by least
+        member.  Each class is the orbit of its least element g, walked along
+        the generators with the tables of ``_conjugation_tables``: the orbit
+        of g under conjugation by the generators is closed under conjugation
+        by every product of them, so it is g's whole class.  That is
+        |G| * #gens lookups, against |G|^2 conjugations by every element."""
         if self._classes is None:
-            n = self.order
-            class_of = [-1] * n
+            tables = [c for _, c in self._conjugation_tables()]
+            class_of = [-1] * self.order
             raw = []
-            for g in range(n):
+            for g in range(self.order):
                 if class_of[g] >= 0:
                     continue
-                orbit = set()
-                for a in range(n):
-                    orbit.add(self.conjugate(g, a))
-                members = tuple(sorted(orbit))
                 idx = len(raw)
-                raw.append(members)
-                for m in members:
-                    class_of[m] = idx
+                class_of[g] = idx
+                orbit = [g]
+                for x in orbit:
+                    for c in tables:
+                        y = c[x]
+                        if class_of[y] < 0:
+                            class_of[y] = idx
+                            orbit.append(y)
+                orbit.sort()
+                raw.append(tuple(orbit))
             order_key = sorted(
                 range(len(raw)), key=lambda i: (self.elem_orders[raw[i][0]], raw[i][0])
             )
@@ -281,7 +320,7 @@ class FiniteGroup:
                 classes.append(ConjugacyClass(members[0], members))
                 remap[old_idx] = new_idx
             self._classes = tuple(classes)
-            self._class_of = tuple(remap[class_of[g]] for g in range(n))
+            self._class_of = tuple(map(remap.__getitem__, class_of))
         return self._classes
 
     def class_index(self, g: int) -> int:
@@ -609,9 +648,17 @@ def _word_to_cols(word):
     return cols
 
 
-def _coset_enumeration(ngens, relators, ceiling):
-    """Coset table of the trivial subgroup; returns generator permutations."""
+def _coset_enumeration(ngens, relators, bound):
+    """Coset table of the trivial subgroup; returns generator permutations.
+
+    The table holds at most 10 * bound rows and at most 60 * bound entries
+    (rows times 2 * ngens columns); the entry ceiling is the lower one only
+    past three generators.  Reaching either raises BoundExceededError.
+    """
     ncols = 2 * ngens
+    ceiling = min(10 * bound, 60 * bound // ncols)
+    if ceiling < 1:
+        raise BoundExceededError("group too large or infinite")
     table = [[None] * ncols]
     parent = [0]
     dead_queue = []
@@ -710,11 +757,30 @@ def _coset_enumeration(ngens, relators, ceiling):
     return perms
 
 
+def _table_from_bfs(steps, words, parents):
+    """The certified group of elements numbered breadth-first over generator
+    words: steps[gi][x] is the index of element x followed by generator gi,
+    words[x] the word of x and parents[x] = (index of the word without its
+    last letter, that letter), for x >= 1.
+
+    The table is built one column at a time along the words: the column of
+    w*g is steps[g] applied to the column of w.  Its entries are element
+    indices by construction, so it goes straight to the certificate.
+    """
+    n = len(words)
+    cols = [range(n)] + [None] * (n - 1)
+    for idx in range(1, n):
+        prev_idx, gi = parents[idx]
+        cols[idx] = list(map(steps[gi].__getitem__, cols[prev_idx]))
+    generators = tuple(step[0] for step in steps)
+    return FiniteGroup._built(tuple(zip(*cols)), words, generators)
+
+
 def _group_from_generator_perms(perms):
     """Build the multiplication table from permutations acting as right
     multiplication by the generators, numbering elements by BFS words."""
     if not perms:
-        return FiniteGroup([[0]], labels=[()], generators=())
+        return FiniteGroup._built(((0,),), [()], ())
     n = len(perms[0])
     order = [0]
     pos = {0: 0}
@@ -733,19 +799,8 @@ def _group_from_generator_perms(perms):
         head += 1
     if len(order) != n:
         raise ValidationError("generator permutations do not act transitively")
-
-    # columns of the multiplication table, built incrementally along BFS words:
-    # the column of w*g is perm_g applied after the column of w.
-    # steps[gi][x] is the index of element x followed by generator gi
     steps = [[pos[perm[x]] for x in order] for perm in perms]
-    cols = [list(range(n))] + [None] * (n - 1)
-    for idx in range(1, n):
-        prev_idx, gi = bfs_parent[idx]
-        cols[idx] = list(map(steps[gi].__getitem__, cols[prev_idx]))
-
-    mul = list(zip(*cols))
-    generators = [pos[perm[0]] for perm in perms]
-    return FiniteGroup(mul, labels=words, generators=generators)
+    return _table_from_bfs(steps, words, bfs_parent)
 
 
 def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
@@ -763,7 +818,7 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
         raise ValidationError(f"relator letters must be integers +-1..+-{ngens}")
     if not any(w for w in relators):
         raise BoundExceededError("group too large or infinite")
-    perms = _coset_enumeration(ngens, relators, ceiling=10 * bound)
+    perms = _coset_enumeration(ngens, relators, bound)
     if len(perms[0]) > bound:
         raise BoundExceededError("group too large or infinite")
     return _group_from_generator_perms(perms)
@@ -778,24 +833,37 @@ def from_permutations(perms, bound=DEFAULT_ENUMERATION_BOUND):
             raise ValidationError(f"permutation entries must be integers, not {p!r}")
         if sorted(p) != list(range(npts)):
             raise ValidationError("input is not a bijection on {0..n-1}")
-    # BFS over the elements (order grows while it is walked);
-    # regular[gi][i] is the index of order[i] followed by gens[gi]
+    # BFS over the elements (order grows while it is walked), in the
+    # numbering, words and parents that _table_from_bfs reads;
+    # steps[gi][i] is the index of order[i] followed by gens[gi]
     identity = tuple(range(npts))
     order = [identity]
     index = {identity: 0}
-    regular = [[] for _ in gens]
-    for cur in order:
+    words = [()]
+    parents = [(-1, -1)]
+    steps = [[] for _ in gens]
+    for head, cur in enumerate(order):
         for gi, g in enumerate(gens):
             nxt = tuple([g[x] for x in cur])
-            if nxt not in index:
+            i = index.get(nxt)
+            if i is None:
                 if len(order) >= bound:
                     raise BoundExceededError("group too large or infinite")
-                index[nxt] = len(order)
+                i = index[nxt] = len(order)
                 order.append(nxt)
-            regular[gi].append(index[nxt])
-    return _group_from_generator_perms(regular)
+                words.append(words[head] + (gi,))
+                parents.append((head, gi))
+            steps[gi].append(i)
+    del order, index  # |G| tuples of npts points each, not needed for the table
+    return _table_from_bfs(steps, words, parents)
 
 
 def from_cayley_table(table):
-    """Validated group from a raw multiplication table (identity must be 0)."""
+    """Validated group from a raw multiplication table (identity must be 0).
+
+    Every entry is scanned (an ``int`` in range) before Light's certificate,
+    as for any table a caller hands in; the tables the library builds from
+    permutations (one BFS) or presentations skip the scan, and the classes
+    are walked along the generators either way.
+    """
     return FiniteGroup(table)

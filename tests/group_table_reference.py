@@ -1,15 +1,24 @@
 """Reference certification of a group table, one entry at a time.
 
-This is the certification in ``FiniteGroup.__init__`` as it was before it
-compared whole rows: the identity checked entry by entry, each inverse
-found by a scan of its row, and Light's associativity test as one
-comparison per triple (a, g, b).  The generator closure is the shared
+This is the certification of ``FiniteGroup`` (the entry scan of
+``__init__``, then ``_certify``) as it was before it compared whole rows:
+the identity checked entry by entry, each inverse found by a scan of its
+row, and Light's associativity test as one comparison per triple
+(a, g, b).  The generator closure is the shared
 ``FiniteGroup._closure_of``.  ``test_groups.py`` uses it as the oracle of
 every verdict and message.
+
+``reference_conjugacy_classes`` is ``FiniteGroup.conjugacy_classes`` as it
+was before it walked each class along the generators: each class is the set
+of conjugates of its least element by all |G| elements.
+``reference_element_orders`` is the element orders as ``_certify`` found
+them before it walked one cyclic subgroup at a time: the powers of each
+element multiplied out until they reach the identity.
+``test_lattice_oracle.py`` uses both as oracles.
 """
 
 from isotypic.errors import ValidationError
-from isotypic.groups import FiniteGroup
+from isotypic.groups import ConjugacyClass, FiniteGroup
 
 
 class ReferenceFiniteGroup(FiniteGroup):
@@ -70,3 +79,41 @@ class ReferenceFiniteGroup(FiniteGroup):
                         raise ValidationError(
                             f"not a group table: associativity fails at ({a},{g},{b})"
                         )
+
+
+def reference_conjugacy_classes(group):
+    """The conjugacy classes, ordered by element order and then by least
+    member, and the class index of every element."""
+    n = group.order
+    class_of = [-1] * n
+    raw = []
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        orbit = set()
+        for a in range(n):
+            orbit.add(group.conjugate(g, a))
+        members = tuple(sorted(orbit))
+        idx = len(raw)
+        raw.append(members)
+        for m in members:
+            class_of[m] = idx
+    order_key = sorted(range(len(raw)), key=lambda i: (group.elem_orders[raw[i][0]], raw[i][0]))
+    classes = []
+    remap = [0] * len(raw)
+    for new_idx, old_idx in enumerate(order_key):
+        members = raw[old_idx]
+        classes.append(ConjugacyClass(members[0], members))
+        remap[old_idx] = new_idx
+    return tuple(classes), tuple(remap[class_of[g]] for g in range(n))
+
+
+def reference_element_orders(group):
+    orders = []
+    for a in range(group.order):
+        k, cur = 1, a
+        while cur != 0:
+            cur = group.mul(cur, a)
+            k += 1
+        orders.append(k)
+    return tuple(orders)

@@ -83,7 +83,8 @@ def test_loads_report_the_scalars_read(report):
     loads.pop("checks_order80")
     counts = {name: (row["scalars"], row["kronecker_candidates"], row["interpolations"])
               for name, row in loads.items()}
-    # each distinct coefficient is read once per document: the order-80 table
+    # a group presentation holds no scalars.  Each distinct coefficient is
+    # read once per document: the order-80 table
     # has 13 distinct values of 16 coordinates, D240's 63 x 63 table 61 distinct
     # values at level 120 (phi(120) = 32 coordinates each), and the manifest
     # reads its field (17), 138 distinct lists of 4 coordinates and 4 distinct
@@ -93,6 +94,7 @@ def test_loads_report_the_scalars_read(report):
     # image of 4), 14 character values at level 40 (16 each) and two 4 x 4
     # generator matrices of 4 coordinates each.
     assert counts == {
+        "group_order80": (0, 0, 0),
         "field_order80": (17, 1080, 22),
         "fields_construct": (3 + 3 + 5 + 7 + 4 + 4 + 16 + 36, 58, 10),
         "rep_order80": (17 + 16 + 4 + 14 * 16 + 2 * 16 * 4, 1080, 22),
@@ -105,6 +107,16 @@ def test_loads_report_the_scalars_read(report):
     assert (embed["embeddings"], embed["values"]) == (2, 29)
     assert all(row["load_s"] >= 0 for row in loads.values())
     assert embed["load_s"] >= 0
+
+
+def test_ingest_row_reports_the_build_and_its_peak():
+    """Called directly on C12: tier-1 never builds the default C1000 and C2000."""
+    row = bench.ingest_row(bench.cyclic(12), 1)
+    assert list(row) == ["order", "build_s", "classes_s", "build_peak_mb"]
+    assert row["order"] == 12
+    assert row["build_s"] >= 0 and row["classes_s"] >= 0 and row["build_peak_mb"] >= 0
+    assert [bench.GROUPS[name][1] for name in ("C1000", "C2000")] == [bench.ingest_row] * 2
+    assert {"C1000", "C2000"} <= set(bench.DEFAULT_GROUPS)
 
 
 def test_checks_report_the_kernel_runs(report):

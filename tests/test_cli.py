@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -195,10 +196,10 @@ MALFORMED_MANIFESTS = {
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli_process(*argv, timeout=60):
+def run_cli_process(*argv, timeout=60, preexec_fn=None):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-m", "isotypic.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("command,text", [
@@ -551,6 +552,21 @@ def test_cli_bound_exit_4(capsys, tmp_path):
     path.write_text(json.dumps({"presentation": {"generators": 2, "relators": []}}))
     code, _, err = run_cli(capsys, "group-info", "--group", str(path))
     assert code == 4
+
+
+def _limit_address_space_to_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_coset_table_entry_bound_exit_4(tmp_path):
+    # 3000 generators make rows of 6000 entries: 10 * bound rows would take
+    # about 4.8 GB, and under 1 GiB the enumeration died of a MemoryError
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"presentation": {"generators": 3000, "relators": [[1]]}}))
+    proc = run_cli_process("group-info", "--group", str(path), timeout=20,
+                           preexec_fn=_limit_address_space_to_1gib)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr and "group too large or infinite" in proc.stderr
 
 
 def test_cli_verify_kronecker_bound_exit_4(tmp_path):

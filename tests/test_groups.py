@@ -227,6 +227,12 @@ def test_cayley_table_missing_identity():
     (lambda: from_cayley_table([[0, True], [1, 0]]), "entry True is not an integer"),
     (lambda: from_cayley_table([[0, 1], [1, "0"]]), "entry '0' is not an integer"),
     (lambda: from_cayley_table([[0, 1], [1, -1]]), "entry -1 out of range"),
+    # FiniteGroup itself scans every entry a caller hands in, whole message
+    (lambda: FiniteGroup([[0, 1.9], [1.2, 0]]), "^not a group table: entry 1.9 is not an integer$"),
+    (lambda: FiniteGroup([[0, True], [1, 0]]), "^not a group table: entry True is not an integer$"),
+    (lambda: FiniteGroup([[0, 1], [1, "0"]]), "^not a group table: entry '0' is not an integer$"),
+    (lambda: FiniteGroup([[0, 1], [1, -1]]), "^not a group table: entry -1 out of range$"),
+    (lambda: FiniteGroup([[0, 1], [1, 2]]), "^not a group table: entry 2 out of range$"),
     # floats equal to ints passed the bijection check and then met tuple indexing
     (lambda: from_permutations([[1.0, 0.0]]), r"not \(1.0, 0.0\)"),
     (lambda: from_permutations([[0, 1], [False, True]]), r"not \(False, True\)"),

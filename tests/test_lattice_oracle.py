@@ -7,6 +7,7 @@ import pytest
 
 import lattice_reference as ref
 import permutation_reference
+from group_table_reference import reference_conjugacy_classes, reference_element_orders
 from isotypic import groups
 from isotypic import ValidationError
 from isotypic.errors import BoundExceededError
@@ -30,6 +31,20 @@ def direct_product(a, b):
     na, nb = len(a[0]), len(b[0])
     return ([list(p) + list(range(na, na + nb)) for p in a]
             + [list(range(na)) + [na + x for x in p] for p in b])
+
+
+def c11_by_c5():
+    """C11 x| C5 on Z/11: x -> x + 1 and x -> 3x, with 3 of order 5 mod 11."""
+    return [[(i + 1) % 11 for i in range(11)], [3 * i % 11 for i in range(11)]]
+
+
+def dicyclic(n):
+    """Dic_n = <x, y : x^2n, y^2 = x^n, y^-1 x y = x^-1> acting on itself by
+    right multiplication; point a + 2n*b is the element x^a y^b."""
+    m = 2 * n
+    x = [(a + 1) % m if b == 0 else (a - 1) % m + m for b in (0, 1) for a in range(m)]
+    y = [a + m if b == 0 else (a + n) % m for b in (0, 1) for a in range(m)]
+    return [x, y]
 
 
 def gl2_3():
@@ -222,6 +237,8 @@ PERMUTATIONS = {
     "C2^4": elementary_abelian2(4),
     "D4xS3": direct_product(dihedral(4), symmetric(3)),
     "GL23": gl2_3(),
+    "C11x5": c11_by_c5(),
+    **{f"Dic{n}": dicyclic(n) for n in range(2, 8)},
 }
 
 
@@ -242,7 +259,8 @@ def relabelled_points(perms, rng):
 
 
 def same_group(a, b):
-    return (a._mul, a.labels, a.generators) == (b._mul, b.labels, b.generators)
+    return ((a._mul, a.labels, a.generators, a._inv, a.elem_orders, a.exponent)
+            == (b._mul, b.labels, b.generators, b._inv, b.elem_orders, b.exponent))
 
 
 @pytest.mark.parametrize("name", PERMUTATIONS)
@@ -265,3 +283,34 @@ def test_permutation_ingestion_bound_and_edge_cases():
         for build in (from_permutations, permutation_reference.from_permutations):
             with pytest.raises(ValidationError, match="bijection"):
                 build(bad)
+
+
+# conjugacy classes against conjugating each element by every element, and
+# element orders against multiplying out the powers of each element
+
+PRESENTATIONS = {
+    "Q8": GROUPS["Q8"],
+    "order24": order24_group,
+    "order80": order80_group,
+}
+
+
+def assert_orders_and_classes_match_reference(group):
+    assert group.elem_orders == reference_element_orders(group)
+    classes, class_of = reference_conjugacy_classes(group)
+    assert group.conjugacy_classes() == classes
+    assert tuple(map(group.class_index, range(group.order))) == class_of
+
+
+@pytest.mark.parametrize("name", PERMUTATIONS)
+def test_permutation_group_orders_and_classes_match_reference(name):
+    rng = random.Random("classes " + name)
+    for perms in (PERMUTATIONS[name], relabelled_points(PERMUTATIONS[name], rng)):
+        assert_orders_and_classes_match_reference(from_permutations(perms))
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_presentation_orders_and_classes_match_reference(name):
+    rng = random.Random("classes " + name)
+    for group in (PRESENTATIONS[name](), relabelled(PRESENTATIONS[name](), rng)):
+        assert_orders_and_classes_match_reference(group)
