@@ -25,9 +25,11 @@ of ``perfbench/inputs.py``.
   the class-sum matrices the split built and the rows it lifted (one per
   Galois orbit), counted in one more run.
 - Ingestion groups (C1000, C2000: each generated by one n-cycle, defined
-  here by ``cyclic``): the build from permutations and ``conjugacy_classes`` on the group just built.
-  The row also has ``build_peak_mb``, the ``tracemalloc`` peak of one more
-  build, in MiB.
+  here by ``cyclic``; P1000, P2000: the same cyclic groups as <x | x^n>,
+  defined by ``cyclic_relators``): the build from permutations or, for the
+  P rows, from the presentation by coset enumeration, and
+  ``conjugacy_classes`` on the group just built.  The row also has
+  ``build_peak_mb``, the ``tracemalloc`` peak of one more build, in MiB.
 
 With ``--loads`` it also times the JSON readers: ``group_from_spec`` on the
 bundled order-80 presentation, ``field_from_json`` on the order-80
@@ -73,7 +75,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
 from isotypic import (JacobianDecomposer, characters, compute_character_table, from_permutations,
-                      galois_orbits, groupalgebra, numberfield, serialize)
+                      from_presentation, galois_orbits, groupalgebra, numberfield, serialize)
 from isotypic.cyclotomic import _integral
 from isotypic.fixtures import bundled
 from isotypic.verify import ManifestRunner
@@ -167,28 +169,42 @@ def table_row(perms, runs):
             "primes": characters._split_primes(level, bound), **counts}
 
 
-def ingest_row(perms, runs):
+def _ingest(build, source, runs):
     def one_pass():
         times = {}
-        group = _timed(times, "build", from_permutations, perms)
+        group = _timed(times, "build", build, source)
         _timed(times, "classes", group.conjugacy_classes)
         return times, group.order
 
     times, order = median_times(runs, one_pass)
     tracemalloc.start()
     try:
-        from_permutations(perms)
+        build(source)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return {"order": order, **times, "build_peak_mb": round(peak / 2**20, 1)}
 
 
+def ingest_row(perms, runs):
+    return _ingest(from_permutations, perms, runs)
+
+
+def presentation_row(relators, runs):
+    """ingest_row for the one-generator presentation with these relators."""
+    return _ingest(lambda rels: from_presentation(1, rels), relators, runs)
+
+
 def cyclic(n):
     return [[(i + 1) % n for i in range(n)]]
 
 
-# each group's permutations and the row of stages it is timed on
+def cyclic_relators(n):
+    """The relators of <x | x^n>."""
+    return [[1] * n]
+
+
+# each group's permutations (relators for the P rows) and the row of stages it is timed on
 GROUPS = {
     "S4": (lambda: symmetric(4), lattice_row),
     "S6": (lambda: symmetric(6), lattice_row),
@@ -203,6 +219,8 @@ GROUPS = {
     "GL23": (gl2_3, table_row),
     "C1000": (lambda: cyclic(1000), ingest_row),
     "C2000": (lambda: cyclic(2000), ingest_row),
+    "P1000": (lambda: cyclic_relators(1000), presentation_row),
+    "P2000": (lambda: cyclic_relators(2000), presentation_row),
 }
 DEFAULT_GROUPS = [name for name in GROUPS if name != "S4"]
 

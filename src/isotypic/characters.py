@@ -112,7 +112,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from .cyclotomic import (
-    CycValue, _combine, _cyc, _level, _pack, unit_group,
+    CycValue, _combine, _cyc, _factorize, _level, _pack, unit_group,
 )
 from .errors import BoundExceededError, InvariantError, ValidationError
 from .groups import FiniteGroup
@@ -388,25 +388,11 @@ def _dixon_prime(order: int, exponent: int) -> int:
     return _split_primes(exponent, max(2 * isqrt(order), 2))[0]
 
 
-def _prime_factors(m: int):
-    """The distinct prime factors of m >= 1, by trial division."""
-    fac, d = [], 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    return fac
-
-
 def _root_of_unity(p: int, n: int) -> int:
     """A primitive n-th root of unity mod the prime p = 1 (mod n):
     w = a^((p-1)/n) for the least a >= 1 with w^(n/q) != 1 for each prime
     q | n, found without factoring p - 1."""
-    qs = _prime_factors(n)
+    qs = [q for q, _ in _factorize(n)]
     for a in range(1, p):
         w = pow(a, (p - 1) // n, p)
         if all(pow(w, n // q, p) != 1 for q in qs):
@@ -553,17 +539,11 @@ def _orbit_rows(group: FiniteGroup, idempotents, p):
     off it through the power map (see the module docstring)."""
     classes = group.conjugacy_classes()
     n, e = group.order, group.exponent
-    class_of, mul_table, inv = group._class_of, group._mul, group._inv
+    class_of, inv = group._class_of, group._inv
     reps = [c.representative for c in classes]
     inv_class = [class_of[inv[rep]] for rep in reps]
     z = _root_of_unity(p, e)  # fixed primitive e-th root of unity mod p
-    power_class = []
-    for g in reps:
-        powers, x = [], 0
-        for _ in range(group.elem_orders[g]):
-            powers.append(class_of[x])
-            x = mul_table[x][g]
-        power_class.append(powers)
+    power_class = [[class_of[x] for x in group._powers(g)] for g in reps]
     lifts, images = _lift_plan(power_class, z, e, p)
 
     # sigma_u reads a row, and its idempotent, through k -> class(g_k^u)

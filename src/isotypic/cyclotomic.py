@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import BoundExceededError, InvariantError, ValidationError
 
@@ -67,29 +67,35 @@ def _exact_quotient(a, b):
     return None if any(a) else q
 
 
+def _factorize(n: int):
+    """The prime factorization of n >= 1 as [(p, e), ...] with p
+    increasing, by trial division up to sqrt(n)."""
+    factors, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return factors
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """phi(n); every constructor of a value at level n asks it first, so a
     level below 1 is refused here."""
     if n < 1:
         raise ValidationError("cyclotomic level must be positive")
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    return prod((p - 1) * p ** (e - 1) for p, e in _factorize(n))
 
 
 def _mobius(n: int) -> int:
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
+    factors = _factorize(n)
+    return 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,12 @@ checked by the same closure that finds greedy generators.  The scan of
 every entry's type and range runs on the tables a caller hands in
 (``FiniteGroup(...)``, ``from_cayley_table``); a table the library builds
 holds element indices by construction and goes straight to Light's
-certificate.  Permutation input takes one BFS over the elements, whose
-numbering, words and parents build the table, and each conjugacy class is
-walked from its least element along the generators.
+certificate.  Permutation and presentation input share one breadth-first
+walk (``_bfs_numbering``), over permutation tuples or over live cosets,
+whose numbering, words and parents build the table.  One power walk
+(``FiniteGroup._powers``) serves the element orders, rational fusion, the
+lattice's cyclic extensions and the character table's power map.  Each
+conjugacy class is walked from its least element along the generators.
 
 The subgroup layer works on bitmasks: a subset of the group is the Python
 int with bit g set for each member g.  Closures are built by Dimino's coset
@@ -118,8 +121,9 @@ class FiniteGroup:
     is the whole table, and Light's associativity test over them.  A table
     handed in here is first scanned entry by entry (an ``int`` in range); the
     tables the library builds skip the scan (``_built``) and go straight to
-    Light's certificate.  Permutation input is numbered by one BFS, and the
-    conjugacy classes are walked along the generators.
+    Light's certificate.  Permutation and presentation input are numbered by
+    one breadth-first walk, and the conjugacy classes are walked along the
+    generators.
     """
 
     def __init__(self, mul_table, labels=None, generators=None):
@@ -178,17 +182,14 @@ class FiniteGroup:
         self.generators = greedy if generators is None else generators
         self._check_associativity_light()
 
-        # one walk a, a^2, ..., a^o = 1 per cyclic subgroup <a> gives every
-        # power its order: ord(a^k) = o / gcd(k, o)
+        # one power walk per cyclic subgroup <a> gives every power its
+        # order: ord(a^k) = o / gcd(k, o)
         orders = [0] * n
         for a in range(n):
             if not orders[a]:
-                powers, cur = [a], a
-                while cur:
-                    cur = mul[cur][a]
-                    powers.append(cur)
+                powers = self._powers(a)
                 o = len(powers)
-                for k, x in enumerate(powers, 1):
+                for k, x in enumerate(powers):
                     orders[x] = o // gcd(k, o)
         self.elem_orders = tuple(orders)
         exponent = 1
@@ -256,6 +257,18 @@ class FiniteGroup:
             base = self._mul[base][base]
             k >>= 1
         return result
+
+    def _powers(self, g: int):
+        """[g^0, g^1, ..., g^(o-1)] for o = ord g, walked along column g of
+        the table; the one power walk behind the element orders, rational
+        fusion, the lattice's cyclic extensions and the character table's
+        power map."""
+        mul = self._mul
+        powers, x = [0], g
+        while x:
+            powers.append(x)
+            x = mul[x][g]
+        return powers
 
     def conjugate(self, g: int, by: int) -> int:
         """by * g * by^-1."""
@@ -438,12 +451,8 @@ class FiniteGroup:
         """The generators g^k of <g>, k prime to ord g, and their conjugates
         n g^k n^-1 under the group generated by ``normalizer``."""
         mul, inv = self._mul, self._inv
-        o = self.elem_orders[g]
-        orbit, x = [], g
-        for k in range(1, o):
-            if gcd(k, o) == 1:
-                orbit.append(x)
-            x = mul[x][g]
+        powers = self._powers(g)
+        orbit = [x for k, x in enumerate(powers) if gcd(k, len(powers)) == 1]
         found = set(orbit)
         for x in orbit:
             for n in normalizer:
@@ -603,20 +612,19 @@ class FiniteGroup:
     # -- rational fusion ------------------------------------------------------------
 
     def rational_fusion_classes(self):
-        """Partition coarsening conjugacy: g fused with g^k for gcd(k, ord g) = 1.
-        The classes of these g^k are closed under the rule (k^-1 mod ord g,
+        """Partition coarsening conjugacy: g fused with g^k for gcd(k, ord g) = 1,
+        the generators of <g> that ``_cyclic_generator_orbit`` walks with no
+        normalizer.  The classes of these g^k are closed under the rule (k^-1 mod ord g,
         and products), so they are g's whole rational class."""
         if self._fusion is None:
             classes = self.conjugacy_classes()
+            class_of = self._class_of
             seen, fused = set(), []
             for idx, cls in enumerate(classes):
                 if idx not in seen:
-                    g = cls.representative
-                    o = self.elem_orders[g]
-                    powers = {self.class_index(self.power(g, k))
-                              for k in range(1, o + 1) if gcd(k, o) == 1}
-                    seen |= powers
-                    fused.append(tuple(sorted(x for j in powers for x in classes[j].members)))
+                    js = {class_of[x] for x in self._cyclic_generator_orbit(cls.representative, ())}
+                    seen |= js
+                    fused.append(tuple(sorted(x for j in js for x in classes[j].members)))
             self._fusion = tuple(sorted(fused))  # disjoint: by least member
         return self._fusion
 
@@ -649,7 +657,11 @@ def _word_to_cols(word):
 
 
 def _coset_enumeration(ngens, relators, bound):
-    """Coset table of the trivial subgroup; returns generator permutations.
+    """Coset table of the trivial subgroup.  Returns the number of live
+    cosets and their action for ``_bfs_numbering``: k -> the live cosets
+    k * g_i, read from the table through the coset representatives, so the
+    same breadth-first walk numbers presentation and permutation input.
+    The table lives as long as that action does.
 
     The table holds at most 10 * bound rows and at most 60 * bound entries
     (rows times 2 * ngens columns); the entry ceiling is the lower one only
@@ -748,13 +760,35 @@ def _coset_enumeration(ngens, relators, bound):
                     define(alpha, col)
         alpha += 1
 
-    live = [k for k in range(len(table)) if rep(k) == k]
-    renumber = {k: i for i, k in enumerate(live)}
-    perms = []
-    for g in range(ngens):
-        perm = [renumber[rep(table[k][2 * g])] for k in live]
-        perms.append(perm)
-    return perms
+    live = sum(rep(k) == k for k in range(len(table)))
+    cols = range(0, ncols, 2)
+    return live, lambda k: [rep(table[k][c]) for c in cols]
+
+
+def _bfs_numbering(start, ngens, images, bound):
+    """Number the points reached from start breadth-first over generator
+    words, generators in input order, with images(x) the list of x * g_i
+    over the ngens generators.  This is the one walk that numbers the
+    elements of permutation and presentation input; its points are dropped
+    on return.  Returns the (steps, words, parents) that ``_table_from_bfs``
+    reads; a point past the bound-th raises BoundExceededError."""
+    index = {start: 0}
+    points = [start]
+    words = [()]
+    parents = [(-1, -1)]
+    steps = [[] for _ in range(ngens)]
+    for head, cur in enumerate(points):  # points grows while it is walked
+        for gi, nxt in enumerate(images(cur)):
+            i = index.get(nxt)
+            if i is None:
+                if len(points) >= bound:
+                    raise BoundExceededError("group too large or infinite")
+                i = index[nxt] = len(points)
+                points.append(nxt)
+                words.append(words[head] + (gi,))
+                parents.append((head, gi))
+            steps[gi].append(i)
+    return steps, words, parents
 
 
 def _table_from_bfs(steps, words, parents):
@@ -776,33 +810,6 @@ def _table_from_bfs(steps, words, parents):
     return FiniteGroup._built(tuple(zip(*cols)), words, generators)
 
 
-def _group_from_generator_perms(perms):
-    """Build the multiplication table from permutations acting as right
-    multiplication by the generators, numbering elements by BFS words."""
-    if not perms:
-        return FiniteGroup._built(((0,),), [()], ())
-    n = len(perms[0])
-    order = [0]
-    pos = {0: 0}
-    words = [()]
-    bfs_parent = [(-1, -1)]
-    head = 0
-    while head < len(order):
-        cur = order[head]
-        for gi, perm in enumerate(perms):
-            nxt = perm[cur]
-            if nxt not in pos:
-                pos[nxt] = len(order)
-                order.append(nxt)
-                words.append(words[head] + (gi,))
-                bfs_parent.append((head, gi))
-        head += 1
-    if len(order) != n:
-        raise ValidationError("generator permutations do not act transitively")
-    steps = [[pos[perm[x]] for x in order] for perm in perms]
-    return _table_from_bfs(steps, words, bfs_parent)
-
-
 def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     """Group defined by generators and relators (signed 1-based letters)."""
     if type(ngens) is not int or type(bound) is not int:
@@ -812,16 +819,20 @@ def from_presentation(ngens, relators, bound=DEFAULT_ENUMERATION_BOUND):
     if bound < 1:
         raise ValidationError(f"enumeration bound must be at least 1, not {bound}")
     if ngens == 0:
-        return _group_from_generator_perms([])
+        return _table_from_bfs(*_bfs_numbering(0, 0, lambda k: (), bound))
     relators = [list(w) for w in relators]
     if any(type(x) is not int or not 0 < abs(x) <= ngens for w in relators for x in w):
         raise ValidationError(f"relator letters must be integers +-1..+-{ngens}")
     if not any(w for w in relators):
         raise BoundExceededError("group too large or infinite")
-    perms = _coset_enumeration(ngens, relators, bound)
-    if len(perms[0]) > bound:
+    live, images = _coset_enumeration(ngens, relators, bound)
+    if live > bound:
         raise BoundExceededError("group too large or infinite")
-    return _group_from_generator_perms(perms)
+    numbering = _bfs_numbering(0, ngens, images, bound)
+    del images  # the coset table, released before the group table is built
+    if len(numbering[1]) != live:
+        raise ValidationError("generator permutations do not act transitively")
+    return _table_from_bfs(*numbering)
 
 
 def from_permutations(perms, bound=DEFAULT_ENUMERATION_BOUND):
@@ -833,29 +844,10 @@ def from_permutations(perms, bound=DEFAULT_ENUMERATION_BOUND):
             raise ValidationError(f"permutation entries must be integers, not {p!r}")
         if sorted(p) != list(range(npts)):
             raise ValidationError("input is not a bijection on {0..n-1}")
-    # BFS over the elements (order grows while it is walked), in the
-    # numbering, words and parents that _table_from_bfs reads;
-    # steps[gi][i] is the index of order[i] followed by gens[gi]
-    identity = tuple(range(npts))
-    order = [identity]
-    index = {identity: 0}
-    words = [()]
-    parents = [(-1, -1)]
-    steps = [[] for _ in gens]
-    for head, cur in enumerate(order):
-        for gi, g in enumerate(gens):
-            nxt = tuple([g[x] for x in cur])
-            i = index.get(nxt)
-            if i is None:
-                if len(order) >= bound:
-                    raise BoundExceededError("group too large or infinite")
-                i = index[nxt] = len(order)
-                order.append(nxt)
-                words.append(words[head] + (gi,))
-                parents.append((head, gi))
-            steps[gi].append(i)
-    del order, index  # |G| tuples of npts points each, not needed for the table
-    return _table_from_bfs(steps, words, parents)
+    # the points are the elements as tuples; cur * g reads g at each of cur's points
+    numbering = _bfs_numbering(tuple(range(npts)), len(gens),
+                               lambda cur: [tuple([g[x] for x in cur]) for g in gens], bound)
+    return _table_from_bfs(*numbering)
 
 
 def from_cayley_table(table):
@@ -863,7 +855,7 @@ def from_cayley_table(table):
 
     Every entry is scanned (an ``int`` in range) before Light's certificate,
     as for any table a caller hands in; the tables the library builds from
-    permutations (one BFS) or presentations skip the scan, and the classes
-    are walked along the generators either way.
+    permutations or presentations (one breadth-first walk) skip the scan,
+    and the classes are walked along the generators either way.
     """
     return FiniteGroup(table)

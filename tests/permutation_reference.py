@@ -1,9 +1,10 @@
 """Reference permutation ingestion: the Cayley table from |G|^2 compositions.
 
-This is ``groups.from_permutations`` as it was before it shared
-``_group_from_generator_perms``: a BFS over the elements as tuples, then
-every product composed as a tuple and looked up.  It is slow and simple,
-so ``test_lattice_oracle.py`` uses it as an oracle.
+This is ``groups.from_permutations`` as it was before its table was built
+from the numbering of the breadth-first walk it shares with presentation
+input: a BFS over the elements as tuples, then every product composed as a
+tuple and looked up.  It is slow and simple, so ``test_lattice_oracle.py``
+uses it as an oracle.
 """
 
 from isotypic.errors import BoundExceededError, ValidationError

@@ -119,6 +119,17 @@ def test_ingest_row_reports_the_build_and_its_peak():
     assert {"C1000", "C2000"} <= set(bench.DEFAULT_GROUPS)
 
 
+def test_presentation_row_reports_the_build_and_its_peak():
+    """Called directly on <x | x^12>: tier-1 never builds P1000 and P2000."""
+    row = bench.presentation_row(bench.cyclic_relators(12), 1)
+    assert list(row) == ["order", "build_s", "classes_s", "build_peak_mb"]
+    assert row["order"] == 12
+    assert row["build_s"] >= 0 and row["classes_s"] >= 0 and row["build_peak_mb"] >= 0
+    assert [bench.GROUPS[name][1] for name in ("P1000", "P2000")] == [bench.presentation_row] * 2
+    assert [len(bench.GROUPS[name][0]()[0]) for name in ("P1000", "P2000")] == [1000, 2000]
+    assert {"P1000", "P2000"} <= set(bench.DEFAULT_GROUPS)
+
+
 def test_checks_report_the_kernel_runs(report):
     row = report["loads"]["checks_order80"]
     assert list(row) == ["run_s", "checks", "failed", "kernel_runs"]

@@ -21,6 +21,28 @@ def random_value(rng, level):
                             for _ in range(euler_phi(level))])
 
 
+def test_factorizer_against_brute_force():
+    """phi(n) counts the k <= n prime to n, and mu is defined by mu(1) = 1
+    and the sum of mu(d) over the divisors d of n > 1 being 0."""
+    from math import gcd, prod
+
+    from isotypic.cyclotomic import _factorize, _mobius, euler_phi
+
+    mu = [0, 1]
+    for n in range(2, 3001):
+        mu.append(-sum(mu[d] for d in range(1, n // 2 + 1) if n % d == 0))
+    for n in range(1, 3001):
+        factors = _factorize(n)
+        assert prod(p ** e for p, e in factors) == n
+        assert all(e > 0 and all(p % q for q in range(2, p)) for p, e in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        assert euler_phi(n) == list(map(gcd, range(n), [n] * n)).count(1)
+        assert _mobius(n) == mu[n]
+    for n in (0, -3):
+        with pytest.raises(ValidationError, match="^cyclotomic level must be positive$"):
+            euler_phi(n)
+
+
 def test_cyclotomic_polynomials():
     assert list(cyclotomic_polynomial(1)) == [F(-1), F(1)]
     assert list(cyclotomic_polynomial(2)) == [F(1), F(1)]

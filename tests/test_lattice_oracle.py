@@ -11,8 +11,9 @@ from group_table_reference import reference_conjugacy_classes, reference_element
 from isotypic import groups
 from isotypic import ValidationError
 from isotypic.errors import BoundExceededError
-from isotypic.fixtures import order24_group, order80_group
+from isotypic.fixtures import DATA, bundled, order24_group, order80_group
 from isotypic.groups import FiniteGroup, from_permutations, from_presentation
+from isotypic.serialize import group_from_spec
 
 
 def symmetric(n):
@@ -283,6 +284,50 @@ def test_permutation_ingestion_bound_and_edge_cases():
         for build in (from_permutations, permutation_reference.from_permutations):
             with pytest.raises(ValidationError, match="bijection"):
                 build(bad)
+
+
+# permutation and presentation input share one breadth-first walk
+
+BUNDLED_SPECS = sorted(path.name for path in DATA.glob("group_*.json"))
+
+
+def right_regular(group):
+    """The permutations x -> x * g of the group's generators g."""
+    return [[group.mul(x, g) for x in range(group.order)] for g in group.generators]
+
+
+@pytest.mark.parametrize("name", [*PERMUTATIONS, *BUNDLED_SPECS])
+def test_right_regular_permutations_rebuild_the_group(name):
+    """The walk numbers a group's elements alike from its permutations and
+    from its right-regular permutations, presentations included."""
+    if name in PERMUTATIONS:
+        group = from_permutations(PERMUTATIONS[name])
+    else:
+        group = group_from_spec(bundled(name))
+    again = from_permutations(right_regular(group))
+    assert (again._mul, again.labels, again.generators) == (
+        group._mul, group.labels, group.generators)
+
+
+def test_trivial_group_inputs():
+    """No generators, and one generator on no points, each give the trivial
+    group; the zero-generator presentation returns before its relators are
+    read."""
+    for group, generators in ((from_presentation(0, []), ()), (from_presentation(0, [[9]]), ()),
+                              (from_permutations([]), ()), (from_permutations([[]]), (0,))):
+        assert (group._mul, group.labels, group.generators) == (((0,),), ((),), generators)
+
+
+def test_presentation_walk_must_reach_every_live_coset(monkeypatch):
+    """Three live cosets of which the action reaches two: refused, after
+    the enumeration bound."""
+    monkeypatch.setattr(groups, "_coset_enumeration",
+                        lambda ngens, relators, bound: (3, lambda k: [(1, 0, 2)[k]]))
+    with pytest.raises(ValidationError) as err:
+        from_presentation(1, [[1, 1]])
+    assert str(err.value) == "generator permutations do not act transitively"
+    with pytest.raises(BoundExceededError, match="group too large or infinite"):
+        from_presentation(1, [[1, 1]], bound=2)
 
 
 # conjugacy classes against conjugating each element by every element, and
